@@ -24,7 +24,7 @@ from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, NotInGeneratedSpan, NotInvariantVector
 from .lindblad import DirichletForm, JumpSystem
 from .modular import TomitaData
-from .numkernel import Superoperator, as_cmatrix, unvec, vec
+from .numkernel import Superoperator, as_cmatrix, matrix_units, unvec, vec
 
 __all__ = ["FinBimodule", "BimoduleVector", "Derivation",
            "inner_derivation_generator", "carre_du_champ"]
@@ -148,15 +148,7 @@ class FinBimodule:
         """
         if self._span_cache is not None:
             return self._span_cache
-        n = self.n
-        dim = self.m * n * n
-        units = []
-        e = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                e[i, j] = 1.0
-                units.append(e.copy())
-                e[i, j] = 0.0
+        units = matrix_units(self.n)
         cols, jcols = [], []
         for a in units:
             da = self.delta(a)
@@ -166,20 +158,11 @@ class FinBimodule:
                 jcols.append(
                     self.coords(self.act_left(self.tomita.conj_J(b), dja))
                 )
-        g = np.array(cols).T if cols else np.zeros((dim, 0), dtype=np.complex128)
-        jg = np.array(jcols).T if jcols else np.zeros((dim, 0), dtype=np.complex128)
+        g = np.array(cols).T
+        jg = np.array(jcols).T
         pinv = np.linalg.pinv(g, rcond=1e-10)
         self._span_cache = (g, jg, pinv)
         return self._span_cache
-
-    def conj_of_pairs(self, pairs):
-        """Conjugation of sum_i R(b_i) delta(a_i) given as (a_i, b_i) pairs."""
-        out = self.zero()
-        for a, b in pairs:
-            out = out + self.act_left(
-                self.tomita.conj_J(b), self.delta(self.tomita.conj_J(a))
-            )
-        return out
 
     def conj_ambient(self, xi: BimoduleVector) -> BimoduleVector:
         """Componentwise extension of the conjugation to all of H^{+m}:

@@ -15,7 +15,9 @@ Scenario files are JSON (schema version 1):
 Complex entries are written as [re, im]; matrices are row-major nested
 lists.  ``algebra`` takes either a density ``h`` or ``blocks`` (a list of
 block densities assembled block-diagonally).  Exactly one of ``jumps``,
-``generator``, ``cp_map``, ``fock_spec`` must appear under ``source``.
+``generator`` (an n^2 x n^2 superoperator matrix in column-stacking vec
+coordinates) or ``fock_spec`` (a scalar free model: matrix ``A``, optional
+``I`` and ``depth``) must appear under ``source``.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 parse error, 3 internal
 error.  JSON reports (--json) are byte-identical for the same scenario and
@@ -36,27 +38,9 @@ from .errors import QMSError, ScenarioParseError
 from .lindblad import JumpSystem
 from .modular import WeightedAlgebra
 from .numkernel import Superoperator
-from .suites import SUITES, ScenarioData, run_suite, suite_names
+from .suites import SUITES, Scenario, ScenarioData, run_suite, suite_names
 
 SCHEMA_VERSION = 1
-
-
-def _limit_threads():
-    cap = os.environ.get("QMS_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        pass
 
 
 def parse_scalar(v):
@@ -114,12 +98,11 @@ def parse_scenario(payload):
     source = payload.get("source")
     if not isinstance(source, dict):
         raise ScenarioParseError("scenario needs a 'source' object")
-    kinds = [k for k in ("jumps", "generator", "cp_map", "fock_spec")
-             if k in source]
+    kinds = [k for k in ("jumps", "generator", "fock_spec") if k in source]
     if len(kinds) != 1:
         raise ScenarioParseError(
-            f"source must contain exactly one of jumps/generator/cp_map/"
-            f"fock_spec, got {kinds}")
+            f"source must contain exactly one of jumps/generator/fock_spec, "
+            f"got {sorted(source)}")
     kind = kinds[0]
 
     if kind == "fock_spec":
@@ -149,15 +132,11 @@ def parse_scenario(payload):
                 jumps.append((v, float(entry.get("omega", 0.0))))
             data.system = JumpSystem(W=w, jumps=jumps)
         else:
-            m = parse_matrix(source[kind])
+            m = parse_matrix(source["generator"])
             if m.shape != (w.n ** 2, w.n ** 2):
                 raise ScenarioParseError(
                     f"superoperator shape {m.shape} != ({w.n ** 2}, {w.n ** 2})")
-            sup = Superoperator.from_matrix(m)
-            if kind == "generator":
-                data.generator = sup
-            else:
-                data.cp_map = sup
+            data.generator = Superoperator.from_matrix(m)
 
     checks = payload.get("checks", [])
     if not isinstance(checks, list) or not all(
@@ -184,17 +163,17 @@ def parse_scenario(payload):
     return data, checks, tol, seed
 
 
-def build_report(data, checks, tol, seed):
+def build_report(scenario, checks, seed):
     results = []
     for suite in checks:
-        results.extend(run_suite(suite, data, tol, seed))
+        results.extend(run_suite(suite, scenario, seed))
     return {
         "v": SCHEMA_VERSION,
-        "name": data.name,
+        "name": scenario.data.name,
         "checks": results,
         "environment": {
             "seed": seed,
-            "tolerances": dict(sorted(tol.as_dict().items())),
+            "tolerances": dict(sorted(scenario.tol.as_dict().items())),
             "version": __version__,
         },
         "overall_pass": all(c["pass"] for c in results),
@@ -218,18 +197,13 @@ def render_text(report, elapsed):
     return "\n".join(lines)
 
 
-def emit_artifacts(data, out_dir, tol):
+def emit_artifacts(scenario, out_dir):
     """Write reconstruction artifacts for scenarios that support them."""
     os.makedirs(out_dir, exist_ok=True)
-    from .lindblad import build_generator, dirichlet_form
-    from .reconstruct import build_gram_space
-    if data.system is None and data.generator is None:
+    if scenario.data.system is None and scenario.data.generator is None:
         return []
-    from .suites import _need_system
-    system = _need_system(data, tol)
-    l = build_generator(system)
-    form = dirichlet_form(l, data.W, tol)
-    gram = build_gram_space(form, data.W, tol)
+    scenario.certified()
+    system, l, gram = scenario.system, scenario.generator, scenario.gram
     written = []
 
     def dump(name, obj):
@@ -275,11 +249,12 @@ def cmd_run(args):
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
 
+    scenario = Scenario(data, tol)
     t0 = time.monotonic()
     try:
-        report = build_report(data, checks, tol, seed)
+        report = build_report(scenario, checks, seed)
         if args.emit:
-            emit_artifacts(data, args.emit, tol)
+            emit_artifacts(scenario, args.emit)
     except QMSError as exc:
         print(f"check failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -303,7 +278,6 @@ def cmd_suites(_args):
 
 
 def main(argv=None):
-    _limit_threads()
     parser = argparse.ArgumentParser(
         prog="qms",
         description="numerical checks for GNS-symmetric Markov semigroups, "

@@ -23,7 +23,7 @@ from .config import DEFAULT_TOL
 from .errors import (AlgebraMismatch, DimensionMismatch, NotFixedPoint,
                      NotPositiveDefinite, NotRepresentable)
 from .modular import TomitaData, WeightedAlgebra
-from .numkernel import as_cmatrix, herm_eig, null_quotient
+from .numkernel import as_cmatrix, herm_eig, matrix_units, null_quotient
 
 __all__ = [
     "Correspondence",
@@ -53,6 +53,24 @@ def _transpose_perm(n):
     return t
 
 
+def _antilinear_fixed_basis(op, d):
+    """Real-orthonormal basis of {xi in C^d : op(xi) = xi} for antilinear op."""
+    a = np.zeros((d, d), dtype=np.complex128)
+    for k in range(d):
+        e = np.zeros(d, dtype=np.complex128)
+        e[k] = 1.0
+        a[:, k] = op(e)
+    # op(u + iv) = A conj(u + iv) = A u - i A v; solve op(xi) = xi
+    ar, ai = a.real, a.imag
+    eye = np.eye(d)
+    big = np.block([[ar - eye, ai], [ai, -ar - eye]])
+    _, sv, vt = np.linalg.svd(big)
+    rank = int(np.sum(sv > max(sv[0], 1.0) * 1e-10))
+    null = vt.T[:, rank:]
+    vecs = [null[:d, k] + 1j * null[d:, k] for k in range(null.shape[1])]
+    return [v for v in vecs if np.linalg.norm(v) > 1e-8]
+
+
 class Correspondence:
     """Hilbert space with left/right (M, phi)-actions in orthonormal coords.
 
@@ -73,7 +91,6 @@ class Correspondence:
         self.conj_mat = conj_mat
         self.label = label
         self.qmap = None       # set for relative tensor products
-        self.factors = None
 
     def group(self, z):
         if self.group_gen is None:
@@ -93,29 +110,11 @@ class Correspondence:
         """F_0 xi = J U_{i/2} xi (antilinear)."""
         return self.conj_apply(self.group(0.5j) @ xi)
 
-    def _fixed_basis(self, op):
-        """Real-orthonormal basis of {xi : op(xi) = xi} for antilinear op."""
-        d = self.d
-        a = np.zeros((d, d), dtype=np.complex128)
-        for k in range(d):
-            e = np.zeros(d, dtype=np.complex128)
-            e[k] = 1.0
-            a[:, k] = op(e)
-        # op(u + iv) = A conj(u + iv) = A u - i A v; solve op(xi) = xi
-        ar, ai = a.real, a.imag
-        eye = np.eye(d)
-        big = np.block([[ar - eye, ai], [ai, -ar - eye]])
-        _, sv, vt = np.linalg.svd(big)
-        rank = int(np.sum(sv > max(sv[0], 1.0) * 1e-10))
-        null = vt.T[:, rank:]
-        vecs = [null[:d, k] + 1j * null[d:, k] for k in range(null.shape[1])]
-        return [v for v in vecs if np.linalg.norm(v) > 1e-8]
-
     def s_fixed_basis(self):
-        return self._fixed_basis(self.s0)
+        return _antilinear_fixed_basis(self.s0, self.d)
 
     def f_fixed_basis(self):
-        return self._fixed_basis(self.f0)
+        return _antilinear_fixed_basis(self.f0, self.d)
 
 
 def l2_correspondence(w: WeightedAlgebra) -> Correspondence:
@@ -296,7 +295,7 @@ def rel_tensor(c1: Correspondence, c2: Correspondence, tol=DEFAULT_TOL
     n = w.n
     tab = _pairing_table(c1)          # (d1, d1, n, n)
     units_left = np.stack([
-        c2.left(u) for u in _unit_list(n)
+        c2.left(u) for u in matrix_units(n)
     ])                                 # (n^2, d2, d2)
     coeffs = tab.reshape(c1.d, c1.d, n * n)
     gram = np.einsum("ikU,Uab->iakb", coeffs, units_left,
@@ -319,18 +318,6 @@ def rel_tensor(c1: Correspondence, c2: Correspondence, tol=DEFAULT_TOL
     out = Correspondence(w, qmap.rank, left, right, group_gen=g,
                          label=f"({c1.label})(x)({c2.label})")
     out.qmap = qmap
-    out.factors = (c1, c2)
-    return out
-
-
-def _unit_list(n):
-    out = []
-    e = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            e[i, j] = 1.0
-            out.append(e.copy())
-            e[i, j] = 0.0
     return out
 
 
@@ -424,9 +411,8 @@ class TruncatedFock:
         self.dims = [n * n, h.d]
         self.qmaps = [None, None]
         self._lefts = [self._l2.left, h.left]
-        self._rights = [self._l2.right, h.right]
         tab = _pairing_table(h)
-        units = _unit_list(n)
+        units = matrix_units(n)
         coeffs = tab.reshape(h.d, h.d, n * n)
         for k in range(2, self.d_max + 1):
             prev = self.dims[k - 1]
@@ -438,7 +424,6 @@ class TruncatedFock:
             self.qmaps.append(qmap)
             self.dims.append(qmap.rank)
             self._lefts.append(self._make_left(k))
-            self._rights.append(self._make_right(k))
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
         self.D = int(self.offsets[-1])
 
@@ -449,14 +434,6 @@ class TruncatedFock:
         def left(x, _q=qmap, _p=prev):
             return _q.embed @ np.kron(self.H.left(x), np.eye(_p)) @ _q.lift
         return left
-
-    def _make_right(self, k):
-        qmap = self.qmaps[k]
-        rprev = self._rights[k - 1]
-
-        def right(y, _q=qmap, _r=rprev):
-            return _q.embed @ np.kron(np.eye(self.H.d), _r(y)) @ _q.lift
-        return right
 
     # -- vectors ---------------------------------------------------------------
 
@@ -487,10 +464,6 @@ class TruncatedFock:
         blocks = [self._lefts[k](x) for k in range(self.d_max + 1)]
         return scipy.linalg.block_diag(*blocks)
 
-    def pi_right(self, y):
-        blocks = [self._rights[k](y) for k in range(self.d_max + 1)]
-        return scipy.linalg.block_diag(*blocks)
-
     def creation(self, xi):
         """a(xi): layer k -> k + 1 (top layer to zero)."""
         a = np.zeros((self.D, self.D), dtype=np.complex128)
@@ -502,9 +475,6 @@ class TruncatedFock:
             blk = qmap.embed @ np.kron(xi.reshape(-1, 1), np.eye(self.dims[k]))
             a[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = blk
         return a
-
-    def annihilation(self, xi):
-        return self.creation(xi).conj().T
 
     def s_op(self, xi):
         a = self.creation(xi)
@@ -631,20 +601,7 @@ class ScalarFock:
 
     def t_fixed_basis(self):
         """Real-orthonormal basis of the T-fixed real subspace."""
-        d = self.d
-        a = np.zeros((d, d), dtype=np.complex128)
-        for k in range(d):
-            e = np.zeros(d, dtype=np.complex128)
-            e[k] = 1.0
-            a[:, k] = self.conj_t(e)
-        ar, ai = a.real, a.imag
-        eye = np.eye(d)
-        big = np.block([[ar - eye, ai], [ai, -ar - eye]])
-        _, sv, vt = np.linalg.svd(big)
-        rank = int(np.sum(sv > max(sv[0], 1.0) * 1e-10))
-        null = vt.T[:, rank:]
-        vecs = [null[:d, k] + 1j * null[d:, k] for k in range(null.shape[1])]
-        return [v for v in vecs if np.linalg.norm(v) > 1e-8]
+        return _antilinear_fixed_basis(self.conj_t, self.d)
 
     def layer_op(self, mats):
         """Block-diagonal operator from per-layer matrices."""

@@ -434,9 +434,6 @@ class DirichletForm:
             np.vdot(self.W.coords(a), self.matrix @ self.W.coords(b))
         )
 
-    def quad(self, a):
-        return self(a, a).real
-
 
 def dirichlet_form(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL,
                    skip_certify=False) -> DirichletForm:

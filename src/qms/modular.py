@@ -21,16 +21,7 @@ from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .numkernel import Superoperator, as_cmatrix, frob, herm_eig, mat_power, unvec, vec
 
-__all__ = [
-    "WeightedAlgebra",
-    "TomitaData",
-    "inner",
-    "modular_op",
-    "modular_group",
-    "conj_J",
-    "sharp",
-    "flat",
-]
+__all__ = ["WeightedAlgebra", "TomitaData"]
 
 
 class WeightedAlgebra:
@@ -160,28 +151,3 @@ class TomitaData:
         d_half = self.W.h_sqrt @ self.W._check(x) @ self.W.h_isqrt
         return frob(self.conj_J(d_half) - x.conj().T)
 
-
-# --- free-function API (thin wrappers over TomitaData) ------------------------
-
-def inner(w, x, y):
-    return w.inner(x, y)
-
-
-def modular_op(w):
-    return TomitaData(w).modular_op()
-
-
-def modular_group(w, z, x):
-    return TomitaData(w).modular_group(z, x)
-
-
-def conj_J(w, x):
-    return TomitaData(w).conj_J(x)
-
-
-def sharp(w, x):
-    return TomitaData(w).sharp(x)
-
-
-def flat(w, x):
-    return TomitaData(w).flat(x)

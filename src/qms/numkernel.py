@@ -31,6 +31,7 @@ __all__ = [
     "unvec",
     "choi",
     "null_quotient",
+    "matrix_units",
     "frob",
     "as_cmatrix",
 ]
@@ -48,6 +49,11 @@ def as_cmatrix(x):
 
 def frob(x):
     return float(np.linalg.norm(x))
+
+
+def matrix_units(n):
+    """The n^2 matrix units of M_n stacked row-major: E_ij at index i * n + j."""
+    return np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
 
 
 @dataclass(frozen=True)
@@ -170,10 +176,6 @@ class Superoperator:
 
     __rmul__ = __mul__
 
-    def compose(self, other):
-        self._same(other)
-        return Superoperator(self.n, self.matrix @ other.matrix)
-
     def _same(self, other):
         if not isinstance(other, Superoperator) or other.n != self.n:
             raise DimensionMismatch("superoperator dimension mismatch")
@@ -200,17 +202,17 @@ def choi(s):
 class QuotientMap:
     """Separation of a PSD Gram matrix by its (numerical) null space.
 
-    ``q`` satisfies q @ G @ q.conj().T = diag(eigenvalues).  ``embed`` maps
-    spanning-set coefficient vectors to orthonormal quotient coordinates
-    (embed = diag(sqrt(eig)) @ q), and ``lift`` is a right inverse of embed
-    picking the minimal-norm coefficient representative.
+    ``embed`` maps spanning-set coefficient vectors to orthonormal quotient
+    coordinates (embed = diag(sqrt(eig)) @ U*, U the kept eigenvectors),
+    ``lift`` is a right inverse of embed picking the minimal-norm coefficient
+    representative, and the columns of ``null`` span the dropped eigenspace.
     """
 
     rank: int
     eigenvalues: np.ndarray  # kept eigenvalues, descending
-    q: np.ndarray            # rank x N, rows = kept eigenvectors (conj-transposed)
     embed: np.ndarray        # rank x N isometric coordinates
     lift: np.ndarray         # N x rank
+    null: np.ndarray         # N x (N - rank), orthonormal columns
 
     def coords(self, coeff):
         return self.embed @ np.asarray(coeff, dtype=np.complex128)
@@ -237,7 +239,7 @@ def null_quotient(g, eps_rel=None, tol=DEFAULT_TOL):
     return QuotientMap(
         rank=int(idx.size),
         eigenvalues=lam,
-        q=uk.conj().T,
         embed=embed,
         lift=lift,
+        null=u[:, ~keep],
     )

@@ -26,7 +26,8 @@ from .config import DEFAULT_TOL
 from .errors import GramNotPSD, NoSolution, NotGNSSymmetric, NotPSD, NotUCP
 from .lindblad import DirichletForm, certify, semigroup
 from .modular import TomitaData, WeightedAlgebra
-from .numkernel import Superoperator, as_cmatrix, choi, frob, herm_eig, null_quotient
+from .numkernel import (Superoperator, as_cmatrix, choi, frob, herm_eig,
+                        matrix_units, null_quotient)
 
 __all__ = [
     "GramSpace",
@@ -43,19 +44,8 @@ __all__ = [
 _MAX_DEFAULT_DIM = 4
 
 
-def _units(n):
-    out = []
-    e = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            e[i, j] = 1.0
-            out.append(e.copy())
-            e[i, j] = 0.0
-    return out
-
-
 def _coeff(x):
-    """Matrix-unit coefficients of x (row-major, matching _units order)."""
+    """Matrix-unit coefficients of x (row-major, matching matrix_units order)."""
     return np.asarray(x, dtype=np.complex128).flatten(order="C")
 
 
@@ -88,10 +78,8 @@ class GramSpace:
 
     W: WeightedAlgebra
     form: DirichletForm
-    labels: list          # (p, q) unit-index pairs, P = p * n^2 + q
-    gram: np.ndarray      # n^4 x n^4
+    gram: np.ndarray      # n^4 x n^4 over unit pairs (p, q) at index p * n^2 + q
     qmap: object          # numkernel.QuotientMap
-    null_basis: np.ndarray  # columns spanning the numerical null space
 
     # -- embeddings ------------------------------------------------------------
 
@@ -123,32 +111,34 @@ class GramSpace:
         return self.qmap.embed @ coeff_matrix @ self.qmap.lift.conj()
 
     def _mult_map(self):
-        """coeff(b (x) c) -> coeff(bc), the multiplication on labels."""
+        """coeff(b (x) c) -> coeff(bc), the multiplication on unit pairs."""
         n = self.W.n
         n2 = n * n
-        units = _units(n)
+        units = matrix_units(n)
         m = np.zeros((n2, n2 * n2), dtype=np.complex128)
         for p in range(n2):
             for q in range(n2):
                 m[:, p * n2 + q] = _coeff(units[p] @ units[q])
         return m
 
+    def _op_coeff_left(self, a):
+        n = self.W.n
+        n2 = n * n
+        return np.kron(np.kron(as_cmatrix(a), np.eye(n)), np.eye(n2)) - np.kron(
+            _coeff(a).reshape(-1, 1), self._mult_map()
+        )
+
+    def _op_coeff_right(self, a):
+        n = self.W.n
+        n2 = n * n
+        return np.kron(np.eye(n2), np.kron(np.eye(n), as_cmatrix(a).T))
+
     def op_left(self, a):
         """Matrix of L(a) on quotient coordinates."""
-        n = self.W.n
-        n2 = n * n
-        eye2 = np.eye(n2, dtype=np.complex128)
-        first = np.kron(np.kron(as_cmatrix(a), np.eye(n)), eye2)
-        second = np.kron(_coeff(a).reshape(-1, 1), self._mult_map())
-        return self._descend(first - second)
+        return self._descend(self._op_coeff_left(a))
 
     def op_right(self, a):
-        n = self.W.n
-        n2 = n * n
-        eye2 = np.eye(n2, dtype=np.complex128)
-        return self._descend(
-            np.kron(eye2, np.kron(np.eye(n), as_cmatrix(a).T))
-        )
+        return self._descend(self._op_coeff_right(a))
 
     def op_group(self, z):
         hz = self.W.power(1j * z)
@@ -160,7 +150,7 @@ class GramSpace:
         """Antilinear conjugation: y -> op_conj() @ conj(y)."""
         n = self.W.n
         n2 = n * n
-        units = _units(n)
+        units = matrix_units(n)
         td = TomitaData(self.W)
         eye = np.eye(n, dtype=np.complex128)
         cols = np.zeros((n2 * n2, n2 * n2), dtype=np.complex128)
@@ -178,47 +168,30 @@ class GramSpace:
     def well_definedness_residual(self, n_samples=20, seed=23):
         """Max change of quotient images when a representative is shifted by
         a random Gram-null vector (Step-7 well-definedness probe)."""
-        if self.null_basis.shape[1] == 0:
+        null = self.qmap.null
+        if null.shape[1] == 0:
             return 0.0
         rng = np.random.default_rng(seed)
-        ops = [self.op_left, self.op_right]
         n2 = self.W.n ** 2
-        units = _units(self.W.n)
+        units = matrix_units(self.W.n)
         worst = 0.0
         scale = np.sqrt(max(self.qmap.eigenvalues[0], 1e-300))
-        conj_mat_full = None
         for _ in range(n_samples):
-            z = rng.standard_normal(self.null_basis.shape[1]) + 1j * rng.standard_normal(
-                self.null_basis.shape[1]
+            z = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(
+                null.shape[1]
             )
-            null_vec = self.null_basis @ z
+            null_vec = null @ z
             nrm = max(np.linalg.norm(null_vec), 1e-300)
             # the class of the null vector is zero; so must be its images
-            for op in ops:
+            for op_coeff in (self._op_coeff_left, self._op_coeff_right):
                 a = units[int(rng.integers(0, n2))]
-                mat = (
-                    self._op_coeff_left(a) if op is self.op_left
-                    else self._op_coeff_right(a)
-                )
-                img = self.qmap.coords(mat @ null_vec)
+                img = self.qmap.coords(op_coeff(a) @ null_vec)
                 worst = max(worst, np.linalg.norm(img) / (nrm * scale))
             worst = max(
                 worst,
                 np.linalg.norm(self.qmap.coords(null_vec)) / (nrm * scale),
             )
         return worst
-
-    def _op_coeff_left(self, a):
-        n = self.W.n
-        n2 = n * n
-        return np.kron(np.kron(as_cmatrix(a), np.eye(n)), np.eye(n2)) - np.kron(
-            _coeff(a).reshape(-1, 1), self._mult_map()
-        )
-
-    def _op_coeff_right(self, a):
-        n = self.W.n
-        n2 = n * n
-        return np.kron(np.eye(n2), np.kron(np.eye(n), as_cmatrix(a).T))
 
 
 def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
@@ -232,7 +205,7 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
             "pass allow_large=True to override"
         )
     n2 = n * n
-    units = _units(n)
+    units = matrix_units(n)
     td = TomitaData(w)
     hsq = w.h_sqrt
     me = form.matrix
@@ -251,14 +224,12 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
         return np.swapaxes(mh, -1, -2).reshape(*mats.shape[:-2], n2)
 
     gram = np.zeros((n2 * n2, n2 * n2), dtype=np.complex128)
-    labels = []
     for p in range(n2):
         a = units[p]
         ca = ucoords[p]
         a_sharp = td.sharp(a)
         for q in range(n2):
             b = units[q]
-            labels.append((p, q))
             b_flat = flats[q]
             ab = a @ b
             # term 1: E(a, (c d) b^flat) over all (c, d)
@@ -278,12 +249,7 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
         qmap = null_quotient(gram, eps_rel=tol.decomp, tol=tol)
     except NotPSD as exc:
         raise GramNotPSD(str(exc)) from exc
-
-    eig = herm_eig(gram, tol)
-    lam_max = max(eig.eigenvalues[-1], 0.0)
-    null_cols = eig.eigenvectors[:, eig.eigenvalues <= tol.decomp * lam_max]
-    return GramSpace(W=w, form=form, labels=labels, gram=gram, qmap=qmap,
-                     null_basis=null_cols)
+    return GramSpace(W=w, form=form, gram=gram, qmap=qmap)
 
 
 def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
@@ -367,7 +333,6 @@ def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
 class StinespringBimodule:
     phi: Superoperator
     W: WeightedAlgebra
-    labels: list
     gram: np.ndarray
     qmap: object
 
@@ -411,25 +376,6 @@ class StinespringBimodule:
                 )
         return out
 
-    def group_matrix(self, t):
-        f = np.kron(self.W.power(1j * t), self.W.power(-1j * t).T)
-        return self.qmap.embed @ np.kron(f, f) @ self.qmap.lift
-
-    def conj_matrix(self):
-        """Antilinear conjugation [sum x_j (x) y_j] ->
-        [sum sigma_{i/2}(y_j)* (x) sigma_{i/2}(x_j)*]: y -> M conj(y)."""
-        n = self.W.n
-        n2 = n * n
-        units = _units(n)
-        td = TomitaData(self.W)
-        cols = np.zeros((n2 * n2, n2 * n2), dtype=np.complex128)
-        for p in range(n2):
-            xs = td.modular_group(0.5j, units[p]).conj().T
-            for q in range(n2):
-                ys = td.modular_group(0.5j, units[q]).conj().T
-                cols[:, p * n2 + q] = np.kron(_coeff(ys), _coeff(xs))
-        return self.qmap.embed @ cols @ self.qmap.lift.conj()
-
 
 def stinespring_route(phi: Superoperator, w: WeightedAlgebra,
                       tol=DEFAULT_TOL) -> StinespringBimodule:
@@ -447,8 +393,7 @@ def stinespring_route(phi: Superoperator, w: WeightedAlgebra,
         raise NotGNSSymmetric("map is not self-adjoint for <.,.>_h")
 
     n2 = n * n
-    units = _units(n)
-    labels = [(p, q) for p in range(n2) for q in range(n2)]
+    units = matrix_units(n)
     # Phi(x_p* x_c) for all unit pairs
     phi_tab = np.zeros((n2, n2, n, n), dtype=np.complex128)
     for p in range(n2):
@@ -472,7 +417,7 @@ def stinespring_route(phi: Superoperator, w: WeightedAlgebra,
         qmap = null_quotient(gram, eps_rel=tol.decomp, tol=tol)
     except NotPSD as exc:
         raise NotUCP(f"Stinespring Gram not PSD: {exc}") from exc
-    return StinespringBimodule(phi=phi, W=w, labels=labels, gram=gram, qmap=qmap)
+    return StinespringBimodule(phi=phi, W=w, gram=gram, qmap=qmap)
 
 
 def stinespring_rate(l: Superoperator, w: WeightedAlgebra,
@@ -483,7 +428,7 @@ def stinespring_rate(l: Superoperator, w: WeightedAlgebra,
     phi((del a | del a))/t through the Stinespring bimodule of P_t) are
     evaluated and must agree.
     """
-    units = _units(w.n)
+    units = matrix_units(w.n)
     devs = []
     route_gap = 0.0
     for t in ts:
@@ -523,7 +468,7 @@ def rep_vector(bimodule, derivation, tol=DEFAULT_TOL):
     if m == 0:
         return b.zero()
     n2 = n * n
-    units = _units(n)
+    units = matrix_units(n)
     rows = []
     rhs = []
     eye = np.eye(n, dtype=np.complex128)

@@ -1,26 +1,27 @@
 """Named check suites run by the command-line front-end.
 
-Each suite takes the parsed scenario data and returns a list of check
-records {name, residual, tolerance, pass}.  Suites are deterministic for a
-fixed scenario and seed.
+Each suite takes a ``Scenario`` and returns a list of check records
+{name, residual, tolerance, pass}.  Suites are deterministic for a fixed
+scenario and seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bimodule import Derivation, FinBimodule, carre_du_champ
-from .config import DEFAULT_TOL
-from .errors import QMSError
+from .errors import NotGNSSymmetric, QMSError
 from .fock import correspondence_from_jumps, fock_build, free_aw
 from .lindblad import (JumpSystem, build_generator, certify, dirichlet_form,
                        extract_alicki)
 from .modular import WeightedAlgebra
-from .numkernel import Superoperator
-from .reconstruct import build_gram_space, gram_axioms_check, uniqueness_isometry
+from .numkernel import Superoperator, matrix_units
+from .reconstruct import (build_gram_space, gram_axioms_check,
+                          stinespring_rate, uniqueness_isometry)
 from .sampling import random_matrix
 
-__all__ = ["ScenarioData", "SUITES", "run_suite", "suite_names"]
+__all__ = ["ScenarioData", "Scenario", "SUITES", "run_suite", "suite_names"]
 
 
 @dataclass
@@ -30,10 +31,56 @@ class ScenarioData:
     W: WeightedAlgebra
     system: JumpSystem = None
     generator: Superoperator = None
-    cp_map: Superoperator = None
     fock_spec: dict = None
     name: str = ""
-    extras: dict = field(default_factory=dict)
+
+
+class Scenario:
+    """The objects derived from one scenario, each built at most once.
+
+    Nothing is validated on construction: ``bimodule-axioms`` must see a
+    broken jump system as failing residuals.  Suites that need a valid,
+    GNS-symmetric generator call ``certified()`` first.
+    """
+
+    def __init__(self, data: ScenarioData, tol):
+        self.data = data
+        self.W = data.W
+        self.tol = tol
+
+    @cached_property
+    def system(self):
+        if self.data.system is not None:
+            return self.data.system
+        if self.data.generator is not None:
+            return extract_alicki(self.data.generator, self.W, self.tol)
+        raise QMSError("suite needs a jump system or a generator")
+
+    @cached_property
+    def generator(self):
+        return build_generator(self.system, validate=False)
+
+    @cached_property
+    def certificate(self):
+        return certify(self.generator, self.W, self.tol)
+
+    @cached_property
+    def form(self):
+        return dirichlet_form(self.generator, self.W, self.tol, skip_certify=True)
+
+    @cached_property
+    def bimodule(self):
+        return FinBimodule(self.system, self.tol, validate=False)
+
+    @cached_property
+    def gram(self):
+        return build_gram_space(self.form, self.W, self.tol)
+
+    def certified(self):
+        """Raise unless the jump system is valid and its generator GNS-symmetric."""
+        self.system.check_valid()
+        if not self.certificate.gns_symmetric:
+            raise NotGNSSymmetric(f"residuals: {self.certificate.residuals}")
 
 
 def _check(name, residual, tolerance):
@@ -42,49 +89,33 @@ def _check(name, residual, tolerance):
             "pass": bool(residual <= tolerance)}
 
 
-def _need_system(data: ScenarioData, tol):
-    if data.system is not None:
-        return data.system
-    if data.generator is not None:
-        return extract_alicki(data.generator, data.W, tol)
-    raise QMSError("suite needs a jump system or a generator")
+def suite_alicki_validate(sc, seed):
+    res = sc.system.validate()
+    return [_check(f"alicki/{k}", v, sc.tol.roundtrip)
+            for k, v in sorted(res.items())]
 
 
-def _need_generator(data: ScenarioData):
-    if data.generator is not None:
-        return data.generator
-    if data.system is not None:
-        return build_generator(data.system)
-    raise QMSError("suite needs a generator or a jump system")
-
-
-def suite_alicki_validate(data, tol, seed):
-    system = _need_system(data, tol)
-    res = system.validate()
-    return [_check(f"alicki/{k}", v, tol.roundtrip) for k, v in sorted(res.items())]
-
-
-def suite_certify_generator(data, tol, seed):
-    l = _need_generator(data)
-    rep = certify(l, data.W, tol)
+def suite_certify_generator(sc, seed):
+    # a generator source is certified as given; the suite reports, rather
+    # than raises on, a failing symmetry residual
+    if sc.data.generator is not None:
+        rep = certify(sc.data.generator, sc.W, sc.tol)
+    else:
+        sc.system.check_valid()
+        rep = sc.certificate
     out = []
     for k, v in sorted(rep.residuals.items()):
         if k == "min_choi_eig":
-            out.append(_check("certify/choi_positive", max(-v, 0.0), tol.choi))
+            out.append(_check("certify/choi_positive", max(-v, 0.0), sc.tol.choi))
         else:
-            out.append(_check(f"certify/{k}", v, tol.axiom))
+            out.append(_check(f"certify/{k}", v, sc.tol.axiom))
     return out
 
 
-def suite_triple_agreement(data, tol, seed):
-    system = _need_system(data, tol)
-    l = build_generator(system)
-    w = data.W
-    form = dirichlet_form(l, w, tol)
-    bim = FinBimodule(system, tol)
-    gram = build_gram_space(form, w, tol)
-    n = w.n
-    units = _units(n)
+def suite_triple_agreement(sc, seed):
+    sc.certified()
+    form, bim, gram = sc.form, sc.bimodule, sc.gram
+    units = matrix_units(sc.W.n)
     d_form_bim = 0.0
     d_form_gram = 0.0
     d_bim_gram = 0.0
@@ -97,61 +128,46 @@ def suite_triple_agreement(data, tol, seed):
             d_form_gram = max(d_form_gram, abs(e_form - e_gram))
             d_bim_gram = max(d_bim_gram, abs(e_bim - e_gram))
     return [
-        _check("triple/form_vs_bimodule", d_form_bim, tol.axiom),
-        _check("triple/form_vs_gram", d_form_gram, tol.axiom),
-        _check("triple/bimodule_vs_gram", d_bim_gram, tol.axiom),
+        _check("triple/form_vs_bimodule", d_form_bim, sc.tol.axiom),
+        _check("triple/form_vs_gram", d_form_gram, sc.tol.axiom),
+        _check("triple/bimodule_vs_gram", d_bim_gram, sc.tol.axiom),
     ]
 
 
-def suite_uniqueness(data, tol, seed):
-    system = _need_system(data, tol)
-    l = build_generator(system)
-    form = dirichlet_form(l, data.W, tol)
-    bim = FinBimodule(system, tol)
-    gram = build_gram_space(form, data.W, tol)
-    u = uniqueness_isometry(gram, bim, tol)
+def suite_uniqueness(sc, seed):
+    sc.certified()
+    u = uniqueness_isometry(sc.gram, sc.bimodule, sc.tol)
     return [
-        _check("uniqueness/isometry", u["relative_residual"], tol.roundtrip),
+        _check("uniqueness/isometry", u["relative_residual"], sc.tol.roundtrip),
         _check("uniqueness/rank_match",
                0.0 if u["ranks_agree"] else 1.0, 0.5),
     ]
 
 
-def suite_bimodule_axioms(data, tol, seed):
-    system = _need_system(data, tol)
+def suite_bimodule_axioms(sc, seed):
     # no up-front structural validation here: a broken jump system should
     # surface as a failing axiom residual, not as an exception
-    bim = FinBimodule(system, tol, validate=False)
-    res = bim.axioms_check(n_vectors=200, seed=seed)
-    out = [_check(f"axiom ({k})", v, tol.axiom) for k, v in sorted(res.items())]
-    l = build_generator(system, validate=False)
-    form = dirichlet_form(l, data.W, tol, skip_certify=True)
-    der = Derivation(bim)
-    dres = der.check(form, n_samples=50, seed=seed)
-    out.extend(_check(f"derivation/{k}", v, tol.axiom)
+    res = sc.bimodule.axioms_check(n_vectors=200, seed=seed)
+    out = [_check(f"axiom ({k})", v, sc.tol.axiom) for k, v in sorted(res.items())]
+    dres = Derivation(sc.bimodule).check(sc.form, n_samples=50, seed=seed)
+    out.extend(_check(f"derivation/{k}", v, sc.tol.axiom)
                for k, v in sorted(dres.items()))
     return out
 
 
-def suite_stinespring_rate(data, tol, seed):
-    from .reconstruct import stinespring_rate
-    system = _need_system(data, tol)
-    l = build_generator(system)
-    form = dirichlet_form(l, data.W, tol)
-    r = stinespring_rate(l, data.W, form)
+def suite_stinespring_rate(sc, seed):
+    sc.certified()
+    r = stinespring_rate(sc.generator, sc.W, sc.form)
     slope_dev = abs(r["slope"] - 1.0)
     return [
         _check("stinespring/slope_dev", slope_dev, 0.2),
-        _check("stinespring/route_gap", r["route_gap"], tol.axiom),
+        _check("stinespring/route_gap", r["route_gap"], sc.tol.axiom),
     ]
 
 
-def suite_carre_positivity(data, tol, seed):
-    system = _need_system(data, tol)
-    l = build_generator(system)
-    w = data.W
-    form = dirichlet_form(l, w, tol)
-    bim = FinBimodule(system, tol)
+def suite_carre_positivity(sc, seed):
+    sc.certified()
+    w, form, bim = sc.W, sc.form, sc.bimodule
     rng = np.random.default_rng(seed)
     worst_neg = 0.0
     worst_cons = 0.0
@@ -167,14 +183,14 @@ def suite_carre_positivity(data, tol, seed):
         worst_cons = max(worst_cons, np.linalg.norm(g - direct)
                          / max(np.linalg.norm(direct), 1e-300))
     return [
-        _check("carre/psd", worst_neg, tol.axiom),
-        _check("carre/consistency", worst_cons, tol.axiom),
+        _check("carre/psd", worst_neg, sc.tol.axiom),
+        _check("carre/consistency", worst_cons, sc.tol.axiom),
     ]
 
 
-def suite_fock_commutant(data, tol, seed):
-    system = _need_system(data, tol)
-    h = correspondence_from_jumps(system)
+def suite_fock_commutant(sc, seed):
+    tol = sc.tol
+    h = correspondence_from_jumps(sc.system)
     f = fock_build(h, d_max=3, tol=tol)
     s_basis = h.s_fixed_basis()
     f_basis = h.f_fixed_basis()
@@ -183,7 +199,7 @@ def suite_fock_commutant(data, tol, seed):
         for eta in f_basis[:3]:
             worst = max(worst, f.commutant_check(xi, eta))
     rng = np.random.default_rng(seed)
-    xs = [random_matrix(data.W.n, rng) for _ in range(5)]
+    xs = [random_matrix(sc.W.n, rng) for _ in range(5)]
     xis = [rng.standard_normal(h.d) + 1j * rng.standard_normal(h.d)
            for _ in range(5)]
     lam = f.lambda_identities(xs, xis)
@@ -194,8 +210,9 @@ def suite_fock_commutant(data, tol, seed):
     ]
 
 
-def suite_free_aw_derivation(data, tol, seed):
-    spec = data.fock_spec
+def suite_free_aw_derivation(sc, seed):
+    tol = sc.tol
+    spec = sc.data.fock_spec
     if spec is None:
         raise QMSError("suite needs a fock_spec source")
     f = free_aw(spec["A"], spec.get("I"), spec.get("depth", 4), tol)
@@ -229,25 +246,11 @@ def suite_free_aw_derivation(data, tol, seed):
     ]
 
 
-def suite_gram_axioms(data, tol, seed):
-    system = _need_system(data, tol)
-    l = build_generator(system)
-    form = dirichlet_form(l, data.W, tol)
-    gram = build_gram_space(form, data.W, tol)
-    res = gram_axioms_check(gram, n_samples=60, seed=seed)
-    return [_check(f"gram axiom ({k})", v, tol.axiom)
+def suite_gram_axioms(sc, seed):
+    sc.certified()
+    res = gram_axioms_check(sc.gram, n_samples=60, seed=seed)
+    return [_check(f"gram axiom ({k})", v, sc.tol.axiom)
             for k, v in sorted(res.items())]
-
-
-def _units(n):
-    out = []
-    e = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            e[i, j] = 1.0
-            out.append(e.copy())
-            e[i, j] = 0.0
-    return out
 
 
 SUITES = {
@@ -278,6 +281,6 @@ def suite_names():
     return sorted(SUITES)
 
 
-def run_suite(name, data: ScenarioData, tol=DEFAULT_TOL, seed=0):
+def run_suite(name, scenario: Scenario, seed=0):
     fn, _ = SUITES[name]
-    return fn(data, tol, seed)
+    return fn(scenario, seed)

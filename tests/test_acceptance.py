@@ -26,7 +26,7 @@ from qms.lindblad import (
     extract_alicki,
 )
 from qms.modular import WeightedAlgebra
-from qms.numkernel import frob
+from qms.numkernel import frob, matrix_units
 from qms.reconstruct import (
     build_gram_space,
     gram_axioms_check,
@@ -40,17 +40,6 @@ from conftest import E12, E21, SX, SZ
 
 def report(name, passed, detail):
     print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-
-
-def units(n):
-    out = []
-    e = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            e[i, j] = 1.0
-            out.append(e.copy())
-            e[i, j] = 0.0
-    return out
 
 
 def sample_systems(rng, count, sizes, m_max=6):
@@ -90,8 +79,8 @@ def test_criterion_2_energy_identity():
         form = dirichlet_form(l, w, skip_certify=True)
         bim = FinBimodule(system)
         scale = max(frob(l.matrix), 1.0)
-        for a in units(w.n):
-            for b in units(w.n):
+        for a in matrix_units(w.n):
+            for b in matrix_units(w.n):
                 lhs = bim.inner(bim.delta(a), bim.delta(b))
                 rhs = form(a, b)
                 worst = max(worst, abs(lhs - rhs) / scale)
@@ -112,8 +101,8 @@ def test_criterion_3_triple_agreement_and_uniqueness():
         form = dirichlet_form(build_generator(system), w, skip_certify=True)
         bim = FinBimodule(system)
         gram = build_gram_space(form, w)
-        for a in units(w.n):
-            for b in units(w.n):
+        for a in matrix_units(w.n):
+            for b in matrix_units(w.n):
                 e_form = form(a, b)
                 e_bim = bim.inner(bim.delta(a), bim.delta(b))
                 e_gram = gram.inner(gram.delta(a), gram.delta(b))

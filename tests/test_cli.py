@@ -71,6 +71,19 @@ class TestRunCommand:
         assert main(["run", path]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] axiom (e)" in out
+        # a suite that needs a valid system raises instead, whichever runs first
+        for checks in (["bimodule-axioms", "triple-agreement"],
+                       ["triple-agreement", "bimodule-axioms"]):
+            path = write_scenario(tmp_path, dict(scenario, checks=checks))
+            assert main(["run", path]) == 1
+            assert "InvalidJumpSystem" in capsys.readouterr().err
+
+    def test_cp_map_source_is_parse_error(self, tmp_path, capsys):
+        scenario = base_scenario(checks=["certify-generator"])
+        scenario["source"] = {"cp_map": [[0] * 4] * 4}
+        path = write_scenario(tmp_path, scenario)
+        assert main(["run", path]) == 2
+        assert "parse error" in capsys.readouterr().err
 
     def test_missing_file_parse_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
@@ -125,6 +138,44 @@ class TestRunCommand:
         assert gram["rank"] > 0
 
 
+NON_FOCK_SUITES = ["alicki-validate", "bimodule-axioms", "carre-positivity",
+                   "certify-generator", "gram-axioms", "stinespring-rate",
+                   "triple-agreement", "uniqueness"]
+
+
+def generator_source(system):
+    from qms.lindblad import build_generator
+    l = build_generator(system)
+    return {"generator": [[[float(v.real), float(v.imag)] for v in row]
+                          for row in l.matrix]}
+
+
+class TestSharedScenario:
+    @pytest.mark.parametrize("source", ["jumps", "generator"])
+    def test_multi_suite_run_matches_single_runs(self, tmp_path, capsys,
+                                                 qubit_system3, source):
+        """Objects shared between suites do not change any suite's result."""
+        scenario = base_scenario()
+        if source == "generator":
+            scenario["source"] = generator_source(qubit_system3)
+
+        def checks_of(suites, name):
+            path = write_scenario(tmp_path, dict(scenario, checks=suites),
+                                  name + ".json")
+            out = tmp_path / (name + ".report.json")
+            main(["run", path, "--json", str(out)])
+            return [(c["name"], c["residual"], c["pass"])
+                    for c in json.loads(out.read_text())["checks"]]
+
+        single = []
+        for suite in NON_FOCK_SUITES:
+            single.extend(checks_of([suite], suite))
+        together = checks_of(NON_FOCK_SUITES, "all")
+        capsys.readouterr()
+        assert len(together) == len(single) > len(NON_FOCK_SUITES)
+        assert together == single
+
+
 class TestGeneratorSource:
     def test_generator_roundtrip(self, tmp_path, capsys, qubit_system):
         from qms.lindblad import build_generator
@@ -137,6 +188,19 @@ class TestGeneratorSource:
         path = write_scenario(tmp_path, scenario)
         assert main(["run", path]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_asymmetric_generator_is_reported(self, tmp_path, capsys):
+        """certify-generator reports a failing certificate of the input
+        generator instead of raising."""
+        mat = np.eye(4).tolist()
+        mat[0][1] = 0.3
+        scenario = base_scenario(checks=["certify-generator"])
+        scenario["source"] = {"generator": mat}
+        path = write_scenario(tmp_path, scenario)
+        assert main(["run", path]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] certify/gns_symmetric" in captured.out
+        assert captured.err == ""
 
 
 class TestFockSpecSource:

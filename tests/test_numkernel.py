@@ -10,6 +10,7 @@ from qms.numkernel import (
     choi,
     herm_eig,
     mat_power,
+    matrix_units,
     null_quotient,
     unvec,
     vec,
@@ -117,6 +118,17 @@ class TestChoi:
         np.testing.assert_allclose(c, np.eye(4) / n, atol=1e-14)
 
 
+class TestMatrixUnits:
+    def test_row_major_units(self):
+        units = matrix_units(3)
+        assert units.shape == (9, 3, 3)
+        for i in range(3):
+            for j in range(3):
+                e = np.zeros((3, 3), dtype=complex)
+                e[i, j] = 1.0
+                np.testing.assert_array_equal(units[i * 3 + j], e)
+
+
 class TestNullQuotient:
     def test_zero_gram(self):
         assert null_quotient(np.zeros((3, 3))).rank == 0
@@ -141,3 +153,8 @@ class TestNullQuotient:
         np.testing.assert_allclose(q.embed @ q.lift, np.eye(3), atol=1e-10)
         # embed reproduces the Gram geometry: embed* embed = G
         np.testing.assert_allclose(q.embed.conj().T @ q.embed, g, atol=1e-10)
+        # the dropped eigenvectors: N - rank orthonormal columns killed by embed
+        assert q.null.shape == (5, 2)
+        np.testing.assert_allclose(q.null.conj().T @ q.null, np.eye(2),
+                                   atol=1e-12)
+        np.testing.assert_allclose(q.embed @ q.null, 0.0, atol=1e-10)
