@@ -26,6 +26,7 @@ seed; wall-clock timing appears only in the text report.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -50,6 +51,24 @@ def parse_scalar(v):
             isinstance(x, (int, float)) for x in v):
         return complex(v[0], v[1])
     raise ScenarioParseError(f"bad numeric entry: {v!r}")
+
+
+def parse_real(v, what):
+    """A finite JSON number; bools and strings are not numbers here."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            if math.isfinite(v):
+                return float(v)
+        except OverflowError:
+            pass
+    raise ScenarioParseError(f"{what} must be a finite number, got {v!r}")
+
+
+def parse_count(v, what):
+    """A JSON integer >= 0; bools and strings are not counts here."""
+    if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
+        return v
+    raise ScenarioParseError(f"{what} must be an integer >= 0, got {v!r}")
 
 
 def parse_matrix(rows):
@@ -77,7 +96,7 @@ def parse_algebra(spec):
     else:
         raise ScenarioParseError("algebra needs 'h' or 'blocks'")
     dim = spec.get("dim")
-    if dim is not None and int(dim) != h.shape[0]:
+    if dim is not None and parse_count(dim, "algebra dim") != h.shape[0]:
         raise ScenarioParseError(
             f"algebra dim {dim} != density size {h.shape[0]}")
     tr = np.trace(h).real
@@ -115,7 +134,8 @@ def parse_scenario(payload):
         # the scalar model needs no matrix algebra; a trivial one is enough
         w = WeightedAlgebra(np.eye(1))
         data = ScenarioData(W=w, fock_spec={
-            "A": a, "I": imat, "depth": int(raw.get("depth", 4))})
+            "A": a, "I": imat,
+            "depth": parse_count(raw.get("depth", 4), "fock_spec 'depth'")})
     else:
         w = parse_algebra(payload.get("algebra", {}))
         data = ScenarioData(W=w)
@@ -129,7 +149,7 @@ def parse_scenario(payload):
                 if v.shape != (w.n, w.n):
                     raise ScenarioParseError(
                         f"jump shape {v.shape} != algebra dim {w.n}")
-                jumps.append((v, float(entry.get("omega", 0.0))))
+                jumps.append((v, parse_real(entry.get("omega", 0.0), "omega")))
             data.system = JumpSystem(W=w, jumps=jumps)
         else:
             m = parse_matrix(source["generator"])
@@ -156,9 +176,7 @@ def parse_scenario(payload):
         except (TypeError, ValueError, KeyError) as exc:
             raise ScenarioParseError(f"bad tolerance override: {exc}") from exc
 
-    seed = payload.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ScenarioParseError("'seed' must be an integer")
+    seed = parse_count(payload.get("seed", 0), "'seed'")
     data.name = str(payload.get("name", ""))
     return data, checks, tol, seed
 
@@ -239,7 +257,7 @@ def cmd_run(args):
     try:
         data, checks, tol, seed = parse_scenario(payload)
         if args.seed is not None:
-            seed = args.seed
+            seed = parse_count(args.seed, "--seed")
         for item in args.tol or []:
             if "=" not in item:
                 raise ScenarioParseError(f"--tol expects name=value, got {item!r}")

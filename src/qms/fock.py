@@ -10,10 +10,17 @@ space
 is truncated at a maximal depth; creation from the top layer maps to zero,
 so every identity is checked only on layers inside its declared safe zone.
 
-The scalar case M = C recovers free Araki-Woods: layers are plain tensor
-powers, the modular group acts as (V_{-t})^{(x)n} with V_t = A^{it}, the
-number operator generates the Ornstein-Uhlenbeck semigroup, and Wick words
-reconstruct vectors from polynomials in the field operators s(e_k).
+``TruncatedFock`` takes H = C^m (x) L2(M, phi), the form of every jump
+correspondence.  Layer k is then C^{m^k} (x) L2(M) in closed form:
+(e_i (x) X) (x)_phi (e_j (x) Y) -> e_i (x) e_j (x) X h^{-1/2} Y on coordinate
+matrices X = x h^{1/2}.  ``rel_tensor`` is the general Gram-quotient route
+and serves as a cross-check of that identification.
+
+The scalar case M = C (``ScalarFock``, n = 1) recovers free Araki-Woods:
+layers are plain tensor powers, the modular group acts as (V_{-t})^{(x)n}
+with V_t = A^{it}, the number operator generates the Ornstein-Uhlenbeck
+semigroup, and Wick words reconstruct vectors from polynomials in the field
+operators s(e_k).
 """
 
 import numpy as np
@@ -395,45 +402,44 @@ def assoc_residual(c1, c2, c3, tol=DEFAULT_TOL, n_samples=40, seed=37):
 class TruncatedFock:
     """L2 (+) H (+) ... (+) H^{(x)_phi d_max} with block operators.
 
-    Layer k >= 2 is stored through the Gram quotient of H x (layer k-1)
-    pair coefficients.  Creation from the top layer is truncated to zero;
-    the safe zone of an operator product of total layer shift s is the set
-    of layers <= d_max - s.
+    H must be C^m (x) L2(M, phi), the componentwise sum of m copies of L2
+    (as built by ``weighted_sum_correspondence``).  With X = x h^{1/2} the
+    coordinate matrix of an L2 vector, the unitary
+
+      (e_i (x) X) (x)_phi (e_j (x) Y) -> e_i (x) e_j (x) X h^{-1/2} Y
+
+    identifies layer k with C^{m^k} (x) L2(M), of dimension m^k n^2, so no
+    layer needs a Gram quotient.  With lambda(B) = kron(I_n, B) and
+    rho(B) = kron(B^T, I_n), the blocks from layer k to layer k + 1 are
+
+      a(xi) = sum_j e_j (x) I_{m^k} (x) lambda(X_j h^{-1/2}),
+      b(xi) = I_{m^k} (x) sum_j e_j (x) rho(h^{-1/2} X_j),
+
+    and M acts on layer k as I_{m^k} (x) lambda(x).  Creation from the top
+    layer is truncated to zero; the safe zone of an operator product of total
+    layer shift s is the set of layers <= d_max - s.
     """
 
     def __init__(self, h: Correspondence, d_max, tol=DEFAULT_TOL):
+        n = h.W.n
+        m = h.d // (n * n)
+        l2 = l2_correspondence(h.W)
+        eye_m = np.eye(m)
+        if h.d != m * n * n or any(
+                np.linalg.norm(act(u) - np.kron(eye_m, base(u))) > tol.check
+                for u in matrix_units(n)
+                for act, base in ((h.left, l2.left), (h.right, l2.right))):
+            raise DimensionMismatch(
+                f"Fock layers need a correspondence C^m (x) L2(M_{n}, phi); "
+                f"got one of dimension {h.d} that is not of this form")
         self.H = h
         self.W = h.W
+        self.m = m
         self.d_max = int(d_max)
         self.tol = tol
-        n = self.W.n
-        self._l2 = l2_correspondence(self.W)
-        self.dims = [n * n, h.d]
-        self.qmaps = [None, None]
-        self._lefts = [self._l2.left, h.left]
-        tab = _pairing_table(h)
-        units = matrix_units(n)
-        coeffs = tab.reshape(h.d, h.d, n * n)
-        for k in range(2, self.d_max + 1):
-            prev = self.dims[k - 1]
-            lam_units = np.stack([self._lefts[k - 1](u) for u in units])
-            gram = np.einsum("ikU,Uab->iakb", coeffs, lam_units,
-                             optimize=True).reshape(h.d * prev, h.d * prev)
-            gram = 0.5 * (gram + gram.conj().T)
-            qmap = null_quotient(gram, eps_rel=tol.decomp, tol=tol)
-            self.qmaps.append(qmap)
-            self.dims.append(qmap.rank)
-            self._lefts.append(self._make_left(k))
+        self.dims = [m ** k * n * n for k in range(self.d_max + 1)]
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
         self.D = int(self.offsets[-1])
-
-    def _make_left(self, k):
-        qmap = self.qmaps[k]
-        prev = self.dims[k - 1]
-
-        def left(x, _q=qmap, _p=prev):
-            return _q.embed @ np.kron(self.H.left(x), np.eye(_p)) @ _q.lift
-        return left
 
     # -- vectors ---------------------------------------------------------------
 
@@ -461,20 +467,28 @@ class TruncatedFock:
 
     def pi_left(self, x):
         """Left action of M on the whole truncated Fock space."""
-        blocks = [self._lefts[k](x) for k in range(self.d_max + 1)]
-        return scipy.linalg.block_diag(*blocks)
+        # I_{m^k} (x) lambda(x) on every layer is I_{D/n} (x) x overall
+        return np.kron(np.eye(self.D // self.W.n), as_cmatrix(x))
+
+    def _coord_mats(self, xi):
+        """X_j: the coordinate matrices of the m L2 components of xi."""
+        n = self.W.n
+        return np.reshape(xi, (self.m, n, n)).transpose(0, 2, 1)
+
+    def _raising(self, block):
+        """Operator whose block from layer k to layer k + 1 is block(k)."""
+        out = np.zeros((self.D, self.D), dtype=np.complex128)
+        off = self.offsets
+        for k in range(self.d_max):
+            out[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = block(k)
+        return out
 
     def creation(self, xi):
-        """a(xi): layer k -> k + 1 (top layer to zero)."""
-        a = np.zeros((self.D, self.D), dtype=np.complex128)
-        off = self.offsets
-        a01 = left_bounded_map(self.H, xi)
-        a[off[1]:off[2], off[0]:off[1]] = a01
-        for k in range(1, self.d_max):
-            qmap = self.qmaps[k + 1]
-            blk = qmap.embed @ np.kron(xi.reshape(-1, 1), np.eye(self.dims[k]))
-            a[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = blk
-        return a
+        """a(xi): prepends xi; layer k -> k + 1 (top layer to zero)."""
+        eye_n = np.eye(self.W.n)
+        lams = [np.kron(eye_n, x @ self.W.h_isqrt) for x in self._coord_mats(xi)]
+        return self._raising(lambda k: np.concatenate(
+            [np.kron(np.eye(self.m ** k), lam) for lam in lams]))
 
     def s_op(self, xi):
         a = self.creation(xi)
@@ -482,26 +496,10 @@ class TruncatedFock:
 
     def b_creation(self, xi):
         """b(xi): appends xi on the right; layer k -> k + 1."""
-        b = np.zeros((self.D, self.D), dtype=np.complex128)
-        off = self.offsets
-        n2 = self.dims[0]
-        basis = np.eye(n2, dtype=np.complex128)
-        b01 = np.zeros((self.H.d, n2), dtype=np.complex128)
-        for k in range(n2):
-            b01[:, k] = self.H.left(self.W.from_coords(basis[:, k])) @ xi
-        b[off[1]:off[2], off[0]:off[1]] = b01
-        prev_block = b01
-        for k in range(1, self.d_max):
-            qmap = self.qmaps[k + 1]
-            if k == 1:
-                blk = qmap.embed @ np.kron(np.eye(self.H.d),
-                                           xi.reshape(-1, 1))
-            else:
-                blk = qmap.embed @ np.kron(np.eye(self.H.d), prev_block) \
-                    @ self.qmaps[k].lift
-            b[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = blk
-            prev_block = blk
-        return b
+        eye_n = np.eye(self.W.n)
+        rho = np.concatenate([np.kron((self.W.h_isqrt @ x).T, eye_n)
+                              for x in self._coord_mats(xi)])
+        return self._raising(lambda k: np.kron(np.eye(self.m ** k), rho))
 
     def t_op(self, xi):
         b = self.b_creation(xi)
@@ -561,150 +559,82 @@ def fock_build(h: Correspondence, d_max=3, tol=DEFAULT_TOL) -> TruncatedFock:
 
 # --- scalar case: free Araki-Woods --------------------------------------------
 
-class ScalarFock:
-    """Plain truncated Fock space over C^d with modular data (A, I).
+class ScalarFock(TruncatedFock):
+    """The M = C case: free Araki-Woods over C^d with modular data (A, I).
 
-    V_t = A^{it}; the modular group acts on layer n as (V_{-t})^{(x)n};
-    J acts as I^{(x)n} followed by tensor reversal; N is the number
-    operator and exp(-tN) the Ornstein-Uhlenbeck semigroup.
+    H = C^d over the trivial algebra carries group_gen = -log A and the
+    conjugation I, so T = I A^{-1/2} is ``H.s0`` and V_t = A^{it} is
+    ``H.group(-t)``.  Layer k is the plain tensor power C^{d^k}; the modular
+    group acts on it as (V_{-t})^{(x)k}, J as I^{(x)k} followed by tensor
+    reversal; N is the number operator and exp(-tN) the Ornstein-Uhlenbeck
+    semigroup.
     """
 
     def __init__(self, a_matrix, conj_i=None, d_max=4, tol=DEFAULT_TOL):
-        a_matrix = as_cmatrix(a_matrix)
-        eig = herm_eig(a_matrix, tol)
+        a = as_cmatrix(a_matrix)
+        eig = herm_eig(a, tol)
         if eig.eigenvalues[0] <= 0:
             raise NotPositiveDefinite("A must be positive definite")
-        self.A = a_matrix
-        self.d = a_matrix.shape[0]
-        self.Imat = np.eye(self.d, dtype=np.complex128) if conj_i is None \
+        d = a.shape[0]
+        imat = np.eye(d, dtype=np.complex128) if conj_i is None \
             else as_cmatrix(conj_i)
-        self.d_max = int(d_max)
-        self.tol = tol
         # commutation V_t I = I V_t  <=>  I conj(A) conj(I) = A^{-1}
-        a_inv = np.linalg.inv(self.A)
         self.commutation_residual = float(np.linalg.norm(
-            self.Imat @ self.A.conj() @ self.Imat.conj() - a_inv))
-        self.A_isqrt = scipy.linalg.fractional_matrix_power(self.A, -0.5)
-        self.dims = [self.d ** k for k in range(self.d_max + 1)]
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
-        self.D = int(self.offsets[-1])
+            imat @ a.conj() @ imat.conj() - np.linalg.inv(a)))
+        u = eig.eigenvectors
+        g = -(u * np.log(eig.eigenvalues)) @ u.conj().T
+
+        def scalar(x):
+            return np.kron(np.eye(d), as_cmatrix(x))
+
+        h = Correspondence(WeightedAlgebra(np.eye(1)), d, scalar, scalar,
+                           group_gen=0.5 * (g + g.conj().T), conj_mat=imat,
+                           label=f"C^{d}")
+        super().__init__(h, d_max, tol)
 
     # -- structure maps --------------------------------------------------------
 
-    def v_group(self, t):
-        """V_t = A^{it} on C^d."""
-        return scipy.linalg.expm(1j * t * scipy.linalg.logm(self.A))
-
-    def conj_t(self, xi):
-        """T xi = I A^{-1/2} conj-linearly: the real structure of H."""
-        return self.Imat @ np.conj(self.A_isqrt @ xi)
-
-    def t_fixed_basis(self):
-        """Real-orthonormal basis of the T-fixed real subspace."""
-        return _antilinear_fixed_basis(self.conj_t, self.d)
-
-    def layer_op(self, mats):
-        """Block-diagonal operator from per-layer matrices."""
-        return scipy.linalg.block_diag(*mats)
-
     def modular_unitary(self, t):
-        """Delta^{it} = (+)_n (V_{-t})^{(x)n}."""
-        v = self.v_group(-t)
+        """Delta^{it} = (+)_k (V_{-t})^{(x)k}."""
+        v = self.H.group(t)
         mats = [np.eye(1, dtype=np.complex128)]
-        cur = np.eye(1, dtype=np.complex128)
         for _ in range(self.d_max):
-            cur = np.kron(cur, v)
-            mats.append(cur)
-        return self.layer_op(mats)
+            mats.append(np.kron(mats[-1], v))
+        return scipy.linalg.block_diag(*mats)
 
     def conj_j(self):
         """Antiunitary part of J: apply as conj_j() @ conj(vec)."""
-        mats = [np.eye(1, dtype=np.complex128)]
-        for k in range(1, self.d_max + 1):
-            ik = np.eye(1, dtype=np.complex128)
-            for _ in range(k):
-                ik = np.kron(ik, self.Imat)
-            mats.append(ik @ self._reversal(k))
-        return self.layer_op(mats)
-
-    def _reversal(self, k):
-        dk = self.d ** k
-        tau = np.zeros((dk, dk))
-        for idx in range(dk):
-            rev = self._tuple_to_idx(self._idx_to_tuple(idx, k)[::-1])
-            tau[rev, idx] = 1.0
-        return tau
-
-    def _idx_to_tuple(self, idx, k):
-        out = []
-        for _ in range(k):
-            out.append(idx % self.d)
-            idx //= self.d
-        return tuple(out[::-1])  # leftmost tensor factor first
-
-    def _tuple_to_idx(self, tup):
-        idx = 0
-        for t in tup:
-            idx = idx * self.d + t
-        return idx
+        mats = []
+        ik = np.eye(1, dtype=np.complex128)
+        for k, dk in enumerate(self.dims):
+            # tensor reversal e_{i1..ik} -> e_{ik..i1}: reverse the digit axes
+            rev = np.eye(dk).reshape((self.m,) * k + (dk,)).transpose(
+                list(range(k))[::-1] + [k]).reshape(dk, dk)
+            mats.append(ik @ rev)
+            ik = np.kron(ik, self.H.conj_mat)
+        return scipy.linalg.block_diag(*mats)
 
     def number_op(self):
-        return self.layer_op([
-            k * np.eye(self.dims[k]) for k in range(self.d_max + 1)
-        ])
+        return np.diag(np.repeat(np.arange(self.d_max + 1.0), self.dims))
 
     def ou_semigroup(self, t):
-        return self.layer_op([
-            np.exp(-t * k) * np.eye(self.dims[k])
-            for k in range(self.d_max + 1)
-        ])
-
-    # -- field operators -------------------------------------------------------
-
-    def creation(self, xi):
-        a = np.zeros((self.D, self.D), dtype=np.complex128)
-        off = self.offsets
-        for k in range(self.d_max):
-            blk = np.kron(xi.reshape(-1, 1), np.eye(self.dims[k]))
-            a[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = blk
-        return a
-
-    def s_op(self, xi):
-        a = self.creation(xi)
-        return a + a.conj().T
-
-    def vacuum(self):
-        v = np.zeros(self.D, dtype=np.complex128)
-        v[0] = 1.0
-        return v
-
-    def inject(self, layer, vec):
-        out = np.zeros(self.D, dtype=np.complex128)
-        o = self.offsets[layer]
-        out[o : o + self.dims[layer]] = vec
-        return out
-
-    def layer_block(self, full_vec, layer):
-        o = self.offsets[layer]
-        return full_vec[o : o + self.dims[layer]]
+        return np.diag(np.repeat(np.exp(-t * np.arange(self.d_max + 1.0)),
+                                 self.dims))
 
     # -- derivation ------------------------------------------------------------
 
     def delta_matrix(self, layer):
         """delta on H^{(x)n} into (H (+) H)^{(x)n}: sum of single-position
         flips of the doubled space."""
-        d = self.d
-        emb_top = np.vstack([np.eye(d), np.zeros((d, d))])
-        emb_bot = np.vstack([np.zeros((d, d)), np.eye(d)])
         if layer == 0:
             return np.zeros((1, 1), dtype=np.complex128)
-        total = None
+        emb_top, emb_bot = np.hsplit(np.eye(2 * self.m), 2)
+        total = 0.0
         for k in range(layer):
-            factors = [emb_bot if j == k else emb_top for j in range(layer)]
-            mat = factors[0]
-            for f in factors[1:]:
-                mat = np.kron(mat, f)
-            total = mat if total is None else total + mat
+            mat = np.eye(1)
+            for j in range(layer):
+                mat = np.kron(mat, emb_bot if j == k else emb_top)
+            total = total + mat
         return total.astype(np.complex128)
 
     def derivation_pairing(self, xi, m_layer, eta, n_layer):
@@ -730,10 +660,10 @@ def wick(f: ScalarFock, eta, tol=DEFAULT_TOL):
     T-fixed real orthonormal family.  Recursion:
     W(e_k (x) mu) = s(e_k) W(mu) - W(a*(e_k) mu).
     """
-    basis = f.t_fixed_basis()
-    if len(basis) < f.d:
+    basis = f.H.s_fixed_basis()
+    if len(basis) < f.m:
         raise NotRepresentable(
-            f"T-fixed real subspace has dimension {len(basis)} < {f.d}"
+            f"T-fixed real subspace has dimension {len(basis)} < {f.m}"
         )
     e_mat = np.column_stack(basis)
     try:
@@ -747,16 +677,16 @@ def wick(f: ScalarFock, eta, tol=DEFAULT_TOL):
         if layer == 0:
             return complex(vec[0]) * eye
         # vec in C^{d^layer}; split off the first factor in the e-basis
-        mu_rows = e_inv @ vec.reshape(f.d, -1)  # row k: vec = sum e_k (x) mu_k
+        mu_rows = e_inv @ vec.reshape(f.m, -1)  # row k: vec = sum e_k (x) mu_k
         out = np.zeros((f.D, f.D), dtype=np.complex128)
-        for k in range(f.d):
+        for k in range(f.m):
             mu = mu_rows[k]
             if np.linalg.norm(mu) < 1e-300:
                 continue
             out += s_ops[k] @ w_layer(layer - 1, mu)
             if layer >= 2:
                 # a*(e_k) removes the (new) first factor of mu
-                ann_mu = basis[k].conj() @ mu.reshape(f.d, -1)
+                ann_mu = basis[k].conj() @ mu.reshape(f.m, -1)
                 out -= w_layer(layer - 2, ann_mu.reshape(-1))
         return out
 

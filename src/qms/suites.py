@@ -190,6 +190,7 @@ def suite_carre_positivity(sc, seed):
 
 def suite_fock_commutant(sc, seed):
     tol = sc.tol
+    sc.system.check_valid()
     h = correspondence_from_jumps(sc.system)
     f = fock_build(h, d_max=3, tol=tol)
     s_basis = h.s_fixed_basis()

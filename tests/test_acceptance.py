@@ -13,7 +13,6 @@ import scipy.linalg
 
 from qms.bimodule import FinBimodule, carre_du_champ
 from qms.fock import (
-    Correspondence,
     correspondence_from_jumps,
     fock_build,
     free_aw,
@@ -225,22 +224,11 @@ def test_criterion_8_free_araki_woods():
     ou = f.ou_semigroup(0.31)
     comm = np.linalg.norm(mu @ ou - ou @ mu) / np.linalg.norm(ou)
 
-    # commutant lemma through the truncated layered model over M_1 = C
-    w1 = WeightedAlgebra(np.eye(1, dtype=complex))
-    g = -scipy.linalg.logm(a)
-    g = 0.5 * (g + g.conj().T)
-
-    def scalar_action(x):
-        return complex(np.asarray(x).reshape(1, 1)[0, 0]) * np.eye(
-            4, dtype=complex)
-
-    c = Correspondence(w1, 4, scalar_action, scalar_action, group_gen=g,
-                       conj_mat=np.eye(4, dtype=complex))
-    fs = fock_build(c, d_max=4)
+    # commutant lemma: the scalar model is the layered model over M_1 = C
     worst_comm = 0.0
-    for xi in c.s_fixed_basis()[:3]:
-        for eta in c.f_fixed_basis()[:3]:
-            worst_comm = max(worst_comm, fs.commutant_check(xi, eta))
+    for xi in f.H.s_fixed_basis()[:3]:
+        for eta in f.H.f_fixed_basis()[:3]:
+            worst_comm = max(worst_comm, f.commutant_check(xi, eta))
     elapsed = time.monotonic() - t0
     ok = (worst_pair <= 1e-10 and comm <= 1e-10 and worst_comm <= 1e-9
           and elapsed < 10.0)

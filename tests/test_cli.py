@@ -73,7 +73,8 @@ class TestRunCommand:
         assert "[FAIL] axiom (e)" in out
         # a suite that needs a valid system raises instead, whichever runs first
         for checks in (["bimodule-axioms", "triple-agreement"],
-                       ["triple-agreement", "bimodule-axioms"]):
+                       ["triple-agreement", "bimodule-axioms"],
+                       ["fock-commutant"]):
             path = write_scenario(tmp_path, dict(scenario, checks=checks))
             assert main(["run", path]) == 1
             assert "InvalidJumpSystem" in capsys.readouterr().err
@@ -83,6 +84,38 @@ class TestRunCommand:
         scenario["source"] = {"cp_map": [[0] * 4] * 4}
         path = write_scenario(tmp_path, scenario)
         assert main(["run", path]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, raw, code", [
+        ("depth", "-1", 2), ("depth", "2.5", 2), ("depth", "true", 2),
+        ("depth", '"3"', 2), ("depth", "0", 0), ("depth", "3", 0),
+        ("seed", "true", 2), ("seed", "2.0", 2), ("seed", "-3", 2),
+        ("seed", "5", 0),
+        ("omega", "1e400", 2), ("omega", "true", 2), ("omega", '"0.5"', 2),
+        ("dim", "2.5", 2), ("dim", "2", 0),
+    ])
+    def test_field_validation(self, tmp_path, capsys, field, raw, code):
+        """Scenario fields are JSON values of the documented type, or exit 2."""
+        aw = {"v": 1, "source": {"fock_spec": {"A": [[1, 0], [0, 1]]}},
+              "checks": ["free-aw-derivation"]}
+        jumps = base_scenario(checks=["alicki-validate"])
+        scenario, holder = {
+            "depth": (aw, aw["source"]["fock_spec"]),
+            "seed": (aw, aw),
+            "omega": (jumps, jumps["source"]["jumps"][2]),
+            "dim": (jumps, jumps["algebra"]),
+        }[field]
+        holder[field] = "VALUE"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario).replace('"VALUE"', raw))
+        assert main(["run", str(path)]) == code
+        assert ("parse error" in capsys.readouterr().err) == (code == 2)
+
+    def test_negative_seed_flag_is_parse_error(self, tmp_path, capsys):
+        scenario = {"v": 1, "source": {"fock_spec": {"A": [[1, 0], [0, 1]]}},
+                    "checks": ["free-aw-derivation"]}
+        path = write_scenario(tmp_path, scenario)
+        assert main(["run", path, "--seed", "-3"]) == 2
         assert "parse error" in capsys.readouterr().err
 
     def test_missing_file_parse_error(self, tmp_path):

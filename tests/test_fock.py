@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qms.errors import AlgebraMismatch, NotFixedPoint, NotRepresentable
+from qms.errors import (AlgebraMismatch, DimensionMismatch, NotFixedPoint,
+                        NotRepresentable)
 from qms.fock import (
     Correspondence,
     assoc_residual,
@@ -22,6 +23,8 @@ from qms.fock import (
     wick,
 )
 from qms.modular import WeightedAlgebra
+from qms.sampling import (random_jump_system, random_unitary,
+                          random_weighted_algebra)
 
 
 def nontracial_a(d=3, seed=3, scale=0.7):
@@ -192,6 +195,55 @@ class TestTruncatedFock:
         m = mvalued_pairing(c, xi, xi)
         np.testing.assert_allclose(e, m, atol=1e-9 * max(np.linalg.norm(m), 1.0))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_layers_match_gram_route(self, n, qubit_system3):
+        """Words in a/b on the vacuum have the Gram of rel_tensor vectors."""
+        rng = np.random.default_rng(75)
+        if n == 2:
+            system = qubit_system3
+        else:
+            system = random_jump_system(random_weighted_algebra(3, rng), rng,
+                                        m_max=2)
+        h = correspondence_from_jumps(system)
+        f = fock_build(h, d_max=3)
+        t2 = rel_tensor(h, h)
+        t3 = rel_tensor(t2, h)
+        a, b, omega = f.creation, f.b_creation, f.vacuum()
+        fock2, gram2, fock3, gram3 = [], [], [], []
+        for k in range(8):
+            x1, x2, x3 = (rng.standard_normal(h.d) + 1j * rng.standard_normal(h.d)
+                          for _ in range(3))
+            # x1 (x) x2 built three ways, x1 (x) x2 (x) x3 two ways
+            word2 = [a(x1) @ a(x2), a(x1) @ b(x2), b(x2) @ b(x1)][k % 3]
+            word3 = [a(x1) @ a(x2) @ a(x3), a(x1) @ b(x3) @ a(x2)][k % 2]
+            fock2.append(f.layer_block(word2 @ omega, 2))
+            fock3.append(f.layer_block(word3 @ omega, 3))
+            gram2.append(embed_pair(t2, x1, x2))
+            gram3.append(embed_pair(t3, gram2[-1], x3))
+        for fv, gv in ((fock2, gram2), (fock3, gram3)):
+            fv, gv = np.array(fv), np.array(gv)
+            g_fock, g_gram = fv.conj() @ fv.T, gv.conj() @ gv.T
+            assert np.linalg.norm(g_fock - g_gram) <= 1e-12 * np.linalg.norm(g_gram)
+
+    def test_rejects_other_correspondences(self, w_qubit):
+        """A unitarily rotated L2 is a correspondence, but not C^m (x) L2."""
+        l2 = l2_correspondence(w_qubit)
+        u = random_unitary(4, np.random.default_rng(77))
+        rotated = Correspondence(w_qubit, 4,
+                                 lambda x: u @ l2.left(x) @ u.conj().T,
+                                 lambda y: u @ l2.right(y) @ u.conj().T)
+        assert max(validate_correspondence(rotated).values()) < 1e-9
+        with pytest.raises(DimensionMismatch):
+            fock_build(rotated)
+
+    def test_large_layers_build(self):
+        """[DERIVED] n = 3, m = 6, d_max = 3: dims m^k n^2, no layer Gram."""
+        rng = np.random.default_rng(76)
+        system = random_jump_system(random_weighted_algebra(3, rng), rng,
+                                    m_max=6)
+        f = fock_build(correspondence_from_jumps(system), d_max=3)
+        assert f.dims == [9, 54, 324, 1944]
+
 
 class TestScalarFock:
     def test_tracial_commutator(self):
@@ -273,13 +325,13 @@ class TestWick:
 
     def test_layer_one_gives_field(self):
         f = free_aw(np.eye(2), d_max=3)
-        e1 = f.t_fixed_basis()[0]
+        e1 = f.H.s_fixed_basis()[0]
         w = wick(f, f.inject(1, e1))
         np.testing.assert_allclose(w, f.s_op(e1), atol=1e-10)
 
     def test_layer_two_tracial(self):
         f = free_aw(np.eye(2), d_max=3)
-        e1 = f.t_fixed_basis()[0]
+        e1 = f.H.s_fixed_basis()[0]
         eta = f.inject(2, np.kron(e1, e1))
         w = wick(f, eta)
         want = f.s_op(e1) @ f.s_op(e1) - np.vdot(e1, e1) * np.eye(f.D)
@@ -288,7 +340,7 @@ class TestWick:
     def test_nontracial_layer_three(self):
         f = free_aw(nontracial_a(2, seed=5), d_max=4)
         rng = np.random.default_rng(73)
-        basis = f.t_fixed_basis()
+        basis = f.H.s_fixed_basis()
         vec = np.kron(np.kron(basis[0], basis[1]), basis[0])
         vec = vec + 0.3 * np.kron(np.kron(basis[1], basis[1]), basis[1])
         eta = f.inject(3, vec)
@@ -300,7 +352,7 @@ class TestWick:
         # a non-involutive conjugation leaves a deficient T-fixed space
         f = free_aw(np.eye(2), d_max=3,
                     conj_i=np.array([[0.0, 1.0], [0.0, 0.0]]).astype(complex))
-        assert len(f.t_fixed_basis()) < f.d
+        assert len(f.H.s_fixed_basis()) < f.m
         rng = np.random.default_rng(74)
         eta = f.inject(1, rng.standard_normal(2).astype(complex))
         with pytest.raises(NotRepresentable):
