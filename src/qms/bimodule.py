@@ -25,6 +25,7 @@ from .errors import DimensionMismatch, NotInGeneratedSpan, NotInvariantVector
 from .lindblad import DirichletForm, JumpSystem
 from .modular import TomitaData
 from .numkernel import Superoperator, as_cmatrix, matrix_units, unvec, vec
+from .reconstruct import gram_entry
 
 __all__ = ["FinBimodule", "BimoduleVector", "Derivation",
            "inner_derivation_generator", "carre_du_champ"]
@@ -406,29 +407,15 @@ def inner_derivation_generator(b: FinBimodule, xi: BimoduleVector,
 def carre_du_champ(form: DirichletForm, a, b):
     """Carre du champ Gamma(a, b) as a matrix, computed from the form alone.
 
-    Defined by tr(Gamma(a,b) . h^{1/2} c h^{1/2}) =
-    (E(a, bc) + E(a c^flat, b) - E(c^flat, a^sharp b)) / 2 for all c.
-    Gamma(a, a) has real nonnegative spectrum: it equals
-    h^{1/2} (sum_j delta(a)_j* delta(a)_j) h^{-1/2}, a similarity transform
-    of a positive matrix (Hermitian only when h commutes with the sum).
+    Defined by tr(Gamma(a,b) . h^{1/2} c h^{1/2}) = <a (x) 1, b (x) c>
+    (``gram_entry``) for all c.  Gamma(a, a) has real nonnegative spectrum:
+    it equals h^{1/2} (sum_j delta(a)_j* delta(a)_j) h^{-1/2}, a similarity
+    transform of a positive matrix (Hermitian only when h commutes with the sum).
     """
     w = form.W
-    td = TomitaData(w)
     n = w.n
     a = w._check(a)
     b = w._check(b)
-    a_sharp_b = td.sharp(a) @ b
-    m = np.zeros((n, n), dtype=np.complex128)
-    e = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        for l in range(n):
-            e[k, l] = 1.0
-            c_flat = td.flat(e)
-            val = 0.5 * (
-                form(a, b @ e)
-                + form(a @ c_flat, b)
-                - form(c_flat, a_sharp_b)
-            )
-            e[k, l] = 0.0
-            m[l, k] = val
-    return w.h_isqrt @ m @ w.h_isqrt
+    eye = np.eye(n, dtype=np.complex128)
+    m = np.array([gram_entry(form, a, eye, b, e) for e in matrix_units(n)])
+    return w.h_isqrt @ m.reshape(n, n).T @ w.h_isqrt

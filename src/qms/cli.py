@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_TOL
-from .errors import QMSError, ScenarioParseError
+from .errors import QMSError, ScenarioParseError, SizeLimitExceeded
 from .lindblad import JumpSystem
 from .modular import WeightedAlgebra
 from .numkernel import Superoperator
@@ -273,6 +273,9 @@ def cmd_run(args):
         report = build_report(scenario, checks, seed)
         if args.emit:
             emit_artifacts(scenario, args.emit)
+    except SizeLimitExceeded as exc:
+        print(f"scenario error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except QMSError as exc:
         print(f"check failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

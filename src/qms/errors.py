@@ -93,6 +93,10 @@ class GramNotPSD(QMSError):
     """Reconstruction Gram matrix failed the PSD gate."""
 
 
+class SizeLimitExceeded(QMSError):
+    """The scenario is larger than a stage accepts by default."""
+
+
 class NoSolution(QMSError):
     """A linear system that must be solvable (by theory) was not."""
 

@@ -507,10 +507,10 @@ class TruncatedFock:
 
     # -- checks ----------------------------------------------------------------
 
-    def commutant_check(self, xi, eta, tol=None):
-        """|| [s(xi), t(eta)] || on the safe zone, for S0 xi = xi, F0 eta = eta."""
-        tol = tol if tol is not None else self.tol
-        gate = 1e-9
+    def commutant_check(self, xi, eta):
+        """|| [s(xi), t(eta)] || on the safe zone; S0 xi = xi and F0 eta = eta
+        must hold to ``tol.axiom`` relative."""
+        gate = self.tol.axiom
         nrm_xi = max(np.linalg.norm(xi), 1e-300)
         nrm_eta = max(np.linalg.norm(eta), 1e-300)
         if np.linalg.norm(self.H.s0(xi) - xi) > gate * nrm_xi:

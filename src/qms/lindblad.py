@@ -185,31 +185,14 @@ def semigroup_spectral(l: Superoperator, w: WeightedAlgebra, t: float) -> Supero
     """P_t through the <.,.>_h-self-adjoint eigenbasis of L (cross-check path)."""
     if t < 0:
         raise NegativeTime(f"t = {t} < 0")
-    m = w.op_matrix(l.apply)
+    m = w.op_matrix(l)
     eig = herm_eig(0.5 * (m + m.conj().T), w.tol)
     u = eig.eigenvectors
     p_coords = (u * np.exp(-t * eig.eigenvalues)) @ u.conj().T
-
-    def apply(x):
-        return w.from_coords(p_coords @ w.coords(x))
-
+    # back to vec coordinates: K^{-1} P K with K = kron(h^{1/2}.T, 1)
+    eye = np.eye(w.n)
     return Superoperator.from_matrix(
-        _plain_matrix(apply, w.n)
-    )
-
-
-def _plain_matrix(f, n):
-    """Matrix of a map on M_n in plain vec coordinates."""
-    m = np.zeros((n * n, n * n), dtype=np.complex128)
-    e = np.zeros((n, n), dtype=np.complex128)
-    col = 0
-    for j in range(n):
-        for i in range(n):
-            e[i, j] = 1.0
-            m[:, col] = f(e).flatten(order="F")
-            e[i, j] = 0.0
-            col += 1
-    return m
+        np.kron(w.h_isqrt.T, eye) @ p_coords @ np.kron(w.h_sqrt.T, eye))
 
 
 @dataclass(frozen=True)
@@ -245,7 +228,7 @@ def certify(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL,
 
     res_unital = w.norm(l.apply(eye)) / scale
 
-    m = w.op_matrix(l.apply)
+    m = w.op_matrix(l)
     res_sym = frob(m - m.conj().T) / scale
 
     delta = TomitaData(w).modular_op()
@@ -257,7 +240,8 @@ def certify(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL,
     unital_semigroup = 0.0
     for t in ts:
         p = semigroup(l, t)
-        eig = herm_eig(0.5 * (choi(p) + choi(p).conj().T), tol)
+        c = choi(p)
+        eig = herm_eig(0.5 * (c + c.conj().T), tol)
         min_choi = min(min_choi, float(eig.eigenvalues[0]))
         unital_semigroup = max(unital_semigroup, w.norm(p.apply(eye) - eye))
 
@@ -442,5 +426,5 @@ def dirichlet_form(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL,
         report = certify(l, w, tol)
         if not report.gns_symmetric:
             raise NotGNSSymmetric(f"residuals: {report.residuals}")
-    m = w.op_matrix(l.apply)
+    m = w.op_matrix(l)
     return DirichletForm(l, w, 0.5 * (m + m.conj().T))

@@ -94,14 +94,11 @@ class WeightedAlgebra:
     def from_coords(self, c):
         return unvec(c, self.n) @ self.h_isqrt
 
-    def op_matrix(self, f):
-        """Matrix of a linear map on M_n in the orthonormal coordinates."""
-        n2 = self.n * self.n
-        m = np.zeros((n2, n2), dtype=np.complex128)
-        basis = np.eye(n2, dtype=np.complex128)
-        for k in range(n2):
-            m[:, k] = self.coords(f(self.from_coords(basis[:, k])))
-        return m
+    def op_matrix(self, s):
+        """Matrix K S K^{-1} of a superoperator in the orthonormal coordinates,
+        with K = kron(h^{1/2}.T, 1) the matrix of x -> x h^{1/2}."""
+        eye = np.eye(self.n)
+        return np.kron(self.h_sqrt.T, eye) @ s.matrix @ np.kron(self.h_isqrt.T, eye)
 
     def _check(self, x):
         x = as_cmatrix(x)

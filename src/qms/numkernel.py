@@ -182,20 +182,12 @@ class Superoperator:
 
 
 def choi(s):
-    """Choi matrix C with C[(i,k),(j,l)] = S(E_ij)[k,l].
+    """Choi matrix C with C[(i,k),(j,l)] = S(E_ij)[k,l] = S[l*n+k, j*n+i].
 
     S is completely positive iff C is PSD.
     """
     n = s.n
-    c = np.zeros((n * n, n * n), dtype=np.complex128)
-    e = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            e[i, j] = 1.0
-            se = s.apply(e)
-            e[i, j] = 0.0
-            c[i * n : (i + 1) * n, j * n : (j + 1) * n] = se
-    return c
+    return s.matrix.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import GramNotPSD, NoSolution, NotGNSSymmetric, NotPSD, NotUCP
+from .errors import (GramNotPSD, NoSolution, NotGNSSymmetric, NotPSD, NotUCP,
+                     SizeLimitExceeded)
 from .lindblad import DirichletForm, certify, semigroup
 from .modular import TomitaData, WeightedAlgebra
 from .numkernel import (Superoperator, as_cmatrix, choi, frob, herm_eig,
@@ -58,17 +59,6 @@ def gram_entry(form: DirichletForm, a, b, c, d):
         form(a, c @ d @ b_flat)
         + form(a @ b @ d_flat, c)
         - form(b @ d_flat, td.sharp(a) @ c)
-    )
-
-
-def psi_functional(form: DirichletForm, a, b, c):
-    """Step-3 style functional psi_a(b (x) c); equals <delta(a), [b(x)c]>."""
-    td = TomitaData(form.W)
-    c_flat = td.flat(c)
-    return 0.5 * (
-        form(a, b @ c)
-        + form(a @ c_flat, b)
-        - form(c_flat, td.sharp(a) @ b)
     )
 
 
@@ -111,15 +101,11 @@ class GramSpace:
         return self.qmap.embed @ coeff_matrix @ self.qmap.lift.conj()
 
     def _mult_map(self):
-        """coeff(b (x) c) -> coeff(bc), the multiplication on unit pairs."""
+        """coeff(b (x) c) -> coeff(bc), the multiplication on unit pairs:
+        E_ij E_kl = [j = k] E_il."""
         n = self.W.n
-        n2 = n * n
-        units = matrix_units(n)
-        m = np.zeros((n2, n2 * n2), dtype=np.complex128)
-        for p in range(n2):
-            for q in range(n2):
-                m[:, p * n2 + q] = _coeff(units[p] @ units[q])
-        return m
+        eye = np.eye(n)
+        return np.einsum("xi,jk,ly->xyijkl", eye, eye, eye).reshape(n * n, -1)
 
     def _op_coeff_left(self, a):
         n = self.W.n
@@ -147,21 +133,17 @@ class GramSpace:
         return self._descend(np.kron(f, f))
 
     def op_conj(self):
-        """Antilinear conjugation: y -> op_conj() @ conj(y)."""
+        """Antilinear conjugation: y -> op_conj() @ conj(y).
+
+        Column (a, b) holds the coefficients of [Jb.Ja (x) 1] - [Jb (x) Ja],
+        with J E_ij = h^{1/2} E_ji h^{-1/2} and Jb.Ja = J(ab).
+        """
         n = self.W.n
-        n2 = n * n
-        units = matrix_units(n)
-        td = TomitaData(self.W)
-        eye = np.eye(n, dtype=np.complex128)
-        cols = np.zeros((n2 * n2, n2 * n2), dtype=np.complex128)
-        for p in range(n2):
-            ja = td.conj_J(units[p])
-            for q in range(n2):
-                jb = td.conj_J(units[q])
-                cols[:, p * n2 + q] = np.kron(_coeff(jb @ ja), _coeff(eye)) - np.kron(
-                    _coeff(jb), _coeff(ja)
-                )
-        return self._descend_antilinear(cols)
+        eye = np.eye(n)
+        j_units = np.einsum("xj,iy->xyij", self.W.h_sqrt, self.W.h_isqrt)
+        cols = (np.einsum("xyil,jk,uv->xyuvijkl", j_units, eye, eye)
+                - np.einsum("xykl,uvij->xyuvijkl", j_units, j_units))
+        return self._descend_antilinear(cols.reshape(n ** 4, n ** 4))
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -200,49 +182,26 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
     w = w if w is not None else form.W
     n = w.n
     if n > _MAX_DEFAULT_DIM and not allow_large:
-        raise ValueError(
+        raise SizeLimitExceeded(
             f"n = {n} exceeds the default spanning-set limit {_MAX_DEFAULT_DIM}; "
             "pass allow_large=True to override"
         )
-    n2 = n * n
-    units = matrix_units(n)
-    td = TomitaData(w)
-    hsq = w.h_sqrt
-    me = form.matrix
-
-    flats = [td.flat(u) for u in units]
-    # products of units, CD[p, q] = units[p] @ units[q]
-    cd = np.zeros((n2, n2, n, n), dtype=np.complex128)
-    for p in range(n2):
-        for q in range(n2):
-            cd[p, q] = units[p] @ units[q]
-    ucoords = np.array([w.coords(u) for u in units])  # (n2, n2)
-
-    def coords_stack(mats):
-        # vec(m @ h^{1/2}) for a stacked array of matrices, column-stacking
-        mh = mats @ hsq
-        return np.swapaxes(mh, -1, -2).reshape(*mats.shape[:-2], n2)
-
-    gram = np.zeros((n2 * n2, n2 * n2), dtype=np.complex128)
-    for p in range(n2):
-        a = units[p]
-        ca = ucoords[p]
-        a_sharp = td.sharp(a)
-        for q in range(n2):
-            b = units[q]
-            b_flat = flats[q]
-            ab = a @ b
-            # term 1: E(a, (c d) b^flat) over all (c, d)
-            x1 = coords_stack(cd @ b_flat)
-            t1 = np.einsum("i,ij,cdj->cd", ca.conj(), me, x1)
-            # term 2: E(a b d^flat, c)
-            y = coords_stack(np.stack([ab @ f for f in flats]))
-            t2 = np.einsum("dj,ji,ci->cd", y.conj(), me, ucoords)
-            # term 3: E(b d^flat, a^sharp c)
-            zz = coords_stack(np.stack([b @ f for f in flats]))
-            ac = coords_stack(np.stack([a_sharp @ c for c in units]))
-            t3 = np.einsum("dj,ji,ci->cd", zz.conj(), me, ac)
-            gram[p * n2 + q, :] = 0.5 * (t1 + t2 - t3).reshape(-1)
+    # f[i,j,k,l] = E(E_ij, E_kl), from the form in vec coordinates
+    eye = np.eye(n)
+    to_coords = np.kron(w.h_sqrt.T, eye)
+    f = to_coords.conj().T @ form.matrix @ to_coords
+    f = f.reshape(n, n, n, n).transpose(1, 0, 3, 2)
+    # units a = E_ij, b = E_kl, c = E_rs, d = E_tu; every term of the Gram
+    # formula carries h[u, l] from d^flat = h E_ut h^{-1}:
+    #   E(a, c d b^flat) = [s = t] h[u,l] E(E_ij, E_rk h^{-1}),
+    #   E(a b d^flat, c) = [j = k] h[u,l] E(E_it h^{-1}, E_rs),
+    #   E(b d^flat, a^sharp c) = [i = r] h[u,l] E(E_kt h^{-1}, E_js).
+    e_right = np.einsum("ijrb,kb->ijkr", f, w.h_inv)
+    e_left = np.einsum("xbys,bt->xtys", f, w.h_inv)
+    terms = 0.5 * (np.einsum("ijkr,st->ijkrst", e_right, eye)
+                   + np.einsum("jk,itrs->ijkrst", eye, e_left)
+                   - np.einsum("ir,ktjs->ijkrst", eye, e_left))
+    gram = np.einsum("ijkrst,ul->ijklrstu", terms, w.h).reshape(n ** 4, n ** 4)
     gram = 0.5 * (gram + gram.conj().T)
 
     try:
@@ -388,30 +347,15 @@ def stinespring_route(phi: Superoperator, w: WeightedAlgebra,
     ch_eig = herm_eig(0.5 * (ch + ch.conj().T), tol)
     if ch_eig.eigenvalues[0] < -tol.choi * max(ch_eig.eigenvalues[-1], 1.0):
         raise NotUCP(f"Choi matrix eigenvalue {ch_eig.eigenvalues[0]:.3e} < 0")
-    m = w.op_matrix(phi.apply)
+    m = w.op_matrix(phi)
     if frob(m - m.conj().T) > 1e-8 * max(frob(m), 1e-300):
         raise NotGNSSymmetric("map is not self-adjoint for <.,.>_h")
 
-    n2 = n * n
-    units = matrix_units(n)
-    # Phi(x_p* x_c) for all unit pairs
-    phi_tab = np.zeros((n2, n2, n, n), dtype=np.complex128)
-    for p in range(n2):
-        for c in range(n2):
-            phi_tab[p, c] = phi.apply(units[p].conj().T @ units[c])
-    gram = np.zeros((n2 * n2, n2 * n2), dtype=np.complex128)
-    h = w.h
-    for p in range(n2):
-        for q in range(n2):
-            yp = units[q]
-            # row over (c, d): (1/2) phi(y_p* Phi(x_p* x_c) y_d), phi = tr(. h)
-            block = np.einsum(
-                "crs,dsr->cd",
-                yp.conj().T @ phi_tab[p],
-                np.stack([u @ h for u in units]),
-                optimize=True,
-            )
-            gram[p * n2 + q, :] = 0.5 * block.reshape(-1)
+    # x_p = E_ij, y_q = E_kl, x_c = E_ab, y_d = E_gd: x_p* x_c = [i = a] E_jb
+    # and (1/2) phi(E_lk Phi(E_jb) E_gd) = (1/2) Phi(E_jb)[k,g] h[d,l], where
+    # Phi(E_jb)[k,g] = phi.matrix[g*n+k, b*n+j]
+    gram = 0.5 * np.einsum("ia,gkbj,dl->ijklabgd", np.eye(n),
+                           phi.matrix.reshape(n, n, n, n), w.h).reshape(n ** 4, n ** 4)
     gram = 0.5 * (gram + gram.conj().T)
     try:
         qmap = null_quotient(gram, eps_rel=tol.decomp, tol=tol)

@@ -28,6 +28,10 @@ def base_scenario(**overrides):
     return scenario
 
 
+def mat_json(m):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+
 def write_scenario(tmp_path, scenario, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(scenario))
@@ -118,6 +122,24 @@ class TestRunCommand:
         assert main(["run", path, "--seed", "-3"]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite, code", [
+        ("triple-agreement", 2), ("uniqueness", 2), ("gram-axioms", 2),
+        ("certify-generator", 0),
+    ])
+    def test_size_limit_is_scenario_error(self, tmp_path, capsys, suite, code):
+        """n = 5 is above the default Gram size limit: exit 2, not 3."""
+        from qms.sampling import random_jump_system, random_weighted_algebra
+        rng = np.random.default_rng(77)
+        w = random_weighted_algebra(5, rng)
+        system = random_jump_system(w, rng, m_max=4)
+        scenario = base_scenario(checks=[suite])
+        scenario["algebra"] = {"dim": 5, "h": mat_json(w.h)}
+        scenario["source"] = {"jumps": [{"matrix": mat_json(v), "omega": om}
+                                        for v, om in system.jumps]}
+        path = write_scenario(tmp_path, scenario)
+        assert main(["run", path]) == code
+        assert ("SizeLimitExceeded" in capsys.readouterr().err) == (code == 2)
+
     def test_missing_file_parse_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -178,9 +200,7 @@ NON_FOCK_SUITES = ["alicki-validate", "bimodule-axioms", "carre-positivity",
 
 def generator_source(system):
     from qms.lindblad import build_generator
-    l = build_generator(system)
-    return {"generator": [[[float(v.real), float(v.imag)] for v in row]
-                          for row in l.matrix]}
+    return {"generator": mat_json(build_generator(system).matrix)}
 
 
 class TestSharedScenario:

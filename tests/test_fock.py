@@ -181,6 +181,20 @@ class TestTruncatedFock:
         with pytest.raises(NotFixedPoint):
             fock3.commutant_check(xi, xi)
 
+    def test_commutant_gate_is_axiom_tolerance(self, qubit_system3):
+        """A 1e-7 relative departure from S0-fixedness fails the default
+        gate (tol.axiom = 1e-9) and passes once tol.axiom is 1e-5."""
+        from qms.config import DEFAULT_TOL
+        c = correspondence_from_jumps(qubit_system3)
+        xi, eta = c.s_fixed_basis()[0], c.f_fixed_basis()[0]
+        rng = np.random.default_rng(70)
+        r = rng.standard_normal(c.d) + 1j * rng.standard_normal(c.d)
+        xi = xi + 1e-7 * np.linalg.norm(xi) * r / np.linalg.norm(r)
+        with pytest.raises(NotFixedPoint):
+            fock_build(c, d_max=3).commutant_check(xi, eta)
+        loose = fock_build(c, d_max=3, tol=DEFAULT_TOL.override(axiom=1e-5))
+        assert loose.commutant_check(xi, eta) < 1e-5
+
     def test_vacuum_expectation_unital(self, fock3):
         e, weight = fock3.vacuum_expectation(np.eye(fock3.D, dtype=complex))
         np.testing.assert_allclose(e, np.eye(2), atol=1e-12)

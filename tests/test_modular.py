@@ -5,6 +5,8 @@ import pytest
 
 from qms.modular import TomitaData, WeightedAlgebra
 from qms.errors import NotPositiveDefinite
+from qms.numkernel import Superoperator
+from qms.sampling import random_weighted_algebra
 
 from conftest import E11, E12, E21, matrix_unit
 
@@ -31,6 +33,17 @@ class TestWeightedAlgebra:
         np.testing.assert_allclose(
             w_qubit.from_coords(w_qubit.coords(x)), x, atol=1e-12
         )
+
+    def test_op_matrix_matches_definition(self):
+        """Column k of op_matrix(S) is coords(S(from_coords(e_k)))."""
+        rng = np.random.default_rng(18)
+        w = random_weighted_algebra(3, rng)
+        s = Superoperator.from_matrix(rng.standard_normal((9, 9))
+                                      + 1j * rng.standard_normal((9, 9)))
+        want = np.array([w.coords(s.apply(w.from_coords(e)))
+                         for e in np.eye(9)]).T
+        got = w.op_matrix(s)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_trace_rescale_warns(self):
         with pytest.warns(UserWarning):

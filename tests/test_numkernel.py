@@ -118,6 +118,21 @@ class TestChoi:
         np.testing.assert_allclose(c, np.eye(4) / n, atol=1e-14)
 
 
+    def test_matches_definition(self):
+        """C[(i,k),(j,l)] = S(E_ij)[k,l] for a generic (non-Hermitian) map."""
+        n = 3
+        rng = np.random.default_rng(8)
+        s = Superoperator.from_matrix(rng.standard_normal((9, 9))
+                                      + 1j * rng.standard_normal((9, 9)))
+        want = np.zeros((9, 9), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                e = np.zeros((n, n), dtype=complex)
+                e[i, j] = 1.0
+                want[i * n:(i + 1) * n, j * n:(j + 1) * n] = s.apply(e)
+        np.testing.assert_array_equal(choi(s), want)
+
+
 class TestMatrixUnits:
     def test_row_major_units(self):
         units = matrix_units(3)

@@ -5,12 +5,12 @@ import pytest
 
 from qms.bimodule import Derivation, FinBimodule
 from qms.lindblad import build_generator, dirichlet_form
-from qms.numkernel import Superoperator, frob
+from qms.modular import TomitaData
+from qms.numkernel import Superoperator, frob, matrix_units
 from qms.reconstruct import (
     build_gram_space,
     gram_axioms_check,
     gram_entry,
-    psi_functional,
     rep_vector,
     stinespring_rate,
     stinespring_route,
@@ -29,6 +29,23 @@ def form3(qubit_system3):
 @pytest.fixture
 def gram3(form3, qubit_system3):
     return build_gram_space(form3, qubit_system3.W)
+
+
+def random_system(n, seed):
+    """A jump system over a random (non-diagonal) density of size n."""
+    rng = np.random.default_rng(seed)
+    w = random_weighted_algebra(n, rng)
+    return random_jump_system(w, rng, m_max=4)
+
+
+def random_form(n, seed, zero=False):
+    system = random_system(n, seed)
+    l = Superoperator.zero(n) if zero else build_generator(system)
+    return dirichlet_form(l, system.W)
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)
 
 
 class TestGramEntry:
@@ -58,15 +75,6 @@ class TestGramEntry:
         got = gram_entry(form, sz, eye, sz, eye)
         assert abs(got - want) < 1e-12
 
-    def test_psi_is_delta_pairing(self, form3):
-        rng = np.random.default_rng(53)
-        eye = np.eye(2, dtype=complex)
-        for _ in range(20):
-            a, b, c = (rng.standard_normal((2, 2))
-                       + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-            assert abs(psi_functional(form3, a, b, c)
-                       - gram_entry(form3, a, eye, b, c)) < 1e-11
-
 
 class TestGramSpace:
     def test_zero_form_rank_zero(self, w_qubit):
@@ -82,6 +90,42 @@ class TestGramSpace:
         """[DERIVED] rank 8 for the two-jump reference pair."""
         form = dirichlet_form(build_generator(qubit_system), qubit_system.W)
         assert build_gram_space(form, qubit_system.W).rank == 8
+
+    def test_gram_matches_gram_entry_all_units(self):
+        form = random_form(2, 71)
+        units = matrix_units(2)
+        want = np.array([[gram_entry(form, a, b, c, d) for c in units for d in units]
+                         for a in units for b in units])
+        assert_rel_close(build_gram_space(form).gram, want)
+
+    @pytest.mark.parametrize("zero", [False, True], ids=["generator", "zero"])
+    def test_gram_matches_gram_entry_sampled(self, zero):
+        form = random_form(3, 72, zero)
+        gram = build_gram_space(form).gram
+        units = matrix_units(3)
+        rng = np.random.default_rng(73)
+        idx = rng.integers(0, 9, size=(50, 4))
+        got = np.array([gram[p * 9 + q, c * 9 + d] for p, q, c, d in idx])
+        want = np.array([gram_entry(form, *units[list(pqcd)]) for pqcd in idx])
+        assert_rel_close(got, want)
+
+    def test_mult_map_matches_definition(self):
+        g = build_gram_space(random_form(3, 74))
+        units = matrix_units(3)
+        want = np.array([(a @ b).flatten() for a in units for b in units]).T
+        np.testing.assert_array_equal(g._mult_map(), want)
+
+    def test_op_conj_matches_definition(self):
+        """Column (a, b): [Jb.Ja (x) 1] - [Jb (x) Ja], J E_ij = h^1/2 E_ji h^-1/2."""
+        g = build_gram_space(random_form(2, 75))
+        td = TomitaData(g.W)
+        eye = np.eye(2)
+        cols = []
+        for a in matrix_units(2):
+            for b in matrix_units(2):
+                ja, jb = td.conj_J(a), td.conj_J(b)
+                cols.append(g.pair_coeff(jb @ ja, eye) - g.pair_coeff(jb, ja))
+        assert_rel_close(g.op_conj(), g._descend_antilinear(np.array(cols).T))
 
     def test_energy_identity(self, form3, gram3):
         for a in [matrix_unit(2, i, j) for i in range(2) for j in range(2)]:
@@ -173,6 +217,18 @@ class TestStinespring:
         r = stinespring_rate(l, w_tracial, form, ts=(0.1, 0.05))
         spec_radius = np.linalg.norm(l.matrix @ l.matrix, 2)
         assert r["deviations"][0] <= spec_radius * 0.1
+
+    def test_gram_matches_definition(self):
+        """Gram[(p,q),(c,d)] = phi(E_q* Phi(E_p* E_c) E_d) / 2."""
+        from qms.lindblad import semigroup
+        system = random_system(2, 76)
+        w = system.W
+        p_t = semigroup(build_generator(system), 0.3)
+        units = matrix_units(2)
+        want = np.array([[0.5 * w.state(y.conj().T @ p_t.apply(x.conj().T @ c) @ d)
+                          for c in units for d in units]
+                         for x in units for y in units])
+        assert_rel_close(stinespring_route(p_t, w).gram, want)
 
     def test_rejects_nonunital(self, w_qubit):
         from qms.errors import NotUCP
