@@ -24,8 +24,9 @@ from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, NotInGeneratedSpan, NotInvariantVector
 from .lindblad import DirichletForm, JumpSystem
 from .modular import TomitaData
-from .numkernel import Superoperator, as_cmatrix, matrix_units, unvec, vec
+from .numkernel import Superoperator, matrix_units, unvec, vec
 from .reconstruct import gram_entry
+from .sampling import random_disk_point, random_matrix
 
 __all__ = ["FinBimodule", "BimoduleVector", "Derivation",
            "inner_derivation_generator", "carre_du_champ"]
@@ -114,11 +115,11 @@ class FinBimodule:
     # --- actions and modular structure ---------------------------------------
 
     def act_left(self, a, xi: BimoduleVector) -> BimoduleVector:
-        a = self._check(a)
+        a = self.W._check(a)
         return BimoduleVector(np.einsum("rs,jsk->jrk", a, xi.comps))
 
     def act_right(self, a, xi: BimoduleVector) -> BimoduleVector:
-        a = self._check(a)
+        a = self.W._check(a)
         return BimoduleVector(np.einsum("jrs,sk->jrk", xi.comps, a))
 
     def mod_group(self, z, xi: BimoduleVector) -> BimoduleVector:
@@ -132,7 +133,7 @@ class FinBimodule:
 
     def delta(self, a) -> BimoduleVector:
         """delta(a) = (i e^{-omega_j/4} [v_j, a])_j."""
-        a = self._check(a)
+        a = self.W._check(a)
         comps = np.zeros((max(self.m, 1), self.n, self.n), dtype=np.complex128)
         for j, (v, w) in enumerate(self.system.jumps):
             comps[j] = 1j * np.exp(-w / 4.0) * (v @ a - a @ v)
@@ -199,8 +200,7 @@ class FinBimodule:
         hr = self.W.h_sqrt if sign > 0 else self.W.h_isqrt
         worst = 0.0
         for _ in range(n_samples):
-            a = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
-            b = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
+            a, b = random_matrix(self.n, rng), random_matrix(self.n, rng)
             comps = np.zeros((self.m, self.n, self.n), dtype=np.complex128)
             for j, (v, _) in enumerate(self.system.jumps):
                 comps[j] = (v @ a - a @ v) @ b
@@ -233,42 +233,36 @@ class FinBimodule:
             return res
         n = self.n
         mg = self.tomita.modular_group
-
-        def rand_mat():
-            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-        def rand_z():
-            r = np.sqrt(rng.uniform())
-            th = rng.uniform(0, 2 * np.pi)
-            return r * np.exp(1j * th)
-
         for _ in range(n_vectors):
-            a, b = rand_mat(), rand_mat()
+            a, b = random_matrix(n, rng), random_matrix(n, rng)
             xi = self.act_right(b, self.delta(a))
-            eta = self.act_right(rand_mat(), self.delta(rand_mat()))
-            z = rand_z()
-            nrm_xi = max(self.norm(xi), 1e-300)
+            eta = self.act_right(random_matrix(n, rng),
+                                 self.delta(random_matrix(n, rng)))
+            z = random_disk_point(rng)
+            norm_xi = self.norm(xi)
+            nrm_xi = max(norm_xi, 1e-300)
             nrm_eta = max(self.norm(eta), 1e-300)
 
             # (a) boundedness: |L(c)| <= |pi_l(c)| = |c| and
             # |R(c)| <= |pi_r(c)| = |h^{-1/2} c h^{1/2}| (right GNS action norm)
-            c = rand_mat()
+            c = random_matrix(n, rng)
             opn_l = float(np.linalg.norm(c, 2))
             opn_r = float(np.linalg.norm(
                 self.W.h_isqrt @ c @ self.W.h_sqrt, 2))
             res["a"] = max(
                 res["a"],
-                (self.norm(self.act_left(c, xi)) - opn_l * self.norm(xi)) / nrm_xi,
-                (self.norm(self.act_right(c, xi)) - opn_r * self.norm(xi)) / nrm_xi,
+                (self.norm(self.act_left(c, xi)) - opn_l * norm_xi) / nrm_xi,
+                (self.norm(self.act_right(c, xi)) - opn_r * norm_xi) / nrm_xi,
             )
 
             # (b) conj L(a) = R(Ja) conj
             lhs = self.conj(self.act_left(c, xi))
-            rhs = self.act_right(self.tomita.conj_J(c), self.conj(xi))
+            conj_xi = self.conj(xi)
+            rhs = self.act_right(self.tomita.conj_J(c), conj_xi)
             res["b"] = max(res["b"], self.norm(lhs - rhs) / (opn_l * nrm_xi))
 
             # (c) analyticity proxy: group law of z -> U_z
-            z2 = rand_z()
+            z2 = random_disk_point(rng)
             lhs = self.mod_group(z, self.mod_group(z2, xi))
             rhs = self.mod_group(z + z2, xi)
             res["c"] = max(res["c"], self.norm(lhs - rhs) / nrm_xi)
@@ -285,16 +279,10 @@ class FinBimodule:
             res["e"] = max(res["e"], self.norm(lhs - rhs) / nrm_xi)
 
             # (f) U_z conj = conj U_{conj(z)}
-            lhs = self.mod_group(z, self.conj(xi))
+            lhs = self.mod_group(z, conj_xi)
             rhs = self.conj(self.mod_group(np.conj(z), xi))
             res["f"] = max(res["f"], self.norm(lhs - rhs) / nrm_xi)
         return res
-
-    def _check(self, a):
-        a = as_cmatrix(a)
-        if a.shape != (self.n, self.n):
-            raise DimensionMismatch(f"expected {self.n}x{self.n}, got {a.shape}")
-        return a
 
 
 class Derivation:
@@ -314,32 +302,29 @@ class Derivation:
         n = b.n
         res = {"product_rule": 0.0, "conj_intertwine": 0.0,
                "mod_intertwine": 0.0, "energy_identity": 0.0}
-
-        def rand_mat():
-            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
         for _ in range(n_samples):
-            x, y = rand_mat(), rand_mat()
-            scale = max(b.norm(b.delta(x)) * np.linalg.norm(y), 1e-300)
+            x, y = random_matrix(n, rng), random_matrix(n, rng)
+            dx, dy = b.delta(x), b.delta(y)
+            scale = max(b.norm(dx) * np.linalg.norm(y), 1e-300)
             lhs = b.delta(x @ y)
-            rhs = b.act_left(x, b.delta(y)) + b.act_right(y, b.delta(x))
+            rhs = b.act_left(x, dy) + b.act_right(y, dx)
             res["product_rule"] = max(res["product_rule"], b.norm(lhs - rhs) / scale)
 
-            lhs = b.conj(b.delta(x))
+            lhs = b.conj(dx)
             rhs = b.delta(b.tomita.conj_J(x))
             res["conj_intertwine"] = max(
                 res["conj_intertwine"], b.norm(lhs - rhs) / max(b.norm(rhs), 1e-300)
             )
 
             z = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-            lhs = b.mod_group(z, b.delta(x))
+            lhs = b.mod_group(z, dx)
             rhs = b.delta(b.tomita.modular_group(z, x))
             res["mod_intertwine"] = max(
                 res["mod_intertwine"], b.norm(lhs - rhs) / max(b.norm(rhs), 1e-300)
             )
 
             if form is not None:
-                lhs_ip = b.inner(b.delta(x), b.delta(y))
+                lhs_ip = b.inner(dx, dy)
                 rhs_ip = form(x, y)
                 res["energy_identity"] = max(
                     res["energy_identity"],
@@ -364,8 +349,7 @@ class Derivation:
         n = b.n
         worst = 0.0
         for _ in range(n_samples):
-            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x, y = random_matrix(n, rng), random_matrix(n, rng)
             lhs = b.delta(x @ y)
             sig_y = b.tomita.modular_group(0.5j, y)
             # right action of sigma_{i/2}(y) as correspondence action:

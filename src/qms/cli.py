@@ -64,6 +64,14 @@ def parse_real(v, what):
     raise ScenarioParseError(f"{what} must be a finite number, got {v!r}")
 
 
+def parse_positive(v, what):
+    """A finite JSON number > 0."""
+    x = parse_real(v, what)
+    if x > 0:
+        return x
+    raise ScenarioParseError(f"{what} must be > 0, got {v!r}")
+
+
 def parse_count(v, what):
     """A JSON integer >= 0; bools and strings are not counts here."""
     if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
@@ -84,13 +92,27 @@ def parse_matrix(rows):
         raise ScenarioParseError(f"bad matrix: {exc}") from exc
 
 
-def parse_algebra(spec):
+def parse_tolerances(overrides, flags):
+    """The tolerance table: the file's overrides, then the ``--tol`` ones."""
+    if overrides and not isinstance(overrides, dict):
+        raise ScenarioParseError("'tolerances' must be an object")
+    merged = {**(overrides or {}), **flags}
+    values = {k: parse_positive(v, f"tolerance {k!r}") for k, v in merged.items()}
+    try:
+        return DEFAULT_TOL.override(**values)
+    except KeyError as exc:
+        raise ScenarioParseError(f"bad tolerance override: {exc}") from exc
+
+
+def parse_algebra(spec, tol):
     if not isinstance(spec, dict):
         raise ScenarioParseError("algebra must be an object")
     if "h" in spec:
         h = parse_matrix(spec["h"])
     elif "blocks" in spec:
         import scipy.linalg
+        if not isinstance(spec["blocks"], list) or not spec["blocks"]:
+            raise ScenarioParseError("algebra 'blocks' must be a non-empty list")
         blocks = [parse_matrix(b) for b in spec["blocks"]]
         h = scipy.linalg.block_diag(*blocks)
     else:
@@ -103,12 +125,17 @@ def parse_algebra(spec):
     if tr <= 0:
         raise ScenarioParseError("density must have positive trace")
     try:
-        return WeightedAlgebra(h / tr)
+        return WeightedAlgebra(h / tr, tol)
     except QMSError as exc:
         raise ScenarioParseError(f"bad density: {exc}") from exc
 
 
-def parse_scenario(payload):
+def parse_scenario(payload, tol_flags=None):
+    """(data, checks, tol, seed) of a scenario payload.
+
+    ``tol_flags`` holds the ``--tol`` overrides; they apply after the file's
+    ``tolerances``, and the algebra is built with the resulting table.
+    """
     if not isinstance(payload, dict):
         raise ScenarioParseError("scenario must be a JSON object")
     if payload.get("v") != SCHEMA_VERSION:
@@ -123,23 +150,31 @@ def parse_scenario(payload):
             f"source must contain exactly one of jumps/generator/fock_spec, "
             f"got {sorted(source)}")
     kind = kinds[0]
+    tol = parse_tolerances(payload.get("tolerances"), tol_flags or {})
 
     if kind == "fock_spec":
         raw = source["fock_spec"]
         if not isinstance(raw, dict) or "A" not in raw:
             raise ScenarioParseError("fock_spec needs a matrix 'A'")
         a = parse_matrix(raw["A"])
+        if a.shape[0] != a.shape[1]:
+            raise ScenarioParseError(f"fock_spec 'A' must be square, got {a.shape}")
         conj_i = raw.get("I", "conjugation")
         imat = None if conj_i == "conjugation" else parse_matrix(conj_i)
+        if imat is not None and imat.shape != a.shape:
+            raise ScenarioParseError(
+                f"fock_spec 'I' shape {imat.shape} != 'A' shape {a.shape}")
         # the scalar model needs no matrix algebra; a trivial one is enough
         w = WeightedAlgebra(np.eye(1))
         data = ScenarioData(W=w, fock_spec={
             "A": a, "I": imat,
             "depth": parse_count(raw.get("depth", 4), "fock_spec 'depth'")})
     else:
-        w = parse_algebra(payload.get("algebra", {}))
+        w = parse_algebra(payload.get("algebra", {}), tol)
         data = ScenarioData(W=w)
         if kind == "jumps":
+            if not isinstance(source["jumps"], list):
+                raise ScenarioParseError("'jumps' must be a list")
             jumps = []
             for entry in source["jumps"]:
                 if not isinstance(entry, dict) or "matrix" not in entry:
@@ -165,16 +200,6 @@ def parse_scenario(payload):
     for c in checks:
         if c not in SUITES:
             raise ScenarioParseError(f"unknown suite {c!r}")
-
-    tol = DEFAULT_TOL
-    overrides = payload.get("tolerances", {})
-    if overrides:
-        if not isinstance(overrides, dict):
-            raise ScenarioParseError("'tolerances' must be an object")
-        try:
-            tol = tol.override(**{k: float(v) for k, v in overrides.items()})
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ScenarioParseError(f"bad tolerance override: {exc}") from exc
 
     seed = parse_count(payload.get("seed", 0), "'seed'")
     data.name = str(payload.get("name", ""))
@@ -255,14 +280,15 @@ def cmd_run(args):
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     try:
-        data, checks, tol, seed = parse_scenario(payload)
-        if args.seed is not None:
-            seed = parse_count(args.seed, "--seed")
+        tol_flags = {}
         for item in args.tol or []:
             if "=" not in item:
                 raise ScenarioParseError(f"--tol expects name=value, got {item!r}")
             k, v = item.split("=", 1)
-            tol = tol.override(**{k: float(v)})
+            tol_flags[k] = float(v)
+        data, checks, tol, seed = parse_scenario(payload, tol_flags)
+        if args.seed is not None:
+            seed = parse_count(args.seed, "--seed")
     except (ScenarioParseError, ValueError, KeyError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

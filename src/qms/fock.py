@@ -31,6 +31,7 @@ from .errors import (AlgebraMismatch, DimensionMismatch, NotFixedPoint,
                      NotPositiveDefinite, NotRepresentable)
 from .modular import TomitaData, WeightedAlgebra
 from .numkernel import as_cmatrix, herm_eig, matrix_units, null_quotient
+from .sampling import random_matrix
 
 __all__ = [
     "Correspondence",
@@ -72,7 +73,7 @@ def _antilinear_fixed_basis(op, d):
     eye = np.eye(d)
     big = np.block([[ar - eye, ai], [ai, -ar - eye]])
     _, sv, vt = np.linalg.svd(big)
-    rank = int(np.sum(sv > max(sv[0], 1.0) * 1e-10))
+    rank = int(np.sum(sv > np.max(sv, initial=1.0) * 1e-10))
     null = vt.T[:, rank:]
     vecs = [null[:d, k] + 1j * null[d:, k] for k in range(null.shape[1])]
     return [v for v in vecs if np.linalg.norm(v) > 1e-8]
@@ -237,8 +238,7 @@ def validate_correspondence(c: Correspondence, n_samples=25, seed=31):
         res.update({"tomita_conj": 0.0, "tomita_group": 0.0,
                     "tomita_jcommute": 0.0})
     for _ in range(n_samples):
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x, y = random_matrix(n, rng), random_matrix(n, rng)
         lx, ry = c.left(x), c.right(y)
         scale = max(np.linalg.norm(lx) * np.linalg.norm(ry), 1e-300)
         res["commute"] = max(res["commute"],
@@ -308,7 +308,7 @@ def rel_tensor(c1: Correspondence, c2: Correspondence, tol=DEFAULT_TOL
     gram = np.einsum("ikU,Uab->iakb", coeffs, units_left,
                      optimize=True).reshape(c1.d * c2.d, c1.d * c2.d)
     gram = 0.5 * (gram + gram.conj().T)
-    qmap = null_quotient(gram, eps_rel=tol.decomp, tol=tol)
+    qmap = null_quotient(gram, tol)
 
     def left(x):
         return qmap.embed @ np.kron(c1.left(x), np.eye(c2.d)) @ qmap.lift
@@ -479,7 +479,8 @@ class TruncatedFock:
         """Operator whose block from layer k to layer k + 1 is block(k)."""
         out = np.zeros((self.D, self.D), dtype=np.complex128)
         off = self.offsets
-        for k in range(self.d_max):
+        # with m = 0 (H = 0) every layer above L2(M) is empty
+        for k in range(self.d_max if self.m else 0):
             out[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = block(k)
         return out
 

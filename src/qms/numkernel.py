@@ -210,17 +210,15 @@ class QuotientMap:
         return self.embed @ np.asarray(coeff, dtype=np.complex128)
 
 
-def null_quotient(g, eps_rel=None, tol=DEFAULT_TOL):
-    """Quotient a Hermitian PSD Gram matrix by eigenvalues below eps_rel*max."""
-    if eps_rel is None:
-        eps_rel = tol.decomp
+def null_quotient(g, tol=DEFAULT_TOL):
+    """Quotient a Hermitian PSD Gram matrix by eigenvalues below tol.decomp*max."""
     g = as_cmatrix(g)
     eig = herm_eig(g, tol)
     w, u = eig.eigenvalues, eig.eigenvectors
     lam_max = max(w[-1], 0.0)
     if lam_max > 0 and w[0] < -tol.psd_gate * lam_max:
         raise NotPSD(w[0], -tol.psd_gate * lam_max)
-    keep = w > eps_rel * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
+    keep = w > tol.decomp * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
     # descending order for determinism
     idx = np.nonzero(keep)[0][::-1]
     lam = w[idx]

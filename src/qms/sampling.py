@@ -14,11 +14,11 @@ from .lindblad import JumpSystem
 from .modular import WeightedAlgebra
 
 __all__ = ["random_unitary", "random_density", "random_weighted_algebra",
-           "random_jump_system", "random_matrix"]
+           "random_jump_system", "random_matrix", "random_disk_point"]
 
 
 def random_unitary(n, rng):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z = random_matrix(n, rng)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -38,6 +38,12 @@ def random_weighted_algebra(n, rng, spread=1.2, tol=None):
 
 def random_matrix(n, rng, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def random_disk_point(rng):
+    """A point of the closed unit disk, uniform in area."""
+    r = np.sqrt(rng.uniform())
+    return r * np.exp(2j * np.pi * rng.uniform())
 
 
 def random_jump_system(w: WeightedAlgebra, rng, m_max=6):

@@ -116,14 +116,16 @@ def suite_triple_agreement(sc, seed):
     sc.certified()
     form, bim, gram = sc.form, sc.bimodule, sc.gram
     units = matrix_units(sc.W.n)
+    d_bim = [bim.delta(a) for a in units]
+    d_gram = [gram.delta(a) for a in units]
     d_form_bim = 0.0
     d_form_gram = 0.0
     d_bim_gram = 0.0
-    for a in units:
-        for b in units:
+    for a, bim_a, gram_a in zip(units, d_bim, d_gram):
+        for b, bim_b, gram_b in zip(units, d_bim, d_gram):
             e_form = form(a, b)
-            e_bim = bim.inner(bim.delta(a), bim.delta(b))
-            e_gram = gram.inner(gram.delta(a), gram.delta(b))
+            e_bim = bim.inner(bim_a, bim_b)
+            e_gram = gram.inner(gram_a, gram_b)
             d_form_bim = max(d_form_bim, abs(e_form - e_bim))
             d_form_gram = max(d_form_gram, abs(e_form - e_gram))
             d_bim_gram = max(d_bim_gram, abs(e_bim - e_gram))
@@ -177,9 +179,10 @@ def suite_carre_positivity(sc, seed):
         ev = np.linalg.eigvals(g)
         worst_neg = max(worst_neg, max(-ev.real.min(), 0.0))
         da = bim.delta(a)
+        # the start value keeps a system without jumps (m = 0) a matrix
         direct = w.h_sqrt @ sum(
-            da.comps[j].conj().T @ da.comps[j] for j in range(bim.m)
-        ) @ w.h_isqrt
+            (da.comps[j].conj().T @ da.comps[j] for j in range(bim.m)),
+            np.zeros((w.n, w.n))) @ w.h_isqrt
         worst_cons = max(worst_cons, np.linalg.norm(g - direct)
                          / max(np.linalg.norm(direct), 1e-300))
     return [

@@ -78,9 +78,11 @@ def test_criterion_2_energy_identity():
         form = dirichlet_form(l, w, skip_certify=True)
         bim = FinBimodule(system)
         scale = max(frob(l.matrix), 1.0)
-        for a in matrix_units(w.n):
-            for b in matrix_units(w.n):
-                lhs = bim.inner(bim.delta(a), bim.delta(b))
+        units = matrix_units(w.n)
+        deltas = [bim.delta(a) for a in units]
+        for a, da in zip(units, deltas):
+            for b, db in zip(units, deltas):
+                lhs = bim.inner(da, db)
                 rhs = form(a, b)
                 worst = max(worst, abs(lhs - rhs) / scale)
     ok = worst <= 1e-10
@@ -100,11 +102,14 @@ def test_criterion_3_triple_agreement_and_uniqueness():
         form = dirichlet_form(build_generator(system), w, skip_certify=True)
         bim = FinBimodule(system)
         gram = build_gram_space(form, w)
-        for a in matrix_units(w.n):
-            for b in matrix_units(w.n):
+        units = matrix_units(w.n)
+        d_bim = [bim.delta(a) for a in units]
+        d_gram = [gram.delta(a) for a in units]
+        for a, bim_a, gram_a in zip(units, d_bim, d_gram):
+            for b, bim_b, gram_b in zip(units, d_bim, d_gram):
                 e_form = form(a, b)
-                e_bim = bim.inner(bim.delta(a), bim.delta(b))
-                e_gram = gram.inner(gram.delta(a), gram.delta(b))
+                e_bim = bim.inner(bim_a, bim_b)
+                e_gram = gram.inner(gram_a, gram_b)
                 worst_triple = max(worst_triple, abs(e_form - e_bim),
                                    abs(e_form - e_gram), abs(e_bim - e_gram))
         u = uniqueness_isometry(gram, bim)

@@ -97,23 +97,70 @@ class TestRunCommand:
         ("seed", "5", 0),
         ("omega", "1e400", 2), ("omega", "true", 2), ("omega", '"0.5"', 2),
         ("dim", "2.5", 2), ("dim", "2", 0),
+        ("decomp", "-1", 2), ("decomp", "0", 2), ("decomp", "true", 2),
+        ("decomp", '"nan"', 2), ("decomp", '"1e-12"', 2), ("decomp", "1e400", 2),
+        ("decomp", "1e-12", 0), ("axiom", "1e-30", 1), ("cond_max", "0.5", 2),
+        ("jumps", "5", 2), ("jumps", "[]", 0), ("blocks", "5", 2),
+        ("blocks", "[[[2, 0], [0, 1]]]", 0),
+        ("I", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", 2), ("I", "[[0, 1], [1, 0]]", 0),
+        ("A", "[[1, 0]]", 2),
     ])
     def test_field_validation(self, tmp_path, capsys, field, raw, code):
-        """Scenario fields are JSON values of the documented type, or exit 2."""
+        """Scenario fields are JSON values of the documented type, or exit 2.
+
+        Tolerances are finite numbers > 0 and reach the algebra: cond_max
+        0.5 rejects the density (condition number 2)."""
         aw = {"v": 1, "source": {"fock_spec": {"A": [[1, 0], [0, 1]]}},
               "checks": ["free-aw-derivation"]}
         jumps = base_scenario(checks=["alicki-validate"])
+        tols = base_scenario(tolerances={})
+        blocks = base_scenario(checks=["alicki-validate"], algebra={"dim": 2})
         scenario, holder = {
             "depth": (aw, aw["source"]["fock_spec"]),
             "seed": (aw, aw),
             "omega": (jumps, jumps["source"]["jumps"][2]),
             "dim": (jumps, jumps["algebra"]),
+            "decomp": (tols, tols["tolerances"]),
+            "axiom": (tols, tols["tolerances"]),
+            "cond_max": (tols, tols["tolerances"]),
+            "jumps": (jumps, jumps["source"]),
+            "blocks": (blocks, blocks["algebra"]),
+            "I": (aw, aw["source"]["fock_spec"]),
+            "A": (aw, aw["source"]["fock_spec"]),
         }[field]
         holder[field] = "VALUE"
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario).replace('"VALUE"', raw))
         assert main(["run", str(path)]) == code
         assert ("parse error" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("file_tol, flag, code", [
+        ({}, "decomp=-1", 2), ({}, "decomp=0", 2), ({}, "decomp=nan", 2),
+        ({}, "decomp=inf", 2), ({}, "decomp=true", 2), ({}, "cond_max=0.5", 2),
+        ({"cond_max": 0.5}, "cond_max=10", 0), ({"cond_max": 10}, "cond_max=0.5", 2),
+        ({}, "decomp=1e-12", 0),
+    ])
+    def test_tol_flag_validation(self, tmp_path, capsys, file_tol, flag, code):
+        """--tol values are finite numbers > 0; they apply after the file's
+        tolerances, and the algebra is built with the result."""
+        path = write_scenario(tmp_path, base_scenario(tolerances=file_tol))
+        assert main(["run", path, "--tol", flag]) == code
+        assert ("parse error" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("suite", ["carre-positivity", "fock-commutant"])
+    @pytest.mark.parametrize("source", ["jumps", "generator"])
+    def test_system_without_jumps(self, tmp_path, capsys, suite, source):
+        """No jumps (or a zero generator): Gamma = 0 and F(0) = L2(M), so
+        every residual is 0 and the run passes."""
+        scenario = base_scenario(checks=[suite])
+        scenario["source"] = ({"jumps": []} if source == "jumps"
+                              else {"generator": [[0] * 4] * 4})
+        path = write_scenario(tmp_path, scenario)
+        report = tmp_path / "report.json"
+        assert main(["run", path, "--json", str(report)]) == 0
+        capsys.readouterr()
+        checks = json.loads(report.read_text())["checks"]
+        assert checks and all(c["residual"] == 0.0 for c in checks)
 
     def test_negative_seed_flag_is_parse_error(self, tmp_path, capsys):
         scenario = {"v": 1, "source": {"fock_spec": {"A": [[1, 0], [0, 1]]}},

@@ -149,7 +149,7 @@ class TestNullQuotient:
         assert null_quotient(np.zeros((3, 3))).rank == 0
 
     def test_threshold(self):
-        q = null_quotient(np.diag([1.0, 1e-20]), eps_rel=1e-12)
+        q = null_quotient(np.diag([1.0, 1e-20]))
         assert q.rank == 1
 
     def test_duplicated_vector(self):

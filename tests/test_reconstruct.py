@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import qms.reconstruct
 from qms.bimodule import Derivation, FinBimodule
-from qms.lindblad import build_generator, dirichlet_form
+from qms.lindblad import JumpSystem, build_generator, dirichlet_form
 from qms.modular import TomitaData
-from qms.numkernel import Superoperator, frob, matrix_units
+from qms.numkernel import Superoperator, frob, matrix_units, null_quotient
 from qms.reconstruct import (
+    boundary_pairing,
     build_gram_space,
     gram_axioms_check,
     gram_entry,
@@ -168,6 +170,31 @@ class TestUniqueness:
             worst = max(worst, u["relative_residual"])
         assert worst <= 1e-8
 
+    def test_rank_without_quotient(self, monkeypatch):
+        """The explicit rank comes from the singular values of the span; it
+        equals the rank of the quotient of span* span, and no quotient is
+        built for it."""
+        cases = []
+        for seed in range(5):
+            system = random_system(2 + seed % 2, 80 + seed)
+            if seed == 0:
+                system = JumpSystem(W=system.W, jumps=[], pairing=[])
+            bim = FinBimodule(system)
+            span = bim._span()[0]
+            want = null_quotient(span.conj().T @ span).rank
+            form = dirichlet_form(build_generator(system), system.W)
+            cases.append((build_gram_space(form, system.W), bim, want))
+        assert cases[0][2] == 0 and all(want > 0 for *_, want in cases[1:])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("null_quotient called")
+
+        monkeypatch.setattr(qms.reconstruct, "null_quotient", refuse)
+        for g, bim, want in cases:
+            u = uniqueness_isometry(g, bim)
+            assert u["rank_bimodule"] == want
+            assert u["ranks_agree"]
+
 
 class TestStinespring:
     def test_identity_map_zero_boundary(self, w_qubit):
@@ -175,7 +202,7 @@ class TestStinespring:
         rng = np.random.default_rng(56)
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.linalg.norm(sb.boundary(x)) < 1e-7
-        assert np.linalg.norm(sb.pairing(x, x)) < 1e-12
+        assert np.linalg.norm(boundary_pairing(sb.phi, x, x)) < 1e-12
 
     def test_pairing_routes_agree(self, qubit_system3):
         from qms.lindblad import semigroup
@@ -186,7 +213,7 @@ class TestStinespring:
         for _ in range(10):
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            a = sb.pairing(x, y)
+            a = boundary_pairing(p, x, y)
             b = sb.pairing_from_gram(x, y)
             assert np.linalg.norm(a - b) < 1e-10 * max(np.linalg.norm(a), 1.0)
 
@@ -201,7 +228,7 @@ class TestStinespring:
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             lhs = np.vdot(sb.boundary(x), sb.boundary(y))
-            rhs = w.state(sb.pairing(x, y))
+            rhs = w.state(boundary_pairing(p, x, y))
             assert abs(lhs - rhs) < 1e-10 * max(abs(rhs), 1.0)
 
     def test_rate_slope(self, qubit_system3, form3):
@@ -209,6 +236,19 @@ class TestStinespring:
         r = stinespring_rate(l, qubit_system3.W, form3)
         assert abs(r["slope"] - 1.0) <= 0.2
         assert r["route_gap"] <= 1e-9
+
+    def test_rate_builds_no_quotient(self, qubit_system3, form3, monkeypatch):
+        """The rate reads the pairing off P_t: the same result without the
+        Stinespring route or any null-space quotient."""
+        l = build_generator(qubit_system3)
+        want = stinespring_rate(l, qubit_system3.W, form3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quotient built")
+
+        monkeypatch.setattr(qms.reconstruct, "stinespring_route", refuse)
+        monkeypatch.setattr(qms.reconstruct, "null_quotient", refuse)
+        assert stinespring_rate(l, qubit_system3.W, form3) == want
 
     def test_rate_linear_bound(self, w_tracial):
         """First-order deviation at t = 0.1 is O(t), depolarizing case."""

@@ -1,0 +1,199 @@
+"""Compare the reports of two source trees on a fixed golden scenario set.
+
+    python3 tools/golden.py BASE_TREE CHANGE_TREE
+
+Each tree is a checkout of this repository (a directory with ``src/qms`` and
+``perfbench``).  The scenario files are written once, by the base tree, and
+fed to both.  Each tree then runs every case in one fresh Python process
+with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
+
+* the ops of ``perfbench.workloads._specs`` for seeds 0-2 of every workload:
+  ``qms run`` reports, and the results of the three-route library jobs;
+* every non-Fock suite alone at n = 2, m = 3 and n = 3, m = 4, with a jumps
+  and a generator source.
+
+Per case the tool compares the exit code, stderr and report bytes (for a
+three-route job, its result).  Where the bytes differ it prints the largest
+|change of residual| of each check name.  It exits with 1 if any exit code,
+check name or pass flag differs, else with 0.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.dirname(TOOLS))
+from perfbench.run import BLAS_ENV, WORKLOADS  # noqa: E402
+
+SEEDS = (0, 1, 2)
+NON_FOCK_SUITES = ("alicki-validate", "bimodule-axioms", "carre-positivity",
+                   "certify-generator", "gram-axioms", "stinespring-rate",
+                   "triple-agreement", "uniqueness")
+SUITE_SIZES = ((2, 3), (3, 4))
+SUITE_SEED = 20
+
+# Runs one step inside a tree: argv = tree, step name, step arguments.
+_CHILD = """
+import sys
+tree = sys.argv[1]
+sys.path[:0] = [tree + "/src", tree, sys.argv[2]]
+import golden
+getattr(golden, sys.argv[3])(*sys.argv[4:])
+"""
+
+
+def _in_tree(tree, step, *args):
+    env = dict(os.environ, **BLAS_ENV)
+    env.pop("PYTHONPATH", None)
+    subprocess.run([sys.executable, "-c", _CHILD, os.path.abspath(tree), TOOLS,
+                    step, *args], env=env, cwd=tree, check=True)
+
+
+# --- steps run inside a tree --------------------------------------------------
+
+def write_cases(workdir):
+    """Write the scenario files and ``cases.json`` into workdir."""
+    import numpy as np
+    from perfbench import workloads
+
+    specs = []
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for i, (kind, sc) in enumerate(
+                    workloads._specs(workload, np.random.default_rng(seed))):
+                specs.append((f"{workload}-s{seed}-{i:02d}-{sc['name']}", kind, sc))
+    rng = np.random.default_rng(SUITE_SEED)
+    for n, m in SUITE_SIZES:
+        for source in ("jumps", "generator"):
+            for suite in NON_FOCK_SUITES:
+                name = f"suite-{suite}-n{n}-m{m}-{source}"
+                specs.append((name, "cli", workloads._scenario(
+                    name, n, m, source, (suite,), rng)))
+    cases = []
+    for name, kind, sc in specs:
+        path = os.path.join(workdir, name + ".json")
+        with open(path, "w") as fh:
+            json.dump(sc, fh)
+        cases.append({"name": name, "kind": kind, "scenario": path})
+    with open(os.path.join(workdir, "cases.json"), "w") as fh:
+        json.dump(cases, fh)
+
+
+def run_cases(workdir, out):
+    """Run every case of ``cases.json``; write exit codes, stderr and reports."""
+    from perfbench import workloads
+    from qms.cli import main
+
+    with open(os.path.join(workdir, "cases.json")) as fh:
+        cases = json.load(fh)
+    results = {}
+    for case in cases:
+        err = io.StringIO()
+        rec = {}
+        try:
+            if case["kind"] == "cli":
+                report = os.path.join(workdir, "report.json")
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(report)
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    rec["exit"] = main(["run", case["scenario"], "--json", report])
+                if os.path.exists(report):
+                    with open(report) as fh:
+                        rec["report"] = fh.read()
+            else:
+                rec["result"] = workloads._three_routes(case["scenario"])
+                rec["exit"] = 0
+                ok, _, why = workloads.check_op(case, rec["result"])
+                rec["gates"] = [why, ok]
+        except Exception as exc:  # noqa: BLE001 - an uncaught error is a result
+            rec["exit"] = f"uncaught {type(exc).__name__}: {exc}"
+        rec["stderr"] = err.getvalue()
+        results[case["name"]] = rec
+    with open(out, "w") as fh:
+        json.dump(results, fh)
+
+
+# --- comparison ---------------------------------------------------------------
+
+def _flags(rec):
+    """Check names with pass flags, and overall pass, of a run."""
+    if "report" in rec:
+        rep = json.loads(rec["report"])
+        return ([(c["name"], c["pass"]) for c in rep["checks"]],
+                rep["overall_pass"])
+    return rec.get("gates")
+
+
+def _residual_deltas(base, change):
+    """Largest |change| per check name (per key for a three-route result)."""
+    if "report" in base:
+        pairs = [(c["name"], c["residual"], d["residual"]) for c, d in zip(
+            json.loads(base["report"])["checks"],
+            json.loads(change["report"])["checks"])]
+    else:
+        pairs = [(k, v, change["result"][k]) for k, v in base["result"].items()
+                 if isinstance(v, float)]
+    out = {}
+    for name, a, b in pairs:
+        out[name] = max(out.get(name, 0.0), abs(a - b))
+    return out
+
+
+def compare(base, change):
+    """(identical, breaking, lines) for two runs of the same cases."""
+    identical = breaking = 0
+    lines = []
+    for name, b in base.items():
+        c = change[name]
+        problems = []
+        if b["exit"] != c["exit"]:
+            problems.append(f"exit {b['exit']} -> {c['exit']}")
+        if _flags(b) != _flags(c):
+            problems.append("check names or pass flags differ")
+        if problems:
+            breaking += 1
+            lines.append(f"BREAK {name}: " + "; ".join(problems))
+        same_out = b.get("report") == c.get("report") and \
+            b.get("result") == c.get("result")
+        if b["stderr"] != c["stderr"]:
+            lines.append(f"  {name}: stderr {b['stderr']!r} -> {c['stderr']!r}")
+        if same_out and b["stderr"] == c["stderr"] and not problems:
+            identical += 1
+        if not same_out and any(k in b and k in c for k in ("report", "result")):
+            deltas = _residual_deltas(b, c)
+            lines.append(f"  {name}: differs; largest |delta residual|: " + ", ".join(
+                f"{k} {v:.1e}" for k, v in sorted(deltas.items()) if v))
+    return identical, breaking, lines
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    base_tree, change_tree = argv
+    with tempfile.TemporaryDirectory(prefix="golden-") as workdir:
+        _in_tree(base_tree, "write_cases", workdir)
+        runs = []
+        for label, tree in (("base", base_tree), ("change", change_tree)):
+            out = os.path.join(workdir, f"{label}.out.json")
+            _in_tree(tree, "run_cases", workdir, out)
+            with open(out) as fh:
+                runs.append(json.load(fh))
+    identical, breaking, lines = compare(*runs)
+    for line in lines:
+        print(line)
+    print(f"{len(runs[0])} cases: {identical} identical, "
+          f"{len(runs[0]) - identical - breaking} differ in residuals or stderr "
+          f"only, {breaking} differ in an exit code, check name or pass flag")
+    return 1 if breaking else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
