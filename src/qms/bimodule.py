@@ -144,26 +144,33 @@ class FinBimodule:
     def _span(self):
         """Spanning family R(b_q) delta(a_p) over matrix-unit pairs.
 
-        Returns (G, JG, pinv(G)) where columns of G are coordinates of the
-        spanning vectors and columns of JG the coordinates of their images
-        under the abstract conjugation rule.
+        Returns (G, JG, pinv(G), singular values of G): column p * n^2 + q of
+        G holds the coordinates of R(E_q) delta(E_p), and the same column of
+        JG those of its image L(J E_q) delta(J E_p) under the abstract
+        conjugation rule.
         """
         if self._span_cache is not None:
             return self._span_cache
-        units = matrix_units(self.n)
-        cols, jcols = [], []
-        for a in units:
-            da = self.delta(a)
-            dja = self.delta(self.tomita.conj_J(a))
-            for b in units:
-                cols.append(self.coords(self.act_right(b, da)))
-                jcols.append(
-                    self.coords(self.act_left(self.tomita.conj_J(b), dja))
-                )
-        g = np.array(cols).T
-        jg = np.array(jcols).T
-        pinv = np.linalg.pinv(g, rcond=1e-10)
-        self._span_cache = (g, jg, pinv)
+        n, w = self.n, self.W
+        units = matrix_units(n)
+        j_units = np.einsum("xj,iy->ijxy", w.h_sqrt, w.h_isqrt).reshape(-1, n, n)
+        jumps = np.array([v for v, _ in self.system.jumps]).reshape(-1, n, n)
+        weights = 1j * np.exp(-self.omegas / 4.0)
+
+        def deltas(mats):   # delta(a)_j for a stack of matrices, [a, j, r, s]
+            return weights[:, None, None] * (
+                np.einsum("jrs,asx->ajrx", jumps, mats)
+                - np.einsum("ars,jsx->ajrx", mats, jumps))
+
+        # coordinates vec(xi_j h^{1/2}), stacked over j, column-major per j
+        g = np.einsum("pjrs,qsx,xt->jtrpq", deltas(units), units, w.h_sqrt,
+                      optimize=True).reshape(self.m * n * n, n ** 4)
+        jg = np.einsum("qrs,pjsx,xt->jtrpq", j_units, deltas(j_units), w.h_sqrt,
+                       optimize=True).reshape(self.m * n * n, n ** 4)
+        u, sv, vh = np.linalg.svd(g, full_matrices=False)
+        keep = sv > 1e-10 * np.max(sv, initial=0.0)
+        pinv = (vh[keep].conj().T / sv[keep]) @ u[:, keep].conj().T
+        self._span_cache = (g, jg, pinv, sv)
         return self._span_cache
 
     def conj_ambient(self, xi: BimoduleVector) -> BimoduleVector:
@@ -178,7 +185,7 @@ class FinBimodule:
 
     def conj(self, xi: BimoduleVector) -> BimoduleVector:
         """Antilinear conjugation, extended to the generated span."""
-        g, jg, pinv = self._span()
+        g, jg, pinv, _ = self._span()
         c = self.coords(xi)
         coeff = pinv @ c
         resid = float(np.linalg.norm(g @ coeff - c))

@@ -28,7 +28,7 @@ import scipy.linalg
 
 from .config import DEFAULT_TOL
 from .errors import (AlgebraMismatch, DimensionMismatch, NotFixedPoint,
-                     NotPositiveDefinite, NotRepresentable)
+                     NotPositiveDefinite, NotRepresentable, SizeLimitExceeded)
 from .modular import TomitaData, WeightedAlgebra
 from .numkernel import as_cmatrix, herm_eig, matrix_units, null_quotient
 from .sampling import random_matrix
@@ -50,6 +50,18 @@ __all__ = [
     "free_aw",
     "wick",
 ]
+
+
+# bytes one dense matrix of the scalar model may take
+_MAX_SCALAR_FOCK_BYTES = 1 << 27
+
+
+def _scalar_fock_bytes(d, depth):
+    """Bytes of the largest dense complex matrices of the scalar model over
+    C^d: D x D with D = 1 + d + ... + d^depth, and delta_matrix(depth) of
+    (2d)^depth x d^depth."""
+    dim = sum(d ** k for k in range(depth + 1))
+    return 16 * max(dim * dim, (2 * d) ** depth * d ** depth)
 
 
 def _transpose_perm(n):
@@ -572,6 +584,12 @@ class ScalarFock(TruncatedFock):
     """
 
     def __init__(self, a_matrix, conj_i=None, d_max=4, tol=DEFAULT_TOL):
+        need = _scalar_fock_bytes(len(a_matrix), int(d_max))
+        if need > _MAX_SCALAR_FOCK_BYTES:
+            raise SizeLimitExceeded(
+                f"free Araki-Woods model over C^{len(a_matrix)} at depth {d_max} "
+                f"needs {need / 2 ** 20:.0f} MiB for one dense matrix; the "
+                f"limit is {_MAX_SCALAR_FOCK_BYTES / 2 ** 20:.0f} MiB")
         a = as_cmatrix(a_matrix)
         eig = herm_eig(a, tol)
         if eig.eigenvalues[0] <= 0:

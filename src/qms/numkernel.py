@@ -30,6 +30,8 @@ __all__ = [
     "vec",
     "unvec",
     "choi",
+    "cluster",
+    "quotient",
     "null_quotient",
     "matrix_units",
     "frob",
@@ -210,10 +212,28 @@ class QuotientMap:
         return self.embed @ np.asarray(coeff, dtype=np.complex128)
 
 
+def cluster(values, gap):
+    """Cluster labels 0, 1, ... of a real array, in increasing value order.
+
+    Sorted neighbours at most ``gap`` apart share a label, so clusters only
+    ever merge close values (by chains) and equal values are never split.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    order = np.argsort(values, kind="stable")
+    labels = np.empty(values.size, dtype=np.intp)
+    labels[order] = np.cumsum(np.diff(values[order], prepend=values[order[:1]]) > gap)
+    return labels
+
+
 def null_quotient(g, tol=DEFAULT_TOL):
     """Quotient a Hermitian PSD Gram matrix by eigenvalues below tol.decomp*max."""
-    g = as_cmatrix(g)
-    eig = herm_eig(g, tol)
+    return quotient(herm_eig(as_cmatrix(g), tol), tol)
+
+
+def quotient(eig: HermEig, tol=DEFAULT_TOL):
+    """``null_quotient`` of the Gram matrix with eigendecomposition ``eig``
+    (eigenvalues ascending): the rank cutoff and the PSD gate are taken
+    against the largest eigenvalue."""
     w, u = eig.eigenvalues, eig.eigenvectors
     lam_max = max(w[-1], 0.0)
     if lam_max > 0 and w[0] < -tol.psd_gate * lam_max:

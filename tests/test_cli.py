@@ -323,3 +323,13 @@ class TestFockSpecSource:
         path = write_scenario(tmp_path, scenario)
         assert main(["run", path]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_free_aw_depth_over_budget(self, tmp_path, capsys):
+        """A 2 x 2 A at depth 12 would need about 1 TB: a named scenario error."""
+        scenario = {
+            "v": 1,
+            "source": {"fock_spec": {"A": [[1, 0], [0, 1]], "depth": 12}},
+            "checks": ["free-aw-derivation"],
+        }
+        assert main(["run", write_scenario(tmp_path, scenario)]) == 2
+        assert "scenario error: SizeLimitExceeded" in capsys.readouterr().err

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qms.fock
 from qms.errors import (AlgebraMismatch, DimensionMismatch, NotFixedPoint,
-                        NotRepresentable)
+                        NotRepresentable, SizeLimitExceeded)
 from qms.fock import (
     Correspondence,
     assoc_residual,
@@ -260,6 +261,23 @@ class TestTruncatedFock:
 
 
 class TestScalarFock:
+    @pytest.mark.parametrize("d, depth",
+                             [(2, 12), (2, 8), (3, 7), (4, 6), (20, 3), (128, 2)])
+    def test_size_limit(self, d, depth, monkeypatch):
+        """Over-budget (d, depth) raise the named size error before anything
+        is allocated."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(qms.fock, "as_cmatrix", refuse)
+        with pytest.raises(SizeLimitExceeded):
+            free_aw(np.eye(d), d_max=depth)
+
+    @pytest.mark.parametrize("d, depth", [(2, 6), (3, 5), (4, 4), (1, 8)])
+    def test_size_limit_admits(self, d, depth):
+        assert qms.fock._scalar_fock_bytes(d, depth) <= \
+            qms.fock._MAX_SCALAR_FOCK_BYTES
+
     def test_tracial_commutator(self):
         """Real left/right fields commute exactly in the tracial scalar case."""
         f = free_aw(np.eye(2), d_max=3)

@@ -5,10 +5,13 @@ import pytest
 
 import qms.reconstruct
 from qms.bimodule import Derivation, FinBimodule
-from qms.lindblad import JumpSystem, build_generator, dirichlet_form
-from qms.modular import TomitaData
+from qms.config import DEFAULT_TOL
+from qms.lindblad import (DirichletForm, JumpSystem, build_generator,
+                          dirichlet_form, extract_alicki)
+from qms.modular import TomitaData, WeightedAlgebra
 from qms.numkernel import Superoperator, frob, matrix_units, null_quotient
 from qms.reconstruct import (
+    GramSpace,
     boundary_pairing,
     build_gram_space,
     gram_axioms_check,
@@ -18,7 +21,8 @@ from qms.reconstruct import (
     stinespring_route,
     uniqueness_isometry,
 )
-from qms.sampling import random_jump_system, random_weighted_algebra
+from qms.sampling import (random_jump_system, random_matrix, random_unitary,
+                          random_weighted_algebra)
 
 from conftest import depolarizing_generator, matrix_unit
 
@@ -137,9 +141,136 @@ class TestGramSpace:
     def test_well_definedness(self, gram3):
         assert gram3.well_definedness_residual() < 1e-9
 
+    def test_well_definedness_rank_zero(self, w_qubit):
+        form = dirichlet_form(Superoperator.zero(2), w_qubit)
+        assert build_gram_space(form, w_qubit).well_definedness_residual() == 0.0
+
     def test_axioms(self, gram3):
         res = gram_axioms_check(gram3, n_samples=40, seed=54)
         assert max(res.values()) <= 1e-9
+
+
+class DenseGramSpace(GramSpace):
+    """The dense reference route: one quotient of the whole unit-pair Gram,
+    and L(a), R(a), U_z descended from their n^4 x n^4 coefficient matrices."""
+
+    @classmethod
+    def of(cls, g):
+        return cls(W=g.W, gram=g.gram, qmap=null_quotient(g.gram),
+                   sector_vecs=None, bohr_class=None, bohr=None,
+                   off_sector=0.0)
+
+    def _descend(self, coeff):
+        return self.qmap.embed @ coeff @ self.qmap.lift
+
+    def op_left(self, a):
+        n = self.W.n
+        return self._descend(
+            np.kron(np.kron(a, np.eye(n)), np.eye(n * n))
+            - np.kron(a.reshape(-1, 1), self._mult_map()))
+
+    def op_right(self, a):
+        return self._descend(np.kron(np.eye(self.W.n ** 3), a.T))
+
+    def op_group(self, z):
+        f = np.kron(self.W.power(1j * z), self.W.power(-1j * z).T)
+        return self._descend(np.kron(f, f))
+
+
+def spectrum_form(spectrum, seed, source="jumps"):
+    """Form of a random jump system over a density with the given spectrum
+    (up to normalisation) in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    lam = np.asarray(spectrum, dtype=float)
+    u = random_unitary(lam.size, rng)
+    w = WeightedAlgebra((u * (lam / lam.sum())) @ u.conj().T)
+    system = random_jump_system(w, rng, m_max=2 * lam.size)
+    if source == "generator":
+        system = extract_alicki(build_generator(system), w)
+    return dirichlet_form(build_generator(system), w)
+
+
+SPECTRA = {
+    "random-n3": (np.exp([0.3, -0.8, 1.1]), "jumps"),
+    "random-n4": (np.exp([0.3, -0.8, 1.1, 0.1]), "jumps"),
+    "tracial-n3": ((1, 1, 1), "jumps"),
+    "tracial-n3-generator": ((1, 1, 1), "generator"),
+    "repeated-n4": ((1, 1, 2, 3), "jumps"),
+    "repeated-n3-generator": ((1, 1, 2), "generator"),
+    "geometric-n3": ((1, 2, 4), "jumps"),
+    "geometric-n3-generator": ((1, 2, 4), "generator"),
+    "near-degenerate-n3": ((1, 1 + 1e-9, 2), "jumps"),
+    "near-degenerate-n3-generator": ((1, 1 + 1e-7, 2), "generator"),
+    "equally-spaced-n4": (np.exp(-3.0 * np.arange(4)), "jumps"),
+    "equally-spaced-n4-generator": (np.exp(-3.0 * np.arange(4)), "generator"),
+}
+
+
+class TestSectors:
+    """The Bohr-frequency sector route against the dense route."""
+
+    @pytest.mark.parametrize("case", sorted(SPECTRA))
+    def test_matches_dense_route(self, case):
+        spectrum, source = SPECTRA[case]
+        form = spectrum_form(spectrum, 90, source)
+        g = build_gram_space(form)
+        dense = DenseGramSpace.of(g)
+        # the sector quotient rebuilds the dense Gram over unit pairs
+        assert_rel_close(g.qmap.embed.conj().T @ g.qmap.embed, g.gram, 1e-11)
+        assert g.rank == dense.rank
+        assert np.all(np.diff(g.qmap.eigenvalues) <= 0)
+        assert_rel_close(g.qmap.eigenvalues, dense.qmap.eigenvalues, 1e-11)
+        if np.ptp(spectrum) == 0:
+            assert g.bohr.size == 1
+        assert g.off_sector <= 1e-3 * DEFAULT_TOL.axiom
+        got = gram_axioms_check(g, n_samples=8, seed=91)
+        ref = gram_axioms_check(dense, n_samples=8, seed=91)
+        for k in "abcdef":
+            assert got[k] <= DEFAULT_TOL.axiom
+            assert got[k] <= ref[k] + 1e-11   # no worse than the dense route
+            # the dense route loses (a), (c) and (e) to rounding across the
+            # sectors of the equally spaced spectrum (condition number 8e3)
+            assert ref[k] <= DEFAULT_TOL.axiom or case.startswith("equally")
+        assert g.well_definedness_residual() <= 1e-9
+
+    @pytest.mark.parametrize("step", [1.0, 3.0, 6.0])
+    def test_equal_frequencies_share_sector(self, step):
+        """Over an equally spaced spectrum (condition number up to 7e7) many
+        pairs share a frequency by accident of the spectrum; rounding in the
+        computed eigenvalues must not split them."""
+        k = np.arange(4)
+        # the exact frequencies are multiples of step, in increasing order
+        want = qms.reconstruct._bohr(k.astype(float)).round().astype(int) + 6
+        rng = np.random.default_rng(95)
+        for _ in range(20):
+            u = random_unitary(4, rng)
+            lam = np.exp(step * k)
+            w = WeightedAlgebra((u * (lam / lam.sum())) @ u.conj().T)
+            got = qms.reconstruct._sectors(w.eig.eigenvalues)[2]
+            for s in range(13):
+                assert np.ptp(got[want == s]) == 0
+            # at step 6 the two smallest eigenvalues are closer than
+            # _EIG_GAP lam_max, which merges sectors
+            assert got.max() + 1 == (13 if step <= 3 else 1)
+
+    def test_broken_covariance_lifts_group_axioms(self):
+        """A weight-1e-8 admixture of the form of a Hermitian jump that is no
+        modular eigenvector keeps the Gram inside the PSD gate but couples
+        the sectors: (c), (d) and (f) fail."""
+        form = spectrum_form(np.exp([0.3, -0.8, 1.1]), 92)
+        w = form.W
+        v = random_matrix(3, np.random.default_rng(93))
+        v = v + v.conj().T - 2 * np.trace(v).real / 3 * np.eye(3)
+        l = build_generator(JumpSystem(W=w, jumps=[(v, 0.0)], pairing=[0]),
+                            validate=False)
+        m = w.op_matrix(l)
+        broken = DirichletForm(form.L, w, form.matrix + 0.5e-8 * (m + m.conj().T))
+        g = build_gram_space(broken)
+        assert g.off_sector > 10 * DEFAULT_TOL.axiom
+        res = gram_axioms_check(g, n_samples=4, seed=94)
+        for key in "cdf":
+            assert res[key] >= g.off_sector
+        assert build_gram_space(form).off_sector <= 1e-13
 
 
 class TestUniqueness:

@@ -10,7 +10,11 @@ with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
 * the ops of ``perfbench.workloads._specs`` for seeds 0-2 of every workload:
   ``qms run`` reports, and the results of the three-route library jobs;
 * every non-Fock suite alone at n = 2, m = 3 and n = 3, m = 4, with a jumps
-  and a generator source.
+  and a generator source;
+* the three Gram suites at n = 3 and 4 over degenerate modular spectra
+  (h = I/n, a repeated eigenvalue, a geometric spectrum 1, 2, 4, ..., the
+  equally spaced spectrum exp(-3k) of condition number up to 8e3) in a
+  random eigenbasis, with a jumps and a generator source.
 
 Per case the tool compares the exit code, stderr and report bytes (for a
 three-route job, its result).  Where the bytes differ it prints the largest
@@ -21,6 +25,7 @@ check name or pass flag differs, else with 0.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +41,14 @@ NON_FOCK_SUITES = ("alicki-validate", "bimodule-axioms", "carre-positivity",
                    "triple-agreement", "uniqueness")
 SUITE_SIZES = ((2, 3), (3, 4))
 SUITE_SEED = 20
+GRAM_SUITES = ("triple-agreement", "uniqueness", "gram-axioms")
+DEGENERATE_SPECTRA = {
+    "tracial": lambda n: [1.0] * n,
+    "repeated": lambda n: [1.0, 1.0] + [2.0 + k for k in range(n - 2)],
+    "geometric": lambda n: [2.0 ** k for k in range(n)],
+    "equally-spaced": lambda n: [math.exp(-3.0 * k) for k in range(n)],
+}
+DEGENERATE_SEED = 21
 
 # Runs one step inside a tree: argv = tree, step name, step arguments.
 _CHILD = """
@@ -74,6 +87,13 @@ def write_cases(workdir):
                 name = f"suite-{suite}-n{n}-m{m}-{source}"
                 specs.append((name, "cli", workloads._scenario(
                     name, n, m, source, (suite,), rng)))
+    rng = np.random.default_rng(DEGENERATE_SEED)
+    for spectrum, lams in DEGENERATE_SPECTRA.items():
+        for n in (3, 4):
+            for source in ("jumps", "generator"):
+                name = f"degenerate-{spectrum}-n{n}-{source}"
+                specs.append((name, "cli", _spectrum_scenario(
+                    name, lams(n), source, rng)))
     cases = []
     for name, kind, sc in specs:
         path = os.path.join(workdir, name + ".json")
@@ -82,6 +102,29 @@ def write_cases(workdir):
         cases.append({"name": name, "kind": kind, "scenario": path})
     with open(os.path.join(workdir, "cases.json"), "w") as fh:
         json.dump(cases, fh)
+
+
+def _spectrum_scenario(name, lams, source, rng):
+    """The Gram suites on a random jump system over a density with
+    eigenvalues proportional to lams."""
+    import numpy as np
+    from perfbench.workloads import _mat_json
+    from qms.lindblad import build_generator
+    from qms.modular import WeightedAlgebra
+    from qms.sampling import random_jump_system, random_unitary
+
+    lam = np.asarray(lams) / np.sum(lams)
+    u = random_unitary(lam.size, rng)
+    w = WeightedAlgebra((u * lam) @ u.conj().T)
+    system = random_jump_system(w, rng, m_max=2 * lam.size)
+    if source == "jumps":
+        src = {"jumps": [{"matrix": _mat_json(v), "omega": float(om)}
+                         for v, om in system.jumps]}
+    else:
+        src = {"generator": _mat_json(build_generator(system).matrix)}
+    return {"v": 1, "name": name, "algebra": {"dim": lam.size, "h": _mat_json(w.h)},
+            "source": src, "checks": list(GRAM_SUITES),
+            "seed": int(rng.integers(1 << 30))}
 
 
 def run_cases(workdir, out):
