@@ -16,7 +16,22 @@ and extended to the generated span by least squares; this pins the map
 uniquely whenever it is well defined at all, which the axiom checker
 verifies numerically.  ``conj_display_residual`` compares against candidate
 closed forms (see its docstring).
+
+Stacked samples: a ``BimoduleVector`` may hold a stack of vectors, comps of
+shape (..., m, n, n), and every structure map acts on each vector of a
+stack at once: the actions and ``delta`` take a matrix or a stack
+(..., n, n), ``mod_group`` a scalar z or an array of them (per-sample
+phases lam^{iz} in the eigenbasis of h), ``inner``/``norm`` return one value
+per vector and ``conj`` solves for the whole stack with one pseudo-inverse
+product.  A single vector is the case without leading axes, so each map has
+one implementation.  The sampled checks (``axioms_check``,
+``Derivation.check``, ``twisted_rule_residual``, ``conj_display_residual``)
+draw all their samples first, with the generator calls of a loop that draws
+sample by sample (``sampling.draw_samples``), then evaluate every residual
+on the stacks.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -24,32 +39,34 @@ from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, NotInGeneratedSpan, NotInvariantVector
 from .lindblad import DirichletForm, JumpSystem
 from .modular import TomitaData
-from .numkernel import Superoperator, matrix_units, unvec, vec
+from .numkernel import Superoperator, matrix_units
 from .reconstruct import gram_entry
-from .sampling import random_disk_point, random_matrix
+from .sampling import (draw_samples, random_disk_point, random_matrix,
+                       sample_blocks, worst)
 
 __all__ = ["FinBimodule", "BimoduleVector", "Derivation",
            "inner_derivation_generator", "carre_du_champ"]
 
 
 class BimoduleVector:
-    """Element of H^{+m}: a stack of m matrices of size n x n."""
+    """Element of H^{+m}: m matrices of size n x n, comps of shape (m, n, n);
+    or a stack of such elements, comps of shape (..., m, n, n)."""
 
     def __init__(self, comps):
         comps = np.asarray(comps, dtype=np.complex128)
         if comps.ndim == 2:
             comps = comps[None, :, :]
-        if comps.ndim != 3 or comps.shape[1] != comps.shape[2]:
+        if comps.ndim < 3 or comps.shape[-2] != comps.shape[-1]:
             raise DimensionMismatch(f"bad component shape {comps.shape}")
         self.comps = comps
 
     @property
     def m(self):
-        return self.comps.shape[0]
+        return self.comps.shape[-3]
 
     @property
     def n(self):
-        return self.comps.shape[1]
+        return self.comps.shape[-1]
 
     def __add__(self, other):
         return BimoduleVector(self.comps + other.comps)
@@ -79,65 +96,59 @@ class FinBimodule:
         self.m = system.m
         self.n = self.W.n
         self.omegas = np.array([w for _, w in system.jumps])
+        self._jumps = np.array([v for v, _ in system.jumps]).reshape(
+            self.m, self.n, self.n)
         self.pairing = list(system.pairing)
         self._span_cache = None
 
     # --- inner product and coordinates ---------------------------------------
 
-    def inner(self, xi: BimoduleVector, eta: BimoduleVector) -> complex:
-        acc = 0.0 + 0.0j
-        for j in range(self.m):
-            acc += np.trace(xi.comps[j].conj().T @ eta.comps[j] @ self.W.h)
-        return complex(acc)
+    def inner(self, xi: BimoduleVector, eta: BimoduleVector):
+        """<xi, eta>, one value per vector of a stack."""
+        return np.sum(xi.comps.conj() * (eta.comps @ self.W.h), axis=(-3, -2, -1))
 
     def norm(self, xi):
-        return float(np.sqrt(max(self.inner(xi, xi).real, 0.0)))
+        return np.sqrt(np.maximum(self.inner(xi, xi).real, 0.0))
 
     def coords(self, xi: BimoduleVector):
         """Stacked orthonormal coordinates (componentwise vec(xi_j h^{1/2}))."""
-        return np.concatenate(
-            [vec(xi.comps[j] @ self.W.h_sqrt) for j in range(self.m)]
-        ) if self.m else np.zeros(0, dtype=np.complex128)
+        c = np.swapaxes(xi.comps @ self.W.h_sqrt, -1, -2)
+        return c.reshape(c.shape[:-3] + (-1,))
 
     def from_coords(self, c):
-        n2 = self.n * self.n
-        comps = [
-            unvec(c[j * n2 : (j + 1) * n2], self.n) @ self.W.h_isqrt
-            for j in range(self.m)
-        ]
-        return BimoduleVector(np.array(comps)) if self.m else self.zero()
+        n = self.n
+        comps = np.swapaxes(c.reshape(c.shape[:-1] + (self.m, n, n)), -1, -2)
+        return BimoduleVector(comps @ self.W.h_isqrt)
 
     def zero(self):
-        return BimoduleVector(
-            np.zeros((max(self.m, 1), self.n, self.n), dtype=np.complex128)
-        )
+        return BimoduleVector(np.zeros((self.m, self.n, self.n), dtype=np.complex128))
 
     # --- actions and modular structure ---------------------------------------
 
     def act_left(self, a, xi: BimoduleVector) -> BimoduleVector:
-        a = self.W._check(a)
-        return BimoduleVector(np.einsum("rs,jsk->jrk", a, xi.comps))
+        a = self.W._check_stack(a)
+        return BimoduleVector(a[..., None, :, :] @ xi.comps)
 
     def act_right(self, a, xi: BimoduleVector) -> BimoduleVector:
-        a = self.W._check(a)
-        return BimoduleVector(np.einsum("jrs,sk->jrk", xi.comps, a))
+        a = self.W._check_stack(a)
+        return BimoduleVector(xi.comps @ a[..., None, :, :])
 
     def mod_group(self, z, xi: BimoduleVector) -> BimoduleVector:
-        left = self.W.power(1j * z)
-        right = self.W.power(-1j * z)
-        phases = np.exp(1j * self.omegas * z)
-        comps = np.einsum(
-            "j,rs,jsk,kl->jrl", phases, left, xi.comps, right
-        ) if self.m else xi.comps
-        return BimoduleVector(comps)
+        z = np.asarray(z)
+        left = self.W.power(1j * z)[..., None, :, :]
+        right = self.W.power(-1j * z)[..., None, :, :]
+        phases = np.exp(1j * np.multiply.outer(z, self.omegas))
+        return BimoduleVector(phases[..., None, None] * (left @ xi.comps @ right))
+
+    def _commutators(self, a):
+        """[v_j, a] over the jumps, for a matrix or a stack (..., n, n) of a."""
+        a = self.W._check_stack(a)[..., None, :, :]
+        return self._jumps @ a - a @ self._jumps
 
     def delta(self, a) -> BimoduleVector:
         """delta(a) = (i e^{-omega_j/4} [v_j, a])_j."""
-        a = self.W._check(a)
-        comps = np.zeros((max(self.m, 1), self.n, self.n), dtype=np.complex128)
-        for j, (v, w) in enumerate(self.system.jumps):
-            comps[j] = 1j * np.exp(-w / 4.0) * (v @ a - a @ v)
-        return BimoduleVector(comps)
+        weights = 1j * np.exp(-self.omegas / 4.0)
+        return BimoduleVector(weights[:, None, None] * self._commutators(a))
 
     # --- conjugation via generator forms --------------------------------------
 
@@ -153,20 +164,12 @@ class FinBimodule:
             return self._span_cache
         n, w = self.n, self.W
         units = matrix_units(n)
-        j_units = np.einsum("xj,iy->ijxy", w.h_sqrt, w.h_isqrt).reshape(-1, n, n)
-        jumps = np.array([v for v, _ in self.system.jumps]).reshape(-1, n, n)
-        weights = 1j * np.exp(-self.omegas / 4.0)
-
-        def deltas(mats):   # delta(a)_j for a stack of matrices, [a, j, r, s]
-            return weights[:, None, None] * (
-                np.einsum("jrs,asx->ajrx", jumps, mats)
-                - np.einsum("ars,jsx->ajrx", mats, jumps))
-
+        j_units = self.tomita.conj_J(units)
         # coordinates vec(xi_j h^{1/2}), stacked over j, column-major per j
-        g = np.einsum("pjrs,qsx,xt->jtrpq", deltas(units), units, w.h_sqrt,
-                      optimize=True).reshape(self.m * n * n, n ** 4)
-        jg = np.einsum("qrs,pjsx,xt->jtrpq", j_units, deltas(j_units), w.h_sqrt,
-                       optimize=True).reshape(self.m * n * n, n ** 4)
+        g = np.einsum("pjrs,qsx,xt->jtrpq", self.delta(units).comps, units,
+                      w.h_sqrt, optimize=True).reshape(self.m * n * n, n ** 4)
+        jg = np.einsum("qrs,pjsx,xt->jtrpq", j_units, self.delta(j_units).comps,
+                       w.h_sqrt, optimize=True).reshape(self.m * n * n, n ** 4)
         u, sv, vh = np.linalg.svd(g, full_matrices=False)
         keep = sv > 1e-10 * np.max(sv, initial=0.0)
         pinv = (vh[keep].conj().T / sv[keep]) @ u[:, keep].conj().T
@@ -178,21 +181,25 @@ class FinBimodule:
         conj(xi)_j = J(xi_{j*}).  Agrees with the abstract generator-form
         map on the generated span (asserted by the test suite); used where a
         vector need not lie in that span (e.g. representing vectors)."""
-        out = np.zeros_like(xi.comps)
-        for j in range(self.m):
-            out[j] = self.tomita.conj_J(xi.comps[self.pairing[j]])
-        return BimoduleVector(out) if self.m else xi
+        return BimoduleVector(self.tomita.conj_J(xi.comps[..., self.pairing, :, :]))
 
     def conj(self, xi: BimoduleVector) -> BimoduleVector:
-        """Antilinear conjugation, extended to the generated span."""
+        """Antilinear conjugation, extended to the generated span.
+
+        A vector outside the span raises ``NotInGeneratedSpan``; in a stack,
+        the first such vector in row-major order of the leading axes.
+        """
         g, jg, pinv, _ = self._span()
         c = self.coords(xi)
-        coeff = pinv @ c
-        resid = float(np.linalg.norm(g @ coeff - c))
-        scale = max(float(np.linalg.norm(c)), 1e-300)
-        if resid > self.tol.span * scale:
-            raise NotInGeneratedSpan(resid / scale, self.tol.span)
-        return self.from_coords(jg @ coeff.conj())
+        coeff = c @ pinv.T
+        resid = np.linalg.norm(coeff @ g.T - c, axis=-1)
+        scale = np.maximum(np.linalg.norm(c, axis=-1), 1e-300)
+        outside = (resid > self.tol.span * scale).ravel()
+        if outside.any():
+            k = np.argmax(outside)
+            raise NotInGeneratedSpan(float(resid.ravel()[k] / scale.ravel()[k]),
+                                     self.tol.span)
+        return self.from_coords(coeff.conj() @ jg.T)
 
     def conj_display_residual(self, sign=-1, n_samples=20, seed=7):
         """Compare the abstract conjugation with the closed-form candidate
@@ -202,25 +209,18 @@ class FinBimodule:
         on vectors xi = ([v_j, a] b)_j.  ``sign=+1`` is the symmetric-weight
         variant, ``sign=-1`` the one matching J(x) = h^{1/2} x* h^{-1/2}.
         Returns the max relative deviation from the abstract map.
+        Each sample draws a, b.
         """
         rng = np.random.default_rng(seed)
         hr = self.W.h_sqrt if sign > 0 else self.W.h_isqrt
-        worst = 0.0
-        for _ in range(n_samples):
-            a, b = random_matrix(self.n, rng), random_matrix(self.n, rng)
-            comps = np.zeros((self.m, self.n, self.n), dtype=np.complex128)
-            for j, (v, _) in enumerate(self.system.jumps):
-                comps[j] = (v @ a - a @ v) @ b
-            xi = BimoduleVector(comps)
-            abstract = self.conj(xi)
-            cand = np.zeros_like(comps)
-            for j in range(self.m):
-                vjs = self.system.jumps[self.pairing[j]][0]
-                comm = vjs @ a - a @ vjs
-                cand[j] = self.W.h_sqrt @ (b.conj().T @ comm.conj().T) @ hr
-            diff = self.norm(abstract - BimoduleVector(cand))
-            worst = max(worst, diff / max(self.norm(xi), 1e-300))
-        return worst
+        mat = partial(random_matrix, self.n)
+        a, b = draw_samples(rng, n_samples, mat, mat)
+        comm = self._commutators(a)
+        xi = BimoduleVector(comm @ b[:, None])
+        sharp = self.tomita.sharp
+        cand = self.W.h_sqrt @ (sharp(b)[:, None] @ sharp(comm[:, self.pairing])) @ hr
+        diff = self.norm(self.conj(xi) - BimoduleVector(cand))
+        return worst(0.0, diff / np.maximum(self.norm(xi), 1e-300))
 
     # --- axiom checker ---------------------------------------------------------
 
@@ -231,65 +231,74 @@ class FinBimodule:
         drawn from the disk |z| <= 1.  Axiom (e) is evaluated in the form
         U_z(delta(a) b) = delta(U_z a) U_z b: given (a)-(d) exact by
         construction, the covariance of the generator family is the only
-        content of (e) that the concrete model can violate (a wrong stored
-        weight shows up here and nowhere else).
+        content of (e) that the concrete model can violate.  A wrong stored
+        weight shows up here and in (f), U_z conj = conj U_conj(z); (a)-(d)
+        stay exact.
+
+        Each sample draws a, b, the right factor and the delta argument of
+        eta, z, c, z2.
         """
         rng = np.random.default_rng(seed)
         res = {k: 0.0 for k in "abcdef"}
         if self.m == 0:
             return res
-        n = self.n
-        mg = self.tomita.modular_group
-        for _ in range(n_vectors):
-            a, b = random_matrix(n, rng), random_matrix(n, rng)
-            xi = self.act_right(b, self.delta(a))
-            eta = self.act_right(random_matrix(n, rng),
-                                 self.delta(random_matrix(n, rng)))
-            z = random_disk_point(rng)
-            norm_xi = self.norm(xi)
-            nrm_xi = max(norm_xi, 1e-300)
-            nrm_eta = max(self.norm(eta), 1e-300)
-
-            # (a) boundedness: |L(c)| <= |pi_l(c)| = |c| and
-            # |R(c)| <= |pi_r(c)| = |h^{-1/2} c h^{1/2}| (right GNS action norm)
-            c = random_matrix(n, rng)
-            opn_l = float(np.linalg.norm(c, 2))
-            opn_r = float(np.linalg.norm(
-                self.W.h_isqrt @ c @ self.W.h_sqrt, 2))
-            res["a"] = max(
-                res["a"],
-                (self.norm(self.act_left(c, xi)) - opn_l * norm_xi) / nrm_xi,
-                (self.norm(self.act_right(c, xi)) - opn_r * norm_xi) / nrm_xi,
-            )
-
-            # (b) conj L(a) = R(Ja) conj
-            lhs = self.conj(self.act_left(c, xi))
-            conj_xi = self.conj(xi)
-            rhs = self.act_right(self.tomita.conj_J(c), conj_xi)
-            res["b"] = max(res["b"], self.norm(lhs - rhs) / (opn_l * nrm_xi))
-
-            # (c) analyticity proxy: group law of z -> U_z
-            z2 = random_disk_point(rng)
-            lhs = self.mod_group(z, self.mod_group(z2, xi))
-            rhs = self.mod_group(z + z2, xi)
-            res["c"] = max(res["c"], self.norm(lhs - rhs) / nrm_xi)
-
-            # (d) <xi, U_z eta> = <U_{-conj(z)} xi, eta>
-            lhs_ip = self.inner(xi, self.mod_group(z, eta))
-            rhs_ip = self.inner(self.mod_group(-np.conj(z), xi), eta)
-            res["d"] = max(res["d"], abs(lhs_ip - rhs_ip) / (nrm_xi * nrm_eta))
-
-            # (e) U_z L(a) U_{-z} = L(U_z a) on generators:
-            #     U_z(delta(a) b) = delta(U_z a) U_z b
-            lhs = self.mod_group(z, xi)
-            rhs = self.act_right(mg(z, b), self.delta(mg(z, a)))
-            res["e"] = max(res["e"], self.norm(lhs - rhs) / nrm_xi)
-
-            # (f) U_z conj = conj U_{conj(z)}
-            lhs = self.mod_group(z, conj_xi)
-            rhs = self.conj(self.mod_group(np.conj(z), xi))
-            res["f"] = max(res["f"], self.norm(lhs - rhs) / nrm_xi)
+        mat = partial(random_matrix, self.n)
+        samples = draw_samples(rng, n_vectors, mat, mat, mat, mat,
+                               random_disk_point, mat, random_disk_point)
+        # a stack holds one complex vector of m n x n components per sample
+        for block in sample_blocks(n_vectors, 16 * self.m * self.n ** 2):
+            self._axioms_block(res, *(x[block] for x in samples))
         return res
+
+    def _axioms_block(self, res, a, b, eta_r, eta_a, z, c, z2):
+        """Raise ``res`` to the residuals of one block of samples."""
+        mg = self.tomita.modular_group
+        xi = self.act_right(b, self.delta(a))
+        eta = self.act_right(eta_r, self.delta(eta_a))
+        norm_xi = self.norm(xi)
+        nrm_xi = np.maximum(norm_xi, 1e-300)
+        nrm_eta = np.maximum(self.norm(eta), 1e-300)
+
+        # (a) boundedness: |L(c)| <= |pi_l(c)| = |c| and
+        # |R(c)| <= |pi_r(c)| = |h^{-1/2} c h^{1/2}| (right GNS action norm)
+        opn_l = np.linalg.norm(c, 2, axis=(-2, -1))
+        opn_r = np.linalg.norm(self.W.h_isqrt @ c @ self.W.h_sqrt, 2, axis=(-2, -1))
+        c_xi = self.act_left(c, xi)
+        res["a"] = worst(res["a"], (self.norm(c_xi) - opn_l * norm_xi) / nrm_xi,
+                         (self.norm(self.act_right(c, xi)) - opn_r * norm_xi)
+                         / nrm_xi)
+
+        # the conjugations of (b) and (f), stacked per sample in the order a
+        # loop over samples calls them, so a vector outside the span raises
+        # where the loop would
+        conjugated = self.conj(BimoduleVector(np.stack(
+            [c_xi.comps, xi.comps, self.mod_group(np.conj(z), xi).comps], axis=1)))
+        lhs_b, conj_xi, rhs_f = (BimoduleVector(conjugated.comps[:, k])
+                                 for k in range(3))
+
+        # (b) conj L(a) = R(Ja) conj
+        rhs = self.act_right(self.tomita.conj_J(c), conj_xi)
+        res["b"] = worst(res["b"], self.norm(lhs_b - rhs) / (opn_l * nrm_xi))
+
+        # (c) analyticity proxy: group law of z -> U_z
+        lhs = self.mod_group(z, self.mod_group(z2, xi))
+        rhs = self.mod_group(z + z2, xi)
+        res["c"] = worst(res["c"], self.norm(lhs - rhs) / nrm_xi)
+
+        # (d) <xi, U_z eta> = <U_{-conj(z)} xi, eta>
+        lhs_ip = self.inner(xi, self.mod_group(z, eta))
+        rhs_ip = self.inner(self.mod_group(-np.conj(z), xi), eta)
+        res["d"] = worst(res["d"], np.abs(lhs_ip - rhs_ip) / (nrm_xi * nrm_eta))
+
+        # (e) U_z L(a) U_{-z} = L(U_z a) on generators:
+        #     U_z(delta(a) b) = delta(U_z a) U_z b
+        lhs = self.mod_group(z, xi)
+        rhs = self.act_right(mg(z, b), self.delta(mg(z, a)))
+        res["e"] = worst(res["e"], self.norm(lhs - rhs) / nrm_xi)
+
+        # (f) U_z conj = conj U_{conj(z)}
+        lhs = self.mod_group(z, conj_xi)
+        res["f"] = worst(res["f"], self.norm(lhs - rhs_f) / nrm_xi)
 
 
 class Derivation:
@@ -303,40 +312,36 @@ class Derivation:
 
     def check(self, form: DirichletForm = None, n_samples=100, seed=13):
         """Residuals: product rule, conj/delta and U_z/delta intertwining,
-        energy identity against the Dirichlet form (if given)."""
+        energy identity against the Dirichlet form (if given).
+
+        Each sample draws x, y, then the real and imaginary part of z.
+        """
         b = self.B
         rng = np.random.default_rng(seed)
-        n = b.n
+        mat = partial(random_matrix, b.n)
+        x, y, z = draw_samples(rng, n_samples, mat, mat,
+                               lambda r: r.uniform(-1, 1) + 1j * r.uniform(-1, 1))
         res = {"product_rule": 0.0, "conj_intertwine": 0.0,
                "mod_intertwine": 0.0, "energy_identity": 0.0}
-        for _ in range(n_samples):
-            x, y = random_matrix(n, rng), random_matrix(n, rng)
-            dx, dy = b.delta(x), b.delta(y)
-            scale = max(b.norm(dx) * np.linalg.norm(y), 1e-300)
-            lhs = b.delta(x @ y)
-            rhs = b.act_left(x, dy) + b.act_right(y, dx)
-            res["product_rule"] = max(res["product_rule"], b.norm(lhs - rhs) / scale)
+        dx, dy = b.delta(x), b.delta(y)
+        scale = np.maximum(b.norm(dx) * np.linalg.norm(y, axis=(-2, -1)), 1e-300)
+        lhs = b.delta(x @ y)
+        rhs = b.act_left(x, dy) + b.act_right(y, dx)
+        res["product_rule"] = worst(0.0, b.norm(lhs - rhs) / scale)
 
-            lhs = b.conj(dx)
-            rhs = b.delta(b.tomita.conj_J(x))
-            res["conj_intertwine"] = max(
-                res["conj_intertwine"], b.norm(lhs - rhs) / max(b.norm(rhs), 1e-300)
-            )
+        rhs = b.delta(b.tomita.conj_J(x))
+        res["conj_intertwine"] = worst(
+            0.0, b.norm(b.conj(dx) - rhs) / np.maximum(b.norm(rhs), 1e-300))
 
-            z = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-            lhs = b.mod_group(z, dx)
-            rhs = b.delta(b.tomita.modular_group(z, x))
-            res["mod_intertwine"] = max(
-                res["mod_intertwine"], b.norm(lhs - rhs) / max(b.norm(rhs), 1e-300)
-            )
+        rhs = b.delta(b.tomita.modular_group(z, x))
+        res["mod_intertwine"] = worst(
+            0.0, b.norm(b.mod_group(z, dx) - rhs) / np.maximum(b.norm(rhs), 1e-300))
 
-            if form is not None:
-                lhs_ip = b.inner(dx, dy)
-                rhs_ip = form(x, y)
-                res["energy_identity"] = max(
-                    res["energy_identity"],
-                    abs(lhs_ip - rhs_ip) / max(abs(rhs_ip), 1.0),
-                )
+        if form is not None:
+            rhs_ip = form(x, y)
+            res["energy_identity"] = worst(
+                0.0, np.abs(b.inner(dx, dy) - rhs_ip)
+                / np.maximum(np.abs(rhs_ip), 1.0))
         return res
 
     def twisted_rule_residual(self, n_samples=50, seed=17):
@@ -350,24 +355,20 @@ class Derivation:
 
         which is the componentwise form the abstract twisted rule takes here;
         the half-step twists cancel against the action's own twist.
+        Each sample draws x, y.
         """
         b = self.B
         rng = np.random.default_rng(seed)
-        n = b.n
-        worst = 0.0
-        for _ in range(n_samples):
-            x, y = random_matrix(n, rng), random_matrix(n, rng)
-            lhs = b.delta(x @ y)
-            sig_y = b.tomita.modular_group(0.5j, y)
-            # right action of sigma_{i/2}(y) as correspondence action:
-            # plain right multiplication by sigma_{-i/2}(sigma_{i/2}(y)) = y
-            twist = b.act_right(
-                b.tomita.modular_group(-0.5j, sig_y), b.delta(x)
-            )
-            rhs = b.act_left(x, b.delta(y)) + twist
-            scale = max(b.norm(lhs), 1e-300)
-            worst = max(worst, b.norm(lhs - rhs) / scale)
-        return worst
+        mat = partial(random_matrix, b.n)
+        x, y = draw_samples(rng, n_samples, mat, mat)
+        lhs = b.delta(x @ y)
+        sig_y = b.tomita.modular_group(0.5j, y)
+        # right action of sigma_{i/2}(y) as correspondence action:
+        # plain right multiplication by sigma_{-i/2}(sigma_{i/2}(y)) = y
+        twist = b.act_right(b.tomita.modular_group(-0.5j, sig_y), b.delta(x))
+        rhs = b.act_left(x, b.delta(y)) + twist
+        scale = np.maximum(b.norm(lhs), 1e-300)
+        return worst(0.0, b.norm(lhs - rhs) / scale)
 
 
 def inner_derivation_generator(b: FinBimodule, xi: BimoduleVector,
@@ -402,11 +403,12 @@ def carre_du_champ(form: DirichletForm, a, b):
     (``gram_entry``) for all c.  Gamma(a, a) has real nonnegative spectrum:
     it equals h^{1/2} (sum_j delta(a)_j* delta(a)_j) h^{-1/2}, a similarity
     transform of a positive matrix (Hermitian only when h commutes with the sum).
+    For stacks (..., n, n) of a and b, one matrix per pair.
     """
     w = form.W
     n = w.n
-    a = w._check(a)
-    b = w._check(b)
+    a = w._check_stack(a)[..., None, :, :]
+    b = w._check_stack(b)[..., None, :, :]
     eye = np.eye(n, dtype=np.complex128)
-    m = np.array([gram_entry(form, a, eye, b, e) for e in matrix_units(n)])
-    return w.h_isqrt @ m.reshape(n, n).T @ w.h_isqrt
+    m = gram_entry(form, a, eye, b, matrix_units(n))    # (..., c = E_ij)
+    return w.h_isqrt @ np.swapaxes(m.reshape(m.shape[:-1] + (n, n)), -1, -2) @ w.h_isqrt

@@ -414,9 +414,10 @@ class DirichletForm:
         self.matrix = matrix  # Hermitian PSD in orthonormal coordinates
 
     def __call__(self, a, b):
-        return complex(
-            np.vdot(self.W.coords(a), self.matrix @ self.W.coords(b))
-        )
+        """E(a, b); for stacks (..., n, n) of a and b (broadcast against each
+        other), one value per pair."""
+        ca, cb = self.W.coords(a), self.W.coords(b)
+        return np.sum(ca.conj() * (cb @ self.matrix.T), axis=-1)
 
 
 def dirichlet_form(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL,

@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .numkernel import Superoperator, as_cmatrix, frob, herm_eig, mat_power, unvec, vec
+from .numkernel import (Superoperator, as_cmatrix, as_cstack, frob, herm_eig,
+                        mat_power, unvec, vec)
 
 __all__ = ["WeightedAlgebra", "TomitaData"]
 
@@ -67,7 +68,8 @@ class WeightedAlgebra:
         return mat_power(self.h, z, self.tol, _eig=self.eig)
 
     def power(self, z):
-        """h**z (principal branch; z may be complex)."""
+        """h**z (principal branch; z may be complex, or an array of exponents
+        for a stack of powers)."""
         return self._power(z)
 
     # --- GNS structure --------------------------------------------------------
@@ -88,8 +90,9 @@ class WeightedAlgebra:
     # --- orthonormal coordinates ---------------------------------------------
 
     def coords(self, x):
-        """Isometric coordinates: coords(x)^* coords(y) = <x, y>_h."""
-        return vec(self._check(x) @ self.h_sqrt)
+        """Isometric coordinates: coords(x)^* coords(y) = <x, y>_h; of each
+        matrix of a stack (..., n, n)."""
+        return vec(self._check_stack(x) @ self.h_sqrt)
 
     def from_coords(self, c):
         return unvec(c, self.n) @ self.h_isqrt
@@ -108,9 +111,28 @@ class WeightedAlgebra:
             )
         return x
 
+    def _check_stack(self, x):
+        """An n x n matrix or a stack (..., n, n) of them."""
+        x = as_cstack(x)
+        if x.shape[-2:] != (self.n, self.n):
+            raise DimensionMismatch(
+                f"expected {self.n}x{self.n} matrices, got {x.shape}"
+            )
+        return x
+
+
+def _adjoint(x):
+    """x* of each matrix of a stack."""
+    return np.swapaxes(x, -1, -2).conj()
+
 
 class TomitaData:
-    """Modular maps of a WeightedAlgebra; everything computed on demand."""
+    """Modular maps of a WeightedAlgebra; everything computed on demand.
+
+    ``modular_group``, ``conj_J``, ``sharp`` and ``flat`` map each matrix of
+    a stack (..., n, n); the exponent z of the group may be an array of the
+    stack's leading shape.
+    """
 
     def __init__(self, w: WeightedAlgebra):
         self.W = w
@@ -121,27 +143,29 @@ class TomitaData:
 
     def modular_group(self, z, x):
         """U_z(x) = h^{iz} x h^{-iz}; U_{-i} = Delta."""
-        if abs(np.imag(z)) > self.W.tol.im_z_max:
+        z = np.asarray(z)
+        im_z = np.max(np.abs(z.imag))
+        if im_z > self.W.tol.im_z_max:
             warnings.warn(
-                f"|Im z| = {abs(np.imag(z)):.3g} beyond supported range 4; "
+                f"|Im z| = {im_z:.3g} beyond supported range 4; "
                 "accuracy is not guaranteed",
                 stacklevel=2,
             )
         left = self.W.power(1j * z)
         right = self.W.power(-1j * z)
-        return left @ self.W._check(x) @ right
+        return left @ self.W._check_stack(x) @ right
 
     def conj_J(self, x):
         """J(x) = h^{1/2} x* h^{-1/2} (antiunitary involution)."""
-        return self.W.h_sqrt @ self.W._check(x).conj().T @ self.W.h_isqrt
+        return self.W.h_sqrt @ _adjoint(self.W._check_stack(x)) @ self.W.h_isqrt
 
     def sharp(self, x):
         """x -> x*, the adjoint for left multiplication."""
-        return self.W._check(x).conj().T
+        return _adjoint(self.W._check_stack(x))
 
     def flat(self, x):
         """x -> h x* h^{-1} = U_{-i}(x*), the adjoint for right multiplication."""
-        return self.W.h @ self.W._check(x).conj().T @ self.W.h_inv
+        return self.W.h @ _adjoint(self.W._check_stack(x)) @ self.W.h_inv
 
     def s_residual(self, x):
         """|| J(Delta^{1/2} x) - x* || — the polar decomposition S = J Delta^{1/2}."""

@@ -36,6 +36,7 @@ __all__ = [
     "matrix_units",
     "frob",
     "as_cmatrix",
+    "as_cstack",
 ]
 
 
@@ -44,6 +45,16 @@ def as_cmatrix(x):
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains NaN/Inf entries")
+    return a
+
+
+def as_cstack(x):
+    """Coerce to a finite complex128 matrix or stack of matrices (..., r, c)."""
+    a = np.asarray(x, dtype=np.complex128)
+    if a.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix or a stack, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN/Inf entries")
     return a
@@ -91,8 +102,9 @@ def mat_power(h, z, tol=DEFAULT_TOL, _eig=None):
     """h**z for positive definite Hermitian h, principal branch.
 
     ``z`` may be complex; in particular ``mat_power(h, 1j*t)`` is the unitary
-    h^{it}.  Accuracy degrades like exp(|Im z| * spread(log eig)) for large
-    imaginary parts; the supported range is |Im z| <= 4.
+    h^{it}.  An array of exponents gives the stack of powers, shape
+    z.shape + h.shape.  Accuracy degrades like exp(|Im z| * spread(log eig))
+    for large imaginary parts; the supported range is |Im z| <= 4.
     """
     eig = _eig if _eig is not None else herm_eig(h, tol)
     w, u = eig.eigenvalues, eig.eigenvectors
@@ -100,14 +112,14 @@ def mat_power(h, z, tol=DEFAULT_TOL, _eig=None):
         raise NotPositiveDefinite(
             f"min eigenvalue {w[0]:.3e} vs max {w[-1]:.3e}"
         )
-    powered = np.exp(z * np.log(w.astype(np.float64)))
-    return (u * powered) @ u.conj().T
+    powered = np.exp(np.multiply.outer(z, np.log(w.astype(np.float64))))
+    return (u * powered[..., None, :]) @ u.conj().T
 
 
 def vec(x):
-    """Column-stacking vectorization."""
-    x = as_cmatrix(x)
-    return x.flatten(order="F")
+    """Column-stacking vectorization, of each matrix of a stack (..., r, c)."""
+    x = as_cstack(x)
+    return np.swapaxes(x, -1, -2).reshape(x.shape[:-2] + (-1,))
 
 
 def unvec(v, n=None):

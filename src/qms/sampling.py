@@ -14,7 +14,13 @@ from .lindblad import JumpSystem
 from .modular import WeightedAlgebra
 
 __all__ = ["random_unitary", "random_density", "random_weighted_algebra",
-           "random_jump_system", "random_matrix", "random_disk_point"]
+           "random_jump_system", "random_matrix", "random_disk_point",
+           "draw_samples", "sample_blocks", "worst"]
+
+# The sampled checks evaluate their samples in blocks whose stacks take at
+# most this many bytes each, so that their working set does not grow with
+# the sample count (one sample a block at least)
+_BLOCK_BYTES = 1 << 15
 
 
 def random_unitary(n, rng):
@@ -44,6 +50,30 @@ def random_disk_point(rng):
     """A point of the closed unit disk, uniform in area."""
     r = np.sqrt(rng.uniform())
     return r * np.exp(2j * np.pi * rng.uniform())
+
+
+def draw_samples(rng, count, *draws):
+    """``count`` samples, each one call of every ``draws[k](rng)`` in order,
+    as one array per draw with a leading sample axis.
+
+    The generator is called sample by sample, exactly as a loop that draws
+    each sample's values before the next sample would call it, so the
+    stacked values are bit-identical to that loop's.
+    """
+    samples = [[draw(rng) for draw in draws] for _ in range(count)]
+    return [np.array(values) for values in zip(*samples)]
+
+
+def sample_blocks(count, sample_bytes):
+    """Slices of consecutive samples, each as many as fit ``_BLOCK_BYTES`` at
+    ``sample_bytes`` per sample."""
+    size = max(1, _BLOCK_BYTES // sample_bytes)
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+def worst(*residuals):
+    """The largest entry over the given residuals, scalars or arrays."""
+    return max(float(np.max(r)) for r in residuals)
 
 
 def random_jump_system(w: WeightedAlgebra, rng, m_max=6):

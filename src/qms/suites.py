@@ -6,11 +6,11 @@ scenario and seed.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .bimodule import Derivation, FinBimodule, carre_du_champ
+from .bimodule import BimoduleVector, Derivation, FinBimodule, carre_du_champ
 from .errors import NotGNSSymmetric, QMSError
 from .fock import correspondence_from_jumps, fock_build, free_aw
 from .lindblad import (JumpSystem, build_generator, certify, dirichlet_form,
@@ -19,7 +19,7 @@ from .modular import WeightedAlgebra
 from .numkernel import Superoperator, matrix_units
 from .reconstruct import (build_gram_space, gram_axioms_check,
                           stinespring_rate, uniqueness_isometry)
-from .sampling import random_matrix
+from .sampling import draw_samples, random_matrix, worst
 
 __all__ = ["ScenarioData", "Scenario", "SUITES", "run_suite", "suite_names"]
 
@@ -116,23 +116,16 @@ def suite_triple_agreement(sc, seed):
     sc.certified()
     form, bim, gram = sc.form, sc.bimodule, sc.gram
     units = matrix_units(sc.W.n)
-    d_bim = [bim.delta(a) for a in units]
-    d_gram = [gram.delta(a) for a in units]
-    d_form_bim = 0.0
-    d_form_gram = 0.0
-    d_bim_gram = 0.0
-    for a, bim_a, gram_a in zip(units, d_bim, d_gram):
-        for b, bim_b, gram_b in zip(units, d_bim, d_gram):
-            e_form = form(a, b)
-            e_bim = bim.inner(bim_a, bim_b)
-            e_gram = gram.inner(gram_a, gram_b)
-            d_form_bim = max(d_form_bim, abs(e_form - e_bim))
-            d_form_gram = max(d_form_gram, abs(e_form - e_gram))
-            d_bim_gram = max(d_bim_gram, abs(e_bim - e_gram))
+    # pairing matrices [p, q] over the unit pairs (E_p, E_q)
+    e_form = form(units[:, None], units[None, :])
+    d_bim = bim.delta(units).comps
+    e_bim = bim.inner(BimoduleVector(d_bim[:, None]), BimoduleVector(d_bim[None, :]))
+    d_gram = gram.delta(units)
+    e_gram = d_gram.conj() @ d_gram.T
     return [
-        _check("triple/form_vs_bimodule", d_form_bim, sc.tol.axiom),
-        _check("triple/form_vs_gram", d_form_gram, sc.tol.axiom),
-        _check("triple/bimodule_vs_gram", d_bim_gram, sc.tol.axiom),
+        _check("triple/form_vs_bimodule", np.abs(e_form - e_bim).max(), sc.tol.axiom),
+        _check("triple/form_vs_gram", np.abs(e_form - e_gram).max(), sc.tol.axiom),
+        _check("triple/bimodule_vs_gram", np.abs(e_bim - e_gram).max(), sc.tol.axiom),
     ]
 
 
@@ -171,20 +164,13 @@ def suite_carre_positivity(sc, seed):
     sc.certified()
     w, form, bim = sc.W, sc.form, sc.bimodule
     rng = np.random.default_rng(seed)
-    worst_neg = 0.0
-    worst_cons = 0.0
-    for _ in range(100):
-        a = random_matrix(w.n, rng)
-        g = carre_du_champ(form, a, a)
-        ev = np.linalg.eigvals(g)
-        worst_neg = max(worst_neg, max(-ev.real.min(), 0.0))
-        da = bim.delta(a)
-        # the start value keeps a system without jumps (m = 0) a matrix
-        direct = w.h_sqrt @ sum(
-            (da.comps[j].conj().T @ da.comps[j] for j in range(bim.m)),
-            np.zeros((w.n, w.n))) @ w.h_isqrt
-        worst_cons = max(worst_cons, np.linalg.norm(g - direct)
-                         / max(np.linalg.norm(direct), 1e-300))
+    (a,) = draw_samples(rng, 100, partial(random_matrix, w.n))
+    g = carre_du_champ(form, a, a)
+    worst_neg = worst(0.0, -np.linalg.eigvals(g).real.min(axis=-1))
+    da = bim.delta(a).comps
+    direct = w.h_sqrt @ np.einsum("sjrk,sjrl->skl", da.conj(), da) @ w.h_isqrt
+    worst_cons = worst(0.0, np.linalg.norm(g - direct, axis=(-2, -1))
+                       / np.maximum(np.linalg.norm(direct, axis=(-2, -1)), 1e-300))
     return [
         _check("carre/psd", worst_neg, sc.tol.axiom),
         _check("carre/consistency", worst_cons, sc.tol.axiom),

@@ -163,18 +163,29 @@ class DenseGramSpace(GramSpace):
     def _descend(self, coeff):
         return self.qmap.embed @ coeff @ self.qmap.lift
 
+    @staticmethod
+    def _each(op, x, core):
+        """op of each entry of a stack x whose entries have ``core`` axes."""
+        x = np.asarray(x)
+        lead = x.shape[:x.ndim - core]
+        out = np.array([op(v) for v in x.reshape((-1,) + x.shape[len(lead):])])
+        return out.reshape(lead + out.shape[1:])
+
     def op_left(self, a):
         n = self.W.n
-        return self._descend(
+        return self._each(lambda a: self._descend(
             np.kron(np.kron(a, np.eye(n)), np.eye(n * n))
-            - np.kron(a.reshape(-1, 1), self._mult_map()))
+            - np.kron(a.reshape(-1, 1), self._mult_map())), a, 2)
 
     def op_right(self, a):
-        return self._descend(np.kron(np.eye(self.W.n ** 3), a.T))
+        return self._each(lambda a: self._descend(
+            np.kron(np.eye(self.W.n ** 3), a.T)), a, 2)
 
     def op_group(self, z):
-        f = np.kron(self.W.power(1j * z), self.W.power(-1j * z).T)
-        return self._descend(np.kron(f, f))
+        def one(z):
+            f = np.kron(self.W.power(1j * z), self.W.power(-1j * z).T)
+            return self._descend(np.kron(f, f))
+        return self._each(one, z, 0)
 
 
 def spectrum_form(spectrum, seed, source="jumps"):

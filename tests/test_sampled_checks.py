@@ -1,0 +1,383 @@
+"""The batched sampled checks against per-sample reference loops.
+
+Each reference below evaluates its check one sample at a time, drawing the
+sample's values and calling the single-vector forms of the structure maps;
+it also returns the inputs it drew.  The batched check must see
+bit-identical inputs (recorded by a spy on ``draw_samples``) and report
+every residual within rounding of the loop's.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qms import bimodule, reconstruct, sampling, suites
+from qms.bimodule import (BimoduleVector, Derivation, FinBimodule,
+                          carre_du_champ)
+from qms.config import DEFAULT_TOL
+from qms.errors import NotInGeneratedSpan
+from qms.lindblad import JumpSystem, build_generator, dirichlet_form
+from qms.modular import TomitaData, WeightedAlgebra
+from qms.numkernel import matrix_units
+from qms.reconstruct import build_gram_space, gram_axioms_check, gram_entry
+from qms.sampling import (random_disk_point, random_jump_system, random_matrix,
+                          random_weighted_algebra)
+from qms.suites import Scenario, ScenarioData, run_suite
+
+from conftest import E12, E21, SX
+
+
+# --- references: the per-sample loops ------------------------------------------
+
+def ref_axioms_check(self, n_vectors=200, seed=11):
+    rng = np.random.default_rng(seed)
+    res = {k: 0.0 for k in "abcdef"}
+    drawn = []
+    if self.m == 0:
+        return res, drawn
+    n = self.n
+    mg = self.tomita.modular_group
+    for _ in range(n_vectors):
+        a, b = random_matrix(n, rng), random_matrix(n, rng)
+        xi = self.act_right(b, self.delta(a))
+        eta_r, eta_a = random_matrix(n, rng), random_matrix(n, rng)
+        eta = self.act_right(eta_r, self.delta(eta_a))
+        z = random_disk_point(rng)
+        norm_xi = self.norm(xi)
+        nrm_xi = max(norm_xi, 1e-300)
+        nrm_eta = max(self.norm(eta), 1e-300)
+
+        c = random_matrix(n, rng)
+        opn_l = float(np.linalg.norm(c, 2))
+        opn_r = float(np.linalg.norm(
+            self.W.h_isqrt @ c @ self.W.h_sqrt, 2))
+        res["a"] = max(
+            res["a"],
+            (self.norm(self.act_left(c, xi)) - opn_l * norm_xi) / nrm_xi,
+            (self.norm(self.act_right(c, xi)) - opn_r * norm_xi) / nrm_xi,
+        )
+
+        lhs = self.conj(self.act_left(c, xi))
+        conj_xi = self.conj(xi)
+        rhs = self.act_right(self.tomita.conj_J(c), conj_xi)
+        res["b"] = max(res["b"], self.norm(lhs - rhs) / (opn_l * nrm_xi))
+
+        z2 = random_disk_point(rng)
+        lhs = self.mod_group(z, self.mod_group(z2, xi))
+        rhs = self.mod_group(z + z2, xi)
+        res["c"] = max(res["c"], self.norm(lhs - rhs) / nrm_xi)
+
+        lhs_ip = self.inner(xi, self.mod_group(z, eta))
+        rhs_ip = self.inner(self.mod_group(-np.conj(z), xi), eta)
+        res["d"] = max(res["d"], abs(lhs_ip - rhs_ip) / (nrm_xi * nrm_eta))
+
+        lhs = self.mod_group(z, xi)
+        rhs = self.act_right(mg(z, b), self.delta(mg(z, a)))
+        res["e"] = max(res["e"], self.norm(lhs - rhs) / nrm_xi)
+
+        lhs = self.mod_group(z, conj_xi)
+        rhs = self.conj(self.mod_group(np.conj(z), xi))
+        res["f"] = max(res["f"], self.norm(lhs - rhs) / nrm_xi)
+        drawn.append((a, b, eta_r, eta_a, z, c, z2))
+    return res, drawn
+
+
+def ref_derivation_check(b, form=None, n_samples=100, seed=13):
+    rng = np.random.default_rng(seed)
+    n = b.n
+    res = {"product_rule": 0.0, "conj_intertwine": 0.0,
+           "mod_intertwine": 0.0, "energy_identity": 0.0}
+    drawn = []
+    for _ in range(n_samples):
+        x, y = random_matrix(n, rng), random_matrix(n, rng)
+        dx, dy = b.delta(x), b.delta(y)
+        scale = max(b.norm(dx) * np.linalg.norm(y), 1e-300)
+        lhs = b.delta(x @ y)
+        rhs = b.act_left(x, dy) + b.act_right(y, dx)
+        res["product_rule"] = max(res["product_rule"], b.norm(lhs - rhs) / scale)
+
+        lhs = b.conj(dx)
+        rhs = b.delta(b.tomita.conj_J(x))
+        res["conj_intertwine"] = max(
+            res["conj_intertwine"], b.norm(lhs - rhs) / max(b.norm(rhs), 1e-300)
+        )
+
+        z = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+        lhs = b.mod_group(z, dx)
+        rhs = b.delta(b.tomita.modular_group(z, x))
+        res["mod_intertwine"] = max(
+            res["mod_intertwine"], b.norm(lhs - rhs) / max(b.norm(rhs), 1e-300)
+        )
+
+        if form is not None:
+            lhs_ip = b.inner(dx, dy)
+            rhs_ip = form(x, y)
+            res["energy_identity"] = max(
+                res["energy_identity"],
+                abs(lhs_ip - rhs_ip) / max(abs(rhs_ip), 1.0),
+            )
+        drawn.append((x, y, z))
+    return res, drawn
+
+
+def ref_carre_du_champ(form, a, b):
+    w = form.W
+    n = w.n
+    eye = np.eye(n, dtype=np.complex128)
+    m = np.array([gram_entry(form, a, eye, b, e) for e in matrix_units(n)])
+    return w.h_isqrt @ m.reshape(n, n).T @ w.h_isqrt
+
+
+def ref_carre_positivity(w, form, bim, seed):
+    rng = np.random.default_rng(seed)
+    worst_neg = 0.0
+    worst_cons = 0.0
+    drawn = []
+    for _ in range(100):
+        a = random_matrix(w.n, rng)
+        g = ref_carre_du_champ(form, a, a)
+        ev = np.linalg.eigvals(g)
+        worst_neg = max(worst_neg, max(-ev.real.min(), 0.0))
+        da = bim.delta(a)
+        direct = w.h_sqrt @ sum(
+            (da.comps[j].conj().T @ da.comps[j] for j in range(bim.m)),
+            np.zeros((w.n, w.n))) @ w.h_isqrt
+        worst_cons = max(worst_cons, np.linalg.norm(g - direct)
+                         / max(np.linalg.norm(direct), 1e-300))
+        drawn.append((a,))
+    return {"carre/psd": worst_neg, "carre/consistency": worst_cons}, drawn
+
+
+def ref_gram_axioms_check(g, n_samples=200, seed=29):
+    rng = np.random.default_rng(seed)
+    n = g.W.n
+    td = TomitaData(g.W)
+    res = {k: 0.0 for k in "abcdef"}
+    drawn = []
+    if g.rank == 0:
+        return res, drawn
+    jq = g.op_conj()
+    for _ in range(n_samples):
+        a = random_matrix(n, rng)
+        la = g.op_left(a)
+        ra = g.op_right(a)
+        z, z2 = random_disk_point(rng), random_disk_point(rng)
+        uz = g.op_group(z)
+        norm_l = np.linalg.norm(la, 2)
+
+        opn_l = float(np.linalg.norm(a, 2))
+        opn_r = float(np.linalg.norm(g.W.h_isqrt @ a @ g.W.h_sqrt, 2))
+        res["a"] = max(res["a"], (norm_l - opn_l) / opn_l,
+                       (np.linalg.norm(ra, 2) - opn_r) / opn_r)
+        rja = g.op_right(td.conj_J(a))
+        res["b"] = max(res["b"], np.linalg.norm(jq @ la.conj() - rja @ jq)
+                       / max(norm_l, 1e-300))
+        uzz = g.op_group(z + z2)
+        res["c"] = max(res["c"], np.linalg.norm(uz @ g.op_group(z2) - uzz)
+                       / max(np.linalg.norm(uzz), 1e-300))
+        res["d"] = max(res["d"], np.linalg.norm(
+            uz.conj().T - g.op_group(-np.conj(z)))
+            / max(np.linalg.norm(uz), 1e-300))
+        lhs = uz @ la @ g.op_group(-z)
+        rhs = g.op_left(td.modular_group(z, a))
+        res["e"] = max(res["e"], np.linalg.norm(lhs - rhs)
+                       / max(np.linalg.norm(rhs), 1e-300))
+        uzj = uz @ jq
+        res["f"] = max(res["f"], np.linalg.norm(
+            uzj - jq @ g.op_group(np.conj(z)).conj())
+            / max(np.linalg.norm(uzj), 1e-300))
+        drawn.append((a, z, z2))
+    for k in "cdf":
+        res[k] = max(res[k], g.off_sector)
+    return res, drawn
+
+
+def ref_triple_agreement(form, bim, gram):
+    units = matrix_units(bim.n)
+    d_bim = [bim.delta(a) for a in units]
+    d_gram = [gram.delta(a) for a in units]
+    d_form_bim = d_form_gram = d_bim_gram = 0.0
+    for a, bim_a, gram_a in zip(units, d_bim, d_gram):
+        for b, bim_b, gram_b in zip(units, d_bim, d_gram):
+            e_form = form(a, b)
+            e_bim = bim.inner(bim_a, bim_b)
+            e_gram = gram.inner(gram_a, gram_b)
+            d_form_bim = max(d_form_bim, abs(e_form - e_bim))
+            d_form_gram = max(d_form_gram, abs(e_form - e_gram))
+            d_bim_gram = max(d_bim_gram, abs(e_bim - e_gram))
+    return {"triple/form_vs_bimodule": d_form_bim,
+            "triple/form_vs_gram": d_form_gram,
+            "triple/bimodule_vs_gram": d_bim_gram}
+
+
+# --- helpers ------------------------------------------------------------------
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The arrays every ``draw_samples`` call of the checks returns."""
+    record = []
+
+    def spy(rng, count, *draws):
+        out = sampling.draw_samples(rng, count, *draws)
+        record.append(out)
+        return out
+
+    for module in (bimodule, reconstruct, suites):
+        monkeypatch.setattr(module, "draw_samples", spy)
+    return record
+
+
+def assert_same_draws(got, per_sample):
+    """Stacked draws equal the reference's per-sample draws, bit for bit."""
+    assert len(got) == len(per_sample[0])
+    for k, stack in enumerate(got):
+        want = np.array([sample[k] for sample in per_sample])
+        assert stack.dtype == want.dtype and stack.shape == want.shape
+        assert np.array_equal(stack, want)
+
+
+def assert_residuals_agree(got, want):
+    assert list(got) == list(want)
+    for k, value in want.items():
+        assert abs(got[k] - value) <= 1e-12 * abs(value) + 1e-14, (k, got[k], value)
+
+
+def jump_system(n, m, seed):
+    """A valid random jump system with exactly m jumps over M_n."""
+    rng = np.random.default_rng(seed)
+    w = random_weighted_algebra(n, rng)
+    while True:
+        system = random_jump_system(w, rng, m_max=m)
+        if system.m == m:
+            return system
+
+
+def perturbed_qubit_system():
+    """The reference pair with one weight off by 0.1 (breaks axiom (e))."""
+    w = WeightedAlgebra(np.diag([2.0 / 3.0, 1.0 / 3.0]).astype(complex))
+    return JumpSystem(W=w, jumps=[(E21, np.log(2.0) + 0.1), (E12, -np.log(2.0))],
+                      pairing=[1, 0])
+
+
+def form_of(system):
+    return dirichlet_form(build_generator(system, validate=False), system.W,
+                          skip_certify=True)
+
+
+SYSTEMS = {
+    "n2-m0": lambda: jump_system(2, 0, 3),
+    "n2-m3": lambda: jump_system(2, 3, 4),
+    "n3-m6": lambda: jump_system(3, 6, 5),
+    "n4-m8": lambda: jump_system(4, 8, 6),
+    "perturbed-weight": perturbed_qubit_system,
+}
+
+
+# --- the batched checks against the references -----------------------------------
+
+@pytest.mark.parametrize("case", list(SYSTEMS))
+def test_axioms_check_matches_reference(case, drawn):
+    b = FinBimodule(SYSTEMS[case](), validate=False)
+    want, per_sample = ref_axioms_check(b, n_vectors=40, seed=17)
+    got = b.axioms_check(n_vectors=40, seed=17)
+    assert_residuals_agree(got, want)
+    if b.m:
+        assert_same_draws(drawn[0], per_sample)
+    if case == "perturbed-weight":
+        assert got["e"] > 1e-3
+
+
+@pytest.mark.parametrize("case", list(SYSTEMS))
+def test_derivation_check_matches_reference(case, drawn):
+    system = SYSTEMS[case]()
+    b = FinBimodule(system, validate=False)
+    form = form_of(system)
+    want, per_sample = ref_derivation_check(b, form, n_samples=30, seed=19)
+    got = Derivation(b).check(form, n_samples=30, seed=19)
+    assert_residuals_agree(got, want)
+    assert_same_draws(drawn[0], per_sample)
+
+
+@pytest.mark.parametrize("case", list(SYSTEMS))
+def test_carre_du_champ_matches_reference(case):
+    system = SYSTEMS[case]()
+    form = form_of(system)
+    rng = np.random.default_rng(23)
+    a = np.array([random_matrix(system.W.n, rng) for _ in range(6)])
+    b = np.array([random_matrix(system.W.n, rng) for _ in range(6)])
+    got = carre_du_champ(form, a, b)
+    for k in range(len(a)):
+        want = ref_carre_du_champ(form, a[k], b[k])
+        np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-14)
+        # a single pair is the stack without leading axes
+        np.testing.assert_array_equal(carre_du_champ(form, a[k], b[k]), got[k])
+
+
+@pytest.mark.parametrize("case", ["n2-m3", "n3-m6", "n4-m8"])
+def test_suites_match_reference(case, drawn):
+    system = SYSTEMS[case]()
+    w = system.W
+    sc = Scenario(ScenarioData(W=w, system=system), DEFAULT_TOL)
+    report = {c["name"]: c["residual"] for c in run_suite("carre-positivity", sc, 31)}
+    want, per_sample = ref_carre_positivity(w, sc.form, sc.bimodule, 31)
+    assert_residuals_agree(report, want)
+    assert_same_draws(drawn[0], per_sample)
+    report = {c["name"]: c["residual"] for c in run_suite("triple-agreement", sc, 31)}
+    assert_residuals_agree(report, ref_triple_agreement(sc.form, sc.bimodule, sc.gram))
+
+
+@pytest.mark.parametrize("case", ["n2-m0", "n2-m3", "n3-m6", "n4-m8"])
+def test_gram_axioms_check_matches_reference(case, drawn):
+    g = build_gram_space(form_of(SYSTEMS[case]()))
+    # twenty samples span more than one block at every rank here
+    want, per_sample = ref_gram_axioms_check(g, n_samples=20, seed=37)
+    got = gram_axioms_check(g, n_samples=20, seed=37)
+    if g.rank:
+        assert len(sampling.sample_blocks(20, 16 * g.rank ** 2)) > 1
+    assert_residuals_agree(got, want)
+    if g.rank:
+        assert_same_draws(drawn[0], per_sample)
+
+
+def test_stacked_conj_raises_like_the_loop():
+    """A stack holding vectors outside the generated span raises for the
+    first of them, with the residual of the single-vector call."""
+    w = WeightedAlgebra(np.eye(2, dtype=complex) / 2.0)
+    # two copies of one jump: the span couples the components, so it is
+    # a proper subspace of H^{+2}
+    b = FinBimodule(JumpSystem(W=w, jumps=[(SX, 0.0), (SX, 0.0)], pairing=[0, 1]),
+                    validate=False)
+    rng = np.random.default_rng(41)
+    inside = b.act_right(random_matrix(2, rng), b.delta(random_matrix(2, rng)))
+    outside = [BimoduleVector(rng.standard_normal((2, 2, 2))
+                              + 1j * rng.standard_normal((2, 2, 2))) for _ in range(2)]
+    b.conj(inside)
+    with pytest.raises(NotInGeneratedSpan) as single:
+        b.conj(outside[0])
+    stack = BimoduleVector(np.array([inside.comps, outside[0].comps,
+                                     outside[1].comps]))
+    with pytest.raises(NotInGeneratedSpan) as stacked:
+        b.conj(stack)
+    assert stacked.value.residual == pytest.approx(single.value.residual, rel=1e-12)
+    assert stacked.value.residual > DEFAULT_TOL.span
+
+
+# --- property test --------------------------------------------------------------
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_checks_match_reference_on_random_systems(n, seed):
+    rng = np.random.default_rng(seed)
+    system = random_jump_system(random_weighted_algebra(n, rng), rng, m_max=2 * n)
+    b = FinBimodule(system)
+    form = form_of(system)
+    assert_residuals_agree(b.axioms_check(n_vectors=12, seed=seed % 1000),
+                           ref_axioms_check(b, 12, seed % 1000)[0])
+    assert_residuals_agree(Derivation(b).check(form, n_samples=12, seed=seed % 997),
+                           ref_derivation_check(b, form, 12, seed % 997)[0])
+    a = np.array([random_matrix(n, rng) for _ in range(4)])
+    got = carre_du_champ(form, a, a)
+    for k in range(len(a)):
+        np.testing.assert_allclose(got[k], ref_carre_du_champ(form, a[k], a[k]),
+                                   rtol=1e-12, atol=1e-14)

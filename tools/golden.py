@@ -14,7 +14,12 @@ with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
 * the three Gram suites at n = 3 and 4 over degenerate modular spectra
   (h = I/n, a repeated eigenvalue, a geometric spectrum 1, 2, 4, ..., the
   equally spaced spectrum exp(-3k) of condition number up to 8e3) in a
-  random eigenbasis, with a jumps and a generator source.
+  random eigenbasis, with a jumps and a generator source;
+* two cases that fail a check (exit 1), so that a FAIL report is compared
+  too: ``bimodule-axioms`` on the qubit jump pair {(E21, log 2), (E12,
+  -log 2)} over diag(2/3, 1/3) with the first weight off by 0.1 (axiom (e)
+  fails), and ``certify-generator`` on the non-symmetric generator
+  1 + 0.3 E_{0,1} of M_2 (certify/gns_symmetric fails).
 
 Per case the tool compares the exit code, stderr and report bytes (for a
 three-route job, its result).  Where the bytes differ it prints the largest
@@ -49,6 +54,22 @@ DEGENERATE_SPECTRA = {
     "equally-spaced": lambda n: [math.exp(-3.0 * k) for k in range(n)],
 }
 DEGENERATE_SEED = 21
+_LOG2 = math.log(2.0)
+FAILING_CASES = {
+    "fail-perturbed-weight-bimodule-axioms": {
+        "algebra": {"dim": 2, "h": [[2 / 3, 0], [0, 1 / 3]]},
+        "source": {"jumps": [
+            {"matrix": [[0, 0], [1, 0]], "omega": _LOG2 + 0.1},
+            {"matrix": [[0, 1], [0, 0]], "omega": -_LOG2},
+            {"matrix": [[0.7071067811865476, 0], [0, -0.7071067811865476]],
+             "omega": 0.0}]},
+        "checks": ["bimodule-axioms"]},
+    "fail-asymmetric-generator-certify": {
+        "algebra": {"dim": 2, "h": [[2 / 3, 0], [0, 1 / 3]]},
+        "source": {"generator": [[1.0 if i == j else 0.3 if (i, j) == (0, 1)
+                                  else 0.0 for j in range(4)] for i in range(4)]},
+        "checks": ["certify-generator"]},
+}
 
 # Runs one step inside a tree: argv = tree, step name, step arguments.
 _CHILD = """
@@ -94,6 +115,8 @@ def write_cases(workdir):
                 name = f"degenerate-{spectrum}-n{n}-{source}"
                 specs.append((name, "cli", _spectrum_scenario(
                     name, lams(n), source, rng)))
+    for name, sc in FAILING_CASES.items():
+        specs.append((name, "cli", {"v": 1, "name": name, "seed": 7, **sc}))
     cases = []
     for name, kind, sc in specs:
         path = os.path.join(workdir, name + ".json")
