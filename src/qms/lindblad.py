@@ -11,13 +11,14 @@ and the induced generator is
 
   L = sum_j ( e^{-omega_j/2} v_j* [v_j, .] + e^{omega_j/2} [., v_j] v_j* ).
 
-``extract_alicki`` inverts this: it recovers a valid jump system from a raw
-generator by reading off the Kossakowski matrix of the dissipative part in a
-traceless Hermitian basis and diagonalizing it inside the eigenspaces of the
-modular superoperator.
+``extract_alicki`` inverts this: it reads off the Kossakowski matrix of the
+dissipative part in a traceless basis on which the modular operator is
+diagonal -- the units F_ab = u E_ab u* of the eigenbasis of h, with
+Delta F_ab = (lam_a / lam_b) F_ab -- and diagonalizes it inside each class
+of equal frequency, classed by ``modular.bohr_classes`` as the Gram sectors
+of ``reconstruct`` are, and joined with the classes it couples to.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,9 @@ from .errors import (
     NotConditionallyCP,
     NotGNSSymmetric,
 )
-from .modular import TomitaData, WeightedAlgebra
-from .numkernel import Superoperator, as_cmatrix, choi, frob, herm_eig
+from .modular import TomitaData, WeightedAlgebra, bohr_classes
+from .numkernel import (Superoperator, as_cmatrix, choi, frob, herm_eig,
+                        matrix_units)
 
 __all__ = [
     "JumpSystem",
@@ -43,36 +45,7 @@ __all__ = [
     "certify",
     "extract_alicki",
     "dirichlet_form",
-    "traceless_basis",
 ]
-
-# absolute gate for grouping modular eigenvalues by log
-_OMEGA_GROUP_TOL = 1e-8
-
-
-def traceless_basis(n):
-    """Hermitian orthonormal basis of the traceless part of M_n.
-
-    Generalized Gell-Mann matrices: symmetric and antisymmetric off-diagonal
-    pairs followed by the diagonal ladder.  tr(G_a G_b) = delta_ab.
-    """
-    basis = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            sym = np.zeros((n, n), dtype=np.complex128)
-            sym[a, b] = sym[b, a] = 1.0 / np.sqrt(2.0)
-            basis.append(sym)
-            asym = np.zeros((n, n), dtype=np.complex128)
-            asym[a, b] = -1j / np.sqrt(2.0)
-            asym[b, a] = 1j / np.sqrt(2.0)
-            basis.append(asym)
-    for l in range(1, n):
-        d = np.zeros((n, n), dtype=np.complex128)
-        for k in range(l):
-            d[k, k] = 1.0
-        d[l, l] = -l
-        basis.append(d / np.sqrt(l * (l + 1)))
-    return basis
 
 
 @dataclass
@@ -92,58 +65,60 @@ class JumpSystem:
     def m(self):
         return len(self.jumps)
 
+    def _stack(self):
+        """The jumps as one (m, n, n) stack, and their weights."""
+        n = self.W.n
+        v = np.array([v for v, _ in self.jumps]).reshape(self.m, n, n)
+        return v, np.array([w for _, w in self.jumps], dtype=np.float64)
+
     def _find_pairing(self):
         """Match each jump with the one carrying its adjoint (best effort).
+
+        Row j of res[j, k] = frob(v_k - v_j*) / frob(v_j) + |omega_k + omega_j|
+        picks its first least entry, accepted below 1e-6.  The distances
+        come from the matrix tr(v_j v_k), exact to about sqrt(eps) relative.
 
         A failed match is recorded as -1; ``validate`` turns that into a
         residual for the self-adjoint-as-set condition rather than raising
         here, so that deliberately broken systems can still be inspected.
         """
-        pairing = []
-        for j, (v, w) in enumerate(self.jumps):
-            scale = max(frob(v), 1e-300)
-            best, best_res = -1, np.inf
-            for k, (u, wu) in enumerate(self.jumps):
-                res = frob(u - v.conj().T) / scale + abs(wu + w)
-                if res < best_res:
-                    best, best_res = k, res
-            pairing.append(best if best_res < 1e-6 else -1)
-        return pairing
+        if not self.jumps:
+            return []
+        v, omega = self._stack()
+        norm2 = np.sum(np.abs(v) ** 2, axis=(1, 2))
+        cross = np.einsum("jab,kba->jk", v, v).real
+        dist = np.sqrt(np.maximum(np.add.outer(norm2, norm2) - 2.0 * cross, 0.0))
+        res = (dist / np.maximum(np.sqrt(norm2), 1e-300)[:, None]
+               + np.abs(np.add.outer(omega, omega)))
+        best = np.argmin(res, axis=1)
+        return [int(k) if r < 1e-6 else -1
+                for k, r in zip(best, res[np.arange(self.m), best])]
 
-    def validate(self, tol=None):
+    def validate(self):
         """Residuals of the four defining conditions, keyed by name."""
-        tol = tol if tol is not None else self.W.tol
-        h, h_inv = self.W.h, self.W.h_inv
-        res = {
-            "traceless": 0.0,
-            "orthogonal": 0.0,
-            "self-adjoint-set": 0.0,
-            "modular-eigenvector": 0.0,
-        }
-        for j, (v, w) in enumerate(self.jumps):
-            scale = max(frob(v), 1e-300)
-            res["traceless"] = max(res["traceless"], abs(np.trace(v)) / scale)
-            res["modular-eigenvector"] = max(
-                res["modular-eigenvector"],
-                frob(h @ v @ h_inv - np.exp(-w) * v) / scale,
-            )
-            js = self.pairing[j]
-            if js < 0:
-                res["self-adjoint-set"] = max(res["self-adjoint-set"], 1.0)
-            else:
-                u, wu = self.jumps[js]
-                res["self-adjoint-set"] = max(
-                    res["self-adjoint-set"],
-                    frob(u - v.conj().T) / scale + abs(wu + w),
-                )
-        for j in range(self.m):
-            for k in range(j + 1, self.m):
-                vj, vk = self.jumps[j][0], self.jumps[k][0]
-                denom = max(frob(vj) * frob(vk), 1e-300)
-                res["orthogonal"] = max(
-                    res["orthogonal"],
-                    abs(np.trace(vj.conj().T @ vk)) / denom,
-                )
+        res = dict.fromkeys(("traceless", "orthogonal", "self-adjoint-set",
+                             "modular-eigenvector"), 0.0)
+        if not self.jumps:
+            return res
+        v, omega = self._stack()
+        norm = np.linalg.norm(v, axis=(1, 2))
+        scale = np.maximum(norm, 1e-300)
+        res["traceless"] = float(np.max(
+            np.abs(np.trace(v, axis1=1, axis2=2)) / scale))
+        res["modular-eigenvector"] = float(np.max(np.linalg.norm(
+            np.einsum("ab,jbc,cd->jad", self.W.h, v, self.W.h_inv)
+            - np.exp(-omega)[:, None, None] * v,
+            axis=(1, 2)) / scale))
+        partner = np.asarray(self.pairing)
+        gap = (np.linalg.norm(v[partner] - v.conj().transpose(0, 2, 1),
+                              axis=(1, 2)) / scale
+               + np.abs(omega[partner] + omega))
+        res["self-adjoint-set"] = float(np.max(np.where(partner < 0, 1.0, gap)))
+        flat = v.reshape(self.m, -1)
+        overlap = np.abs(flat.conj() @ flat.T) / np.maximum(
+            np.outer(norm, norm), 1e-300)
+        np.fill_diagonal(overlap, 0.0)
+        res["orthogonal"] = float(overlap.max())
         return res
 
     def check_valid(self, gate=1e-8):
@@ -157,21 +132,15 @@ def build_generator(system: JumpSystem, validate=True) -> Superoperator:
     if validate:
         system.check_valid()
     n = system.W.n
-    total = Superoperator.zero(n)
+    v, omega = system._stack()
+    vc, down, up = v.conj(), np.exp(-omega / 2.0), np.exp(omega / 2.0)
     eye = np.eye(n, dtype=np.complex128)
-    for v, w in system.jumps:
-        vs = v.conj().T
-        # e^{-w/2} (v*v x - v* x v)
-        total = total + np.exp(-w / 2.0) * (
-            Superoperator.left_right(vs @ v, eye)
-            - Superoperator.left_right(vs, v)
-        )
-        # e^{w/2} (x v v* - v x v*)
-        total = total + np.exp(w / 2.0) * (
-            Superoperator.left_right(eye, v @ vs)
-            - Superoperator.left_right(v, vs)
-        )
-    return total
+    # x -> sum_j a_j x b_j has the matrix sum_j kron(b_j.T, a_j)
+    sandwich = (np.einsum("j,jik,jml->klim", down, v, vc)
+                + np.einsum("j,jki,jlm->klim", up, vc, v)).reshape(n * n, n * n)
+    return Superoperator(n, np.kron(eye, np.einsum("j,jba,jbc->ac", down, vc, v))
+                         + np.kron(np.einsum("j,jab,jcb->ca", up, v, vc), eye)
+                         - sandwich)
 
 
 def semigroup(l: Superoperator, t: float) -> Superoperator:
@@ -267,31 +236,86 @@ def certify(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL,
     )
 
 
-def _chi_matrix(l: Superoperator, basis):
-    """chi with L(x) = sum_{mu,nu} chi[mu,nu] G_mu x G_nu over the full basis."""
+def _modular_basis(w: WeightedAlgebra, herm):
+    """Traceless orthonormal basis of M_n (a stack) on which the modular
+    operator is diagonal, with the class (``modular.bohr_classes``, exact
+    values may agree) and the frequency omega of each element: Delta B =
+    e^{omega} B, so B* is a jump of weight omega.  The diagonal enters as
+    u D_l u* (generalized Gell-Mann ladder), a pair a < b as F_ab, F_ba
+    (F_ab = u E_ab u*, omega = log lam_a - log lam_b, its rounding-class
+    mean), or where ``herm`` as (F_ab + F_ba) / sqrt 2, i (F_ba - F_ab) / sqrt 2
+    of frequency 0.
+    """
+    n = w.n
+    lam, u = w.eig.eigenvalues, w.eig.eigenvectors
+    same, mean, equal = bohr_classes(lam, 1)
+    # row l of the ladder: 1 before index l, -l at l
+    ladder = np.tril(np.ones((n, n)), -1) - np.diag(np.arange(n))
+    ladder = ladder[1:] / np.sqrt(np.arange(1, n) * np.arange(2, n + 1))[:, None]
+    units = matrix_units(n)
+    a, b = np.triu_indices(n, 1)
+    p, q = a * n + b, b * n + a
+    pair = herm[:, None, None]
+    basis = np.concatenate([
+        ladder[:, :, None] * np.eye(n),
+        np.where(pair, (units[p] + units[q]) / np.sqrt(2.0), units[p]),
+        np.where(pair, 1j * (units[q] - units[p]) / np.sqrt(2.0), units[q]),
+    ])
+    idx = np.r_[np.zeros(n - 1, dtype=int), p, q]   # F_00 for the ladder
+    freq = np.where(np.r_[np.ones(n - 1, bool), herm, herm], 0.0, mean[same[idx]])
+    return u @ basis @ u.conj().T, equal[idx], freq
+
+
+def _kossakowski(l: Superoperator, basis):
+    """Kossakowski matrix k = -chi / 2 of L over a traceless orthonormal
+    basis B_mu (a stack), where L(x) = sum chi[mu, nu] B_mu x B_nu* + (terms
+    with the identity); Hermitian part."""
     n = l.n
-    full = [np.eye(n, dtype=np.complex128) / np.sqrt(n)] + list(basis)
-    d = len(full)
-    chi = np.zeros((d, d), dtype=np.complex128)
-    for mu in range(d):
-        for nu in range(d):
-            b = np.kron(full[nu].T, full[mu])
-            chi[mu, nu] = np.vdot(b, l.matrix)
-    return chi
+    # the matrix of x -> B_mu x B_nu* is kron(conj(B_nu), B_mu), whose entry
+    # (i n + k, j n + l) is conj(B_nu)[i, j] B_mu[k, l]
+    chi = np.einsum("mkl,ikjl,nij->mn", basis.conj(),
+                    l.matrix.reshape(n, n, n, n), basis, optimize=True)
+    return -0.25 * (chi + chi.conj().T)
+
+
+def _gauge(v, omega):
+    """v times the phase that makes its first entry of largest magnitude
+    real positive; a Hermitian jump (omega = 0) only flips its sign.
+
+    Entries within 1e-8 relative of the largest magnitude count as largest,
+    so that rounding cannot choose among entries of equal magnitude, such
+    as v_00 and v_11 of a traceless Hermitian 2 x 2 jump.
+    """
+    flat_v = v.ravel()
+    mag = np.abs(flat_v)
+    p = flat_v[int(np.argmax(mag >= (1.0 - 1e-8) * mag.max()))]
+    if abs(p) == 0:
+        return v
+    if omega == 0.0:
+        s = p.real if abs(p.real) >= abs(p.imag) else p.imag
+        return -v if s < 0 else v
+    return v * (abs(p) / p)
 
 
 def extract_alicki(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL) -> JumpSystem:
     """Recover a valid jump system from a GNS-symmetric Markov generator.
 
-    Steps: (1) certify; (2) Kossakowski matrix K of the dissipative part from
-    the chi decomposition restricted to the traceless block; (3) PSD gate on K
-    (conditional complete positivity); (4) block-diagonalize K along the
-    eigenspaces of the modular superoperator on traceless coordinates,
-    grouping eigenvalues whose logs agree to 1e-8; (5) eigenvectors of each
-    block give the jumps.  Blocks at e^{+omega} (omega > 0) yield the jumps
-    with weight +omega; their adjoint partners are emitted explicitly so the
-    pairing is exact.  Gauge: omega descending, Frobenius norm descending,
-    largest-magnitude entry made real positive.
+    Steps: (1) certify; (2) Kossakowski matrix K of the dissipative part
+    over the basis of ``_modular_basis``, on which the modular operator is
+    diagonal; (3) PSD gate on K (conditional complete positivity); (4) the
+    eigenvectors of each block of K give the jumps.  A block is a component
+    of the elements of one frequency class and of those K couples to them
+    by more than their frequencies differ (rounding rotates the computed
+    eigenvectors of eigenvalues of h that are g apart by about eps / g, so
+    a generator built in another eigenbasis couples classes g apart), closed
+    under adjoints.  A block of frequencies > 0 holds the adjoints of its
+    jumps, emitted with those adjoints as partners; each jump takes the
+    frequency of its largest coefficient.  A block equal to its adjoint is
+    spanned by Hermitian elements, is real, and gives Hermitian, self-paired
+    jumps of weight 0.  Gauge: omega descending, Frobenius norm descending,
+    first largest-magnitude entry made real positive.  Closing checks:
+    ``check_valid``, and the rebuilt generator within tol.roundtrip
+    (relative), else ``InvalidJumpSystem`` with the residual "roundtrip".
     """
     report = certify(l, w, tol)
     if not (report.gns_symmetric and report.modular_commuting and report.markov_unital):
@@ -299,12 +323,9 @@ def extract_alicki(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL) -> Jum
             f"certification failed: {report.residuals}"
         )
     n = w.n
-    basis = traceless_basis(n)
-    d = len(basis)
-
-    chi = _chi_matrix(l, basis)
-    k = -0.5 * chi[1:, 1:]
-    k = 0.5 * (k + k.conj().T)
+    half = n * (n - 1) // 2
+    basis, label, freq = _modular_basis(w, np.zeros(half, dtype=bool))
+    k = _kossakowski(l, basis)
     k_scale = max(frob(k), 1e-300)
 
     k_eig = herm_eig(k, tol)
@@ -313,95 +334,60 @@ def extract_alicki(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL) -> Jum
             f"Kossakowski matrix has eigenvalue {k_eig.eigenvalues[0]:.3e}"
         )
 
-    # modular superoperator restricted to the traceless Hermitian basis
-    dm = np.zeros((d, d), dtype=np.complex128)
-    h, h_inv = w.h, w.h_inv
-    for b_idx, g in enumerate(basis):
-        img = h @ g @ h_inv
-        for a_idx, ga in enumerate(basis):
-            dm[a_idx, b_idx] = np.trace(ga @ img)
-    dm = 0.5 * (dm + dm.conj().T)
-    dm_eig = herm_eig(dm, tol)
-
-    # group eigenvalues of Delta by log
-    logs = np.log(np.maximum(dm_eig.eigenvalues, 1e-300))
-    groups = []  # (log value, list of column indices)
-    for idx in np.argsort(logs):
-        if groups and abs(logs[idx] - groups[-1][0]) < _OMEGA_GROUP_TOL:
-            groups[-1][1].append(idx)
-        else:
-            groups.append([logs[idx], [idx]])
-
     kappa_gate = tol.decomp * max(k_eig.eigenvalues[-1], 0.0)
 
+    # element j of the upper pairs is the adjoint of element j of the lower
+    mirror = np.r_[np.arange(n - 1), np.arange(half) + n - 1 + half,
+                   np.arange(half) + n - 1]
+    # dropping a coupling c costs about c in the rebuilt generator, merging
+    # frequencies d apart about d (relative): link where c > d
+    link = (label[:, None] == label) | (
+        np.abs(k) > np.abs(np.subtract.outer(freq, freq)) * k_scale)
+    link |= link[np.ix_(mirror, mirror)]
+    for _ in range(n):    # paths of up to 2^n >= n^2 - 1 elements
+        link = link @ link
+    comp = np.argmax(link, axis=1)    # the least element of each component
+    herm = comp[mirror] == comp
+    if herm[n - 1:].any():
+        basis, _, freq = _modular_basis(w, herm[n - 1:n - 1 + half])
+        k = _kossakowski(l, basis)
+
     jumps = []    # (v, omega) for omega >= 0 only; partners added after
-    for log_val, cols in groups:
-        omega = log_val if abs(log_val) >= _OMEGA_GROUP_TOL else 0.0
-        if omega < 0:
-            continue  # recovered from the +omega block via adjoints
-        u_g = dm_eig.eigenvectors[:, cols]
-        block = u_g.conj().T @ k @ u_g
-        block = 0.5 * (block + block.conj().T)
-        if omega == 0.0:
-            # the zero-weight block is real symmetric in the Hermitian basis;
-            # real eigenvectors give Hermitian, self-paired jumps
-            pg = u_g @ u_g.conj().T
-            kk = pg @ k @ pg
-            kk = 0.5 * (kk + kk.conj().T).real
-            b_eig = herm_eig(kk.astype(np.complex128), tol)
-            vecs = b_eig.eigenvectors.real
-            vals = b_eig.eigenvalues
-        else:
-            b_eig = herm_eig(block, tol)
-            vecs = u_g @ b_eig.eigenvectors
-            vals = b_eig.eigenvalues
-        for i in range(len(vals) - 1, -1, -1):  # descending
-            kap = vals[i]
-            if kap <= kappa_gate:
-                break
-            wbar = np.sqrt(kap * np.exp(omega / 2.0)) * vecs[:, i]
-            coeffs = wbar.conj()
-            v = sum(c * g for c, g in zip(coeffs, basis))
-            jumps.append((v, omega))
+    for c in np.flatnonzero(comp == np.arange(comp.size)):
+        cols = np.flatnonzero(comp == c)
+        if freq[cols].sum() < 0.0:
+            continue    # the jumps of the adjoint component, as partners
+        block = k[np.ix_(cols, cols)]
+        b_eig = herm_eig(block.real if herm[cols[0]] else block, tol)
+        keep = np.flatnonzero(b_eig.eigenvalues > kappa_gate)[::-1]  # descending
+        vecs = b_eig.eigenvectors[:, keep]
+        omega = freq[cols][np.argmax(np.abs(vecs), axis=0)]
+        adjoints = np.einsum(
+            "mk,mij->kij",
+            vecs * np.sqrt(b_eig.eigenvalues[keep] * np.exp(omega / 2.0)),
+            basis[cols])
+        jumps.extend(zip(adjoints.conj().transpose(0, 2, 1), omega))
 
-    # gauge fixing and adjoint partners; zero-weight jumps are Hermitian and
-    # self-paired, so only a sign flip is allowed for them
-    fixed = []
+    # gauge fixing; each jump of weight omega > 0 is followed by its adjoint,
+    # and zero-weight jumps are Hermitian and self-paired
+    all_jumps, partner = [], []
     for v, omega in jumps:
-        flat_v = v.flatten()
-        p = flat_v[int(np.argmax(np.abs(flat_v)))]
-        if abs(p) > 0:
-            if omega == 0.0:
-                s = p.real if abs(p.real) >= abs(p.imag) else p.imag
-                if s < 0:
-                    v = -v
-            else:
-                v = v * (abs(p) / p)
-        fixed.append((v, omega))
-    fixed.sort(key=lambda vw: (-vw[1], -frob(vw[0])))
-
-    all_jumps = []
-    pairing = []
-    for v, omega in fixed:
+        v, j = _gauge(v, omega), len(all_jumps)
         if omega == 0.0:
-            pairing.append(len(all_jumps))
             all_jumps.append((v, 0.0))
+            partner.append(j)
         else:
-            j = len(all_jumps)
-            all_jumps.append((v, omega))
-            all_jumps.append((v.conj().T, -omega))
-            pairing.extend([j + 1, j])
-    order = sorted(
-        range(len(all_jumps)),
-        key=lambda i: (-all_jumps[i][1], -frob(all_jumps[i][0])),
-    )
-    inv = {old: new for new, old in enumerate(order)}
-    system = JumpSystem(
-        W=w,
-        jumps=[all_jumps[i] for i in order],
-        pairing=[inv[pairing[i]] for i in order],
-    )
-    system.check_valid()
+            all_jumps += [(v, omega), (v.conj().T, -omega)]
+            partner += [j + 1, j]
+    order = sorted(range(len(all_jumps)),
+                   key=lambda i: (-all_jumps[i][1], -frob(all_jumps[i][0])))
+    rank = {old: new for new, old in enumerate(order)}
+    system = JumpSystem(W=w, jumps=[all_jumps[i] for i in order],
+                        pairing=[rank[partner[i]] for i in order])
+    # build_generator runs the closing check_valid
+    err = frob(build_generator(system).matrix - l.matrix) / max(frob(l.matrix), 1e-300)
+    if err > tol.roundtrip:
+        raise InvalidJumpSystem({"roundtrip": err})
     return system
 
 

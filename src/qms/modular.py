@@ -19,10 +19,16 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .numkernel import (Superoperator, as_cmatrix, as_cstack, frob, herm_eig,
-                        mat_power, unvec, vec)
+from .numkernel import (Superoperator, as_cmatrix, as_cstack, cluster, frob,
+                        herm_eig, mat_power, unvec, vec)
 
-__all__ = ["WeightedAlgebra", "TomitaData"]
+__all__ = ["WeightedAlgebra", "TomitaData", "bohr_classes"]
+
+# Frequencies computed from the same eigenvalues, as sums of a few logs, agree
+# to a few ulp of max |log lam| when equal; the exact frequencies of h are
+# further off by the error of the computed eigenvalues, a few eps * lam_max
+# each, so up to a few eps * lam_max / lam_min in log
+_FREQ_GAP = 64 * np.finfo(np.float64).eps
 
 
 class WeightedAlgebra:
@@ -119,6 +125,27 @@ class WeightedAlgebra:
                 f"expected {self.n}x{self.n} matrices, got {x.shape}"
             )
         return x
+
+
+def bohr_classes(lam, order):
+    """Classes of the Bohr frequencies of order 1 or 2 of h = u diag(lam) u*
+    (lam ascending): omega_ab = log lam_a - log lam_b of F_ab = u E_ab u* at
+    index a n + b, or omega_p + omega_q of F_p (x) F_q at index p n^2 + q.
+
+    Returns (same, freq, equal): the class of each index among those whose
+    computed frequencies agree up to rounding, the mean frequency of each
+    such class, and the coarser class among those whose exact frequencies
+    may agree.  Classes (``numkernel.cluster``) only merge, so equal
+    frequencies are never split.
+    """
+    log_lam = np.log(lam)
+    freq = np.subtract.outer(log_lam, log_lam).ravel()
+    if order == 2:
+        freq = np.add.outer(freq, freq).ravel()
+    rounding = _FREQ_GAP * (1.0 + np.abs(log_lam).max())
+    same = cluster(freq, rounding)
+    return (same, np.bincount(same, freq) / np.bincount(same),
+            cluster(freq, rounding + _FREQ_GAP * lam[-1] / lam[0]))
 
 
 def _adjoint(x):

@@ -49,7 +49,7 @@ from .config import DEFAULT_TOL
 from .errors import (GramNotPSD, NoSolution, NotGNSSymmetric, NotPSD, NotUCP,
                      SizeLimitExceeded)
 from .lindblad import DirichletForm, semigroup
-from .modular import TomitaData, WeightedAlgebra
+from .modular import TomitaData, WeightedAlgebra, bohr_classes
 from .numkernel import (HermEig, Superoperator, as_cmatrix, as_cstack, choi,
                         cluster, frob, herm_eig, matrix_units, null_quotient,
                         quotient)
@@ -73,11 +73,6 @@ _MAX_DEFAULT_DIM = 4
 # Rounding mixes the eigenvectors of eigenvalues of h closer than
 # _EIG_GAP * lam_max by about eps / _EIG_GAP: such eigenvalues form one group
 _EIG_GAP = 1e-4
-# frequencies computed from the same eigenvalues, as sums of four logs, agree
-# to a few ulp of max |log lam| when equal; the exact frequencies of h are
-# further off by the error of the computed eigenvalues, a few eps * lam_max
-# each, so up to a few eps * lam_max / lam_min in log
-_FREQ_GAP = 64 * np.finfo(np.float64).eps
 
 
 def _coeff(x):
@@ -300,13 +295,6 @@ def _to_units(rot, x):
     return np.matmul(rot, x).reshape(n2 * n2, -1)
 
 
-def _bohr(log_lam):
-    """Bohr frequency omega_p + omega_q of each eigenbasis pair F_p (x) F_q,
-    with omega_ab = log_lam[a] - log_lam[b]."""
-    omega = np.subtract.outer(log_lam, log_lam).ravel()
-    return np.add.outer(omega, omega).ravel()
-
-
 def _sectors(lam):
     """Bohr classes and sectors of the eigenbasis pairs F_p (x) F_q of
     h = u diag(lam) u* (lam ascending): (class of each pair, frequency of
@@ -320,12 +308,7 @@ def _sectors(lam):
     always safe, splitting either is not.
     """
     n = lam.size
-    log_lam = np.log(lam)
-    nu = _bohr(log_lam)
-    gap = _FREQ_GAP * (1.0 + np.abs(log_lam).max())
-    bohr_class = cluster(nu, gap)
-    bohr = np.bincount(bohr_class, nu) / np.bincount(bohr_class)
-    by_freq = cluster(nu, gap + _FREQ_GAP * lam[-1] / lam[0])
+    bohr_class, bohr, by_freq = bohr_classes(lam, 2)
     groups = cluster(lam / lam[-1], _EIG_GAP)
     by_group = np.ravel_multi_index(
         np.meshgrid(groups, groups, groups, groups, indexing="ij"), (n,) * 4)

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qms.lindblad import JumpSystem
 from qms.modular import WeightedAlgebra
 from qms.numkernel import Superoperator, vec
+
+# one derandomised profile for every property test: reproducible examples,
+# no example database, no deadline, few examples
+settings.register_profile("qms", max_examples=6, derandomize=True,
+                          deadline=None, database=None)
+settings.load_profile("qms")
 
 
 def matrix_unit(n, i, j):

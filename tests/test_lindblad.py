@@ -1,37 +1,103 @@
 """Jump systems, generators, semigroups, certification, Alicki extraction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import qms.lindblad
+from qms.config import DEFAULT_TOL
 from qms.errors import InvalidJumpSystem, NegativeTime, NotGNSSymmetric
 from qms.lindblad import (
     JumpSystem,
+    _gauge,
+    _kossakowski,
+    _modular_basis,
     build_generator,
     certify,
     dirichlet_form,
     extract_alicki,
     semigroup,
     semigroup_spectral,
-    traceless_basis,
 )
 from qms.modular import WeightedAlgebra
-from qms.numkernel import Superoperator, frob
-from qms.sampling import random_jump_system, random_weighted_algebra
+from qms.numkernel import HermEig, Superoperator, frob
+from qms.reconstruct import build_gram_space, gram_axioms_check
+from qms.sampling import (random_jump_system, random_matrix, random_unitary,
+                          random_weighted_algebra)
 
 from conftest import E12, E21, SX, SZ, depolarizing_generator
+
+
+def algebra_with_spectrum(spectrum, rng):
+    """WeightedAlgebra with eigenvalues proportional to spectrum in a random
+    eigenbasis."""
+    lam = np.asarray(spectrum, dtype=float)
+    u = random_unitary(lam.size, rng)
+    return WeightedAlgebra((u * (lam / lam.sum())) @ u.conj().T)
 
 
 class TestTracelessBasis:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orthonormal_traceless(self, n):
-        basis = traceless_basis(n)
+        """The modular basis: orthonormal, traceless, modular eigenvectors
+        of their frequencies, Hermitian at frequency 0 (here with a repeated
+        eigenvalue at n = 3, 4, whose pair enters as a Hermitian pair)."""
+        w = algebra_with_spectrum([1.0, 2.0, 2.0, 5.0][:n],
+                                  np.random.default_rng(n))
+        lam = w.eig.eigenvalues
+        a, b = np.triu_indices(n, 1)
+        basis, _, freq = _modular_basis(w, np.isclose(lam[a], lam[b]))
         assert len(basis) == n * n - 1
         for i, g in enumerate(basis):
             assert abs(np.trace(g)) < 1e-14
-            np.testing.assert_allclose(g, g.conj().T, atol=1e-14)
+            np.testing.assert_allclose(w.h @ g @ w.h_inv,
+                                       np.exp(freq[i]) * g, atol=1e-13)
+            if freq[i] == 0.0:
+                np.testing.assert_allclose(g, g.conj().T, atol=1e-14)
             for j, g2 in enumerate(basis):
                 want = 1.0 if i == j else 0.0
-                assert abs(np.trace(g @ g2) - want) < 1e-14
+                assert abs(np.trace(g.conj().T @ g2) - want) < 1e-14
+
+
+def ref_kossakowski(l, basis):
+    """Kossakowski matrix by the loop over kron products: chi[mu, nu] is
+    the coefficient of x -> B_mu x B_nu*, whose matrix is
+    kron(conj(B_nu), B_mu) (kron(B_nu.T, B_mu) for a Hermitian basis)."""
+    d = len(basis)
+    chi = np.zeros((d, d), dtype=np.complex128)
+    for mu in range(d):
+        for nu in range(d):
+            b = np.kron(basis[nu].conj(), basis[mu])
+            chi[mu, nu] = np.vdot(b, l.matrix)
+    k = -0.5 * chi
+    return 0.5 * (k + k.conj().T)
+
+
+class TestKossakowski:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_kron_loop(self, n):
+        rng = np.random.default_rng(40 + n)
+        w = random_weighted_algebra(n, rng)
+        # every other pair as a Hermitian pair: any orthonormal basis will do
+        basis = _modular_basis(w, np.arange(n * (n - 1) // 2) % 2 == 0)[0]
+        for l in (build_generator(random_jump_system(w, rng, m_max=2 * n)),
+                  Superoperator.from_matrix(random_matrix(n * n, rng))):
+            want = ref_kossakowski(l, basis)
+            assert frob(_kossakowski(l, basis) - want) <= 1e-13 * frob(want)
+
+
+class TestGauge:
+    def test_equal_magnitudes_not_flipped_by_rounding(self):
+        """|v_00| = |v_11| for a traceless Hermitian 2 x 2 jump: a perturbation
+        at rounding level must not change which entry fixes the sign."""
+        v = np.array([[0.5, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
+        nudge = np.diag([0.0, -1e-14])
+        np.testing.assert_allclose(_gauge(v + nudge, 0.0), _gauge(v, 0.0),
+                                   atol=1e-13)
+        np.testing.assert_allclose(_gauge(-v, 0.0), _gauge(v, 0.0), atol=0)
 
 
 class TestJumpSystem:
@@ -64,6 +130,28 @@ class TestBuildGenerator:
         np.testing.assert_allclose(l.apply(np.eye(2)), 0.0 * SZ, atol=1e-14)
         np.testing.assert_allclose(l.apply(SX), np.zeros((2, 2)), atol=1e-14)
         np.testing.assert_allclose(l.apply(SZ), 2.0 * SZ, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_kron_loop(self, n):
+        """The stacked assembly against the sum of four Kronecker products
+        per jump, also on a set that is not closed under adjoints."""
+        rng = np.random.default_rng(60 + n)
+        w = random_weighted_algebra(n, rng)
+        loose = [(random_matrix(n, rng), 0.3), (random_matrix(n, rng), -1.1)]
+        for system in (random_jump_system(w, rng, m_max=2 * n),
+                       JumpSystem(W=w, jumps=loose, pairing=[0, 1])):
+            want = Superoperator.zero(n)
+            eye = np.eye(n)
+            for v, om in system.jumps:
+                vs = v.conj().T
+                want = want + np.exp(-om / 2.0) * (
+                    Superoperator.left_right(vs @ v, eye)
+                    - Superoperator.left_right(vs, v))
+                want = want + np.exp(om / 2.0) * (
+                    Superoperator.left_right(eye, v @ vs)
+                    - Superoperator.left_right(v, vs))
+            got = build_generator(system, validate=False)
+            assert frob(got.matrix - want.matrix) <= 1e-14 * frob(want.matrix)
 
     def test_reference_system_unital(self, qubit_system):
         l = build_generator(qubit_system)
@@ -154,6 +242,33 @@ class TestExtractAlicki:
         ex = extract_alicki(l, qubit_system3.W)
         assert frob(build_generator(ex).matrix - l.matrix) <= 1e-8 * frob(l.matrix)
 
+    @pytest.mark.parametrize("gap", [1e-12, 1e-9])
+    def test_generator_from_another_eigenbasis(self, gap):
+        """A generator built from the jumps of an eigenbasis u0 of h other
+        than the computed one: rounding rotates the computed eigenvectors of
+        the two eigenvalues gap apart by about eps / gap against u0, which
+        couples the frequency classes of the jumps; the extraction merges
+        them and rebuilds the generator to about gap."""
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            lam = np.array([1.0, 1.0 + gap, 2.0]) / (4.0 + gap)
+            u0 = random_unitary(3, rng)
+            w = WeightedAlgebra((u0 * lam) @ u0.conj().T)
+            analytic = SimpleNamespace(n=3, eig=HermEig(lam, u0))
+            jumps = random_jump_system(analytic, rng, m_max=6)
+            l = build_generator(JumpSystem(W=w, jumps=jumps.jumps,
+                                           pairing=jumps.pairing))
+            ex = extract_alicki(l, w)
+            assert frob(build_generator(ex).matrix - l.matrix) <= (
+                4.0 * gap * frob(l.matrix))
+
+    def test_roundtrip_gate(self, qubit_system3, monkeypatch):
+        """A valid jump system that does not rebuild the generator raises."""
+        monkeypatch.setattr(qms.lindblad, "_gauge", lambda v, omega: 1.01 * v)
+        with pytest.raises(InvalidJumpSystem) as err:
+            extract_alicki(build_generator(qubit_system3), qubit_system3.W)
+        assert set(err.value.failed) == {"roundtrip"}
+
     def test_rejects_non_symmetric(self, w_qubit):
         l = 1j * (Superoperator.left_right(SX, np.eye(2))
                   - Superoperator.left_right(np.eye(2), SX))
@@ -196,3 +311,28 @@ class TestRandomSampling:
             w = random_weighted_algebra(n, rng)
             system = random_jump_system(w, rng)
             assert max(system.validate().values()) < 1e-10
+
+
+@st.composite
+def near_degenerate_systems(draw):
+    """A jump system of ``random_jump_system`` over a density with
+    eigenvalues proportional to (1, 1 + g, 2) or (1, 1 + g, 2, 4), g
+    log-uniform in [1e-12, 1e-4], in a random eigenbasis."""
+    n = draw(st.sampled_from([3, 4]))
+    gap = 10.0 ** draw(st.floats(-12.0, -4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = algebra_with_spectrum([1.0, 1.0 + gap, 2.0, 4.0][:n], rng)
+    return random_jump_system(w, rng, m_max=2 * n)
+
+
+@given(system=near_degenerate_systems())
+def test_extraction_near_degenerate_spectrum(system):
+    l = build_generator(system)
+    ex = extract_alicki(l, system.W)
+    ex.check_valid()
+    assert frob(build_generator(ex).matrix - l.matrix) <= (
+        DEFAULT_TOL.roundtrip * frob(l.matrix))
+    if system.W.n == 3:
+        g = build_gram_space(dirichlet_form(build_generator(ex), system.W))
+        res = gram_axioms_check(g, n_samples=20)
+        assert max(res.values()) <= DEFAULT_TOL.axiom

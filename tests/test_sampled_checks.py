@@ -9,7 +9,7 @@ every residual within rounding of the loop's.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qms import bimodule, reconstruct, sampling, suites
@@ -365,7 +365,6 @@ def test_stacked_conj_raises_like_the_loop():
 
 # --- property test --------------------------------------------------------------
 
-@settings(max_examples=6, derandomize=True, deadline=None, database=None)
 @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_checks_match_reference_on_random_systems(n, seed):
     rng = np.random.default_rng(seed)

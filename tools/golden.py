@@ -15,6 +15,12 @@ with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
   (h = I/n, a repeated eigenvalue, a geometric spectrum 1, 2, 4, ..., the
   equally spaced spectrum exp(-3k) of condition number up to 8e3) in a
   random eigenbasis, with a jumps and a generator source;
+* ``alicki-validate`` and ``gram-axioms`` on a generator source over a
+  near-degenerate spectrum (1, 1 + g, 2), g = 1e-9 and 1e-8, in a random
+  eigenbasis.  The density read back from the file differs from the one the
+  jumps were built on by rounding, which turns the computed eigenvectors of
+  the two close eigenvalues by about eps / g: the generator comes in another
+  eigenbasis than the one the extraction computes;
 * two cases that fail a check (exit 1), so that a FAIL report is compared
   too: ``bimodule-axioms`` on the qubit jump pair {(E21, log 2), (E12,
   -log 2)} over diag(2/3, 1/3) with the first weight off by 0.1 (axiom (e)
@@ -54,6 +60,9 @@ DEGENERATE_SPECTRA = {
     "equally-spaced": lambda n: [math.exp(-3.0 * k) for k in range(n)],
 }
 DEGENERATE_SEED = 21
+NEAR_DEGENERATE_GAPS = (1e-9, 1e-8)
+NEAR_DEGENERATE_SUITES = ("alicki-validate", "gram-axioms")
+NEAR_DEGENERATE_SEED = 22
 _LOG2 = math.log(2.0)
 FAILING_CASES = {
     "fail-perturbed-weight-bimodule-axioms": {
@@ -115,6 +124,12 @@ def write_cases(workdir):
                 name = f"degenerate-{spectrum}-n{n}-{source}"
                 specs.append((name, "cli", _spectrum_scenario(
                     name, lams(n), source, rng)))
+    rng = np.random.default_rng(NEAR_DEGENERATE_SEED)
+    for gap in NEAR_DEGENERATE_GAPS:
+        name = f"near-degenerate-{gap:g}-n3-generator"
+        specs.append((name, "cli", _spectrum_scenario(
+            name, [1.0, 1.0 + gap, 2.0], "generator", rng,
+            NEAR_DEGENERATE_SUITES)))
     for name, sc in FAILING_CASES.items():
         specs.append((name, "cli", {"v": 1, "name": name, "seed": 7, **sc}))
     cases = []
@@ -127,9 +142,9 @@ def write_cases(workdir):
         json.dump(cases, fh)
 
 
-def _spectrum_scenario(name, lams, source, rng):
-    """The Gram suites on a random jump system over a density with
-    eigenvalues proportional to lams."""
+def _spectrum_scenario(name, lams, source, rng, checks=GRAM_SUITES):
+    """The given suites (the Gram suites by default) on a random jump system
+    over a density with eigenvalues proportional to lams."""
     import numpy as np
     from perfbench.workloads import _mat_json
     from qms.lindblad import build_generator
@@ -146,7 +161,7 @@ def _spectrum_scenario(name, lams, source, rng):
     else:
         src = {"generator": _mat_json(build_generator(system).matrix)}
     return {"v": 1, "name": name, "algebra": {"dim": lam.size, "h": _mat_json(w.h)},
-            "source": src, "checks": list(GRAM_SUITES),
+            "source": src, "checks": list(checks),
             "seed": int(rng.integers(1 << 30))}
 
 
