@@ -317,11 +317,13 @@ def extract_alicki(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL) -> Jum
     ``check_valid``, and the rebuilt generator within tol.roundtrip
     (relative), else ``InvalidJumpSystem`` with the residual "roundtrip".
     """
-    report = certify(l, w, tol)
+    return _extract_certified(l, w, certify(l, w, tol), tol)
+
+
+def _extract_certified(l, w, report, tol):
+    """``extract_alicki`` of a generator l whose certificate is ``report``."""
     if not (report.gns_symmetric and report.modular_commuting and report.markov_unital):
-        raise NotGNSSymmetric(
-            f"certification failed: {report.residuals}"
-        )
+        raise NotGNSSymmetric(f"certification failed: {report.residuals}")
     n = w.n
     half = n * (n - 1) // 2
     basis, label, freq = _modular_basis(w, np.zeros(half, dtype=bool))

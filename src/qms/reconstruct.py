@@ -12,14 +12,15 @@ bimodule operations become matrices on the quotient:
   U_z[a(x)b]  = [U_z a (x) U_z b],     J[a(x)b] = [Jb.Ja (x) 1] - [Jb (x) Ja],
   delta(a)    = [a(x)1].
 
-The quotient is taken in the modular eigenbasis F_ab = u E_ab u* of
-h = u diag(lam) u*, where sigma_z(F_ab) = e^{i z omega_ab} F_ab with
-omega_ab = log lam_a - log lam_b.  U_z is unitary for real z, so the Gram
-entry of F_p(x)F_q against F_r(x)F_s vanishes unless the Bohr frequencies
-omega_p + omega_q and omega_r + omega_s agree: the Gram matrix is
-block-diagonal by frequency.  The sectors are found by clustering that only
-merges, so equal frequencies are never split: pairs whose frequencies may
-be equal, given the rounding of the computed eigenvalues (a few
+The Gram matrix, its quotient, J and the uniqueness comparison all live
+on the pairs of the modular eigenbasis F_ab = u E_ab u* of h = u diag(lam) u*:
+sigma_z(F_ab) = e^{i z omega_ab} F_ab with omega_ab = log lam_a - log lam_b,
+and J F_ab = (lam_b / lam_a)^{1/2} F_ba.  U_z is unitary for real z, so the
+Gram entry of F_p(x)F_q against F_r(x)F_s vanishes unless the Bohr
+frequencies omega_p + omega_q and omega_r + omega_s agree: the Gram matrix
+is block-diagonal by frequency.  The sectors are found by clustering that
+only merges, so equal frequencies are never split: pairs whose frequencies
+may be equal, given the rounding of the computed eigenvalues (a few
 eps lam_max / lam_min in log), share a sector, and so do pairs that differ
 only in indices of eigenvalues of h closer than 1e-4 lam_max (rounding
 mixes their eigenvectors).  Each sector block is eigendecomposed on its
@@ -97,13 +98,12 @@ def gram_entry(form: DirichletForm, a, b, c, d):
 
 @dataclass
 class GramSpace:
-    """Quotient realization of the reconstructed bimodule."""
+    """Quotient realization of the reconstructed bimodule, on the coefficients
+    of the eigenbasis pairs F_p (x) F_q (index p * n^2 + q)."""
 
     W: WeightedAlgebra
-    gram: np.ndarray      # n^4 x n^4 over unit pairs (p, q) at index p * n^2 + q
-    qmap: object          # numkernel.QuotientMap on unit-pair coefficients
-    sector_vecs: np.ndarray  # Gram eigenvectors of the quotient coordinates
-                             # over eigenbasis pairs, zero off their sector
+    qmap: object          # numkernel.QuotientMap, vectors zero off their sector
+    sector: np.ndarray    # sector label 0, 1, ... of each eigenbasis pair
     bohr_class: np.ndarray   # class of each eigenbasis pair by its Bohr
                              # frequency, as the modular group computes it
     bohr: np.ndarray      # the Bohr frequency of each class
@@ -115,16 +115,14 @@ class GramSpace:
     def rank(self):
         return self.qmap.rank
 
-    def pair_coeff(self, a, b):
-        """kron(coeff(a), coeff(b)), of each pair of stacks of a and b."""
-        ca, cb = _coeff(a), _coeff(b)
-        out = ca[..., :, None] * cb[..., None, :]
-        return out.reshape(out.shape[:-2] + (-1,))
-
     def embed_pair(self, a, b):
         """Quotient coordinates of the class [a (x) b]; one row per pair of
         stacks of a and b."""
-        return self.pair_coeff(a, b) @ self.qmap.embed.T
+        n2 = self.W.n ** 2
+        embed = self.qmap.embed.reshape(self.rank, n2, n2)
+        ca, cb = self._unit_coeff(a), self._unit_coeff(b)
+        return np.einsum("...p,...rp->...r", ca,
+                         np.einsum("rpq,...q->...rp", embed, cb))
 
     def delta(self, a):
         eye = np.eye(self.W.n, dtype=np.complex128)
@@ -135,19 +133,15 @@ class GramSpace:
 
     # -- operators on the quotient ---------------------------------------------
 
-    def _descend_antilinear(self, coeff_matrix):
-        # antilinear T: y -> M @ conj(y) with M below
-        return self.qmap.embed @ coeff_matrix @ self.qmap.lift.conj()
-
     def _mult_map(self):
         """coeff(b (x) c) -> coeff(bc), the multiplication on unit pairs:
-        E_ij E_kl = [j = k] E_il."""
+        E_ij E_kl = [j = k] E_il, and so F_ij F_kl = [j = k] F_il."""
         n = self.W.n
         eye = np.eye(n)
         return np.einsum("xi,jk,ly->xyijkl", eye, eye, eye).reshape(n * n, -1)
 
     def _act_left(self, a, coeff):
-        """L(a) on unit-pair coefficient columns: [ab (x) c] - [a (x) bc]."""
+        """L(a) on pair coefficient columns: [ab (x) c] - [a (x) bc]."""
         n = self.W.n
         c = coeff.reshape(n ** 4, -1)
         out = (as_cmatrix(a) @ c.reshape(n, -1)).reshape(c.shape) - np.kron(
@@ -155,7 +149,7 @@ class GramSpace:
         return out.reshape(coeff.shape)
 
     def _act_right(self, a, coeff):
-        """R(a) on unit-pair coefficient columns: [b (x) ca]."""
+        """R(a) on pair coefficient columns: [b (x) ca]."""
         n = self.W.n
         c = coeff.reshape(n ** 3, n, -1)
         return np.einsum("xlr,ly->xyr", c, as_cmatrix(a)).reshape(coeff.shape)
@@ -166,13 +160,12 @@ class GramSpace:
         F_p = u E_p u*, and of the spectral projection of the modular group
         onto each Bohr class, as ``_sparse`` gives them, per family.
 
-        The sector eigenvectors are exactly zero off their sector, so an
+        The quotient vectors are exactly zero off their sector, so an
         image of L or R joins only sectors whose frequencies differ by
         omega_p and a projection lies inside the one sector of its class; all
         other entries are exact zeros.
         """
-        sq = np.sqrt(self.qmap.eigenvalues)
-        embed, lift = (self.sector_vecs * sq).conj().T, self.sector_vecs / sq
+        embed, lift = self.qmap.embed, self.qmap.lift
         units = matrix_units(self.W.n)
         classes = [self.bohr_class == k for k in range(self.bohr.size)]
         return (_sparse(embed @ self._act_left(e, lift) for e in units),
@@ -211,21 +204,24 @@ class GramSpace:
     def op_conj(self):
         """Antilinear conjugation: y -> op_conj() @ conj(y).
 
-        Column (a, b) holds the coefficients of [Jb.Ja (x) 1] - [Jb (x) Ja],
-        with J E_ij = h^{1/2} E_ji h^{-1/2} and Jb.Ja = J(ab).
+        J[a (x) b] = [Jb.Ja (x) 1] - [Jb (x) Ja] with J a = h^{1/2} a* h^{-1/2},
+        so J F_ij = c_ij F_ji with c_ij = (lam_j / lam_i)^{1/2}, and
+        J[F_ij (x) F_kl] = c_il [j = k] [F_li (x) 1] - c_ij c_kl [F_lk (x) F_ji].
         """
         n = self.W.n
-        eye = np.eye(n)
-        j_units = np.einsum("xj,iy->xyij", self.W.h_sqrt, self.W.h_isqrt)
-        cols = (np.einsum("xyil,jk,uv->xyuvijkl", j_units, eye, eye)
-                - np.einsum("xykl,uvij->xyuvijkl", j_units, j_units))
-        return self._descend_antilinear(cols.reshape(n ** 4, n ** 4))
+        s = np.sqrt(self.W.eig.eigenvalues)
+        c = s / s[:, None]
+        y = self.qmap.lift.conj().reshape(n, n, n, n, -1)
+        out = np.einsum("il,ijjlr,uv->liuvr", c, y, np.eye(n))
+        out -= np.einsum("ij,kl,ijklr->lkjir", c, c, y)
+        return self.qmap.embed @ out.reshape(n ** 4, -1)
 
     # -- diagnostics -----------------------------------------------------------
 
     def well_definedness_residual(self, n_samples=20, seed=23):
         """Max change of quotient images when a representative is shifted by
-        a random Gram-null vector (Step-7 well-definedness probe)."""
+        a random Gram-null vector (Step-7 well-definedness probe); L and R
+        act by eigenbasis units F_p, whose products are those of the E_p."""
         null = self.qmap.null
         if null.shape[1] == 0 or self.rank == 0:
             return 0.0
@@ -288,13 +284,6 @@ def _gram(f, h, h_inv):
     return gram
 
 
-def _to_units(rot, x):
-    """kron(rot, rot) @ x, without the n^4 x n^4 Kronecker product."""
-    n2 = rot.shape[0]
-    x = (rot @ x.reshape(n2, -1)).reshape(n2, n2, -1)
-    return np.matmul(rot, x).reshape(n2 * n2, -1)
-
-
 def _sectors(lam):
     """Bohr classes and sectors of the eigenbasis pairs F_p (x) F_q of
     h = u diag(lam) u* (lam ascending): (class of each pair, frequency of
@@ -327,8 +316,8 @@ def _sectors(lam):
 
 def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
                      tol=DEFAULT_TOL, allow_large=False) -> GramSpace:
-    """Assemble the n^4 Gram matrix over matrix-unit pairs and quotient it,
-    one Bohr-frequency sector at a time."""
+    """Assemble the n^4 Gram matrix over the eigenbasis pairs and quotient
+    it, one Bohr-frequency sector at a time."""
     w = w if w is not None else form.W
     n = w.n
     if n > _MAX_DEFAULT_DIM and not allow_large:
@@ -348,36 +337,31 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
     # frequencies omega_p + omega_q and omega_r + omega_s agree.
     lam, u = w.eig.eigenvalues, w.eig.eigenvectors
     rot = np.kron(u, u.conj())
-    gram_eig = _gram(rot.conj().T @ f @ rot, np.diag(lam), np.diag(1.0 / lam))
-    bohr_class, bohr, labels = _sectors(lam)
+    gram = _gram(rot.conj().T @ f @ rot, np.diag(lam), np.diag(1.0 / lam))
+    bohr_class, bohr, sector = _sectors(lam)
 
     # one eigendecomposition per sector, its eigenvectors in the columns of
     # its own indices; what is left of |gram| is the off-sector part
     eigvals = np.empty(n ** 4)
     eigvecs = np.zeros((n ** 4, n ** 4), dtype=np.complex128)
-    mag = np.abs(gram_eig)
+    mag = np.abs(gram)
     scale = mag.max()
-    for s in range(labels.max() + 1):
-        members = np.flatnonzero(labels == s)
+    for s in range(sector.max() + 1):
+        members = np.flatnonzero(sector == s)
         block = np.ix_(members, members)
-        eig = herm_eig(gram_eig[block], tol)
+        eig = herm_eig(gram[block], tol)
         eigvals[members] = eig.eigenvalues
         eigvecs[block] = eig.eigenvectors
         mag[block] = 0.0
     off_sector = float(mag.max() / scale) if scale > 0 else 0.0
-    del gram_eig, mag    # keep at most three n^4 x n^4 arrays alive
+    del gram, mag    # keep at most three n^4 x n^4 arrays alive
     order = np.argsort(eigvals, kind="stable")
-    eigvecs = eigvecs[:, order]
     try:
-        qmap = quotient(HermEig(eigvals[order], _to_units(rot, eigvecs)), tol)
+        qmap = quotient(HermEig(eigvals[order], eigvecs[:, order]), tol)
     except NotPSD as exc:
         raise GramNotPSD(str(exc)) from exc
-    # the quotient keeps the top `rank` eigenvalues, largest first
-    sector_vecs = eigvecs[:, ::-1][:, :qmap.rank].copy()
-    del eigvecs
-    return GramSpace(W=w, gram=_gram(f, w.h, w.h_inv), qmap=qmap,
-                     sector_vecs=sector_vecs, bohr_class=bohr_class, bohr=bohr,
-                     off_sector=off_sector)
+    return GramSpace(W=w, qmap=qmap, sector=sector, bohr_class=bohr_class,
+                     bohr=bohr, off_sector=off_sector)
 
 
 def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
@@ -453,11 +437,24 @@ def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
 
     The map R(b) delta_K(a) -> R(b) delta_B(a) on the common spanning set is
     isometric iff the two Gram matrices coincide; ranks must also agree.
+    Both are taken over the eigenbasis pairs, where the quotient's Gram is
+    zero between sectors: it is subtracted one sector block at a time.
     """
     span_g, _, _, sv = bimodule._span()
-    gram_b = span_g.conj().T @ span_g
-    scale = max(np.abs(g.gram).max(), np.abs(gram_b).max(), 1e-300)
-    gram_b -= g.gram    # in place: the n^4 x n^4 difference is the last use
+    n2 = g.W.n ** 2
+    u = g.W.eig.eigenvectors
+    rot = np.kron(u, u.conj())
+    order = np.argsort(g.sector, kind="stable")
+    # the span's columns over the eigenbasis pairs, one rotation per axis
+    span = (rot.T @ (span_g.reshape(-1, n2, n2) @ rot)).reshape(-1, n2 * n2)[:, order]
+    gram_b = span.conj().T @ span
+    embed = g.qmap.embed[:, order]
+    scale = max(np.abs(gram_b).max(), 1e-300)
+    bounds = np.cumsum(np.bincount(g.sector))
+    for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
+        block = embed[:, lo:hi].conj().T @ embed[:, lo:hi]
+        scale = max(scale, np.abs(block).max())
+        gram_b[lo:hi, lo:hi] -= block
     max_resid = float(np.abs(gram_b).max())
     # the eigenvalues of gram_b are the squared singular values sv of the span
     rank_b = int(np.sum(sv ** 2 > tol.decomp * np.max(sv, initial=0.0) ** 2))

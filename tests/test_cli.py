@@ -302,6 +302,29 @@ class TestGeneratorSource:
         assert "[FAIL] certify/gns_symmetric" in captured.out
         assert captured.err == ""
 
+    @pytest.mark.parametrize("suite", ["triple-agreement", "uniqueness",
+                                       "gram-axioms"])
+    def test_certified_once(self, tmp_path, capsys, monkeypatch, qubit_system3,
+                            suite):
+        """The certificate of the input generator serves certify-generator,
+        the extraction and the Gram suite's gate: one certify call."""
+        import qms.lindblad
+        import qms.suites
+        certify = qms.lindblad.certify
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return certify(*args, **kwargs)
+
+        for module in (qms.lindblad, qms.suites):
+            monkeypatch.setattr(module, "certify", counting)
+        scenario = base_scenario(checks=["certify-generator", suite])
+        scenario["source"] = generator_source(qubit_system3)
+        assert main(["run", write_scenario(tmp_path, scenario)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert len(calls) == 1
+
 
 class TestFockSpecSource:
     def test_free_aw_scenario(self, tmp_path, capsys):

@@ -24,7 +24,8 @@ from qms.lindblad import (
 )
 from qms.modular import WeightedAlgebra
 from qms.numkernel import HermEig, Superoperator, frob
-from qms.reconstruct import build_gram_space, gram_axioms_check
+from qms.bimodule import FinBimodule
+from qms.reconstruct import build_gram_space, gram_axioms_check, uniqueness_isometry
 from qms.sampling import (random_jump_system, random_matrix, random_unitary,
                           random_weighted_algebra)
 
@@ -336,3 +337,7 @@ def test_extraction_near_degenerate_spectrum(system):
         g = build_gram_space(dirichlet_form(build_generator(ex), system.W))
         res = gram_axioms_check(g, n_samples=20)
         assert max(res.values()) <= DEFAULT_TOL.axiom
+        # close eigenvalues merge sectors, which uniqueness subtracts per sector
+        u = uniqueness_isometry(g, FinBimodule(ex))
+        assert u["ranks_agree"]
+        assert u["relative_residual"] <= DEFAULT_TOL.roundtrip

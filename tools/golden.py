@@ -28,9 +28,10 @@ with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
   1 + 0.3 E_{0,1} of M_2 (certify/gns_symmetric fails).
 
 Per case the tool compares the exit code, stderr and report bytes (for a
-three-route job, its result).  Where the bytes differ it prints the largest
-|change of residual| of each check name.  It exits with 1 if any exit code,
-check name or pass flag differs, else with 0.
+three-route job, its result).  Where the bytes differ it prints, for each
+check name whose residual moved, the base -> change residuals of its largest
+move.  It exits with 1 if any exit code, check name or pass flag differs,
+else with 0.
 """
 
 import contextlib
@@ -211,8 +212,9 @@ def _flags(rec):
     return rec.get("gates")
 
 
-def _residual_deltas(base, change):
-    """Largest |change| per check name (per key for a three-route result)."""
+def _residual_moves(base, change):
+    """(base, change) residuals of the largest |change| per check name (per
+    key for a three-route result), of the names whose residual moved."""
     if "report" in base:
         pairs = [(c["name"], c["residual"], d["residual"]) for c, d in zip(
             json.loads(base["report"])["checks"],
@@ -222,7 +224,9 @@ def _residual_deltas(base, change):
                  if isinstance(v, float)]
     out = {}
     for name, a, b in pairs:
-        out[name] = max(out.get(name, 0.0), abs(a - b))
+        prev = out.get(name)
+        if a != b and (prev is None or abs(a - b) > abs(prev[0] - prev[1])):
+            out[name] = (a, b)
     return out
 
 
@@ -247,9 +251,9 @@ def compare(base, change):
         if same_out and b["stderr"] == c["stderr"] and not problems:
             identical += 1
         if not same_out and any(k in b and k in c for k in ("report", "result")):
-            deltas = _residual_deltas(b, c)
-            lines.append(f"  {name}: differs; largest |delta residual|: " + ", ".join(
-                f"{k} {v:.1e}" for k, v in sorted(deltas.items()) if v))
+            moves = _residual_moves(b, c)
+            lines.append(f"  {name}: differs; residuals base -> change: " + ", ".join(
+                f"{k} {u:.1e} -> {v:.1e}" for k, (u, v) in sorted(moves.items())))
     return identical, breaking, lines
 
 
