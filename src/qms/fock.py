@@ -9,6 +9,10 @@ space
 
 is truncated at a maximal depth; creation from the top layer maps to zero,
 so every identity is checked only on layers inside its declared safe zone.
+Operators are applied layer block by layer block: a creation operator maps
+layer k to layer k + 1 by a reshape and one einsum, and the checks read only
+the coordinates they need (the safe columns of [s, t], layer 0 of pi_l(x)
+Omega); the dense D x D matrices are assembled from the same blocks.
 
 ``TruncatedFock`` takes H = C^m (x) L2(M, phi), the form of every jump
 correspondence.  Layer k is then C^{m^k} (x) L2(M) in closed form:
@@ -22,6 +26,8 @@ with V_t = A^{it}, the number operator generates the Ornstein-Uhlenbeck
 semigroup, and Wick words reconstruct vectors from polynomials in the field
 operators s(e_k).
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -52,16 +58,18 @@ __all__ = [
 ]
 
 
-# bytes one dense matrix of the scalar model may take
+# bytes one array of the scalar model may take
 _MAX_SCALAR_FOCK_BYTES = 1 << 27
+# bytes one array of a TruncatedFock check may take
+_MAX_FOCK_CHECK_BYTES = 1 << 27
 
 
 def _scalar_fock_bytes(d, depth):
-    """Bytes of the largest dense complex matrices of the scalar model over
-    C^d: D x D with D = 1 + d + ... + d^depth, and delta_matrix(depth) of
-    (2d)^depth x d^depth."""
+    """Bytes of the largest complex arrays of the scalar model over C^d: the
+    D x D matrices with D = 1 + d + ... + d^depth, and delta of a top-layer
+    vector, (2d)^depth entries."""
     dim = sum(d ** k for k in range(depth + 1))
-    return 16 * max(dim * dim, (2 * d) ** depth * d ** depth)
+    return 16 * max(dim * dim, (2 * d) ** depth)
 
 
 def _transpose_perm(n):
@@ -73,14 +81,10 @@ def _transpose_perm(n):
     return t
 
 
-def _antilinear_fixed_basis(op, d):
-    """Real-orthonormal basis of {xi in C^d : op(xi) = xi} for antilinear op."""
-    a = np.zeros((d, d), dtype=np.complex128)
-    for k in range(d):
-        e = np.zeros(d, dtype=np.complex128)
-        e[k] = 1.0
-        a[:, k] = op(e)
-    # op(u + iv) = A conj(u + iv) = A u - i A v; solve op(xi) = xi
+def _antilinear_fixed_basis(a):
+    """Real-orthonormal basis of {xi in C^d : A conj(xi) = xi}."""
+    d = len(a)
+    # A conj(u + iv) = A u - i A v; solve A conj(xi) = xi
     ar, ai = a.real, a.imag
     eye = np.eye(d)
     big = np.block([[ar - eye, ai], [ai, -ar - eye]])
@@ -122,19 +126,29 @@ class Correspondence:
             raise NotFixedPoint("correspondence has no Tomita structure")
         return self.conj_mat @ np.conj(xi)
 
+    @functools.cached_property
+    def _s0_mat(self):
+        """A with S_0 xi = A conj(xi)."""
+        return self.conj_apply(self.group(-0.5j))
+
+    @functools.cached_property
+    def _f0_mat(self):
+        """A with F_0 xi = A conj(xi)."""
+        return self.conj_apply(self.group(0.5j))
+
     def s0(self, xi):
         """S_0 xi = J U_{-i/2} xi (antilinear)."""
-        return self.conj_apply(self.group(-0.5j) @ xi)
+        return self._s0_mat @ np.conj(xi)
 
     def f0(self, xi):
         """F_0 xi = J U_{i/2} xi (antilinear)."""
-        return self.conj_apply(self.group(0.5j) @ xi)
+        return self._f0_mat @ np.conj(xi)
 
     def s_fixed_basis(self):
-        return _antilinear_fixed_basis(self.s0, self.d)
+        return _antilinear_fixed_basis(self._s0_mat)
 
     def f_fixed_basis(self):
-        return _antilinear_fixed_basis(self.f0, self.d)
+        return _antilinear_fixed_basis(self._f0_mat)
 
 
 def l2_correspondence(w: WeightedAlgebra) -> Correspondence:
@@ -452,6 +466,9 @@ class TruncatedFock:
         self.dims = [m ** k * n * n for k in range(self.d_max + 1)]
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
         self.D = int(self.offsets[-1])
+        # the last nonzero layer: with m = 0 (H = 0) every layer above L2(M)
+        # is empty
+        self._top = self.d_max if m else 0
 
     # -- vectors ---------------------------------------------------------------
 
@@ -475,33 +492,82 @@ class TruncatedFock:
         p[: self.offsets[max_layer + 1]] = 1.0
         return np.diag(p)
 
-    # -- operators -------------------------------------------------------------
-
-    def pi_left(self, x):
-        """Left action of M on the whole truncated Fock space."""
-        # I_{m^k} (x) lambda(x) on every layer is I_{D/n} (x) x overall
-        return np.kron(np.eye(self.D // self.W.n), as_cmatrix(x))
+    # -- operators, applied layer block by layer block ------------------------
+    #
+    # A column stack holds the coordinates of layers 0..L of some vectors:
+    # its rows are offsets[0]..offsets[L + 1], one column per vector.
 
     def _coord_mats(self, xi):
         """X_j: the coordinate matrices of the m L2 components of xi."""
         n = self.W.n
         return np.reshape(xi, (self.m, n, n)).transpose(0, 2, 1)
 
-    def _raising(self, block):
-        """Operator whose block from layer k to layer k + 1 is block(k)."""
+    def _creator(self, xi, right=False):
+        """Block maps (up, down) of a(xi), or of b(xi) with right=True.
+
+        up maps the columns of layer k to layer k + 1; down is its adjoint.
+        Layer k is read as V[I, col, row]: V_I is the coordinate matrix of
+        the L2 factor at the C^{m^k} index I.  a(xi) puts A_j V_I at (j, I)
+        with A_j = X_j h^{-1/2}; b(xi) puts V_I B_j at (I, j) with
+        B_j = h^{-1/2} X_j.
+        """
+        n, m = self.W.n, self.m
+        x = self._coord_mats(xi)
+        if right:
+            f, split = self.W.h_isqrt @ x, (-1, m)
+            sub_up, sub_down = "jsc,Isrk->Ijcrk", "jsc,Ijcrk->Isrk"
+        else:
+            f, split = x @ self.W.h_isqrt, (m, -1)
+            sub_up, sub_down = "jrs,Icsk->jIcrk", "jrs,jIcrk->Icsk"
+
+        def up(v):
+            k = v.shape[1]
+            return np.einsum(sub_up, f, v.reshape(-1, n, n, k)).reshape(-1, k)
+
+        def down(w):
+            k = w.shape[1]
+            return np.einsum(sub_down, f.conj(),
+                             w.reshape(*split, n, n, k)).reshape(-1, k)
+        return up, down
+
+    def _apply(self, creator, v):
+        """(c + c*) v for the block maps (up, down) of a creator c and a column
+        stack v of layers 0..L; the result holds layers 0..min(L + 1, top)."""
+        up, down = creator
+        off = self.offsets
+        last = int(np.searchsorted(off, len(v))) - 1
+        new = min(last + 1, self._top)
+        out = np.zeros((off[new + 1], v.shape[1]), dtype=np.complex128)
+        for k in range(last + 1):
+            blk = v[off[k]:off[k + 1]]
+            if k < new:
+                out[off[k + 1]:off[k + 2]] = up(blk)
+            if k > 0:
+                out[off[k - 1]:off[k]] += down(blk)
+        return out
+
+    def _raising(self, up):
+        """Dense operator whose block from layer k to layer k + 1 is up(I)."""
         out = np.zeros((self.D, self.D), dtype=np.complex128)
         off = self.offsets
-        # with m = 0 (H = 0) every layer above L2(M) is empty
-        for k in range(self.d_max if self.m else 0):
-            out[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = block(k)
+        for k in range(self._top):
+            out[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = up(
+                np.eye(self.dims[k]))
         return out
+
+    def _left(self, x, v):
+        """pi_l(x) on a column stack: x on each n-block of every layer."""
+        n, c = self.W.n, v.shape[1]
+        return (as_cmatrix(x) @ v.reshape(-1, n, c)).reshape(-1, c)
+
+    def pi_left(self, x):
+        """Left action of M on the whole truncated Fock space."""
+        # I_{m^k} (x) lambda(x) on every layer is I_{D/n} (x) x overall
+        return self._left(x, np.eye(self.D))
 
     def creation(self, xi):
         """a(xi): prepends xi; layer k -> k + 1 (top layer to zero)."""
-        eye_n = np.eye(self.W.n)
-        lams = [np.kron(eye_n, x @ self.W.h_isqrt) for x in self._coord_mats(xi)]
-        return self._raising(lambda k: np.concatenate(
-            [np.kron(np.eye(self.m ** k), lam) for lam in lams]))
+        return self._raising(self._creator(xi)[0])
 
     def s_op(self, xi):
         a = self.creation(xi)
@@ -509,10 +575,7 @@ class TruncatedFock:
 
     def b_creation(self, xi):
         """b(xi): appends xi on the right; layer k -> k + 1."""
-        eye_n = np.eye(self.W.n)
-        rho = np.concatenate([np.kron((self.W.h_isqrt @ x).T, eye_n)
-                              for x in self._coord_mats(xi)])
-        return self._raising(lambda k: np.kron(np.eye(self.m ** k), rho))
+        return self._raising(self._creator(xi, right=True)[0])
 
     def t_op(self, xi):
         b = self.b_creation(xi)
@@ -520,9 +583,27 @@ class TruncatedFock:
 
     # -- checks ----------------------------------------------------------------
 
+    def _check_budget(self, nbytes, what):
+        if nbytes > _MAX_FOCK_CHECK_BYTES:
+            raise SizeLimitExceeded(
+                f"{what} on the Fock space of {self.m} copies of "
+                f"L2(M_{self.W.n}) at depth {self.d_max} needs "
+                f"{nbytes / 2 ** 20:.0f} MiB for one array; the limit is "
+                f"{_MAX_FOCK_CHECK_BYTES / 2 ** 20:.0f} MiB")
+
     def commutant_check(self, xi, eta):
-        """|| [s(xi), t(eta)] || on the safe zone; S0 xi = xi and F0 eta = eta
-        must hold to ``tol.axiom`` relative."""
+        """||[s(xi), t(eta)] P|| / (||s(xi) P|| ||t(eta) P||) with P the
+        projection onto the safe zone; S0 xi = xi and F0 eta = eta must hold
+        to ``tol.axiom`` relative.
+
+        ||X P||_2 = ||X[:, :K]||_2 with K = offsets[safe + 1], so each norm is
+        the SVD of the images of the first K basis vectors; rows of layers
+        that these images cannot reach are zero and left out.
+        """
+        safe = max(self.d_max - 2, 0)
+        k = int(self.offsets[safe + 1])
+        rows = int(self.offsets[min(safe + 2, self._top) + 1])
+        self._check_budget(16 * rows * k, "the commutant check")
         gate = self.tol.axiom
         nrm_xi = max(np.linalg.norm(xi), 1e-300)
         nrm_eta = max(np.linalg.norm(eta), 1e-300)
@@ -530,13 +611,13 @@ class TruncatedFock:
             raise NotFixedPoint("xi is not S0-fixed")
         if np.linalg.norm(self.H.f0(eta) - eta) > gate * nrm_eta:
             raise NotFixedPoint("eta is not F0-fixed")
-        s = self.s_op(xi)
-        t = self.t_op(eta)
-        comm = s @ t - t @ s
-        safe = max(self.d_max - 2, 0)
-        p_in = self.safe_projector(safe)
-        resid = np.linalg.norm(comm @ p_in, 2)
-        scale = max(np.linalg.norm(s @ p_in, 2) * np.linalg.norm(t @ p_in, 2),
+        s, t = self._creator(xi), self._creator(eta, right=True)
+        cols = np.eye(k)
+        s_cols, t_cols = self._apply(s, cols), self._apply(t, cols)
+        comm = self._apply(s, t_cols)
+        comm -= self._apply(t, s_cols)
+        resid = np.linalg.norm(comm, 2)
+        scale = max(np.linalg.norm(s_cols, 2) * np.linalg.norm(t_cols, 2),
                     1e-300)
         return resid / scale
 
@@ -550,17 +631,24 @@ class TruncatedFock:
         return e, complex(np.trace(e @ self.W.h))
 
     def lambda_identities(self, xs, xis):
-        """Residuals of pi_l(x) Omega = x phi^{1/2} and s(xi) Omega = xi."""
-        omega = self.vacuum()
+        """Residuals of pi_l(x) Omega = x phi^{1/2} and s(xi) Omega = xi.
+
+        Omega lies in layer 0, so pi_l(x) Omega is layer 0 alone and
+        s(xi) Omega = a(xi) Omega is layer 1 alone.
+        """
+        rows = int(self.offsets[min(1, self._top) + 1])
+        self._check_budget(16 * rows, "the vacuum identities")
+        omega = self.W.coords(np.eye(self.W.n)).reshape(-1, 1)
         worst_x = 0.0
         for x in xs:
-            got = self.layer_block(self.pi_left(x) @ omega, 0)
+            got = self._left(x, omega)[:, 0]
             worst_x = max(worst_x, np.linalg.norm(got - self.W.coords(x))
                           / max(np.linalg.norm(self.W.coords(x)), 1e-300))
         worst_xi = 0.0
         for xi in xis:
-            got = self.s_op(xi) @ omega
-            want = self.inject(1, xi)
+            got = self._apply(self._creator(xi), omega)[:, 0]
+            want = np.zeros_like(got)
+            want[self.dims[0]:] = xi
             worst_xi = max(worst_xi, np.linalg.norm(got - want)
                            / max(np.linalg.norm(xi), 1e-300))
         return {"pi_left": worst_x, "s_vector": worst_xi}
@@ -588,7 +676,7 @@ class ScalarFock(TruncatedFock):
         if need > _MAX_SCALAR_FOCK_BYTES:
             raise SizeLimitExceeded(
                 f"free Araki-Woods model over C^{len(a_matrix)} at depth {d_max} "
-                f"needs {need / 2 ** 20:.0f} MiB for one dense matrix; the "
+                f"needs {need / 2 ** 20:.0f} MiB for one array; the "
                 f"limit is {_MAX_SCALAR_FOCK_BYTES / 2 ** 20:.0f} MiB")
         a = as_cmatrix(a_matrix)
         eig = herm_eig(a, tol)
@@ -633,39 +721,37 @@ class ScalarFock(TruncatedFock):
             ik = np.kron(ik, self.H.conj_mat)
         return scipy.linalg.block_diag(*mats)
 
-    def number_op(self):
-        return np.diag(np.repeat(np.arange(self.d_max + 1.0), self.dims))
+    def _levels(self):
+        """The layer index of each coordinate: N and exp(-tN) are diagonal."""
+        return np.repeat(np.arange(self.d_max + 1.0), self.dims)
 
     def ou_semigroup(self, t):
-        return np.diag(np.repeat(np.exp(-t * np.arange(self.d_max + 1.0)),
-                                 self.dims))
+        return np.diag(np.exp(-t * self._levels()))
 
     # -- derivation ------------------------------------------------------------
 
-    def delta_matrix(self, layer):
-        """delta on H^{(x)n} into (H (+) H)^{(x)n}: sum of single-position
-        flips of the doubled space."""
-        if layer == 0:
-            return np.zeros((1, 1), dtype=np.complex128)
-        emb_top, emb_bot = np.hsplit(np.eye(2 * self.m), 2)
-        total = 0.0
+    def delta(self, vec, layer):
+        """delta(xi) in (H (+) H)^{(x)layer}, H (+) H = C^{2d} with the top
+        copy first: the sum over positions k of xi with factor k moved to the
+        bottom copy.  The k-th term fills its own slab, so each is a copy."""
+        d = self.m
+        out = np.zeros((2, d) * layer, dtype=np.complex128)
+        xi = np.reshape(vec, (d,) * layer)
         for k in range(layer):
-            mat = np.eye(1)
-            for j in range(layer):
-                mat = np.kron(mat, emb_bot if j == k else emb_top)
-            total = total + mat
-        return total.astype(np.complex128)
+            out[tuple(ix for p in range(layer)
+                      for ix in (int(p == k), slice(None)))] = xi
+        return out.reshape(-1)
 
     def derivation_pairing(self, xi, m_layer, eta, n_layer):
         """<delta(xi), delta(eta)> (zero across different layers)."""
         if m_layer != n_layer:
             return 0.0 + 0.0j
-        dm = self.delta_matrix(m_layer)
-        return complex(np.vdot(dm @ xi, dm @ eta))
+        return complex(np.vdot(self.delta(xi, m_layer),
+                               self.delta(eta, n_layer)))
 
     def energy(self, xi):
         """E(xi) = <xi, N xi> over the full truncated space."""
-        return complex(np.vdot(xi, self.number_op() @ xi))
+        return complex(np.vdot(xi, self._levels() * xi))
 
 
 def free_aw(a_matrix, conj_i=None, d_max=4, tol=DEFAULT_TOL) -> ScalarFock:

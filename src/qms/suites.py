@@ -218,7 +218,10 @@ def suite_free_aw_derivation(sc, seed):
     t = 0.37
     mu = f.modular_unitary(t)
     ou = f.ou_semigroup(0.51)
-    comm = np.linalg.norm(mu @ ou - ou @ mu) / max(np.linalg.norm(ou), 1e-300)
+    # ou is diagonal, so mu ou and ou mu scale the columns and the rows of mu
+    o = np.diag(ou)
+    comm = np.linalg.norm(mu * o - o[:, None] * mu) / max(np.linalg.norm(ou),
+                                                          1e-300)
     # E(xi) = <xi, N xi> equals the derivation pairing summed over layers
     full = rng.standard_normal(f.D) + 1j * rng.standard_normal(f.D)
     e_direct = f.energy(full)

@@ -356,3 +356,19 @@ class TestFockSpecSource:
         }
         assert main(["run", write_scenario(tmp_path, scenario)]) == 2
         assert "scenario error: SizeLimitExceeded" in capsys.readouterr().err
+
+    def test_fock_commutant_over_budget(self, tmp_path, capsys):
+        """n = 4 with 15 jumps: the commutant check's images of the safe
+        columns would take about 226 MiB each, a named scenario error."""
+        from qms.sampling import random_jump_system, random_weighted_algebra
+        rng = np.random.default_rng(78)
+        w = random_weighted_algebra(4, rng)
+        system = random_jump_system(w, rng, m_max=15)
+        while system.m != 15:
+            system = random_jump_system(w, rng, m_max=15)
+        scenario = base_scenario(checks=["fock-commutant"])
+        scenario["algebra"] = {"dim": 4, "h": mat_json(w.h)}
+        scenario["source"] = {"jumps": [{"matrix": mat_json(v), "omega": om}
+                                        for v, om in system.jumps]}
+        assert main(["run", write_scenario(tmp_path, scenario)]) == 2
+        assert "scenario error: SizeLimitExceeded" in capsys.readouterr().err

@@ -5,10 +5,12 @@ import pytest
 import scipy.linalg
 
 import qms.fock
+from qms.config import DEFAULT_TOL
 from qms.errors import (AlgebraMismatch, DimensionMismatch, NotFixedPoint,
                         NotRepresentable, SizeLimitExceeded)
 from qms.fock import (
     Correspondence,
+    TruncatedFock,
     assoc_residual,
     correspondence_from_jumps,
     embed_pair,
@@ -21,6 +23,7 @@ from qms.fock import (
     rel_tensor,
     unit_law_residuals,
     validate_correspondence,
+    weighted_sum_correspondence,
     wick,
 )
 from qms.modular import WeightedAlgebra
@@ -32,6 +35,84 @@ def nontracial_a(d=3, seed=3, scale=0.7):
     rng = np.random.default_rng(seed)
     k = rng.standard_normal((d, d))
     return scipy.linalg.expm(1j * scale * (k - k.T))
+
+
+def jump_correspondence(n, m, seed):
+    """The correspondence of a random jump system with exactly m jumps."""
+    rng = np.random.default_rng(seed)
+    w = random_weighted_algebra(n, rng)
+    for _ in range(100):
+        system = random_jump_system(w, rng, m_max=m)
+        if system.m == m:
+            return correspondence_from_jumps(system)
+    raise RuntimeError(f"no jump system with m = {m} at n = {n}")
+
+
+# Reference: the Fock operators and checks as dense Kronecker formulas over
+# the whole truncated space, one D x D matrix per operator.
+
+def kron_raising(f, block):
+    out = np.zeros((f.D, f.D), dtype=np.complex128)
+    off = f.offsets
+    for k in range(f.d_max if f.m else 0):
+        out[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = block(k)
+    return out
+
+
+def kron_creation(f, xi):
+    eye_n = np.eye(f.W.n)
+    lams = [np.kron(eye_n, x @ f.W.h_isqrt) for x in f._coord_mats(xi)]
+    return kron_raising(f, lambda k: np.concatenate(
+        [np.kron(np.eye(f.m ** k), lam) for lam in lams]))
+
+
+def kron_b_creation(f, xi):
+    eye_n = np.eye(f.W.n)
+    rho = np.concatenate([np.kron((f.W.h_isqrt @ x).T, eye_n)
+                          for x in f._coord_mats(xi)])
+    return kron_raising(f, lambda k: np.kron(np.eye(f.m ** k), rho))
+
+
+def kron_pi_left(f, x):
+    return np.kron(np.eye(f.D // f.W.n), x)
+
+
+def kron_commutant(f, xi, eta):
+    a, b = kron_creation(f, xi), kron_b_creation(f, eta)
+    s, t = a + a.conj().T, b + b.conj().T
+    p = f.safe_projector(max(f.d_max - 2, 0))
+    resid = np.linalg.norm((s @ t - t @ s) @ p, 2)
+    return resid / max(np.linalg.norm(s @ p, 2) * np.linalg.norm(t @ p, 2),
+                       1e-300)
+
+
+def kron_lambda_identities(f, xs, xis):
+    omega = f.vacuum()
+    worst_x = max(np.linalg.norm(f.layer_block(kron_pi_left(f, x) @ omega, 0)
+                                 - f.W.coords(x))
+                  / np.linalg.norm(f.W.coords(x)) for x in xs)
+    worst_xi = 0.0
+    for xi in xis:
+        a = kron_creation(f, xi)
+        got = (a + a.conj().T) @ omega
+        worst_xi = max(worst_xi, np.linalg.norm(got - f.inject(1, xi))
+                       / np.linalg.norm(xi))
+    return {"pi_left": worst_x, "s_vector": worst_xi}
+
+
+def kron_delta_matrix(d, layer):
+    """delta on (C^d)^{(x)layer} into (C^{2d})^{(x)layer}: the sum over
+    positions of the bottom embedding there and the top one elsewhere."""
+    if layer == 0:
+        return np.zeros((1, 1), dtype=np.complex128)
+    emb_top, emb_bot = np.hsplit(np.eye(2 * d), 2)
+    total = 0.0
+    for k in range(layer):
+        mat = np.eye(1)
+        for j in range(layer):
+            mat = np.kron(mat, emb_bot if j == k else emb_top)
+        total = total + mat
+    return total.astype(np.complex128)
 
 
 class TestL2Correspondence:
@@ -80,6 +161,19 @@ class TestJumpCorrespondence:
         assert len(s_basis) > 0 and len(f_basis) > 0
         for xi in s_basis[:2]:
             assert np.linalg.norm(c.s0(xi) - xi) < 1e-9
+
+    def test_one_group_matrix_each(self, qubit_system3, monkeypatch):
+        """The fixed-point bases and the S0/F0 gates of the commutant check
+        share one U_{-i/2} and one U_{i/2} per correspondence."""
+        c = correspondence_from_jumps(qubit_system3)
+        group, calls = Correspondence.group, []
+        monkeypatch.setattr(Correspondence, "group",
+                            lambda self, z: calls.append(z) or group(self, z))
+        f = fock_build(c, d_max=3)
+        for xi in c.s_fixed_basis()[:2]:
+            for eta in c.f_fixed_basis()[:2]:
+                f.commutant_check(xi, eta)
+        assert len(calls) == 2 and set(calls) == {-0.5j, 0.5j}
 
     def test_plain_right_intertwines(self, w_qubit):
         """xi . x on L2 is plain right multiplication."""
@@ -252,17 +346,93 @@ class TestTruncatedFock:
             fock_build(rotated)
 
     def test_large_layers_build(self):
-        """[DERIVED] n = 3, m = 6, d_max = 3: dims m^k n^2, no layer Gram."""
+        """[DERIVED] n = 3, m = 6, d_max = 3: dims m^k n^2, no layer Gram;
+        the commutant check fits the size budget and holds."""
         rng = np.random.default_rng(76)
         system = random_jump_system(random_weighted_algebra(3, rng), rng,
                                     m_max=6)
-        f = fock_build(correspondence_from_jumps(system), d_max=3)
+        h = correspondence_from_jumps(system)
+        f = fock_build(h, d_max=3)
         assert f.dims == [9, 54, 324, 1944]
+        assert f.commutant_check(h.s_fixed_basis()[0],
+                                 h.f_fixed_basis()[0]) <= 1e-9
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+    def test_dense_operators_match_kron(self, n, m):
+        """The dense matrices assembled from the block applies are the
+        Kronecker formulas, entry for entry."""
+        h = jump_correspondence(n, m, seed=80)
+        f = fock_build(h, d_max=3)
+        rng = np.random.default_rng(81)
+        xi = rng.standard_normal(h.d) + 1j * rng.standard_normal(h.d)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert np.array_equal(f.creation(xi), kron_creation(f, xi))
+        assert np.array_equal(f.b_creation(xi), kron_b_creation(f, xi))
+        assert np.array_equal(f.pi_left(x), kron_pi_left(f, x))
+
+    @pytest.mark.parametrize("d_max", [2, 3, 4])
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+    def test_commutant_matches_dense(self, n, m, d_max):
+        """The safe-column norms equal the dense ||[s, t] P|| / (||s P||
+        ||t P||) with full SVDs, on fixed pairs and, with the gate opened,
+        on random pairs whose commutator is of order one."""
+        h = jump_correspondence(n, m, seed=82)
+        rng = np.random.default_rng(83)
+        pairs = [(h.s_fixed_basis()[0], h.f_fixed_basis()[0])]
+        pairs += [tuple(rng.standard_normal((2, h.d))
+                        + 1j * rng.standard_normal((2, h.d))) for _ in range(2)]
+        f = fock_build(h, d_max=d_max, tol=DEFAULT_TOL.override(axiom=1e300))
+        for k, (xi, eta) in enumerate(pairs):
+            got, want = f.commutant_check(xi, eta), kron_commutant(f, xi, eta)
+            if k:
+                assert want > 1e-3
+            assert abs(got - want) <= 1e-12 * max(want, 1e-3)
+
+    def test_lambda_identities_match_dense(self, fock3):
+        rng = np.random.default_rng(84)
+        xs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+              for _ in range(5)]
+        xis = [rng.standard_normal(12) + 1j * rng.standard_normal(12)
+               for _ in range(5)]
+        got = fock3.lambda_identities(xs, xis)
+        want = kron_lambda_identities(fock3, xs, xis)
+        for name in ("pi_left", "s_vector"):
+            assert abs(got[name] - want[name]) <= 1e-14
+
+    @pytest.mark.parametrize("n, m, d_max", [
+        (2, 3, 7), (2, 3, 12), (3, 6, 5), (4, 13, 3), (4, 15, 3)])
+    def test_size_limit(self, n, m, d_max, monkeypatch):
+        """Over-budget (n, m, d_max) raise the named size error before the
+        commutant check allocates anything."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        w = random_weighted_algebra(n, np.random.default_rng(85))
+        f = fock_build(weighted_sum_correspondence(w, [0.0] * m), d_max=d_max)
+        for name in ("_apply", "_creator"):
+            monkeypatch.setattr(TruncatedFock, name, refuse)
+        monkeypatch.setattr(Correspondence, "s0", refuse)
+        zero = np.zeros(f.H.d, dtype=complex)
+        with pytest.raises(SizeLimitExceeded):
+            f.commutant_check(zero, zero)
+
+    def test_size_limit_vacuum_identities(self, fock3, monkeypatch):
+        """The vacuum identities check their (layer 0 and 1) arrays against
+        the same budget before they allocate."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(qms.fock, "_MAX_FOCK_CHECK_BYTES",
+                            16 * fock3.offsets[2] - 1)
+        for name in ("_apply", "_creator", "_left"):
+            monkeypatch.setattr(TruncatedFock, name, refuse)
+        with pytest.raises(SizeLimitExceeded):
+            fock3.lambda_identities([np.eye(2)], [np.zeros(12)])
 
 
 class TestScalarFock:
     @pytest.mark.parametrize("d, depth",
-                             [(2, 12), (2, 8), (3, 7), (4, 6), (20, 3), (128, 2)])
+                             [(2, 12), (3, 7), (4, 6), (20, 3), (128, 2)])
     def test_size_limit(self, d, depth, monkeypatch):
         """Over-budget (d, depth) raise the named size error before anything
         is allocated."""
@@ -273,10 +443,31 @@ class TestScalarFock:
         with pytest.raises(SizeLimitExceeded):
             free_aw(np.eye(d), d_max=depth)
 
-    @pytest.mark.parametrize("d, depth", [(2, 6), (3, 5), (4, 4), (1, 8)])
+    @pytest.mark.parametrize("d, depth",
+                             [(2, 6), (3, 5), (4, 4), (1, 8), (2, 8)])
     def test_size_limit_admits(self, d, depth):
+        """Within budget, the model builds and delta, the energy and the
+        OU semigroup run on its top layer."""
         assert qms.fock._scalar_fock_bytes(d, depth) <= \
             qms.fock._MAX_SCALAR_FOCK_BYTES
+        f = free_aw(np.eye(d), d_max=depth)
+        xi = np.ones(f.D, dtype=complex)
+        top = f.layer_block(xi, depth)
+        assert f.derivation_pairing(top, depth, top, depth) == depth * len(top)
+        assert f.energy(xi) == sum(k * dk for k, dk in enumerate(f.dims))
+        assert f.ou_semigroup(0.5).shape == (f.D, f.D)
+
+    @pytest.mark.parametrize("layer", range(6))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_delta_matches_kron(self, d, layer):
+        """delta(xi) is the Kronecker delta matrix applied to xi, bit for
+        bit: its terms fill disjoint slabs, so nothing is summed."""
+        f = free_aw(np.eye(d), d_max=5)
+        rng = np.random.default_rng(86)
+        dim = d ** layer
+        xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert np.array_equal(f.delta(xi, layer),
+                              kron_delta_matrix(d, layer) @ xi)
 
     def test_tracial_commutator(self):
         """Real left/right fields commute exactly in the tracial scalar case."""
