@@ -31,7 +31,7 @@ sample by sample (``sampling.draw_samples``), then evaluate every residual
 on the stacks.
 """
 
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class FinBimodule:
         self._jumps = np.array([v for v, _ in system.jumps]).reshape(
             self.m, self.n, self.n)
         self.pairing = list(system.pairing)
-        self._span_cache = None
 
     # --- inner product and coordinates ---------------------------------------
 
@@ -152,16 +151,15 @@ class FinBimodule:
 
     # --- conjugation via generator forms --------------------------------------
 
+    @cached_property
     def _span(self):
         """Spanning family R(b_q) delta(a_p) over matrix-unit pairs.
 
-        Returns (G, JG, pinv(G), singular values of G): column p * n^2 + q of
-        G holds the coordinates of R(E_q) delta(E_p), and the same column of
-        JG those of its image L(J E_q) delta(J E_p) under the abstract
-        conjugation rule.
+        Returns (G, JG, singular values of G): column p * n^2 + q of G holds
+        the coordinates of R(E_q) delta(E_p), and the same column of JG those
+        of its image L(J E_q) delta(J E_p) under the abstract conjugation
+        rule.
         """
-        if self._span_cache is not None:
-            return self._span_cache
         n, w = self.n, self.W
         units = matrix_units(n)
         j_units = self.tomita.conj_J(units)
@@ -170,11 +168,14 @@ class FinBimodule:
                       w.h_sqrt, optimize=True).reshape(self.m * n * n, n ** 4)
         jg = np.einsum("qrs,pjsx,xt->jtrpq", j_units, self.delta(j_units).comps,
                        w.h_sqrt, optimize=True).reshape(self.m * n * n, n ** 4)
-        u, sv, vh = np.linalg.svd(g, full_matrices=False)
+        return g, jg, np.linalg.svd(g, compute_uv=False)
+
+    @cached_property
+    def _span_pinv(self):
+        """pinv(G) of the spanning family, for ``conj``."""
+        u, sv, vh = np.linalg.svd(self._span[0], full_matrices=False)
         keep = sv > 1e-10 * np.max(sv, initial=0.0)
-        pinv = (vh[keep].conj().T / sv[keep]) @ u[:, keep].conj().T
-        self._span_cache = (g, jg, pinv, sv)
-        return self._span_cache
+        return (vh[keep].conj().T / sv[keep]) @ u[:, keep].conj().T
 
     def conj_ambient(self, xi: BimoduleVector) -> BimoduleVector:
         """Componentwise extension of the conjugation to all of H^{+m}:
@@ -189,9 +190,9 @@ class FinBimodule:
         A vector outside the span raises ``NotInGeneratedSpan``; in a stack,
         the first such vector in row-major order of the leading axes.
         """
-        g, jg, pinv, _ = self._span()
+        g, jg, _ = self._span
         c = self.coords(xi)
-        coeff = c @ pinv.T
+        coeff = c @ self._span_pinv.T
         resid = np.linalg.norm(coeff @ g.T - c, axis=-1)
         scale = np.maximum(np.linalg.norm(c, axis=-1), 1e-300)
         outside = (resid > self.tol.span * scale).ravel()

@@ -71,7 +71,7 @@ def matrix_units(n):
 
 @dataclass(frozen=True)
 class HermEig:
-    """Eigendecomposition of a Hermitian matrix (eigenvalues ascending)."""
+    """Eigendecomposition of a Hermitian matrix or stack (eigenvalues ascending)."""
 
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # unitary, columns
@@ -82,15 +82,18 @@ class HermEig:
 
 
 def herm_eig(h, tol=DEFAULT_TOL):
-    """Hermitian eigendecomposition with a relative Hermiticity gate."""
-    h = as_cmatrix(h)
-    if h.shape[0] != h.shape[1]:
+    """Hermitian eigendecomposition of a matrix or stack, with a relative
+    Hermiticity gate on each matrix."""
+    h = as_cstack(h)
+    if h.shape[-1] != h.shape[-2]:
         raise DimensionMismatch(f"matrix is not square: {h.shape}")
-    scale = frob(h)
-    resid = frob(h - h.conj().T)
-    if scale > 0 and resid > tol.hermitian * scale:
-        raise NotHermitian(resid / scale, tol.hermitian)
-    hs = 0.5 * (h + h.conj().T)
+    h_adj = np.swapaxes(h, -1, -2).conj()
+    scale, resid = (np.linalg.norm(x, axis=(-2, -1)) for x in (h, h - h_adj))
+    bad = resid > tol.hermitian * scale
+    if bad.any():
+        k = np.argmax(bad)
+        raise NotHermitian(float(resid.flat[k] / scale.flat[k]), tol.hermitian)
+    hs = 0.5 * (h + h_adj)
     try:
         w, u = np.linalg.eigh(hs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure

@@ -28,12 +28,16 @@ own, and the rank cutoff and PSD gate are taken against the largest
 eigenvalue of all sectors, as for the whole matrix.  On the resulting
 quotient coordinates U_z = sum_k e^{i z nu_k} P_k over the Bohr
 frequencies nu_k, with P_k the descended projection onto the pairs of
-frequency nu_k, and L(a), R(a) are sums of n^2 matrix-unit images; every
-image is descended once and kept sparse.  The group law, the adjoint
-relation and U_z J = J U_conj(z) (Gram axioms (c), (d), (f)) then hold up
-to rounding, so each of the three also reports the largest Gram entry
-between sectors relative to the largest entry: what a form without modular
-covariance would show.
+frequency nu_k.  Each coordinate lies in one sector, so U_z is kept by
+sector: on a sector of one class P_k is the identity and U_z the phase
+e^{i z nu_k} of each coordinate; only a wide sector, of several classes
+(near-degenerate spectra), keeps a small block sum_k e^{i z nu_k} P_k.
+L(a), R(a) are sums of n^2 matrix-unit images; every image is descended
+once and kept sparse.  The group law, the adjoint relation and
+U_z J = J U_conj(z) (Gram axioms (c), (d), (f)) then hold up to rounding,
+so each of the three also reports the largest Gram entry between sectors
+relative to the largest entry: what a form without modular covariance
+would show.
 
 Stinespring route: the same space from a single unital CP GNS-symmetric map
 Phi with Gram (1/2) sum y_j* Phi(x_j* x_k) y_k and boundary
@@ -157,20 +161,36 @@ class GramSpace:
     @cached_property
     def _images(self):
         """Nonzero entries of the quotient images of L(F_p) and R(F_p), with
-        F_p = u E_p u*, and of the spectral projection of the modular group
-        onto each Bohr class, as ``_sparse`` gives them, per family.
+        F_p = u E_p u*, as ``_sparse`` gives them, per family.
 
         The quotient vectors are exactly zero off their sector, so an
         image of L or R joins only sectors whose frequencies differ by
-        omega_p and a projection lies inside the one sector of its class; all
-        other entries are exact zeros.
+        omega_p; all other entries are exact zeros.
         """
         embed, lift = self.qmap.embed, self.qmap.lift
         units = matrix_units(self.W.n)
-        classes = [self.bohr_class == k for k in range(self.bohr.size)]
         return (_sparse(embed @ self._act_left(e, lift) for e in units),
-                _sparse(embed @ self._act_right(e, lift) for e in units),
-                _sparse(embed[:, m] @ lift[m] for m in classes))
+                _sparse(embed @ self._act_right(e, lift) for e in units))
+
+    @cached_property
+    def _group(self):
+        """U_z by sector: the Bohr frequency of each quotient coordinate,
+        whether its sector holds a single class (there P_k = embed_s lift_s
+        is the identity, so U_z is the phase e^{i z nu}) and, per wide sector,
+        (its coordinates, its class frequencies, its blocks of the P_k)."""
+        embed, lift = self.qmap.embed, self.qmap.lift
+        coord = self.sector[np.argmax(np.abs(embed), axis=1)]
+        lo, hi = (np.full(self.sector.max() + 1, k) for k in (self.bohr.size, -1))
+        np.minimum.at(lo, self.sector, self.bohr_class)
+        np.maximum.at(hi, self.sector, self.bohr_class)
+        wide = []
+        for s in np.unique(coord[lo[coord] < hi[coord]]):
+            idx, pairs = np.flatnonzero(coord == s), np.flatnonzero(self.sector == s)
+            classes = np.unique(self.bohr_class[pairs])
+            proj = [embed[np.ix_(idx, m)] @ lift[np.ix_(m, idx)]
+                    for m in (pairs[self.bohr_class[pairs] == k] for k in classes)]
+            wide.append((idx, self.bohr[classes], np.array(proj)[:, None]))
+        return self.bohr[lo[coord]], lo[coord] == hi[coord], wide
 
     def _op(self, family, coeff):
         """sum_k coeff_k image_k over one family of images, for each row of
@@ -195,11 +215,29 @@ class GramSpace:
     def op_right(self, a):
         return self._op(1, self._unit_coeff(a))
 
+    def _group_blocks(self, z):
+        """The diagonal blocks of U_z: the phases (..., rank, 1, 1), zero on
+        wide sectors, then (..., 1, s, s) per wide sector."""
+        freq, single, wide = self._group
+        phase = np.exp(1j * np.multiply.outer(z, freq)) * single
+        return [phase[..., None, None]] + [
+            np.einsum("...k,kbij->...bij", np.exp(1j * np.multiply.outer(z, nu)), proj)
+            for _, nu, proj in wide]
+
+    def _group_apply(self, blocks, x, right=False):
+        """U x, or x U if ``right``, for U by its ``_group_blocks``, x a stack."""
+        if right:
+            swap = partial(np.swapaxes, axis1=-1, axis2=-2)
+            return swap(self._group_apply([swap(b) for b in blocks], swap(x)))
+        out = blocks[0][..., 0] * x
+        for (idx, _, _), b in zip(self._group[2], blocks[1:]):
+            out[..., idx, :] = b[..., 0, :, :] @ x[..., idx, :]
+        return out
+
     def op_group(self, z):
-        """U_z = sum_k exp(i z nu_k) P_k over the Bohr classes k: a pair
-        F_p (x) F_q of eigenbasis units only takes the phase of its
-        frequency.  An array of z gives the stack of U_z."""
-        return self._op(2, np.exp(1j * np.multiply.outer(z, self.bohr)))
+        """U_z = sum_k exp(i z nu_k) P_k over the Bohr classes k, from its
+        sector blocks.  An array of z gives the stack of U_z."""
+        return self._group_apply(self._group_blocks(z), np.eye(self.rank))
 
     def op_conj(self):
         """Antilinear conjugation: y -> op_conj() @ conj(y).
@@ -215,37 +253,6 @@ class GramSpace:
         out = np.einsum("il,ijjlr,uv->liuvr", c, y, np.eye(n))
         out -= np.einsum("ij,kl,ijklr->lkjir", c, c, y)
         return self.qmap.embed @ out.reshape(n ** 4, -1)
-
-    # -- diagnostics -----------------------------------------------------------
-
-    def well_definedness_residual(self, n_samples=20, seed=23):
-        """Max change of quotient images when a representative is shifted by
-        a random Gram-null vector (Step-7 well-definedness probe); L and R
-        act by eigenbasis units F_p, whose products are those of the E_p."""
-        null = self.qmap.null
-        if null.shape[1] == 0 or self.rank == 0:
-            return 0.0
-        rng = np.random.default_rng(seed)
-        n2 = self.W.n ** 2
-        units = matrix_units(self.W.n)
-        worst = 0.0
-        scale = np.sqrt(max(self.qmap.eigenvalues[0], 1e-300))
-        for _ in range(n_samples):
-            z = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(
-                null.shape[1]
-            )
-            null_vec = null @ z
-            nrm = max(np.linalg.norm(null_vec), 1e-300)
-            # the class of the null vector is zero; so must be its images
-            for act in (self._act_left, self._act_right):
-                a = units[int(rng.integers(0, n2))]
-                img = self.qmap.coords(act(a, null_vec))
-                worst = max(worst, np.linalg.norm(img) / (nrm * scale))
-            worst = max(
-                worst,
-                np.linalg.norm(self.qmap.coords(null_vec)) / (nrm * scale),
-            )
-        return worst
 
 
 def _sparse(images):
@@ -340,15 +347,17 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
     gram = _gram(rot.conj().T @ f @ rot, np.diag(lam), np.diag(1.0 / lam))
     bohr_class, bohr, sector = _sectors(lam)
 
-    # one eigendecomposition per sector, its eigenvectors in the columns of
-    # its own indices; what is left of |gram| is the off-sector part
+    # one eigendecomposition per sector, batched by size, its eigenvectors in
+    # the columns of its own indices; what is left of |gram| is off-sector
     eigvals = np.empty(n ** 4)
     eigvecs = np.zeros((n ** 4, n ** 4), dtype=np.complex128)
     mag = np.abs(gram)
     scale = mag.max()
-    for s in range(sector.max() + 1):
-        members = np.flatnonzero(sector == s)
-        block = np.ix_(members, members)
+    size, by_sector = np.bincount(sector), np.argsort(sector, kind="stable")
+    for side in np.unique(size):
+        start = (np.cumsum(size) - size)[size == side]
+        members = by_sector[start[:, None] + np.arange(side)]
+        block = (members[:, :, None], members[:, None, :])
         eig = herm_eig(gram[block], tol)
         eigvals[members] = eig.eigenvalues
         eigvecs[block] = eig.eigenvectors
@@ -400,22 +409,24 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
         rja = g.op_right(td.conj_J(ab))
         res["b"] = worst(res["b"], _frob(jq @ la.conj() - rja @ jq)
                          / np.maximum(norm_l, 1e-300))
-        # (c) group law
-        uz = g.op_group(zb)
-        uzz = g.op_group(zb + z2b)
-        res["c"] = worst(res["c"], _frob(uz @ g.op_group(z2b) - uzz)
-                         / np.maximum(_frob(uzz), 1e-300))
+        # (c) group law, on the sector blocks of U_z (GramSpace._group_blocks)
+        uz, uzz = g._group_blocks(zb), g._group_blocks(zb + z2b)
+        res["c"] = worst(res["c"], _frob_blocks(
+            u @ v - w for u, v, w in zip(uz, g._group_blocks(z2b), uzz))
+            / np.maximum(_frob_blocks(uzz), 1e-300))
         # (d) adjoint relation U_z^* = U_{-conj(z)}
-        res["d"] = worst(res["d"], _frob(
-            np.swapaxes(uz, -1, -2).conj() - g.op_group(-np.conj(zb)))
-            / np.maximum(_frob(uz), 1e-300))
+        res["d"] = worst(res["d"], _frob_blocks(
+            np.swapaxes(u, -1, -2).conj() - v
+            for u, v in zip(uz, g._group_blocks(-np.conj(zb))))
+            / np.maximum(_frob_blocks(uz), 1e-300))
         # (e) U_z L(a) U_{-z} = L(U_z a)
         rhs = g.op_left(td.modular_group(zb, ab))
-        res["e"] = worst(res["e"], _frob(uz @ la @ g.op_group(-zb) - rhs)
-                         / np.maximum(_frob(rhs), 1e-300))
+        lhs = g._group_apply(g._group_blocks(-zb), g._group_apply(uz, la), right=True)
+        res["e"] = worst(res["e"], _frob(lhs - rhs) / np.maximum(_frob(rhs), 1e-300))
         # (f) U_z J = J U_{conj(z)}  (compose with conjugation correctly)
-        uzj = uz @ jq
-        res["f"] = worst(res["f"], _frob(uzj - jq @ g.op_group(np.conj(zb)).conj())
+        uzj = g._group_apply(uz, jq)
+        ucz = [u.conj() for u in g._group_blocks(np.conj(zb))]
+        res["f"] = worst(res["f"], _frob(uzj - g._group_apply(ucz, jq, right=True))
                          / np.maximum(_frob(uzj), 1e-300))
     for k in "cdf":
         res[k] = max(res[k], g.off_sector)
@@ -432,6 +443,11 @@ def _frob(x):
     return np.linalg.norm(x, axis=(-2, -1))
 
 
+def _frob_blocks(blocks):
+    """Frobenius norm of each operator of a stack from its diagonal blocks."""
+    return np.sqrt(sum(np.sum(np.abs(b) ** 2, axis=(-3, -2, -1)) for b in blocks))
+
+
 def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
     """Match the reconstructed Gram against the explicit bimodule pairing.
 
@@ -440,7 +456,7 @@ def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
     Both are taken over the eigenbasis pairs, where the quotient's Gram is
     zero between sectors: it is subtracted one sector block at a time.
     """
-    span_g, _, _, sv = bimodule._span()
+    span_g, _, sv = bimodule._span
     n2 = g.W.n ** 2
     u = g.W.eig.eigenvectors
     rot = np.kron(u, u.conj())

@@ -1,6 +1,8 @@
 """Command-line front-end: scenario parsing, suites, exit codes, determinism."""
 
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +38,13 @@ def write_scenario(tmp_path, scenario, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(scenario))
     return str(path)
+
+
+def test_readme_scenario_passes(tmp_path):
+    """The example scenario of the README runs and passes."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    assert main(["run", write_scenario(tmp_path, json.loads(block))]) == 0
 
 
 class TestSuitesCommand:

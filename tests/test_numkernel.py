@@ -44,6 +44,24 @@ class TestHermEig:
         with pytest.raises(DimensionMismatch):
             herm_eig(np.zeros((2, 3)))
 
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        h = a + np.swapaxes(a, -1, -2).conj()
+        eig = herm_eig(h)
+        for k in range(3):
+            one = herm_eig(h[k])
+            np.testing.assert_array_equal(eig.eigenvalues[k], one.eigenvalues)
+            np.testing.assert_array_equal(eig.eigenvectors[k], one.eigenvectors)
+
+    def test_stack_gated_per_matrix(self):
+        """A non-Hermitian matrix fails the gate against its own scale, even
+        next to a much larger Hermitian one."""
+        h = np.array([1e6 * np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(NotHermitian) as exc:
+            herm_eig(h)
+        assert exc.value.residual == pytest.approx(np.sqrt(2.0))
+
 
 class TestMatPower:
     def test_identity_any_power(self):

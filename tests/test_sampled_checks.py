@@ -22,7 +22,7 @@ from qms.modular import TomitaData, WeightedAlgebra
 from qms.numkernel import matrix_units
 from qms.reconstruct import build_gram_space, gram_axioms_check, gram_entry
 from qms.sampling import (random_disk_point, random_jump_system, random_matrix,
-                          random_weighted_algebra)
+                          random_unitary, random_weighted_algebra)
 from qms.suites import Scenario, ScenarioData, run_suite
 
 from conftest import E12, E21, SX
@@ -265,12 +265,28 @@ def form_of(system):
                           skip_certify=True)
 
 
+def spectrum_system(spectrum, seed):
+    """A random jump system over a density with the given spectrum (up to
+    normalisation) in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    lam = np.asarray(spectrum, dtype=float)
+    u = random_unitary(lam.size, rng)
+    w = WeightedAlgebra((u * (lam / lam.sum())) @ u.conj().T)
+    return random_jump_system(w, rng, m_max=2 * lam.size)
+
+
 SYSTEMS = {
     "n2-m0": lambda: jump_system(2, 0, 3),
     "n2-m3": lambda: jump_system(2, 3, 4),
     "n3-m6": lambda: jump_system(3, 6, 5),
     "n4-m8": lambda: jump_system(4, 8, 6),
     "perturbed-weight": perturbed_qubit_system,
+}
+# every quotient coordinate of the first lies in a sector of several Bohr
+# classes; the second has a single class
+GRAM_SYSTEMS = {
+    "near-degenerate-n3": lambda: spectrum_system((1, 1 + 1e-9, 2), 90),
+    "tracial-n3": lambda: spectrum_system((1, 1, 1), 91),
 }
 
 
@@ -327,9 +343,14 @@ def test_suites_match_reference(case, drawn):
     assert_residuals_agree(report, ref_triple_agreement(sc.form, sc.bimodule, sc.gram))
 
 
-@pytest.mark.parametrize("case", ["n2-m0", "n2-m3", "n3-m6", "n4-m8"])
+@pytest.mark.parametrize("case", ["n2-m0", "n2-m3", "n3-m6", "n4-m8",
+                                  *GRAM_SYSTEMS])
 def test_gram_axioms_check_matches_reference(case, drawn):
-    g = build_gram_space(form_of(SYSTEMS[case]()))
+    g = build_gram_space(form_of({**SYSTEMS, **GRAM_SYSTEMS}[case]()))
+    if case.startswith("near-degenerate"):
+        assert not g._group[1].any()
+    if case.startswith("tracial"):
+        assert g.bohr.size == 1
     # twenty samples span more than one block at every rank here
     want, per_sample = ref_gram_axioms_check(g, n_samples=20, seed=37)
     got = gram_axioms_check(g, n_samples=20, seed=37)
@@ -338,6 +359,26 @@ def test_gram_axioms_check_matches_reference(case, drawn):
     assert_residuals_agree(got, want)
     if g.rank:
         assert_same_draws(drawn[0], per_sample)
+
+
+def ref_op_group(g, z):
+    """U_z = sum_k exp(i z nu_k) P_k with P_k = embed[:, k] lift[k] over
+    the pairs of Bohr class k, as dense rank x rank matrices."""
+    embed, lift = g.qmap.embed, g.qmap.lift
+    proj = np.array([embed[:, g.bohr_class == k] @ lift[g.bohr_class == k]
+                     for k in range(g.bohr.size)])
+    return np.einsum("...k,kij->...ij", np.exp(1j * np.multiply.outer(z, g.bohr)),
+                     proj)
+
+
+@pytest.mark.parametrize("case", ["n2-m3", "n3-m6", "n4-m8", *GRAM_SYSTEMS])
+def test_op_group_matches_projections(case):
+    g = build_gram_space(form_of({**SYSTEMS, **GRAM_SYSTEMS}[case]()))
+    rng = np.random.default_rng(43)
+    z = np.array([[random_disk_point(rng) for _ in range(3)] for _ in range(2)])
+    got, want = g.op_group(z), ref_op_group(g, z)
+    assert got.shape == want.shape == (2, 3, g.rank, g.rank)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_stacked_conj_raises_like_the_loop():
