@@ -25,21 +25,11 @@ from .bimodule import BimoduleVector, Derivation, FinBimodule, carre_du_champ
 from .reconstruct import (
     GramSpace,
     build_gram_space,
-    rep_vector,
     stinespring_rate,
     stinespring_route,
     uniqueness_isometry,
 )
-from .fock import (
-    Correspondence,
-    TruncatedFock,
-    correspondence_from_jumps,
-    fock_build,
-    free_aw,
-    l2_correspondence,
-    rel_tensor,
-    wick,
-)
+from .fock import TruncatedFock, fock_build, free_aw
 
 __all__ = [
     "__version__",
@@ -65,13 +55,7 @@ __all__ = [
     "uniqueness_isometry",
     "stinespring_route",
     "stinespring_rate",
-    "rep_vector",
-    "Correspondence",
     "TruncatedFock",
-    "l2_correspondence",
-    "correspondence_from_jumps",
-    "rel_tensor",
     "fock_build",
     "free_aw",
-    "wick",
 ]

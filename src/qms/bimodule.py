@@ -112,7 +112,7 @@ class FinBimodule:
     def coords(self, xi: BimoduleVector):
         """Stacked orthonormal coordinates (componentwise vec(xi_j h^{1/2}))."""
         c = np.swapaxes(xi.comps @ self.W.h_sqrt, -1, -2)
-        return c.reshape(c.shape[:-3] + (-1,))
+        return c.reshape(c.shape[:-3] + (self.m * self.n * self.n,))
 
     def from_coords(self, c):
         n = self.n

@@ -97,20 +97,8 @@ class SizeLimitExceeded(QMSError):
     """The scenario is larger than a stage accepts by default."""
 
 
-class NoSolution(QMSError):
-    """A linear system that must be solvable (by theory) was not."""
-
-
-class AlgebraMismatch(QMSError):
-    """Correspondences to be fused do not share the middle algebra."""
-
-
 class NotFixedPoint(QMSError):
     """Vector fails the required antilinear fixed-point condition."""
-
-
-class NotRepresentable(QMSError):
-    """Fock vector lies outside the span generated by field operators."""
 
 
 # --- CLI ----------------------------------------------------------------------

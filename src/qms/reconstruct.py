@@ -51,7 +51,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import (GramNotPSD, NoSolution, NotGNSSymmetric, NotPSD, NotUCP,
+from .errors import (GramNotPSD, NotGNSSymmetric, NotPSD, NotUCP,
                      SizeLimitExceeded)
 from .lindblad import DirichletForm, semigroup
 from .modular import TomitaData, WeightedAlgebra, bohr_classes
@@ -71,7 +71,6 @@ __all__ = [
     "boundary_pairing",
     "stinespring_route",
     "stinespring_rate",
-    "rep_vector",
 ]
 
 _MAX_DEFAULT_DIM = 4
@@ -589,62 +588,3 @@ def stinespring_rate(l: Superoperator, w: WeightedAlgebra,
     slope = float(np.polyfit(lt, ld, 1)[0])
     return {"ts": list(ts), "deviations": devs, "slope": slope,
             "route_gap": route_gap}
-
-
-# --- representing vector ------------------------------------------------------
-
-def rep_vector(bimodule, derivation, tol=DEFAULT_TOL):
-    """Invariant representing vector of an (always inner) derivation.
-
-    Minimal-norm solve of a xi - xi a = delta(a) over the matrix-unit basis,
-    followed by discretized averaging over U_t, a global phase adjustment
-    making the vector conjugation-fixed rather than anti-fixed, and the
-    symmetrization (xi + conj(xi)) / 2.  The returned xi satisfies
-    delta(a) = mu (a xi - xi a) for a unit scalar mu (recorded in the result
-    of ``inner_derivation_generator`` only through |mu| = 1, so the rebuilt
-    generator is phase-independent).
-    """
-    from .bimodule import BimoduleVector  # local import to avoid a cycle
-
-    b = bimodule
-    n, m = b.n, b.m
-    if m == 0:
-        return b.zero()
-    n2 = n * n
-    units = matrix_units(n)
-    rows = []
-    rhs = []
-    eye = np.eye(n, dtype=np.complex128)
-    for a in units:
-        da = derivation(a)
-        blk = np.kron(eye, a) - np.kron(a.T, eye)  # vec(a xi_j - xi_j a)
-        for j in range(m):
-            row = np.zeros((n2, m * n2), dtype=np.complex128)
-            row[:, j * n2 : (j + 1) * n2] = blk
-            rows.append(row)
-            rhs.append(da.comps[j].flatten(order="F"))
-    big = np.vstack(rows)
-    target = np.concatenate(rhs)
-    sol, *_ = np.linalg.lstsq(big, target, rcond=None)
-    resid = np.linalg.norm(big @ sol - target)
-    if resid > 1e-8 * max(np.linalg.norm(target), 1e-300):
-        raise NoSolution(f"inner-derivation solve residual {resid:.3e}")
-    comps = np.array([
-        sol[j * n2 : (j + 1) * n2].reshape((n, n), order="F") for j in range(m)
-    ])
-    xi = BimoduleVector(comps)
-
-    # discretized group averaging (a no-op on the exact solution)
-    avg = b.zero()
-    t_grid = np.linspace(0.0, 1.5, 4)
-    for t in t_grid:
-        avg = avg + b.mod_group(t, xi)
-    xi = (1.0 / len(t_grid)) * avg
-
-    nrm2 = b.inner(xi, xi).real
-    if nrm2 > 0:
-        lam = b.inner(xi, b.conj_ambient(xi)) / nrm2
-        if abs(abs(lam) - 1.0) < 1e-6:
-            xi = np.sqrt(lam) * xi
-    xi = 0.5 * (xi + b.conj_ambient(xi))
-    return xi

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bimodule import BimoduleVector, Derivation, FinBimodule, carre_du_champ
 from .errors import NotGNSSymmetric, QMSError
-from .fock import correspondence_from_jumps, fock_build, free_aw
+from .fock import fock_build, free_aw
 from .lindblad import (JumpSystem, _extract_certified, build_generator, certify,
                        dirichlet_form)
 from .modular import WeightedAlgebra
@@ -180,17 +180,15 @@ def suite_carre_positivity(sc, seed):
 def suite_fock_commutant(sc, seed):
     tol = sc.tol
     sc.system.check_valid()
-    h = correspondence_from_jumps(sc.system)
-    f = fock_build(h, d_max=3, tol=tol)
-    s_basis = h.s_fixed_basis()
-    f_basis = h.f_fixed_basis()
+    f = fock_build(sc.bimodule, d_max=3, tol=tol)
     worst = 0.0
-    for xi in s_basis[:3]:
-        for eta in f_basis[:3]:
+    for xi in f.s_fixed_basis()[:3]:
+        for eta in f.f_fixed_basis()[:3]:
             worst = max(worst, f.commutant_check(xi, eta))
     rng = np.random.default_rng(seed)
+    d = f.dims[1]
     xs = [random_matrix(sc.W.n, rng) for _ in range(5)]
-    xis = [rng.standard_normal(h.d) + 1j * rng.standard_normal(h.d)
+    xis = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
            for _ in range(5)]
     lam = f.lambda_identities(xs, xis)
     return [

@@ -1,34 +1,15 @@
-"""Correspondences, relative tensor products, truncated Fock spaces, free case."""
+"""Truncated Fock spaces over the jump bimodule, and the free case."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import qms.fock
+from qms.bimodule import FinBimodule
 from qms.config import DEFAULT_TOL
-from qms.errors import (AlgebraMismatch, DimensionMismatch, NotFixedPoint,
-                        NotRepresentable, SizeLimitExceeded)
-from qms.fock import (
-    Correspondence,
-    TruncatedFock,
-    assoc_residual,
-    correspondence_from_jumps,
-    embed_pair,
-    fock_build,
-    free_aw,
-    l2_correspondence,
-    left_bounded_map,
-    mvalued_pairing,
-    plain_right,
-    rel_tensor,
-    unit_law_residuals,
-    validate_correspondence,
-    weighted_sum_correspondence,
-    wick,
-)
-from qms.modular import WeightedAlgebra
-from qms.sampling import (random_jump_system, random_unitary,
-                          random_weighted_algebra)
+from qms.errors import NotFixedPoint, SizeLimitExceeded
+from qms.fock import TruncatedFock, fock_build, free_aw
+from qms.sampling import random_jump_system, random_weighted_algebra
 
 
 def nontracial_a(d=3, seed=3, scale=0.7):
@@ -37,15 +18,47 @@ def nontracial_a(d=3, seed=3, scale=0.7):
     return scipy.linalg.expm(1j * scale * (k - k.T))
 
 
-def jump_correspondence(n, m, seed):
-    """The correspondence of a random jump system with exactly m jumps."""
+def jump_bimodule(n, m, seed):
+    """The bimodule of a random jump system with exactly m jumps."""
     rng = np.random.default_rng(seed)
     w = random_weighted_algebra(n, rng)
     for _ in range(100):
         system = random_jump_system(w, rng, m_max=m)
         if system.m == m:
-            return correspondence_from_jumps(system)
+            return FinBimodule(system)
     raise RuntimeError(f"no jump system with m = {m} at n = {n}")
+
+
+def rand_vec(rng, d):
+    return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+
+# Reference: the defining formulas of the M-valued inner product, on
+# coordinate vectors of the bimodule.
+
+def pairing(b, xi, eta):
+    """(xi|eta) = sum_j xi_j* eta_j in M."""
+    x, y = b.from_coords(xi).comps, b.from_coords(eta).comps
+    return np.einsum("jrk,jrl->kl", x.conj(), y)
+
+
+def tensor_pairing(b, xs, ys):
+    """(x_1 (x) ... (x) x_k | y_1 (x) ... (x) y_k) in M, by iterating
+    (xi_1 (x) xi_2 | eta_1 (x) eta_2) = (xi_2 | (xi_1|eta_1) eta_2)."""
+    p = np.eye(b.n)
+    for x, y in zip(xs, ys):
+        p = pairing(b, x, b.coords(b.act_left(p, b.from_coords(y))))
+    return p
+
+
+@pytest.fixture
+def bim3(qubit_system3):
+    return FinBimodule(qubit_system3)
+
+
+def s0(b, xi):
+    """S_0 xi = J U_{-i/2} xi on the bimodule."""
+    return b.coords(b.conj_ambient(b.mod_group(-0.5j, b.from_coords(xi))))
 
 
 # Reference: the Fock operators and checks as dense Kronecker formulas over
@@ -115,120 +128,88 @@ def kron_delta_matrix(d, layer):
     return total.astype(np.complex128)
 
 
-class TestL2Correspondence:
-    def test_contracts(self, w_qubit):
-        res = validate_correspondence(l2_correspondence(w_qubit))
-        assert max(res.values()) < 1e-9
-
-    def test_cyclic_vector_pairing(self, w_qubit):
-        c = l2_correspondence(w_qubit)
-        xi = w_qubit.coords(np.eye(2))  # phi^{1/2}
-        m = mvalued_pairing(c, xi, xi)
-        np.testing.assert_allclose(m, np.eye(2), atol=1e-12)
-
-    def test_pairing_psd_and_weight(self, w_qubit):
-        c = l2_correspondence(w_qubit)
-        rng = np.random.default_rng(61)
-        for _ in range(50):
-            xi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            m = mvalued_pairing(c, xi, xi)
-            ev = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-            assert ev.min() >= -1e-10
-            # ||xi||^2 = phi((xi|xi))
-            assert abs(np.vdot(xi, xi) - np.trace(m @ w_qubit.h)) < 1e-10
-
-    def test_left_bounded_map_norm(self, w_qubit):
-        c = l2_correspondence(w_qubit)
-        rng = np.random.default_rng(62)
-        xi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        l = left_bounded_map(c, xi)
-        # L_phi(xi) applied to phi^{1/2} returns xi
-        np.testing.assert_allclose(
-            l @ w_qubit.coords(np.eye(2)), xi, atol=1e-12
-        )
-
-
 class TestJumpCorrespondence:
-    def test_contracts_and_tomita(self, qubit_system3):
-        c = correspondence_from_jumps(qubit_system3)
-        res = validate_correspondence(c)
-        assert max(res.values()) < 1e-9
+    """The antilinear maps S_0, F_0 that the Fock space reads off the
+    bimodule of a jump system."""
 
-    def test_fixed_bases_nonempty(self, qubit_system3):
-        c = correspondence_from_jumps(qubit_system3)
-        s_basis = c.s_fixed_basis()
-        f_basis = c.f_fixed_basis()
+    def test_fixed_bases_nonempty(self, bim3):
+        f = fock_build(bim3)
+        s_basis = f.s_fixed_basis()
+        f_basis = f.f_fixed_basis()
         assert len(s_basis) > 0 and len(f_basis) > 0
         for xi in s_basis[:2]:
-            assert np.linalg.norm(c.s0(xi) - xi) < 1e-9
+            assert np.linalg.norm(s0(bim3, xi) - xi) < 1e-9
 
-    def test_one_group_matrix_each(self, qubit_system3, monkeypatch):
+    def test_one_group_matrix_each(self, bim3, monkeypatch):
         """The fixed-point bases and the S0/F0 gates of the commutant check
-        share one U_{-i/2} and one U_{i/2} per correspondence."""
-        c = correspondence_from_jumps(qubit_system3)
-        group, calls = Correspondence.group, []
-        monkeypatch.setattr(Correspondence, "group",
-                            lambda self, z: calls.append(z) or group(self, z))
-        f = fock_build(c, d_max=3)
-        for xi in c.s_fixed_basis()[:2]:
-            for eta in c.f_fixed_basis()[:2]:
-                f.commutant_check(xi, eta)
+        share one U_{-i/2} and one U_{i/2} per Fock space, and each basis is
+        computed once."""
+        group, calls = FinBimodule.mod_group, []
+        monkeypatch.setattr(FinBimodule, "mod_group",
+                            lambda self, z, xi: calls.append(z) or group(self, z, xi))
+        basis, solved = qms.fock._antilinear_fixed_basis, []
+        monkeypatch.setattr(qms.fock, "_antilinear_fixed_basis",
+                            lambda a: solved.append(a) or basis(a))
+        f = fock_build(bim3, d_max=3)
+        for _ in range(2):
+            for xi in f.s_fixed_basis()[:2]:
+                for eta in f.f_fixed_basis()[:2]:
+                    f.commutant_check(xi, eta)
         assert len(calls) == 2 and set(calls) == {-0.5j, 0.5j}
-
-    def test_plain_right_intertwines(self, w_qubit):
-        """xi . x on L2 is plain right multiplication."""
-        c = l2_correspondence(w_qubit)
-        rng = np.random.default_rng(63)
-        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        got = plain_right(c, x) @ w_qubit.coords(a)
-        np.testing.assert_allclose(got, w_qubit.coords(a @ x), atol=1e-11)
+        assert len(solved) == 2
 
 
 class TestRelTensor:
-    def test_algebra_mismatch(self, w_qubit, w_tracial):
-        with pytest.raises(AlgebraMismatch):
-            rel_tensor(l2_correspondence(w_qubit), l2_correspondence(w_tracial))
+    """H (x)_phi H as the Fock layers realize it, against the actions of
+    the bimodule."""
 
-    def test_unit_laws(self, qubit_system3):
-        c = correspondence_from_jumps(qubit_system3)
-        res = unit_law_residuals(c)
-        assert res["left_unit"] < 1e-9
-        assert res["right_unit"] < 1e-9
-        assert res["left_rank"][0] == c.d
-        assert res["right_rank"][0] == c.d
-
-    def test_l2_squared_rank(self, w_qubit):
-        """[DERIVED] L2 (x)_phi L2 has the dimension of L2 itself."""
-        c = l2_correspondence(w_qubit)
-        t = rel_tensor(c, c)
-        assert t.d == c.d
-
-    def test_associativity(self, w_qubit):
-        c = l2_correspondence(w_qubit)
-        res = assoc_residual(c, c, c, n_samples=15)
-        assert res["residual"] < 1e-9
-        assert res["rank_left"] == res["rank_right"]
-
-    def test_balancing(self, w_qubit):
-        """xi . x (x) eta = xi (x) lambda(x) eta in the quotient."""
-        c = l2_correspondence(w_qubit)
-        t = rel_tensor(c, c)
+    def test_unit_laws(self, bim3):
+        """L2 (x)_phi H ~ H and H (x)_phi L2 ~ H: b(eta) maps the layer-0
+        vector x phi^{1/2} to x eta, a(xi) maps y phi^{1/2} to xi y."""
+        b, f = bim3, fock_build(bim3)
         rng = np.random.default_rng(64)
+        for _ in range(5):
+            xi, eta = rand_vec(rng, f.dims[1]), rand_vec(rng, f.dims[1])
+            x, y = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                    for _ in range(2))
+            got = f.b_creation(eta) @ f.inject(0, b.W.coords(x))
+            want = f.inject(1, b.coords(b.act_left(x, b.from_coords(eta))))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            got = f.creation(xi) @ f.inject(0, b.W.coords(y))
+            want = f.inject(1, b.coords(b.act_right(y, b.from_coords(xi))))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_associativity(self, bim3):
+        """(x1 (x) x2) (x) x3 = x1 (x) (x2 (x) x3) on layer 3."""
+        f = fock_build(bim3, d_max=3)
+        a, b, omega = f.creation, f.b_creation, f.vacuum()
+        rng = np.random.default_rng(65)
+        for _ in range(5):
+            x1, x2, x3 = (rand_vec(rng, f.dims[1]) for _ in range(3))
+            lhs = b(x3) @ (a(x1) @ (a(x2) @ omega))
+            rhs = a(x1) @ (b(x3) @ (a(x2) @ omega))
+            assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_balancing(self, bim3):
+        """xi . x (x) eta = xi (x) x eta on layer 2."""
+        b, f = bim3, fock_build(bim3)
+        a, omega = f.creation, f.vacuum()
+        rng = np.random.default_rng(66)
         for _ in range(10):
-            xi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            eta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            xi, eta = rand_vec(rng, f.dims[1]), rand_vec(rng, f.dims[1])
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            lhs = embed_pair(t, plain_right(c, x) @ xi, eta)
-            rhs = embed_pair(t, xi, c.left(x) @ eta)
+            xi_x = b.coords(b.act_right(x, b.from_coords(xi)))
+            x_eta = b.coords(b.act_left(x, b.from_coords(eta)))
+            lhs = a(xi_x) @ (a(eta) @ omega)
+            rhs = a(xi) @ (a(x_eta) @ omega)
             assert np.linalg.norm(lhs - rhs) < 1e-9 * max(
                 np.linalg.norm(rhs), 1.0)
 
 
 class TestTruncatedFock:
     @pytest.fixture
-    def fock3(self, qubit_system3):
-        return fock_build(correspondence_from_jumps(qubit_system3), d_max=3)
+    def fock3(self, bim3):
+        return fock_build(bim3, d_max=3)
 
     def test_layer_dims_golden(self, fock3):
         """[DERIVED] layer dimensions for the three-jump reference system."""
@@ -240,19 +221,18 @@ class TestTruncatedFock:
         got = fock3.creation(xi) @ fock3.vacuum()
         np.testing.assert_allclose(got, fock3.inject(1, xi), atol=1e-10)
 
-    def test_annihilation_pairing(self, fock3, qubit_system3):
+    def test_annihilation_pairing(self, fock3, bim3):
         """a(xi)* a(eta) on the vacuum recovers the phi-pairing."""
-        c = correspondence_from_jumps(qubit_system3)
         rng = np.random.default_rng(66)
         xi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         eta = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         omega = fock3.vacuum()
         lhs = np.vdot(fock3.creation(xi) @ omega, fock3.creation(eta) @ omega)
-        m = mvalued_pairing(c, xi, eta)
-        rhs = np.trace(m @ qubit_system3.W.h)
+        m = pairing(bim3, xi, eta)
+        rhs = np.trace(m @ bim3.W.h)
         assert abs(lhs - rhs) < 1e-10 * max(abs(rhs), 1.0)
 
-    def test_lambda_identities(self, fock3, qubit_system3):
+    def test_lambda_identities(self, fock3):
         rng = np.random.default_rng(67)
         xs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
               for _ in range(5)]
@@ -262,11 +242,10 @@ class TestTruncatedFock:
         assert res["pi_left"] < 1e-10
         assert res["s_vector"] < 1e-10
 
-    def test_commutant(self, fock3, qubit_system3):
-        c = correspondence_from_jumps(qubit_system3)
+    def test_commutant(self, fock3):
         worst = 0.0
-        for xi in c.s_fixed_basis()[:3]:
-            for eta in c.f_fixed_basis()[:3]:
+        for xi in fock3.s_fixed_basis()[:3]:
+            for eta in fock3.f_fixed_basis()[:3]:
                 worst = max(worst, fock3.commutant_check(xi, eta))
         assert worst <= 1e-9
 
@@ -276,18 +255,16 @@ class TestTruncatedFock:
         with pytest.raises(NotFixedPoint):
             fock3.commutant_check(xi, xi)
 
-    def test_commutant_gate_is_axiom_tolerance(self, qubit_system3):
+    def test_commutant_gate_is_axiom_tolerance(self, bim3, fock3):
         """A 1e-7 relative departure from S0-fixedness fails the default
         gate (tol.axiom = 1e-9) and passes once tol.axiom is 1e-5."""
-        from qms.config import DEFAULT_TOL
-        c = correspondence_from_jumps(qubit_system3)
-        xi, eta = c.s_fixed_basis()[0], c.f_fixed_basis()[0]
+        xi, eta = fock3.s_fixed_basis()[0], fock3.f_fixed_basis()[0]
         rng = np.random.default_rng(70)
-        r = rng.standard_normal(c.d) + 1j * rng.standard_normal(c.d)
+        r = rand_vec(rng, len(xi))
         xi = xi + 1e-7 * np.linalg.norm(xi) * r / np.linalg.norm(r)
         with pytest.raises(NotFixedPoint):
-            fock_build(c, d_max=3).commutant_check(xi, eta)
-        loose = fock_build(c, d_max=3, tol=DEFAULT_TOL.override(axiom=1e-5))
+            fock3.commutant_check(xi, eta)
+        loose = fock_build(bim3, d_max=3, tol=DEFAULT_TOL.override(axiom=1e-5))
         assert loose.commutant_check(xi, eta) < 1e-5
 
     def test_vacuum_expectation_unital(self, fock3):
@@ -295,55 +272,43 @@ class TestTruncatedFock:
         np.testing.assert_allclose(e, np.eye(2), atol=1e-12)
         assert abs(weight - 1.0) < 1e-12
 
-    def test_vacuum_expectation_of_s_squared(self, fock3, qubit_system3):
-        c = correspondence_from_jumps(qubit_system3)
+    def test_vacuum_expectation_of_s_squared(self, fock3, bim3):
         rng = np.random.default_rng(69)
         xi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         s = fock3.s_op(xi)
         e, _ = fock3.vacuum_expectation(s @ s)
-        m = mvalued_pairing(c, xi, xi)
+        m = pairing(bim3, xi, xi)
         np.testing.assert_allclose(e, m, atol=1e-9 * max(np.linalg.norm(m), 1.0))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_layers_match_gram_route(self, n, qubit_system3):
-        """Words in a/b on the vacuum have the Gram of rel_tensor vectors."""
+        """Words in a/b on the vacuum have the Gram matrix of the relative
+        tensor product, <x (x) y, x' (x) y'> = phi((x (x) y | x' (x) y'))."""
         rng = np.random.default_rng(75)
         if n == 2:
             system = qubit_system3
         else:
             system = random_jump_system(random_weighted_algebra(3, rng), rng,
                                         m_max=2)
-        h = correspondence_from_jumps(system)
-        f = fock_build(h, d_max=3)
-        t2 = rel_tensor(h, h)
-        t3 = rel_tensor(t2, h)
+        bim = FinBimodule(system)
+        f = fock_build(bim, d_max=3)
         a, b, omega = f.creation, f.b_creation, f.vacuum()
-        fock2, gram2, fock3, gram3 = [], [], [], []
+        fock2, words2, fock3, words3 = [], [], [], []
         for k in range(8):
-            x1, x2, x3 = (rng.standard_normal(h.d) + 1j * rng.standard_normal(h.d)
-                          for _ in range(3))
+            x1, x2, x3 = (rand_vec(rng, f.dims[1]) for _ in range(3))
             # x1 (x) x2 built three ways, x1 (x) x2 (x) x3 two ways
             word2 = [a(x1) @ a(x2), a(x1) @ b(x2), b(x2) @ b(x1)][k % 3]
             word3 = [a(x1) @ a(x2) @ a(x3), a(x1) @ b(x3) @ a(x2)][k % 2]
             fock2.append(f.layer_block(word2 @ omega, 2))
             fock3.append(f.layer_block(word3 @ omega, 3))
-            gram2.append(embed_pair(t2, x1, x2))
-            gram3.append(embed_pair(t3, gram2[-1], x3))
-        for fv, gv in ((fock2, gram2), (fock3, gram3)):
-            fv, gv = np.array(fv), np.array(gv)
-            g_fock, g_gram = fv.conj() @ fv.T, gv.conj() @ gv.T
-            assert np.linalg.norm(g_fock - g_gram) <= 1e-12 * np.linalg.norm(g_gram)
-
-    def test_rejects_other_correspondences(self, w_qubit):
-        """A unitarily rotated L2 is a correspondence, but not C^m (x) L2."""
-        l2 = l2_correspondence(w_qubit)
-        u = random_unitary(4, np.random.default_rng(77))
-        rotated = Correspondence(w_qubit, 4,
-                                 lambda x: u @ l2.left(x) @ u.conj().T,
-                                 lambda y: u @ l2.right(y) @ u.conj().T)
-        assert max(validate_correspondence(rotated).values()) < 1e-9
-        with pytest.raises(DimensionMismatch):
-            fock_build(rotated)
+            words2.append((x1, x2))
+            words3.append((x1, x2, x3))
+        for fv, words in ((fock2, words2), (fock3, words3)):
+            fv = np.array(fv)
+            g_fock = fv.conj() @ fv.T
+            g_ref = np.array([[np.trace(tensor_pairing(bim, xs, ys) @ bim.W.h)
+                               for ys in words] for xs in words])
+            assert np.linalg.norm(g_fock - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
 
     def test_large_layers_build(self):
         """[DERIVED] n = 3, m = 6, d_max = 3: dims m^k n^2, no layer Gram;
@@ -351,20 +316,18 @@ class TestTruncatedFock:
         rng = np.random.default_rng(76)
         system = random_jump_system(random_weighted_algebra(3, rng), rng,
                                     m_max=6)
-        h = correspondence_from_jumps(system)
-        f = fock_build(h, d_max=3)
+        f = fock_build(FinBimodule(system), d_max=3)
         assert f.dims == [9, 54, 324, 1944]
-        assert f.commutant_check(h.s_fixed_basis()[0],
-                                 h.f_fixed_basis()[0]) <= 1e-9
+        assert f.commutant_check(f.s_fixed_basis()[0],
+                                 f.f_fixed_basis()[0]) <= 1e-9
 
     @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
     def test_dense_operators_match_kron(self, n, m):
         """The dense matrices assembled from the block applies are the
         Kronecker formulas, entry for entry."""
-        h = jump_correspondence(n, m, seed=80)
-        f = fock_build(h, d_max=3)
+        f = fock_build(jump_bimodule(n, m, seed=80), d_max=3)
         rng = np.random.default_rng(81)
-        xi = rng.standard_normal(h.d) + 1j * rng.standard_normal(h.d)
+        xi = rand_vec(rng, f.dims[1])
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert np.array_equal(f.creation(xi), kron_creation(f, xi))
         assert np.array_equal(f.b_creation(xi), kron_b_creation(f, xi))
@@ -376,16 +339,30 @@ class TestTruncatedFock:
         """The safe-column norms equal the dense ||[s, t] P|| / (||s P||
         ||t P||) with full SVDs, on fixed pairs and, with the gate opened,
         on random pairs whose commutator is of order one."""
-        h = jump_correspondence(n, m, seed=82)
+        f = fock_build(jump_bimodule(n, m, seed=82), d_max=d_max,
+                       tol=DEFAULT_TOL.override(axiom=1e300))
         rng = np.random.default_rng(83)
-        pairs = [(h.s_fixed_basis()[0], h.f_fixed_basis()[0])]
-        pairs += [tuple(rng.standard_normal((2, h.d))
-                        + 1j * rng.standard_normal((2, h.d))) for _ in range(2)]
-        f = fock_build(h, d_max=d_max, tol=DEFAULT_TOL.override(axiom=1e300))
+        pairs = [(f.s_fixed_basis()[0], f.f_fixed_basis()[0])]
+        pairs += [tuple(rand_vec(rng, (2, f.dims[1]))) for _ in range(2)]
         for k, (xi, eta) in enumerate(pairs):
             got, want = f.commutant_check(xi, eta), kron_commutant(f, xi, eta)
             if k:
                 assert want > 1e-3
+            assert abs(got - want) <= 1e-12 * max(want, 1e-3)
+
+    @pytest.mark.parametrize("per_block", [1, 5])
+    def test_commutant_column_blocks(self, per_block, monkeypatch):
+        """t(s[:, :K]) subtracted a few columns at a time gives the dense
+        residual, on a fixed pair and a random one."""
+        f = fock_build(jump_bimodule(2, 3, seed=82), d_max=4,
+                       tol=DEFAULT_TOL.override(axiom=1e300))
+        rows = int(f.offsets[-1])
+        monkeypatch.setattr(qms.fock, "_COMMUTANT_BLOCK_BYTES",
+                            16 * rows * per_block)
+        rng = np.random.default_rng(87)
+        for xi, eta in [(f.s_fixed_basis()[0], f.f_fixed_basis()[0]),
+                        tuple(rand_vec(rng, (2, f.dims[1])))]:
+            got, want = f.commutant_check(xi, eta), kron_commutant(f, xi, eta)
             assert abs(got - want) <= 1e-12 * max(want, 1e-3)
 
     def test_lambda_identities_match_dense(self, fock3):
@@ -408,13 +385,28 @@ class TestTruncatedFock:
             raise AssertionError("allocated before the size check")
 
         w = random_weighted_algebra(n, np.random.default_rng(85))
-        f = fock_build(weighted_sum_correspondence(w, [0.0] * m), d_max=d_max)
+        d = m * n * n
+        f = TruncatedFock(w, m, np.eye(d), np.eye(d), d_max)
         for name in ("_apply", "_creator"):
             monkeypatch.setattr(TruncatedFock, name, refuse)
-        monkeypatch.setattr(Correspondence, "s0", refuse)
-        zero = np.zeros(f.H.d, dtype=complex)
+        zero = np.zeros(d, dtype=complex)
         with pytest.raises(SizeLimitExceeded):
             f.commutant_check(zero, zero)
+
+    def test_size_limit_counts_peak(self, fock3, monkeypatch):
+        """A budget that holds the image of [s, t] on the safe columns, but
+        not the peak of the check (that image, the SVD's copy of it and the
+        images of s and t), raises before anything is allocated."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        k, rows = int(fock3.offsets[2]), int(fock3.offsets[4])
+        monkeypatch.setattr(qms.fock, "_MAX_FOCK_CHECK_BYTES", 16 * rows * k)
+        for name in ("_apply", "_creator"):
+            monkeypatch.setattr(TruncatedFock, name, refuse)
+        zero = np.zeros(fock3.dims[1], dtype=complex)
+        with pytest.raises(SizeLimitExceeded, match="at its peak"):
+            fock3.commutant_check(zero, zero)
 
     def test_size_limit_vacuum_identities(self, fock3, monkeypatch):
         """The vacuum identities check their (layer 0 and 1) arrays against
@@ -539,44 +531,3 @@ class TestScalarFock:
         )
         assert abs(e - want) < 1e-10 * abs(want)
 
-
-class TestWick:
-    def test_vacuum_gives_identity(self):
-        f = free_aw(np.eye(2), d_max=3)
-        w = wick(f, f.vacuum())
-        np.testing.assert_allclose(w, np.eye(f.D), atol=1e-12)
-
-    def test_layer_one_gives_field(self):
-        f = free_aw(np.eye(2), d_max=3)
-        e1 = f.H.s_fixed_basis()[0]
-        w = wick(f, f.inject(1, e1))
-        np.testing.assert_allclose(w, f.s_op(e1), atol=1e-10)
-
-    def test_layer_two_tracial(self):
-        f = free_aw(np.eye(2), d_max=3)
-        e1 = f.H.s_fixed_basis()[0]
-        eta = f.inject(2, np.kron(e1, e1))
-        w = wick(f, eta)
-        want = f.s_op(e1) @ f.s_op(e1) - np.vdot(e1, e1) * np.eye(f.D)
-        np.testing.assert_allclose(w, want, atol=1e-10)
-
-    def test_nontracial_layer_three(self):
-        f = free_aw(nontracial_a(2, seed=5), d_max=4)
-        rng = np.random.default_rng(73)
-        basis = f.H.s_fixed_basis()
-        vec = np.kron(np.kron(basis[0], basis[1]), basis[0])
-        vec = vec + 0.3 * np.kron(np.kron(basis[1], basis[1]), basis[1])
-        eta = f.inject(3, vec)
-        w = wick(f, eta)
-        resid = np.linalg.norm(w @ f.vacuum() - eta) / np.linalg.norm(eta)
-        assert resid < 1e-9
-
-    def test_rejects_unrepresentable(self):
-        # a non-involutive conjugation leaves a deficient T-fixed space
-        f = free_aw(np.eye(2), d_max=3,
-                    conj_i=np.array([[0.0, 1.0], [0.0, 0.0]]).astype(complex))
-        assert len(f.H.s_fixed_basis()) < f.m
-        rng = np.random.default_rng(74)
-        eta = f.inject(1, rng.standard_normal(2).astype(complex))
-        with pytest.raises(NotRepresentable):
-            wick(f, eta)

@@ -1,15 +1,16 @@
-"""Gram reconstruction, uniqueness isometry, Stinespring route, rep vectors."""
+"""Gram reconstruction, uniqueness isometry, Stinespring route, the
+representing vector."""
 
 import numpy as np
 import pytest
 
 import qms.reconstruct
-from qms.bimodule import Derivation, FinBimodule
+from qms.bimodule import FinBimodule
 from qms.config import DEFAULT_TOL
 from qms.lindblad import (DirichletForm, JumpSystem, build_generator,
                           dirichlet_form, extract_alicki)
 from qms.modular import TomitaData, WeightedAlgebra, bohr_classes
-from qms.numkernel import (HermEig, Superoperator, frob, herm_eig, matrix_units,
+from qms.numkernel import (HermEig, Superoperator, herm_eig, matrix_units,
                            null_quotient)
 from qms.reconstruct import (
     GramSpace,
@@ -17,7 +18,6 @@ from qms.reconstruct import (
     build_gram_space,
     gram_axioms_check,
     gram_entry,
-    rep_vector,
     stinespring_rate,
     stinespring_route,
     uniqueness_isometry,
@@ -523,35 +523,27 @@ class TestStinespring:
 
 
 class TestRepVector:
-    def test_zero_derivation(self, w_qubit):
-        from qms.lindblad import JumpSystem
-        bim = FinBimodule(JumpSystem(W=w_qubit, jumps=[], pairing=[]))
-        xi = rep_vector(bim, Derivation(bim))
-        assert bim.norm(xi) == 0.0
+    """The representing vector xi_j = -i e^{-omega_j/4} v_j of the
+    derivation of a jump system, in closed form."""
+
+    @staticmethod
+    def spec_vector(system):
+        from qms.bimodule import BimoduleVector
+        return BimoduleVector(np.array([
+            -1j * np.exp(-om / 4.0) * v for v, om in system.jumps
+        ]))
 
     def test_spec_vector_invariances(self, qubit_system):
         """xi_j = -i e^{-omega_j/4} v_j is group-invariant and conj-anti-fixed."""
-        from qms.bimodule import BimoduleVector
         b = FinBimodule(qubit_system)
-        comps = np.array([
-            -1j * np.exp(-om / 4.0) * v for v, om in qubit_system.jumps
-        ])
-        xi = BimoduleVector(comps)
+        xi = self.spec_vector(qubit_system)
         for t in (0.4, 1.0):
             assert b.norm(b.mod_group(t, xi) - xi) < 1e-12
         assert b.norm(b.conj_ambient(xi) + xi) < 1e-12
 
-    def test_roundtrip_generator(self, qubit_system3):
-        from qms.bimodule import inner_derivation_generator
-        b = FinBimodule(qubit_system3)
-        xi = rep_vector(b, Derivation(b))
-        l = inner_derivation_generator(b, xi)
-        want = build_generator(qubit_system3)
-        assert frob(l.matrix - want.matrix) <= 1e-9 * frob(want.matrix)
-
     def test_implements_derivation_up_to_phase(self, qubit_system3):
         b = FinBimodule(qubit_system3)
-        xi = rep_vector(b, Derivation(b))
+        xi = self.spec_vector(qubit_system3)
         rng = np.random.default_rng(59)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         comm = b.act_left(a, xi) - b.act_right(a, xi)
