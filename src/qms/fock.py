@@ -19,7 +19,9 @@ pi_l(x) Omega); the dense D x D matrices are assembled from the same blocks.
 The fields s(xi) and t(eta) commute on the safe zone when S_0 xi = xi and
 F_0 eta = eta, with the antilinear maps S_0 = J U_{-i/2} and F_0 = J U_{i/2}
 of H.  ``fock_build`` reads both off the bimodule as matrices A with
-S_0 xi = A conj(xi).
+S_0 xi = A conj(xi).  Both are involutions, so (1 + S_0)/2 maps onto the
+S_0-fixed vectors and (1 + F_0)/2 onto the F_0-fixed ones
+(``fixed_vectors``); no null space is solved for.
 
 The scalar case M = C (``ScalarFock``, n = 1) recovers free Araki-Woods:
 layers are plain tensor powers, the modular group acts as (V_{-t})^{(x)n}
@@ -54,20 +56,6 @@ def _scalar_fock_bytes(d, depth):
     vector, (2d)^depth entries."""
     dim = sum(d ** k for k in range(depth + 1))
     return 16 * max(dim * dim, (2 * d) ** depth)
-
-
-def _antilinear_fixed_basis(a):
-    """Real-orthonormal basis of {xi in C^d : A conj(xi) = xi}."""
-    d = len(a)
-    # A conj(u + iv) = A u - i A v; solve A conj(xi) = xi
-    ar, ai = a.real, a.imag
-    eye = np.eye(d)
-    big = np.block([[ar - eye, ai], [ai, -ar - eye]])
-    _, sv, vt = np.linalg.svd(big)
-    rank = int(np.sum(sv > np.max(sv, initial=1.0) * 1e-10))
-    null = vt.T[:, rank:]
-    vecs = [null[:d, k] + 1j * null[d:, k] for k in range(null.shape[1])]
-    return [v for v in vecs if np.linalg.norm(v) > 1e-8]
 
 
 class TruncatedFock:
@@ -107,21 +95,20 @@ class TruncatedFock:
         # is empty
         self._top = self.d_max if self.m else 0
 
-    @functools.cached_property
-    def _s_basis(self):
-        return tuple(_antilinear_fixed_basis(self._a_s))
-
-    @functools.cached_property
-    def _f_basis(self):
-        return tuple(_antilinear_fixed_basis(self._a_f))
-
-    def s_fixed_basis(self):
-        """Real-orthonormal basis of {xi in H : S_0 xi = xi}, computed once."""
-        return self._s_basis
-
-    def f_fixed_basis(self):
-        """Real-orthonormal basis of {eta in H : F_0 eta = eta}, computed once."""
-        return self._f_basis
+    def fixed_vectors(self):
+        """S_0- and F_0-fixed vectors, row k from the coordinate vector e_k:
+        the longer of P e_k and P(i e_k), with P = (1 + S_0)/2 (and
+        (1 + F_0)/2 for F_0).  Both maps are involutions, so P maps onto the
+        fixed space; e_k = P e_k - i P(i e_k), so the longer has norm >= 1/2.
+        """
+        out = []
+        for a in (self._a_s, self._a_f):
+            # A conj(e_k) is column k of A, and A conj(i e_k) is -i times it
+            e = np.eye(len(a))
+            plus, minus = 0.5 * (e + a), 0.5j * (e - a)
+            longer = np.linalg.norm(plus, axis=0) >= np.linalg.norm(minus, axis=0)
+            out.append(np.where(longer, plus, minus).T)
+        return tuple(out)
 
     # -- vectors ---------------------------------------------------------------
 

@@ -62,12 +62,12 @@ class WeightedAlgebra:
             )
         self.tol = tol
         self.n = h.shape[0]
+        # herm_eig symmetrizes its input the same way, so eig is the
+        # eigendecomposition of exactly this matrix
         self.h = 0.5 * (h + h.conj().T)
-        self.eig = herm_eig(self.h, tol)
+        self.eig = eig
         self.h_sqrt = self._power(0.5)
         self.h_isqrt = self._power(-0.5)
-        self.h_qrt = self._power(0.25)
-        self.h_iqrt = self._power(-0.25)
         self.h_inv = self._power(-1.0)
 
     def _power(self, z):

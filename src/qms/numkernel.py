@@ -213,18 +213,14 @@ class QuotientMap:
 
     ``embed`` maps spanning-set coefficient vectors to orthonormal quotient
     coordinates (embed = diag(sqrt(eig)) @ U*, U the kept eigenvectors),
-    ``lift`` is a right inverse of embed picking the minimal-norm coefficient
-    representative, and the columns of ``null`` span the dropped eigenspace.
+    and ``lift`` is a right inverse of embed picking the minimal-norm
+    coefficient representative.
     """
 
     rank: int
     eigenvalues: np.ndarray  # kept eigenvalues, descending
     embed: np.ndarray        # rank x N isometric coordinates
     lift: np.ndarray         # N x rank
-    null: np.ndarray         # N x (N - rank), orthonormal columns
-
-    def coords(self, coeff):
-        return self.embed @ np.asarray(coeff, dtype=np.complex128)
 
 
 def cluster(values, gap):
@@ -266,5 +262,4 @@ def quotient(eig: HermEig, tol=DEFAULT_TOL):
         eigenvalues=lam,
         embed=embed,
         lift=lift,
-        null=u[:, ~keep],
     )

@@ -40,9 +40,13 @@ relative to the largest entry: what a form without modular covariance
 would show.
 
 Stinespring route: the same space from a single unital CP GNS-symmetric map
-Phi with Gram (1/2) sum y_j* Phi(x_j* x_k) y_k and boundary
+Phi with <x(x)y, c(x)d> = (1/2) phi(y* Phi(x* c) d) and boundary
 del(x) = x(x)1 - 1(x)x; feeding Phi = P_t and scaling by 1/t recovers the
-form at first order in t.
+form at first order in t.  No Gram matrix is quotiented: with the Kraus
+form Phi(x) = sum_r V_r* x V_r from the eigendecomposition of the Choi
+matrix, x(x)y -> 2^{-1/2} (x V_r y)_r is an isometry onto C^R (x) L2(M, phi),
+the carrier of the jump bimodule, so the rank is n^2 R and
+del(x) = 2^{-1/2} ([x, V_r])_r.
 """
 
 from dataclasses import dataclass
@@ -56,8 +60,7 @@ from .errors import (GramNotPSD, NotGNSSymmetric, NotPSD, NotUCP,
 from .lindblad import DirichletForm, semigroup
 from .modular import TomitaData, WeightedAlgebra, bohr_classes
 from .numkernel import (HermEig, Superoperator, as_cmatrix, as_cstack, choi,
-                        cluster, frob, herm_eig, matrix_units, null_quotient,
-                        quotient)
+                        cluster, frob, herm_eig, matrix_units, quotient)
 from .sampling import (draw_samples, random_disk_point, random_matrix,
                        sample_blocks, worst)
 
@@ -486,40 +489,22 @@ def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
 
 @dataclass
 class StinespringBimodule:
+    """C^R (x) L2(M, phi) with x (x) y -> 2^{-1/2} (x V_r y)_r, for the Kraus
+    operators V_r of Phi(x) = sum_r V_r* x V_r (``kraus``, shape (R, n, n))."""
+
     phi: Superoperator
     W: WeightedAlgebra
-    gram: np.ndarray
-    qmap: object
+    kraus: np.ndarray
 
     @property
     def rank(self):
-        return self.qmap.rank
-
-    def pair_coeff(self, x, y):
-        return np.kron(_coeff(x), _coeff(y))
-
-    def embed_pair(self, x, y):
-        return self.qmap.coords(self.pair_coeff(x, y))
+        return self.kraus.shape[0] * self.W.n ** 2
 
     def boundary(self, x):
-        """del(x) = [x (x) 1] - [1 (x) x] in quotient coordinates."""
-        eye = np.eye(self.W.n, dtype=np.complex128)
-        return self.embed_pair(x, eye) - self.embed_pair(eye, x)
-
-    def pairing_from_gram(self, x, y):
-        """(del x | del y) expanded through the four-term Gram display."""
+        """del(x) = [x (x) 1] - [1 (x) x] = 2^{-1/2} ([x, V_r])_r, in the
+        coordinates of ``WeightedAlgebra.coords`` stacked over r."""
         x = as_cmatrix(x)
-        y = as_cmatrix(y)
-        eye = np.eye(self.W.n, dtype=np.complex128)
-        terms = [(x, eye, 1.0), (eye, x, -1.0)]
-        terms2 = [(y, eye, 1.0), (eye, y, -1.0)]
-        out = np.zeros_like(x)
-        for xa, ya, sa in terms:
-            for xb, yb, sb in terms2:
-                out += sa * sb * 0.5 * (
-                    ya.conj().T @ self.phi.apply(xa.conj().T @ xb) @ yb
-                )
-        return out
+        return self.W.coords(x @ self.kraus - self.kraus @ x).ravel() / np.sqrt(2.0)
 
 
 def boundary_pairing(phi: Superoperator, x, y):
@@ -536,7 +521,8 @@ def boundary_pairing(phi: Superoperator, x, y):
 
 def stinespring_route(phi: Superoperator, w: WeightedAlgebra,
                       tol=DEFAULT_TOL) -> StinespringBimodule:
-    """Gram space of a unital CP GNS-symmetric map."""
+    """The Stinespring bimodule of a unital CP GNS-symmetric map, in the
+    Kraus form read off the eigendecomposition of its Choi matrix."""
     n = w.n
     eye = np.eye(n, dtype=np.complex128)
     if w.norm(phi.apply(eye) - eye) > 1e-8:
@@ -549,17 +535,12 @@ def stinespring_route(phi: Superoperator, w: WeightedAlgebra,
     if frob(m - m.conj().T) > 1e-8 * max(frob(m), 1e-300):
         raise NotGNSSymmetric("map is not self-adjoint for <.,.>_h")
 
-    # x_p = E_ij, y_q = E_kl, x_c = E_ab, y_d = E_gd: x_p* x_c = [i = a] E_jb
-    # and (1/2) phi(E_lk Phi(E_jb) E_gd) = (1/2) Phi(E_jb)[k,g] h[d,l], where
-    # Phi(E_jb)[k,g] = phi.matrix[g*n+k, b*n+j]
-    gram = 0.5 * np.einsum("ia,gkbj,dl->ijklabgd", np.eye(n),
-                           phi.matrix.reshape(n, n, n, n), w.h).reshape(n ** 4, n ** 4)
-    gram = 0.5 * (gram + gram.conj().T)
-    try:
-        qmap = null_quotient(gram, tol)
-    except NotPSD as exc:
-        raise NotUCP(f"Stinespring Gram not PSD: {exc}") from exc
-    return StinespringBimodule(phi=phi, W=w, gram=gram, qmap=qmap)
+    # choi(Phi) = sum_r w_r w_r* with w_r[(i, k)] = conj(V_r[i, k]), so the
+    # eigenvectors of the Choi matrix give the Kraus operators
+    mu, u = ch_eig.eigenvalues, ch_eig.eigenvectors
+    keep = mu > tol.decomp * mu[-1]
+    kraus = (np.sqrt(mu[keep]) * u[:, keep].conj()).T.reshape(-1, n, n)
+    return StinespringBimodule(phi=phi, W=w, kraus=kraus)
 
 
 def stinespring_rate(l: Superoperator, w: WeightedAlgebra,

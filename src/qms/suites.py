@@ -182,8 +182,9 @@ def suite_fock_commutant(sc, seed):
     sc.system.check_valid()
     f = fock_build(sc.bimodule, d_max=3, tol=tol)
     worst = 0.0
-    for xi in f.s_fixed_basis()[:3]:
-        for eta in f.f_fixed_basis()[:3]:
+    xis, etas = f.fixed_vectors()
+    for xi in xis[:3]:
+        for eta in etas[:3]:
             worst = max(worst, f.commutant_check(xi, eta))
     rng = np.random.default_rng(seed)
     d = f.dims[1]

@@ -227,8 +227,9 @@ def test_criterion_8_free_araki_woods():
 
     # commutant lemma: the scalar model is the layered model over M_1 = C
     worst_comm = 0.0
-    for xi in f.s_fixed_basis()[:3]:
-        for eta in f.f_fixed_basis()[:3]:
+    xis, etas = f.fixed_vectors()
+    for xi in xis[:3]:
+        for eta in etas[:3]:
             worst_comm = max(worst_comm, f.commutant_check(xi, eta))
     elapsed = time.monotonic() - t0
     ok = (worst_pair <= 1e-10 and comm <= 1e-10 and worst_comm <= 1e-9

@@ -134,29 +134,46 @@ class TestJumpCorrespondence:
 
     def test_fixed_bases_nonempty(self, bim3):
         f = fock_build(bim3)
-        s_basis = f.s_fixed_basis()
-        f_basis = f.f_fixed_basis()
-        assert len(s_basis) > 0 and len(f_basis) > 0
-        for xi in s_basis[:2]:
+        xis, etas = f.fixed_vectors()
+        assert len(xis) == len(etas) == f.dims[1]
+        for xi in xis:
             assert np.linalg.norm(s0(bim3, xi) - xi) < 1e-9
 
     def test_one_group_matrix_each(self, bim3, monkeypatch):
-        """The fixed-point bases and the S0/F0 gates of the commutant check
-        share one U_{-i/2} and one U_{i/2} per Fock space, and each basis is
-        computed once."""
+        """The fixed vectors and the S0/F0 gates of the commutant check
+        share one U_{-i/2} and one U_{i/2} per Fock space."""
         group, calls = FinBimodule.mod_group, []
         monkeypatch.setattr(FinBimodule, "mod_group",
                             lambda self, z, xi: calls.append(z) or group(self, z, xi))
-        basis, solved = qms.fock._antilinear_fixed_basis, []
-        monkeypatch.setattr(qms.fock, "_antilinear_fixed_basis",
-                            lambda a: solved.append(a) or basis(a))
         f = fock_build(bim3, d_max=3)
         for _ in range(2):
-            for xi in f.s_fixed_basis()[:2]:
-                for eta in f.f_fixed_basis()[:2]:
+            xis, etas = f.fixed_vectors()
+            for xi in xis[:2]:
+                for eta in etas[:2]:
                     f.commutant_check(xi, eta)
         assert len(calls) == 2 and set(calls) == {-0.5j, 0.5j}
-        assert len(solved) == 2
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 6)])
+    def test_fixed_vectors_are_projections(self, n, m):
+        """S0 and F0 are involutions, and fixed vector k is the longer of
+        P e_k and P(i e_k), P = (1 + S0)/2 (F0 alike): it is fixed, of norm
+        >= 1/2, and e_k = P e_k - i P(i e_k)."""
+        b = jump_bimodule(n, m, seed=88)
+        f = fock_build(b)
+        d = f.dims[1]
+        for a, got in zip((f._a_s, f._a_f), f.fixed_vectors()):
+            assert np.linalg.norm(a @ a.conj() - np.eye(d)) < 1e-12
+            for k, v in enumerate(got):
+                e = np.eye(d)[k]
+                plus = 0.5 * (e + a @ np.conj(e))
+                minus = 0.5 * (1j * e + a @ np.conj(1j * e))
+                assert np.linalg.norm(plus - 1j * minus - e) < 1e-12
+                want = plus if np.linalg.norm(plus) >= np.linalg.norm(minus) else minus
+                assert np.linalg.norm(v - want) <= 1e-15
+                assert np.linalg.norm(v) >= 0.5
+                assert np.linalg.norm(a @ np.conj(v) - v) < 1e-12
+        for xi in f.fixed_vectors()[0][:3]:
+            assert np.linalg.norm(s0(b, xi) - xi) < 1e-12
 
 
 class TestRelTensor:
@@ -244,8 +261,9 @@ class TestTruncatedFock:
 
     def test_commutant(self, fock3):
         worst = 0.0
-        for xi in fock3.s_fixed_basis()[:3]:
-            for eta in fock3.f_fixed_basis()[:3]:
+        xis, etas = fock3.fixed_vectors()
+        for xi in xis[:3]:
+            for eta in etas[:3]:
                 worst = max(worst, fock3.commutant_check(xi, eta))
         assert worst <= 1e-9
 
@@ -258,7 +276,7 @@ class TestTruncatedFock:
     def test_commutant_gate_is_axiom_tolerance(self, bim3, fock3):
         """A 1e-7 relative departure from S0-fixedness fails the default
         gate (tol.axiom = 1e-9) and passes once tol.axiom is 1e-5."""
-        xi, eta = fock3.s_fixed_basis()[0], fock3.f_fixed_basis()[0]
+        xi, eta = (v[0] for v in fock3.fixed_vectors())
         rng = np.random.default_rng(70)
         r = rand_vec(rng, len(xi))
         xi = xi + 1e-7 * np.linalg.norm(xi) * r / np.linalg.norm(r)
@@ -318,8 +336,7 @@ class TestTruncatedFock:
                                     m_max=6)
         f = fock_build(FinBimodule(system), d_max=3)
         assert f.dims == [9, 54, 324, 1944]
-        assert f.commutant_check(f.s_fixed_basis()[0],
-                                 f.f_fixed_basis()[0]) <= 1e-9
+        assert f.commutant_check(*(v[0] for v in f.fixed_vectors())) <= 1e-9
 
     @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
     def test_dense_operators_match_kron(self, n, m):
@@ -342,7 +359,7 @@ class TestTruncatedFock:
         f = fock_build(jump_bimodule(n, m, seed=82), d_max=d_max,
                        tol=DEFAULT_TOL.override(axiom=1e300))
         rng = np.random.default_rng(83)
-        pairs = [(f.s_fixed_basis()[0], f.f_fixed_basis()[0])]
+        pairs = [tuple(v[0] for v in f.fixed_vectors())]
         pairs += [tuple(rand_vec(rng, (2, f.dims[1]))) for _ in range(2)]
         for k, (xi, eta) in enumerate(pairs):
             got, want = f.commutant_check(xi, eta), kron_commutant(f, xi, eta)
@@ -360,7 +377,7 @@ class TestTruncatedFock:
         monkeypatch.setattr(qms.fock, "_COMMUTANT_BLOCK_BYTES",
                             16 * rows * per_block)
         rng = np.random.default_rng(87)
-        for xi, eta in [(f.s_fixed_basis()[0], f.f_fixed_basis()[0]),
+        for xi, eta in [tuple(v[0] for v in f.fixed_vectors()),
                         tuple(rand_vec(rng, (2, f.dims[1])))]:
             got, want = f.commutant_check(xi, eta), kron_commutant(f, xi, eta)
             assert abs(got - want) <= 1e-12 * max(want, 1e-3)

@@ -186,8 +186,3 @@ class TestNullQuotient:
         np.testing.assert_allclose(q.embed @ q.lift, np.eye(3), atol=1e-10)
         # embed reproduces the Gram geometry: embed* embed = G
         np.testing.assert_allclose(q.embed.conj().T @ q.embed, g, atol=1e-10)
-        # the dropped eigenvectors: N - rank orthonormal columns killed by embed
-        assert q.null.shape == (5, 2)
-        np.testing.assert_allclose(q.null.conj().T @ q.null, np.eye(2),
-                                   atol=1e-12)
-        np.testing.assert_allclose(q.embed @ q.null, 0.0, atol=1e-10)

@@ -1,9 +1,10 @@
-"""Gram reconstruction, uniqueness isometry, Stinespring route, the
-representing vector."""
+"""Gram reconstruction, uniqueness isometry, Stinespring route in Kraus
+form, the representing vector."""
 
 import numpy as np
 import pytest
 
+import qms.numkernel
 import qms.reconstruct
 from qms.bimodule import FinBimodule
 from qms.config import DEFAULT_TOL
@@ -76,9 +77,13 @@ def quotient_gram(g):
 def well_definedness_residual(g, n_samples=20, seed=23):
     """Max change of quotient images when a representative is shifted by a
     random Gram-null vector (Step-7 well-definedness probe); L and R act by
-    eigenbasis units F_p, whose products are those of the E_p."""
-    null = g.qmap.null
-    if null.shape[1] == 0 or g.rank == 0:
+    eigenbasis units F_p, whose products are those of the E_p.  The dropped
+    eigenspace is the orthogonal complement of the rows of ``embed``."""
+    if g.rank == 0:
+        return 0.0
+    kept = g.qmap.embed.conj().T / np.sqrt(g.qmap.eigenvalues)
+    null = np.linalg.qr(kept, mode="complete")[0][:, g.rank:]
+    if null.shape[1] == 0:
         return 0.0
     rng = np.random.default_rng(seed)
     n2 = g.W.n ** 2
@@ -92,9 +97,9 @@ def well_definedness_residual(g, n_samples=20, seed=23):
         # the class of the null vector is zero; so must be its images
         for act in (g._act_left, g._act_right):
             a = units[int(rng.integers(0, n2))]
-            img = g.qmap.coords(act(a, null_vec))
+            img = g.qmap.embed @ act(a, null_vec)
             worst = max(worst, np.linalg.norm(img) / (nrm * scale))
-        worst = max(worst, np.linalg.norm(g.qmap.coords(null_vec)) / (nrm * scale))
+        worst = max(worst, np.linalg.norm(g.qmap.embed @ null_vec) / (nrm * scale))
     return worst
 
 
@@ -433,13 +438,27 @@ class TestUniqueness:
         assert cases[0][2] == 0 and all(want > 0 for *_, want in cases[1:])
 
         def refuse(*args, **kwargs):
-            raise AssertionError("null_quotient called")
+            raise AssertionError("quotient built")
 
-        monkeypatch.setattr(qms.reconstruct, "null_quotient", refuse)
+        monkeypatch.setattr(qms.reconstruct, "quotient", refuse)
+        monkeypatch.setattr(qms.numkernel, "null_quotient", refuse)
         for g, bim, want in cases:
             u = uniqueness_isometry(g, bim)
             assert u["rank_bimodule"] == want
             assert u["ranks_agree"]
+
+
+def stinespring_case(n, seed, t=0.3):
+    """P_t of a random jump system of size n, with its algebra."""
+    from qms.lindblad import semigroup
+    system = random_system(n, seed)
+    return semigroup(build_generator(system), t), system.W
+
+
+def embedded_pair(sb, x, y):
+    """The image 2^{-1/2} (x V_r y)_r of x (x) y, in the coordinates of
+    ``StinespringBimodule.boundary``."""
+    return sb.W.coords(x @ sb.kraus @ y).ravel() / np.sqrt(2.0)
 
 
 class TestStinespring:
@@ -451,16 +470,19 @@ class TestStinespring:
         assert np.linalg.norm(boundary_pairing(sb.phi, x, x)) < 1e-12
 
     def test_pairing_routes_agree(self, qubit_system3):
+        """(1/2) sum_r [x, V_r]* [y, V_r] is the M-valued pairing of the
+        boundaries."""
         from qms.lindblad import semigroup
         l = build_generator(qubit_system3)
         p = semigroup(l, 0.2)
-        sb = stinespring_route(p, qubit_system3.W)
+        v = stinespring_route(p, qubit_system3.W).kraus
         rng = np.random.default_rng(57)
         for _ in range(10):
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             a = boundary_pairing(p, x, y)
-            b = sb.pairing_from_gram(x, y)
+            cx, cy = x @ v - v @ x, y @ v - v @ y
+            b = 0.5 * np.sum(np.swapaxes(cx, -1, -2).conj() @ cy, axis=0)
             assert np.linalg.norm(a - b) < 1e-10 * max(np.linalg.norm(a), 1.0)
 
     def test_boundary_gram_consistency(self, qubit_system3):
@@ -493,7 +515,8 @@ class TestStinespring:
             raise AssertionError("quotient built")
 
         monkeypatch.setattr(qms.reconstruct, "stinespring_route", refuse)
-        monkeypatch.setattr(qms.reconstruct, "null_quotient", refuse)
+        monkeypatch.setattr(qms.reconstruct, "quotient", refuse)
+        monkeypatch.setattr(qms.numkernel, "null_quotient", refuse)
         assert stinespring_rate(l, qubit_system3.W, form3) == want
 
     def test_rate_linear_bound(self, w_tracial):
@@ -505,21 +528,79 @@ class TestStinespring:
         assert r["deviations"][0] <= spec_radius * 0.1
 
     def test_gram_matches_definition(self):
-        """Gram[(p,q),(c,d)] = phi(E_q* Phi(E_p* E_c) E_d) / 2."""
-        from qms.lindblad import semigroup
-        system = random_system(2, 76)
-        w = system.W
-        p_t = semigroup(build_generator(system), 0.3)
-        units = matrix_units(2)
-        want = np.array([[0.5 * w.state(y.conj().T @ p_t.apply(x.conj().T @ c) @ d)
-                          for c in units for d in units]
-                         for x in units for y in units])
-        assert_rel_close(stinespring_route(p_t, w).gram, want)
+        """<x (x) y, c (x) d> = phi(y* Phi(x* c) d) / 2 is the inner product
+        of the embedded pairs, over all unit pairs, at n = 2 and 3."""
+        for n in (2, 3):
+            p_t, w = stinespring_case(n, 76)
+            sb = stinespring_route(p_t, w)
+            units = matrix_units(n)
+            want = np.array([[0.5 * w.state(y.conj().T @ p_t.apply(x.conj().T @ c) @ d)
+                              for c in units for d in units]
+                             for x in units for y in units])
+            emb = np.array([embedded_pair(sb, x, y) for x in units for y in units])
+            assert_rel_close(emb.conj() @ emb.T, want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kraus_form(self, n):
+        """sum_r V_r* V_r = 1 and sum_r V_r* x V_r = Phi(x)."""
+        p_t, w = stinespring_case(n, 77)
+        v = stinespring_route(p_t, w).kraus
+        v_adj = np.swapaxes(v, -1, -2).conj()
+        assert_rel_close(np.sum(v_adj @ v, axis=0), np.eye(n), 1e-13)
+        rng = np.random.default_rng(78)
+        for _ in range(5):
+            x = random_matrix(n, rng)
+            assert_rel_close(np.sum(v_adj @ x @ v, axis=0), p_t.apply(x), 1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rank_matches_dense_quotient(self, n):
+        """n^2 R is the rank of the dense Gram over unit pairs, which is
+        (1/2) kron(I, choi(Phi), h^T)."""
+        from qms.numkernel import choi
+        p_t, w = stinespring_case(n, 79)
+        gram = 0.5 * np.kron(np.kron(np.eye(n), choi(p_t)), w.h.T)
+        sb = stinespring_route(p_t, w)
+        assert sb.rank == null_quotient(gram).rank
+        assert sb.rank == n * n * sb.kraus.shape[0]
+
+    def test_one_choi_eigendecomposition(self, monkeypatch):
+        """The route takes one eigendecomposition, of the n^2 x n^2 Choi
+        matrix, and builds no quotient."""
+        p_t, w = stinespring_case(3, 80)
+        sides = []
+
+        def spy(h, tol):
+            sides.append(np.shape(h))
+            return herm_eig(h, tol)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quotient built")
+
+        monkeypatch.setattr(qms.reconstruct, "herm_eig", spy)
+        monkeypatch.setattr(qms.reconstruct, "quotient", refuse)
+        monkeypatch.setattr(qms.numkernel, "null_quotient", refuse)
+        stinespring_route(p_t, w)
+        assert sides == [(9, 9)]
 
     def test_rejects_nonunital(self, w_qubit):
         from qms.errors import NotUCP
         with pytest.raises(NotUCP):
             stinespring_route(Superoperator.zero(2), w_qubit)
+
+    def test_rejects_non_cp(self, w_tracial):
+        """The transpose is unital and positive, but not CP."""
+        from qms.errors import NotUCP
+        transpose = Superoperator.from_matrix(
+            np.eye(4)[[0, 2, 1, 3]].astype(complex))
+        with pytest.raises(NotUCP, match="Choi"):
+            stinespring_route(transpose, w_tracial)
+
+    def test_rejects_asymmetric(self, w_tracial):
+        """x -> U* x U is UCP, and GNS-symmetric only if U^2 is a phase."""
+        from qms.errors import NotGNSSymmetric
+        u = np.diag([1.0, np.exp(1j)])
+        with pytest.raises(NotGNSSymmetric):
+            stinespring_route(Superoperator.left_right(u.conj().T, u), w_tracial)
 
 
 class TestRepVector:
