@@ -30,6 +30,7 @@ semigroup.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -234,38 +235,48 @@ class TruncatedFock:
     def commutant_check(self, xi, eta):
         """||[s(xi), t(eta)] P|| / (||s(xi) P|| ||t(eta) P||) with P the
         projection onto the safe zone; S0 xi = xi and F0 eta = eta must hold
-        to ``tol.axiom`` relative.
+        to ``tol.axiom`` relative.  For stacks xi (..., d) and eta (..., d),
+        the residual of every pair, of shape xi.shape[:-1] + eta.shape[:-1].
 
         ||X P||_2 = ||X[:, :K]||_2 with K = offsets[safe + 1], so each norm is
         the SVD of the images of the first K basis vectors; rows of layers
-        that these images cannot reach are zero and left out.  The check
-        holds the image of [s, t], the SVD's copy of it and the images of
-        s and t; t(s[:, :K]) is subtracted a column block at a time, so no
-        second image of [s, t] is formed.
+        that these images cannot reach are zero and left out.  The images
+        of s and t and their norms are taken once per vector.  The check
+        holds those images, the image of [s, t] and the SVD's copy of it;
+        t(s[:, :K]) is subtracted a column block at a time, so no second
+        image of [s, t] is formed.
         """
+        xi, eta = np.asarray(xi), np.asarray(eta)
+        xis, etas = (v.reshape(math.prod(v.shape[:-1]), v.shape[-1])
+                     for v in (xi, eta))
         safe = max(self.d_max - 2, 0)
         k = int(self.offsets[safe + 1])
         mid = int(self.offsets[min(safe + 1, self._top) + 1])
         rows = int(self.offsets[min(safe + 2, self._top) + 1])
-        self._check_budget(16 * k * (2 * rows + 2 * mid), "the commutant check")
+        self._check_budget(16 * k * (2 * rows + (len(xis) + len(etas)) * mid),
+                           "the commutant check")
         gate = self.tol.axiom
-        nrm_xi = max(np.linalg.norm(xi), 1e-300)
-        nrm_eta = max(np.linalg.norm(eta), 1e-300)
-        if np.linalg.norm(self._a_s @ np.conj(xi) - xi) > gate * nrm_xi:
-            raise NotFixedPoint("xi is not S0-fixed")
-        if np.linalg.norm(self._a_f @ np.conj(eta) - eta) > gate * nrm_eta:
-            raise NotFixedPoint("eta is not F0-fixed")
-        s, t = self._creator(xi), self._creator(eta, right=True)
+        for vecs, a, what in ((xis, self._a_s, "xi is not S0-fixed"),
+                              (etas, self._a_f, "eta is not F0-fixed")):
+            for v in vecs:
+                if np.linalg.norm(a @ np.conj(v) - v) > gate * max(
+                        np.linalg.norm(v), 1e-300):
+                    raise NotFixedPoint(what)
         cols = np.eye(k)
-        s_cols, t_cols = self._apply(s, cols), self._apply(t, cols)
-        comm = self._apply(s, t_cols)
+        s_ops = [self._creator(v) for v in xis]
+        t_ops = [self._creator(v, right=True) for v in etas]
+        s_cols = [self._apply(s, cols) for s in s_ops]
+        t_cols = [self._apply(t, cols) for t in t_ops]
+        s_norm = [np.linalg.norm(c, 2) for c in s_cols]
+        t_norm = [np.linalg.norm(c, 2) for c in t_cols]
         step = max(1, _COMMUTANT_BLOCK_BYTES // (16 * rows))
-        for c in range(0, k, step):
-            comm[:, c:c + step] -= self._apply(t, s_cols[:, c:c + step])
-        resid = np.linalg.norm(comm, 2)
-        scale = max(np.linalg.norm(s_cols, 2) * np.linalg.norm(t_cols, 2),
-                    1e-300)
-        return resid / scale
+        out = np.empty((len(xis), len(etas)))
+        for i, j in np.ndindex(out.shape):
+            comm = self._apply(s_ops[i], t_cols[j])
+            for c in range(0, k, step):
+                comm[:, c:c + step] -= self._apply(t_ops[j], s_cols[i][:, c:c + step])
+            out[i, j] = np.linalg.norm(comm, 2) / max(s_norm[i] * t_norm[j], 1e-300)
+        return out.reshape(xi.shape[:-1] + eta.shape[:-1])[()]
 
     def vacuum_expectation(self, x_mat):
         """E(X) = I* X I in M (layer-0 block projected onto left

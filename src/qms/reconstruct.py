@@ -23,9 +23,16 @@ only merges, so equal frequencies are never split: pairs whose frequencies
 may be equal, given the rounding of the computed eigenvalues (a few
 eps lam_max / lam_min in log), share a sector, and so do pairs that differ
 only in indices of eigenvalues of h closer than 1e-4 lam_max (rounding
-mixes their eigenvectors).  Each sector block is eigendecomposed on its
-own, and the rank cutoff and PSD gate are taken against the largest
-eigenvalue of all sectors, as for the whole matrix.  On the resulting
+mixes their eigenvectors).  Each sector splits further by the last index
+l of its pairs: every Gram entry carries h[u, l] = [u = l] lam_l (from
+d^flat), so the Gram is exactly zero between pairs of different last index,
+which are the right blocks H F_ll of the right action (F_ll commutes with h,
+so R(F_ll) is an orthogonal projection).  Each (sector, last index) block is
+eigendecomposed on its own, and the rank cutoff and PSD gate are taken
+against the largest eigenvalue of all blocks, as for the whole matrix.
+Each quotient coordinate then lies in one right block, and L(a), which
+keeps the last index of ab (x) c and a (x) bc, is exactly block-diagonal
+over the right blocks; R(F_xy) maps block x to block y.  On the resulting
 quotient coordinates U_z = sum_k e^{i z nu_k} P_k over the Bohr
 frequencies nu_k, with P_k the descended projection onto the pairs of
 frequency nu_k.  Each coordinate lies in one sector, so U_z is kept by
@@ -108,7 +115,7 @@ class GramSpace:
     of the eigenbasis pairs F_p (x) F_q (index p * n^2 + q)."""
 
     W: WeightedAlgebra
-    qmap: object          # numkernel.QuotientMap, vectors zero off their sector
+    qmap: object          # numkernel.QuotientMap, vectors zero off their block
     sector: np.ndarray    # sector label 0, 1, ... of each eigenbasis pair
     bohr_class: np.ndarray   # class of each eigenbasis pair by its Bohr
                              # frequency, as the modular group computes it
@@ -165,14 +172,34 @@ class GramSpace:
         """Nonzero entries of the quotient images of L(F_p) and R(F_p), with
         F_p = u E_p u*, as ``_sparse`` gives them, per family.
 
-        The quotient vectors are exactly zero off their sector, so an
-        image of L or R joins only sectors whose frequencies differ by
-        omega_p; all other entries are exact zeros.
+        The quotient vectors are exactly zero off their (sector, last
+        index) block, so an image of L or R joins only sectors whose
+        frequencies differ by omega_p, and an image of L only coordinates
+        of one right block; all other entries are exact zeros.
         """
         embed, lift = self.qmap.embed, self.qmap.lift
         units = matrix_units(self.W.n)
         return (_sparse(embed @ self._act_left(e, lift) for e in units),
                 _sparse(embed @ self._act_right(e, lift) for e in units))
+
+    @cached_property
+    def _right_blocks(self):
+        """The quotient coordinates of each right block H F_ll (l = 0..n-1),
+        as an (n, s) array padded with coordinate 0 after each block's own,
+        and the (n, s) mask of its own entries."""
+        right = np.argmax(np.abs(self.qmap.embed), axis=1) % self.W.n
+        size = np.bincount(right, minlength=self.W.n)
+        valid = np.arange(size.max()) < size[:, None]
+        idx = np.zeros(valid.shape, dtype=np.intp)
+        idx[valid] = np.argsort(right, kind="stable")
+        return idx, valid
+
+    def _diag_blocks(self, x):
+        """The diagonal blocks of each matrix of a stack over the right
+        blocks, zero-padded to one side s: shape (..., n, s, s)."""
+        idx, valid = self._right_blocks
+        return (x[..., idx[:, :, None], idx[:, None, :]]
+                * (valid[:, :, None] & valid[:, None, :]))
 
     @cached_property
     def _group(self):
@@ -326,7 +353,7 @@ def _sectors(lam):
 def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
                      tol=DEFAULT_TOL, allow_large=False) -> GramSpace:
     """Assemble the n^4 Gram matrix over the eigenbasis pairs and quotient
-    it, one Bohr-frequency sector at a time."""
+    it, one block of a Bohr-frequency sector and a last index at a time."""
     w = w if w is not None else form.W
     n = w.n
     if n > _MAX_DEFAULT_DIM and not allow_large:
@@ -348,17 +375,21 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
     rot = np.kron(u, u.conj())
     gram = _gram(rot.conj().T @ f @ rot, np.diag(lam), np.diag(1.0 / lam))
     bohr_class, bohr, sector = _sectors(lam)
+    # every Gram entry carries h[u, l] = [u = l] lam_l, so the Gram is exactly
+    # zero between pairs of different last index: each sector splits into
+    # right blocks H F_ll
+    label = np.unique(sector * n + np.arange(n ** 4) % n, return_inverse=True)[1]
 
-    # one eigendecomposition per sector, batched by size, its eigenvectors in
+    # one eigendecomposition per block, batched by size, its eigenvectors in
     # the columns of its own indices; what is left of |gram| is off-sector
     eigvals = np.empty(n ** 4)
     eigvecs = np.zeros((n ** 4, n ** 4), dtype=np.complex128)
     mag = np.abs(gram)
     scale = mag.max()
-    size, by_sector = np.bincount(sector), np.argsort(sector, kind="stable")
+    size, by_block = np.bincount(label), np.argsort(label, kind="stable")
     for side in np.unique(size):
         start = (np.cumsum(size) - size)[size == side]
-        members = by_sector[start[:, None] + np.arange(side)]
+        members = by_block[start[:, None] + np.arange(side)]
         block = (members[:, :, None], members[:, None, :])
         eig = herm_eig(gram[block], tol)
         eigvals[members] = eig.eigenvalues
@@ -383,6 +414,11 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     rounding or Gram entries between sectors; each of the three also reports
     that relative off-sector magnitude.
 
+    L(a) is exactly block-diagonal over the right blocks H F_ll, so (a)
+    takes ||L(a)|| as the largest exact SVD norm of its n diagonal blocks
+    and (b) forms jq conj(L(a)) block column by block column; ||R(a)||,
+    which joins the blocks, stays one full SVD.
+
     Each sample draws a, z, z2; all are drawn first, then evaluated in blocks
     of samples (``sampling.sample_blocks``) as stacks of quotient matrices.
     """
@@ -395,11 +431,16 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     a, z, z2 = draw_samples(rng, n_samples, partial(random_matrix, n),
                             random_disk_point, random_disk_point)
     jq = g.op_conj()
+    # L(a) is zero between right blocks, so (a) and (b) read its diagonal
+    # blocks alone
+    idx, valid = g._right_blocks
+    jq_cols = np.swapaxes(jq[:, idx], 0, 1)
     # a stack holds one complex rank x rank matrix per sample
     for block in sample_blocks(n_samples, 16 * g.rank ** 2):
         ab, zb, z2b = a[block], z[block], z2[block]
         la = g.op_left(ab)
-        norm_l = _spectral(la)
+        la_blocks = g._diag_blocks(la)
+        norm_l = _spectral(la_blocks).max(axis=-1)
 
         # (a) boundedness: |L(a)| <= |pi_l(a)| = |a|,
         # |R(a)| <= |pi_r(a)| = |h^{-1/2} a h^{1/2}|
@@ -407,9 +448,11 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
         opn_r = _spectral(g.W.h_isqrt @ ab @ g.W.h_sqrt)
         res["a"] = worst(res["a"], (norm_l - opn_l) / opn_l,
                          (_spectral(g.op_right(ab)) - opn_r) / opn_r)
-        # (b) J L(a) = R(Ja) J  (J antilinear: J L(a) y = jq conj(la) conj(y))
+        # (b) J L(a) = R(Ja) J  (J antilinear: J L(a) y = jq conj(la) conj(y));
+        # column block l of jq conj(la) is jq[:, idx_l] conj(L_l)
         rja = g.op_right(td.conj_J(ab))
-        res["b"] = worst(res["b"], _frob(jq @ la.conj() - rja @ jq)
+        rj_cols = np.moveaxis((rja @ jq)[..., idx], -2, -3) * valid[:, None, :]
+        res["b"] = worst(res["b"], _frob_blocks([jq_cols @ la_blocks.conj() - rj_cols])
                          / np.maximum(norm_l, 1e-300))
         # (c) group law, on the sector blocks of U_z (GramSpace._group_blocks)
         uz, uzz = g._group_blocks(zb), g._group_blocks(zb + z2b)

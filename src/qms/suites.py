@@ -181,11 +181,8 @@ def suite_fock_commutant(sc, seed):
     tol = sc.tol
     sc.system.check_valid()
     f = fock_build(sc.bimodule, d_max=3, tol=tol)
-    worst = 0.0
     xis, etas = f.fixed_vectors()
-    for xi in xis[:3]:
-        for eta in etas[:3]:
-            worst = max(worst, f.commutant_check(xi, eta))
+    worst = float(np.max(f.commutant_check(xis[:3], etas[:3]), initial=0.0))
     rng = np.random.default_rng(seed)
     d = f.dims[1]
     xs = [random_matrix(sc.W.n, rng) for _ in range(5)]

@@ -267,6 +267,32 @@ class TestTruncatedFock:
                 worst = max(worst, fock3.commutant_check(xi, eta))
         assert worst <= 1e-9
 
+    def test_commutant_grid_matches_pairs(self, fock3, monkeypatch):
+        """Stacks of 3 xi and 3 eta build each creator, and so each image of
+        the safe columns, once per vector, and give every pair's residual
+        bit for bit."""
+        xis, etas = (v[:3] for v in fock3.fixed_vectors())
+        want = [[fock3.commutant_check(xi, eta) for eta in etas] for xi in xis]
+        creator, calls = TruncatedFock._creator, []
+        monkeypatch.setattr(TruncatedFock, "_creator",
+                            lambda self, *args, **kwargs: calls.append(1)
+                            or creator(self, *args, **kwargs))
+        grid = fock3.commutant_check(xis, etas)
+        assert len(calls) == 6
+        assert grid.shape == (3, 3)
+        assert np.array_equal(grid, want)
+
+    def test_size_limit_counts_every_image(self, fock3, monkeypatch):
+        """A budget that holds the peak of one pair does not hold that of
+        a 3 x 3 grid, whose six images of s and t are all kept."""
+        k, mid, rows = (int(fock3.offsets[i]) for i in (2, 3, 4))
+        monkeypatch.setattr(qms.fock, "_MAX_FOCK_CHECK_BYTES",
+                            16 * k * (2 * rows + 2 * mid))
+        xis, etas = (v[:3] for v in fock3.fixed_vectors())
+        assert fock3.commutant_check(xis[0], etas[0]) <= 1e-9
+        with pytest.raises(SizeLimitExceeded, match="at its peak"):
+            fock3.commutant_check(xis, etas)
+
     def test_commutant_rejects_bad_vector(self, fock3):
         rng = np.random.default_rng(68)
         xi = rng.standard_normal(12) + 1j * rng.standard_normal(12)

@@ -3,6 +3,8 @@ form, the representing vector."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qms.numkernel
 import qms.reconstruct
@@ -235,6 +237,11 @@ class DenseGramSpace(GramSpace):
         return self._each(one, z, 0)
 
     @property
+    def _right_blocks(self):
+        """All quotient coordinates as one block: unit pairs mix last indices."""
+        return np.arange(self.rank)[None], np.ones((1, self.rank), dtype=bool)
+
+    @property
     def _group(self):
         """U_z as one dense block over all quotient coordinates."""
         return None, None, [(np.arange(self.rank), None, None)]
@@ -254,9 +261,10 @@ class DenseGramSpace(GramSpace):
         return self.qmap.embed @ cols.reshape(n ** 4, n ** 4) @ self.qmap.lift.conj()
 
 
-def spectrum_form(spectrum, seed, source="jumps"):
+def spectrum_form(spectrum, seed, source="jumps", validate=True):
     """Form of a random jump system over a density with the given spectrum
-    (up to normalisation) in a random eigenbasis."""
+    (up to normalisation) in a random eigenbasis; ``validate=False`` skips
+    the jump-system gate of the generator."""
     rng = np.random.default_rng(seed)
     lam = np.asarray(spectrum, dtype=float)
     u = random_unitary(lam.size, rng)
@@ -264,7 +272,7 @@ def spectrum_form(spectrum, seed, source="jumps"):
     system = random_jump_system(w, rng, m_max=2 * lam.size)
     if source == "generator":
         system = extract_alicki(build_generator(system), w)
-    return dirichlet_form(build_generator(system), w)
+    return dirichlet_form(build_generator(system, validate=validate), w)
 
 
 SPECTRA = {
@@ -314,8 +322,8 @@ class TestSectors:
     @pytest.mark.parametrize("case", ["random-n4", "repeated-n4", "tracial-n3",
                                       "near-degenerate-n3"])
     def test_batched_eigh_matches_sector_loop(self, case, monkeypatch):
-        """One eigh call per sector size gives the quotient of one call per
-        sector."""
+        """One eigh call per block size gives the quotient of one call per
+        block; the blocks are the (sector, last index) classes of the pairs."""
         spectrum, source = SPECTRA[case]
         form = spectrum_form(spectrum, 90, source)
         calls = []
@@ -331,7 +339,8 @@ class TestSectors:
 
         monkeypatch.setattr(qms.reconstruct, "herm_eig", spy)
         g = build_gram_space(form)
-        sizes = np.bincount(g.sector)
+        n = g.W.n
+        sizes = np.unique(g.sector * n + np.arange(n ** 4) % n, return_counts=True)[1]
         assert len(calls) == np.unique(sizes).size
         assert sum(calls) == sizes.size
         monkeypatch.setattr(qms.reconstruct, "herm_eig", per_sector)
@@ -391,6 +400,100 @@ class TestSectors:
         for key in "cdf":
             assert res[key] >= g.off_sector
         assert build_gram_space(form).off_sector <= 1e-13
+
+
+def captured_gram(form):
+    """``build_gram_space`` of the form, and the eigenbasis Gram it splits."""
+    grams, gram = [], qms.reconstruct._gram
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qms.reconstruct, "_gram",
+                   lambda *args: grams.append(gram(*args)) or grams[-1])
+        g = build_gram_space(form, allow_large=True)
+    return g, grams[0]
+
+
+def right_block(g):
+    """The right block H F_ll of each quotient coordinate: the last index l
+    of the pairs its embedding row is supported on."""
+    return np.argmax(g.qmap.embed != 0, axis=1) % g.W.n
+
+
+RIGHT_SPECTRA = {
+    "random": lambda n: np.exp([0.3, -0.8, 1.1, 0.1, -0.5][:n]),
+    "repeated": lambda n: [1, 1, 2, 3, 4][:n],
+    "tracial": lambda n: [1] * n,
+    "equally-spaced": lambda n: np.exp(-3.0 * np.arange(n)),
+    "near-degenerate": lambda n: [1, 1 + 1e-9, 2, 3, 4][:n],
+    # condition number up to 7e7; from n = 4 the two smallest are closer
+    # than _EIG_GAP lam_max, which merges all pairs into one sector
+    "merged": lambda n: np.exp(6.0 * np.minimum(np.arange(n), 3)),
+}
+
+
+class TestRightBlocks:
+    """Every Gram entry carries h[u, l] = [u = l] lam_l, so the sectors split
+    exactly by the last eigenbasis index l, into the right blocks H F_ll."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("case", sorted(RIGHT_SPECTRA))
+    def test_exact_zeros(self, case, n):
+        """The Gram, the quotient coordinates and L(a) are exact zeros across
+        right blocks, and the largest block norm is the norm of L(a).  The
+        zeros hold for any form, so the jump-system gate (which the merged
+        spectrum fails at 2e-8 from n = 4) is off."""
+        g, gram = captured_gram(spectrum_form(RIGHT_SPECTRA[case](n), 96,
+                                              validate=False))
+        if case == "merged" and n >= 4:
+            assert g.sector.max() == 0
+        last = np.arange(n ** 4) % n
+        across = last[:, None] != last[None, :]
+        assert np.array_equal(gram[across], np.zeros(across.sum()))
+        right = right_block(g)
+        support = g.qmap.embed != 0
+        assert not np.any(support & (last != right[:, None]))
+        rng = np.random.default_rng(97)
+        la = g.op_left(np.array([random_matrix(n, rng) for _ in range(3)]))
+        off = right[:, None] != right[None, :]
+        assert np.array_equal(la[:, off], np.zeros((3, off.sum())))
+        got = qms.reconstruct._spectral(g._diag_blocks(la)).max(axis=-1)
+        want = np.linalg.norm(la, 2, axis=(-2, -1))
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+@st.composite
+def conditioned_systems(draw):
+    """A jump system of ``random_jump_system`` (m <= 2n jumps) over a density
+    of size n = 2..4 in a random eigenbasis, with log-eigenvalues spread
+    over [0, log c], c log-uniform in [1, 1e4], and one eigenvalue then set
+    to (1 + g) times another, g log-uniform in [1e-9, 1e-1]."""
+    n = draw(st.integers(2, 4))
+    log_c = np.log(10.0) * draw(st.floats(0.0, 4.0))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))
+    lam = np.exp(log_c * np.array([0.0, 1.0] + inner))
+    k = draw(st.integers(0, n - 2))
+    lam[k + 1] = lam[k] * (1.0 + 10.0 ** draw(st.floats(-9.0, -1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = random_unitary(n, rng)
+    w = WeightedAlgebra((u * (lam / lam.sum())) @ u.conj().T)
+    return random_jump_system(w, rng, m_max=2 * n)
+
+
+@settings(max_examples=20)
+@given(system=conditioned_systems())
+def test_right_blocks_match_one_dense_eigh(system):
+    """Over condition numbers up to ~1e4 and eigenvalue gaps down to 1e-9
+    relative, the quotient built by (sector, last index) blocks has the
+    rank and, to 1e-13 of the largest, the eigenvalues of one eigh of the
+    whole Gram; at full rank m n^2 each right block holds m n coordinates."""
+    n = system.W.n
+    g, gram = captured_gram(dirichlet_form(build_generator(system), system.W))
+    dense = null_quotient(gram)
+    assert g.rank == dense.rank
+    scale = np.max(dense.eigenvalues, initial=0.0)
+    assert np.all(np.abs(g.qmap.eigenvalues - dense.eigenvalues) <= 1e-13 * scale)
+    if g.rank == system.m * n * n:
+        assert np.array_equal(np.bincount(right_block(g), minlength=n),
+                              np.full(n, system.m * n))
 
 
 class TestUniqueness:
