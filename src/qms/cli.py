@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_TOL
-from .errors import QMSError, ScenarioParseError, SizeLimitExceeded
+from .errors import (QMSError, RankUndecided, ScenarioParseError,
+                     SizeLimitExceeded)
 from .lindblad import JumpSystem
 from .modular import WeightedAlgebra
 from .numkernel import Superoperator
@@ -110,11 +111,13 @@ def parse_algebra(spec, tol):
     if "h" in spec:
         h = parse_matrix(spec["h"])
     elif "blocks" in spec:
-        import scipy.linalg
         if not isinstance(spec["blocks"], list) or not spec["blocks"]:
             raise ScenarioParseError("algebra 'blocks' must be a non-empty list")
         blocks = [parse_matrix(b) for b in spec["blocks"]]
-        h = scipy.linalg.block_diag(*blocks)
+        rows, cols = np.cumsum([(0, 0)] + [b.shape for b in blocks], axis=0).T
+        h = np.zeros((rows[-1], cols[-1]), dtype=np.complex128)
+        for b, r, c in zip(blocks, rows, cols):
+            h[r:r + b.shape[0], c:c + b.shape[1]] = b
     else:
         raise ScenarioParseError("algebra needs 'h' or 'blocks'")
     dim = spec.get("dim")
@@ -266,7 +269,7 @@ def emit_artifacts(scenario, out_dir):
     })
     dump("gram.json", {
         "rank": int(gram.rank),
-        "eigenvalues": [float(x) for x in gram.qmap.eigenvalues],
+        "eigenvalues": [float(x) for x in gram.eigenvalues],
     })
     dump("generator.json", {"matrix": mat_json(l.matrix)})
     return written
@@ -299,7 +302,7 @@ def cmd_run(args):
         report = build_report(scenario, checks, seed)
         if args.emit:
             emit_artifacts(scenario, args.emit)
-    except SizeLimitExceeded as exc:
+    except (SizeLimitExceeded, RankUndecided) as exc:
         print(f"scenario error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except QMSError as exc:

@@ -93,6 +93,11 @@ class GramNotPSD(QMSError):
     """Reconstruction Gram matrix failed the PSD gate."""
 
 
+class RankUndecided(QMSError):
+    """The Gram rank cutoff keeps an eigenvalue of T in some right blocks and
+    drops it in others."""
+
+
 class SizeLimitExceeded(QMSError):
     """The scenario is larger than a stage accepts by default."""
 

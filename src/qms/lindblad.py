@@ -248,7 +248,7 @@ def _modular_basis(w: WeightedAlgebra, herm):
     """
     n = w.n
     lam, u = w.eig.eigenvalues, w.eig.eigenvectors
-    same, mean, equal = bohr_classes(lam, 1)
+    same, mean, equal = bohr_classes(lam)
     # row l of the ladder: 1 before index l, -l at l
     ladder = np.tril(np.ones((n, n)), -1) - np.diag(np.arange(n))
     ladder = ladder[1:] / np.sqrt(np.arange(1, n) * np.arange(2, n + 1))[:, None]

@@ -127,10 +127,12 @@ class WeightedAlgebra:
         return x
 
 
-def bohr_classes(lam, order):
-    """Classes of the Bohr frequencies of order 1 or 2 of h = u diag(lam) u*
-    (lam ascending): omega_ab = log lam_a - log lam_b of F_ab = u E_ab u* at
-    index a n + b, or omega_p + omega_q of F_p (x) F_q at index p n^2 + q.
+def bohr_classes(lam, triple=False):
+    """Classes of the Bohr frequencies omega_ab = log lam_a - log lam_b of
+    F_ab = u E_ab u* (index a n + b) of h = u diag(lam) u* (lam ascending),
+    or, if ``triple``, of the frequencies omega_ab + log lam_c of the triples
+    (a, b, c) at index a n^2 + b n + c: F_ab (x) F_cd has the frequency of
+    its triple (a, b, c) less log lam_d.
 
     Returns (same, freq, equal): the class of each index among those whose
     computed frequencies agree up to rounding, the mean frequency of each
@@ -140,8 +142,8 @@ def bohr_classes(lam, order):
     """
     log_lam = np.log(lam)
     freq = np.subtract.outer(log_lam, log_lam).ravel()
-    if order == 2:
-        freq = np.add.outer(freq, freq).ravel()
+    if triple:
+        freq = np.add.outer(freq, log_lam).ravel()
     rounding = _FREQ_GAP * (1.0 + np.abs(log_lam).max())
     same = cluster(freq, rounding)
     return (same, np.bincount(same, freq) / np.bincount(same),

@@ -12,39 +12,31 @@ bimodule operations become matrices on the quotient:
   U_z[a(x)b]  = [U_z a (x) U_z b],     J[a(x)b] = [Jb.Ja (x) 1] - [Jb (x) Ja],
   delta(a)    = [a(x)1].
 
-The Gram matrix, its quotient, J and the uniqueness comparison all live
-on the pairs of the modular eigenbasis F_ab = u E_ab u* of h = u diag(lam) u*:
-sigma_z(F_ab) = e^{i z omega_ab} F_ab with omega_ab = log lam_a - log lam_b,
-and J F_ab = (lam_b / lam_a)^{1/2} F_ba.  U_z is unitary for real z, so the
-Gram entry of F_p(x)F_q against F_r(x)F_s vanishes unless the Bohr
-frequencies omega_p + omega_q and omega_r + omega_s agree: the Gram matrix
-is block-diagonal by frequency.  The sectors are found by clustering that
-only merges, so equal frequencies are never split: pairs whose frequencies
-may be equal, given the rounding of the computed eigenvalues (a few
-eps lam_max / lam_min in log), share a sector, and so do pairs that differ
-only in indices of eigenvalues of h closer than 1e-4 lam_max (rounding
-mixes their eigenvectors).  Each sector splits further by the last index
-l of its pairs: every Gram entry carries h[u, l] = [u = l] lam_l (from
-d^flat), so the Gram is exactly zero between pairs of different last index,
-which are the right blocks H F_ll of the right action (F_ll commutes with h,
-so R(F_ll) is an orthogonal projection).  Each (sector, last index) block is
-eigendecomposed on its own, and the rank cutoff and PSD gate are taken
-against the largest eigenvalue of all blocks, as for the whole matrix.
-Each quotient coordinate then lies in one right block, and L(a), which
-keeps the last index of ab (x) c and a (x) bc, is exactly block-diagonal
-over the right blocks; R(F_xy) maps block x to block y.  On the resulting
-quotient coordinates U_z = sum_k e^{i z nu_k} P_k over the Bohr
-frequencies nu_k, with P_k the descended projection onto the pairs of
-frequency nu_k.  Each coordinate lies in one sector, so U_z is kept by
-sector: on a sector of one class P_k is the identity and U_z the phase
-e^{i z nu_k} of each coordinate; only a wide sector, of several classes
-(near-degenerate spectra), keeps a small block sum_k e^{i z nu_k} P_k.
-L(a), R(a) are sums of n^2 matrix-unit images; every image is descended
-once and kept sparse.  The group law, the adjoint relation and
-U_z J = J U_conj(z) (Gram axioms (c), (d), (f)) then hold up to rounding,
-so each of the three also reports the largest Gram entry between sectors
-relative to the largest entry: what a form without modular covariance
-would show.
+Everything lives on the pairs of the modular eigenbasis F_ab = u E_ab u* of
+h = u diag(lam) u*: sigma_z(F_ab) = e^{i z omega_ab} F_ab, omega_ab =
+log lam_a - log lam_b, and J F_ab = (lam_b / lam_a)^{1/2} F_ba.  The right
+factors enter the inner product only through phi(b* X d), so the Gram is
+kron(T, diag(lam)): that of F_ij (x) F_kl against F_rs (x) F_tu is
+T[ijk, rst] lam_l [u = l].  Only T, of side n^3, is assembled and
+quotiented; the quotient coordinates are the pairs (r, l) of a T coordinate
+r and a right block l, of Gram eigenvalue mu_r lam_l, and (r, l) is kept iff
+mu_r lam_l > tol.decomp mu_max lam_max.  A mu_r kept for some l and dropped
+for others raises ``RankUndecided``: no kron(T, diag(lam)) has that rank.
+T vanishes between triples of different frequency omega_ij + log lam_k (U_z
+is unitary for real z), so it is eigendecomposed one sector at a time.
+Sectors only merge: triples whose frequencies may be equal, given the
+rounding of the computed eigenvalues, share one, and so do triples that
+differ only in indices of eigenvalues closer than 1e-4 lam_max (rounding
+mixes their eigenvectors).  The operators are read off the factors:
+L(a) = kron(L_T(a), 1), L_T a sum of n^2 sparse matrix-unit images;
+R(a) = kron(1, lam^{1/2} a~^T lam^{-1/2}), a~ = u* a u, in closed form; and
+U_z = kron(U_T(z), diag(lam)^{-iz}), U_T(z) = sum_k e^{i z nu_k} P_k over the
+triple frequencies, kept as one phase per T coordinate and a small block
+per wide sector (of several classes, near-degenerate spectra).  J joins the
+right blocks; it is formed on the whole quotient in closed form.  Gram
+axioms (c), (d), (f) then hold up to rounding, so each also reports the
+largest entry of T between sectors relative to the largest entry: what a
+form without modular covariance would show.
 
 Stinespring route: the same space from a single unital CP GNS-symmetric map
 Phi with <x(x)y, c(x)d> = (1/2) phi(y* Phi(x* c) d) and boundary
@@ -63,7 +55,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (GramNotPSD, NotGNSSymmetric, NotPSD, NotUCP,
-                     SizeLimitExceeded)
+                     RankUndecided, SizeLimitExceeded)
 from .lindblad import DirichletForm, semigroup
 from .modular import TomitaData, WeightedAlgebra, bohr_classes
 from .numkernel import (HermEig, Superoperator, as_cmatrix, as_cstack, choi,
@@ -111,35 +103,46 @@ def gram_entry(form: DirichletForm, a, b, c, d):
 
 @dataclass
 class GramSpace:
-    """Quotient realization of the reconstructed bimodule, on the coefficients
-    of the eigenbasis pairs F_p (x) F_q (index p * n^2 + q)."""
+    """Quotient realization of the reconstructed bimodule.
+
+    The Gram over the eigenbasis pairs F_ij (x) F_kl (index (ijk) n + l) is
+    kron(T, diag(lam)); ``qmap`` quotients T over the triples (i, j, k) at
+    index i n^2 + j n + k.  The quotient coordinates are the pairs (r, l) at
+    index r n + l of a T coordinate r and a right block l, embedded by
+    kron(qmap.embed, diag(lam)^{1/2}).
+    """
 
     W: WeightedAlgebra
-    qmap: object          # numkernel.QuotientMap, vectors zero off their block
-    sector: np.ndarray    # sector label 0, 1, ... of each eigenbasis pair
-    bohr_class: np.ndarray   # class of each eigenbasis pair by its Bohr
-                             # frequency, as the modular group computes it
-    bohr: np.ndarray      # the Bohr frequency of each class
-    off_sector: float     # max |Gram entry| between sectors / max |Gram entry|
+    qmap: object          # numkernel.QuotientMap of T, vectors zero off their sector
+    sector: np.ndarray    # sector label 0, 1, ... of each triple
+    bohr_class: np.ndarray   # class of each triple by its frequency
+    bohr: np.ndarray      # the frequency omega_ij + log lam_k of each class
+    coord_sector: np.ndarray  # the sector of each T coordinate
+    off_sector: float     # max |T entry| between sectors / max |T entry|
 
     # -- embeddings ------------------------------------------------------------
 
     @property
     def rank(self):
-        return self.qmap.rank
+        return self.W.n * self.qmap.rank
+
+    @property
+    def eigenvalues(self):
+        """The kept Gram eigenvalues mu_r lam_l, descending."""
+        return np.sort(np.outer(self.qmap.eigenvalues,
+                                self.W.eig.eigenvalues).ravel())[::-1]
 
     def embed_pair(self, a, b):
-        """Quotient coordinates of the class [a (x) b]; one row per pair of
-        stacks of a and b."""
-        n2 = self.W.n ** 2
-        embed = self.qmap.embed.reshape(self.rank, n2, n2)
-        ca, cb = self._unit_coeff(a), self._unit_coeff(b)
-        return np.einsum("...p,...rp->...r", ca,
-                         np.einsum("rpq,...q->...rp", embed, cb))
+        """Quotient coordinates of the class [a (x) b], one row per pair of
+        stacks of a and b: sum_ijk embed_T[r, ijk] a~_ij b~_kl lam_l^{1/2}."""
+        n = self.W.n
+        embed = self.qmap.embed.reshape(-1, n * n, n)
+        left = np.einsum("rpk,...p->...rk", embed, _coeff(self._rotate(a)))
+        out = left @ self._rotate(b) * np.sqrt(self.W.eig.eigenvalues)
+        return out.reshape(out.shape[:-2] + (self.rank,))
 
     def delta(self, a):
-        eye = np.eye(self.W.n, dtype=np.complex128)
-        return self.embed_pair(a, eye)
+        return self.embed_pair(a, np.eye(self.W.n))
 
     def inner(self, x, y):
         return complex(np.vdot(x, y))
@@ -147,105 +150,85 @@ class GramSpace:
     # -- operators on the quotient ---------------------------------------------
 
     def _mult_map(self):
-        """coeff(b (x) c) -> coeff(bc), the multiplication on unit pairs:
-        E_ij E_kl = [j = k] E_il, and so F_ij F_kl = [j = k] F_il."""
+        """coeff(b (x) c) -> coeff(bc) on triples, b = F_ij and c a row index
+        k: [j = k] F_i (F_ij F_kl = [j = k] F_il keeps the last index l, so
+        the multiplication on unit pairs is kron(_mult_map(), 1))."""
         n = self.W.n
         eye = np.eye(n)
-        return np.einsum("xi,jk,ly->xyijkl", eye, eye, eye).reshape(n * n, -1)
+        return np.einsum("xi,jk->xijk", eye, eye).reshape(n, -1)
 
     def _act_left(self, a, coeff):
-        """L(a) on pair coefficient columns: [ab (x) c] - [a (x) bc]."""
+        """L_T(a) on triple coefficient columns: [ab (x) c] - [a (x) bc]."""
         n = self.W.n
-        c = coeff.reshape(n ** 4, -1)
+        c = coeff.reshape(n ** 3, -1)
         out = (as_cmatrix(a) @ c.reshape(n, -1)).reshape(c.shape) - np.kron(
             _coeff(a)[:, None], self._mult_map() @ c)
         return out.reshape(coeff.shape)
 
-    def _act_right(self, a, coeff):
-        """R(a) on pair coefficient columns: [b (x) ca]."""
-        n = self.W.n
-        c = coeff.reshape(n ** 3, n, -1)
-        return np.einsum("xlr,ly->xyr", c, as_cmatrix(a)).reshape(coeff.shape)
-
     @cached_property
     def _images(self):
-        """Nonzero entries of the quotient images of L(F_p) and R(F_p), with
-        F_p = u E_p u*, as ``_sparse`` gives them, per family.
-
-        The quotient vectors are exactly zero off their (sector, last
-        index) block, so an image of L or R joins only sectors whose
-        frequencies differ by omega_p, and an image of L only coordinates
-        of one right block; all other entries are exact zeros.
-        """
+        """Nonzero entries of the quotient images L_T(F_p), F_p = u E_p u*,
+        as ``_sparse`` gives them: an image joins only sectors whose
+        frequencies differ by omega_p, all other entries are exact zeros."""
         embed, lift = self.qmap.embed, self.qmap.lift
-        units = matrix_units(self.W.n)
-        return (_sparse(embed @ self._act_left(e, lift) for e in units),
-                _sparse(embed @ self._act_right(e, lift) for e in units))
-
-    @cached_property
-    def _right_blocks(self):
-        """The quotient coordinates of each right block H F_ll (l = 0..n-1),
-        as an (n, s) array padded with coordinate 0 after each block's own,
-        and the (n, s) mask of its own entries."""
-        right = np.argmax(np.abs(self.qmap.embed), axis=1) % self.W.n
-        size = np.bincount(right, minlength=self.W.n)
-        valid = np.arange(size.max()) < size[:, None]
-        idx = np.zeros(valid.shape, dtype=np.intp)
-        idx[valid] = np.argsort(right, kind="stable")
-        return idx, valid
-
-    def _diag_blocks(self, x):
-        """The diagonal blocks of each matrix of a stack over the right
-        blocks, zero-padded to one side s: shape (..., n, s, s)."""
-        idx, valid = self._right_blocks
-        return (x[..., idx[:, :, None], idx[:, None, :]]
-                * (valid[:, :, None] & valid[:, None, :]))
+        return _sparse(embed @ self._act_left(e, lift)
+                       for e in matrix_units(self.W.n))
 
     @cached_property
     def _group(self):
-        """U_z by sector: the Bohr frequency of each quotient coordinate,
-        whether its sector holds a single class (there P_k = embed_s lift_s
-        is the identity, so U_z is the phase e^{i z nu}) and, per wide sector,
+        """U_T by sector: the frequency of each T coordinate, whether its
+        sector holds a single class (there P_k = embed_s lift_s is the
+        identity, so U_T is the phase e^{i z nu}) and, per wide sector,
         (its coordinates, its class frequencies, its blocks of the P_k)."""
         embed, lift = self.qmap.embed, self.qmap.lift
-        coord = self.sector[np.argmax(np.abs(embed), axis=1)]
+        coord = self.coord_sector
         lo, hi = (np.full(self.sector.max() + 1, k) for k in (self.bohr.size, -1))
         np.minimum.at(lo, self.sector, self.bohr_class)
         np.maximum.at(hi, self.sector, self.bohr_class)
         wide = []
         for s in np.unique(coord[lo[coord] < hi[coord]]):
-            idx, pairs = np.flatnonzero(coord == s), np.flatnonzero(self.sector == s)
-            classes = np.unique(self.bohr_class[pairs])
+            idx, triples = np.flatnonzero(coord == s), np.flatnonzero(self.sector == s)
+            classes = np.unique(self.bohr_class[triples])
             proj = [embed[np.ix_(idx, m)] @ lift[np.ix_(m, idx)]
-                    for m in (pairs[self.bohr_class[pairs] == k] for k in classes)]
+                    for m in (triples[self.bohr_class[triples] == k] for k in classes)]
             wide.append((idx, self.bohr[classes], np.array(proj)[:, None]))
         return self.bohr[lo[coord]], lo[coord] == hi[coord], wide
 
-    def _op(self, family, coeff):
-        """sum_k coeff_k image_k over one family of images, for each row of
-        a stack (..., K) of coefficients."""
-        index, val, positions, starts = self._images[family]
-        lead = coeff.shape[:-1]
-        out = np.zeros(lead + (self.rank ** 2,), dtype=np.complex128)
+    def _op_left_t(self, a):
+        """L_T(a) from the sparse images, for each matrix of a stack."""
+        index, val, positions, starts = self._images
+        coeff = _coeff(self._rotate(a))
+        lead, rt = coeff.shape[:-1], self.qmap.rank
+        out = np.zeros(lead + (rt * rt,), dtype=np.complex128)
         out[..., positions] = np.add.reduceat(coeff[..., index] * val, starts,
                                               axis=-1)
-        return out.reshape(lead + (self.rank, self.rank))
+        return out.reshape(lead + (rt, rt))
 
-    def _unit_coeff(self, a):
-        """Coefficients of a over the eigenbasis units F_p: those of u* a u."""
+    def _right_factor(self, a):
+        """rho(a) = lam^{1/2} a~^T lam^{-1/2}, with R(a) = kron(1, rho(a))."""
+        s = np.sqrt(self.W.eig.eigenvalues)
+        return np.swapaxes(self._rotate(a), -1, -2) * s[:, None] / s
+
+    def _rotate(self, a):
+        """u* a u of each matrix of a stack: a over the eigenbasis units F_p."""
         u = self.W.eig.eigenvectors
-        return _coeff(u.conj().T @ as_cstack(a) @ u)
+        return u.conj().T @ as_cstack(a) @ u
 
     def op_left(self, a):
-        """Matrix of L(a) on quotient coordinates; a stack of them for a
-        stack (..., n, n) of a."""
-        return self._op(0, self._unit_coeff(a))
+        """Matrix of L(a) = kron(L_T(a), 1) on quotient coordinates; a stack
+        of them for a stack (..., n, n) of a."""
+        lt = self._op_left_t(a)
+        out = np.einsum("...ij,kl->...ikjl", lt, np.eye(self.W.n))
+        return out.reshape(lt.shape[:-2] + (self.rank, self.rank))
 
     def op_right(self, a):
-        return self._op(1, self._unit_coeff(a))
+        """Matrix of R(a) = kron(1, rho(a)) on quotient coordinates."""
+        rho = self._right_factor(a)
+        out = np.einsum("ij,...kl->...ikjl", np.eye(self.qmap.rank), rho)
+        return out.reshape(rho.shape[:-2] + (self.rank, self.rank))
 
     def _group_blocks(self, z):
-        """The diagonal blocks of U_z: the phases (..., rank, 1, 1), zero on
+        """The diagonal blocks of U_T(z): the phases (..., rt, 1, 1), zero on
         wide sectors, then (..., 1, s, s) per wide sector."""
         freq, single, wide = self._group
         phase = np.exp(1j * np.multiply.outer(z, freq)) * single
@@ -253,35 +236,47 @@ class GramSpace:
             np.einsum("...k,kbij->...bij", np.exp(1j * np.multiply.outer(z, nu)), proj)
             for _, nu, proj in wide]
 
-    def _group_apply(self, blocks, x, right=False):
-        """U x, or x U if ``right``, for U by its ``_group_blocks``, x a stack."""
+    def _group_apply(self, blocks, x, right=False, z=None):
+        """U x, or x U if ``right``, for U by its ``_group_blocks`` and x a
+        stack; with ``z``, for kron(U, diag(lam)^{-iz}) on the quotient."""
         if right:
             swap = partial(np.swapaxes, axis1=-1, axis2=-2)
-            return swap(self._group_apply([swap(b) for b in blocks], swap(x)))
+            return swap(self._group_apply([swap(b) for b in blocks], swap(x), z=z))
+        if z is not None:
+            rt, cols = self.qmap.rank, x.shape[-1]
+            phase = np.exp(-1j * np.multiply.outer(z, np.log(self.W.eig.eigenvalues)))
+            y = x.reshape(x.shape[:-2] + (rt, -1, cols)) * phase[..., None, :, None]
+            out = self._group_apply(blocks, y.reshape(y.shape[:-3] + (rt, -1)))
+            return out.reshape(out.shape[:-2] + (self.rank, cols))
         out = blocks[0][..., 0] * x
         for (idx, _, _), b in zip(self._group[2], blocks[1:]):
             out[..., idx, :] = b[..., 0, :, :] @ x[..., idx, :]
         return out
 
     def op_group(self, z):
-        """U_z = sum_k exp(i z nu_k) P_k over the Bohr classes k, from its
-        sector blocks.  An array of z gives the stack of U_z."""
-        return self._group_apply(self._group_blocks(z), np.eye(self.rank))
+        """U_z = kron(U_T(z), diag(lam)^{-iz}), U_T(z) from its sector
+        blocks.  An array of z gives the stack of U_z."""
+        return self._group_apply(self._group_blocks(z), np.eye(self.rank), z=z)
 
     def op_conj(self):
         """Antilinear conjugation: y -> op_conj() @ conj(y).
 
         J[a (x) b] = [Jb.Ja (x) 1] - [Jb (x) Ja] with J a = h^{1/2} a* h^{-1/2},
         so J F_ij = c_ij F_ji with c_ij = (lam_j / lam_i)^{1/2}, and
-        J[F_ij (x) F_kl] = c_il [j = k] [F_li (x) 1] - c_ij c_kl [F_lk (x) F_ji].
+        J[F_ij (x) F_kl] = c_il [j = k] [F_li (x) 1] - c_ij c_kl [F_lk (x) F_ji];
+        through the factors, entry ((x, l), (r, m)) is
+          lam_l^{1/2} sum_i embed_T[x, mil] lam_i^{-1/2} sum_j conj(lift_T[ijj, r])
+          - sum_jk embed_T[x, mkj] c_kj conj(lift_T[ljk, r]).
         """
-        n = self.W.n
+        n, rt = self.W.n, self.qmap.rank
         s = np.sqrt(self.W.eig.eigenvalues)
-        c = s / s[:, None]
-        y = self.qmap.lift.conj().reshape(n, n, n, n, -1)
-        out = np.einsum("il,ijjlr,uv->liuvr", c, y, np.eye(n))
-        out -= np.einsum("ij,kl,ijklr->lkjir", c, c, y)
-        return self.qmap.embed @ out.reshape(n ** 4, -1)
+        embed = self.qmap.embed.reshape(rt, n, n, n)
+        lift = self.qmap.lift.conj().reshape(n, n, n, rt)
+        trace = np.einsum("ijjr->ir", lift) / s[:, None]
+        out = np.einsum("xmil,ir,l->xlrm", embed, trace, s)
+        out -= np.einsum("xmkj,kj,ljkr->xlrm", embed, s / s[:, None], lift,
+                         optimize=True)
+        return out.reshape(self.rank, self.rank)
 
 
 def _sparse(images):
@@ -299,47 +294,42 @@ def _sparse(images):
     return index[order], val[order], positions, starts
 
 
-def _gram(f, h, h_inv):
-    """The n^4 x n^4 Gram over unit pairs from f[ij, kl] = E(E_ij, E_kl)."""
-    n = h.shape[0]
+def _gram(f, lam):
+    """T, the n^3 x n^3 factor of the Gram over eigenbasis pairs, from
+    f[ij, kl] = E(F_ij, F_kl) with h = diag(lam): the Gram of F_ij (x) F_kl
+    against F_rs (x) F_tu is T[ijk, rst] h[u, l]."""
+    n = lam.size
     eye = np.eye(n)
     f = f.reshape(n, n, n, n)
-    # units a = E_ij, b = E_kl, c = E_rs, d = E_tu; every term of the Gram
-    # formula carries h[u, l] from d^flat = h E_ut h^{-1}:
-    #   E(a, c d b^flat) = [s = t] h[u,l] E(E_ij, E_rk h^{-1}),
-    #   E(a b d^flat, c) = [j = k] h[u,l] E(E_it h^{-1}, E_rs),
-    #   E(b d^flat, a^sharp c) = [i = r] h[u,l] E(E_kt h^{-1}, E_js).
-    e_right = np.einsum("ijrb,kb->ijkr", f, h_inv)
-    e_left = np.einsum("xbys,bt->xtys", f, h_inv)
+    # units a = F_ij, b = F_kl, c = F_rs, d = F_tu; every term of the Gram
+    # formula carries h[u, l] from d^flat = h F_ut h^{-1}:
+    #   E(a, c d b^flat) = [s = t] h[u,l] E(F_ij, F_rk h^{-1}),
+    #   E(a b d^flat, c) = [j = k] h[u,l] E(F_it h^{-1}, F_rs),
+    #   E(b d^flat, a^sharp c) = [i = r] h[u,l] E(F_kt h^{-1}, F_js).
+    e_right = f.transpose(0, 1, 3, 2) / lam[:, None]     # [i, j, k, r]
+    e_left = f / lam[:, None, None]                       # [x, t, y, s]
     terms = 0.5 * (np.einsum("ijkr,st->ijkrst", e_right, eye)
                    + np.einsum("jk,itrs->ijkrst", eye, e_left)
                    - np.einsum("ir,ktjs->ijkrst", eye, e_left))
-    gram = np.einsum("ijkrst,ul->ijklrstu", terms, h).reshape(n ** 4, n ** 4)
-    gram += gram.conj().T     # conj() copies, so the sum reads no updated entry
-    gram *= 0.5
-    return gram
+    terms = terms.reshape(n ** 3, n ** 3)
+    return 0.5 * (terms + terms.conj().T)
 
 
 def _sectors(lam):
-    """Bohr classes and sectors of the eigenbasis pairs F_p (x) F_q of
-    h = u diag(lam) u* (lam ascending): (class of each pair, frequency of
-    each class, sector label 0, 1, ... of each pair).
-
-    A class holds the pairs whose frequencies, computed from lam, agree up to
-    rounding.  The sectors are the finest partition that keeps together
-    pairs whose exact frequencies may agree, given the error of the computed
-    eigenvalues, and pairs that differ only in indices of eigenvalues closer
-    than _EIG_GAP lam_max (rounding mixes their eigenvectors): merging is
-    always safe, splitting either is not.
+    """Bohr classes and sectors of the triples (i, j, k) of h = u diag(lam) u*
+    (lam ascending): (class of each triple, frequency omega_ij + log lam_k of
+    each class, sector label 0, 1, ... of each triple).  The sectors are the
+    finest partition that keeps together triples whose exact frequencies
+    may agree and triples that differ only in indices of eigenvalues closer
+    than _EIG_GAP lam_max: merging is always safe, splitting either is not.
     """
     n = lam.size
-    bohr_class, bohr, by_freq = bohr_classes(lam, 2)
+    bohr_class, bohr, by_freq = bohr_classes(lam, triple=True)
     groups = cluster(lam / lam[-1], _EIG_GAP)
     by_group = np.ravel_multi_index(
-        np.meshgrid(groups, groups, groups, groups, indexing="ij"), (n,) * 4)
-    by_group = by_group.ravel()
-    # connected components: spread the least pair index over both labels
-    comp = np.arange(n ** 4)
+        np.meshgrid(groups, groups, groups, indexing="ij"), (n,) * 3).ravel()
+    # connected components: spread the least triple index over both labels
+    comp = np.arange(n ** 3)
     while True:
         prev = comp
         for label in (by_freq, by_group):
@@ -352,8 +342,8 @@ def _sectors(lam):
 
 def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
                      tol=DEFAULT_TOL, allow_large=False) -> GramSpace:
-    """Assemble the n^4 Gram matrix over the eigenbasis pairs and quotient
-    it, one block of a Bohr-frequency sector and a last index at a time."""
+    """Assemble the n^3 x n^3 factor T of the Gram over the eigenbasis pairs
+    and quotient it one Bohr-frequency sector at a time."""
     w = w if w is not None else form.W
     n = w.n
     if n > _MAX_DEFAULT_DIM and not allow_large:
@@ -367,57 +357,57 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
     f = f.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
 
     # In the modular eigenbasis F_ab = u E_ab u* (unit coefficients: column
-    # ab of rot) h is diagonal, and sigma_z(F_ab) = e^{i z omega_ab} F_ab with
-    # omega_ab = log lam_a - log lam_b.  The Gram entry of F_p (x) F_q against
-    # F_r (x) F_s (p, q, r, s unit indices) vanishes unless the Bohr
-    # frequencies omega_p + omega_q and omega_r + omega_s agree.
+    # ab of rot) h is diagonal, and T vanishes between triples of different
+    # frequency omega_ij + log lam_k
     lam, u = w.eig.eigenvalues, w.eig.eigenvectors
     rot = np.kron(u, u.conj())
-    gram = _gram(rot.conj().T @ f @ rot, np.diag(lam), np.diag(1.0 / lam))
+    t = _gram(rot.conj().T @ f @ rot, lam)
     bohr_class, bohr, sector = _sectors(lam)
-    # every Gram entry carries h[u, l] = [u = l] lam_l, so the Gram is exactly
-    # zero between pairs of different last index: each sector splits into
-    # right blocks H F_ll
-    label = np.unique(sector * n + np.arange(n ** 4) % n, return_inverse=True)[1]
 
-    # one eigendecomposition per block, batched by size, its eigenvectors in
-    # the columns of its own indices; what is left of |gram| is off-sector
-    eigvals = np.empty(n ** 4)
-    eigvecs = np.zeros((n ** 4, n ** 4), dtype=np.complex128)
-    mag = np.abs(gram)
+    # one eigendecomposition per sector, batched by size, its eigenvectors in
+    # the columns of its own triples; what is left of |t| is off-sector
+    eigvals = np.empty(n ** 3)
+    eigvecs = np.zeros((n ** 3, n ** 3), dtype=np.complex128)
+    mag = np.abs(t)
     scale = mag.max()
-    size, by_block = np.bincount(label), np.argsort(label, kind="stable")
+    size, by_sector = np.bincount(sector), np.argsort(sector, kind="stable")
     for side in np.unique(size):
         start = (np.cumsum(size) - size)[size == side]
-        members = by_block[start[:, None] + np.arange(side)]
+        members = by_sector[start[:, None] + np.arange(side)]
         block = (members[:, :, None], members[:, None, :])
-        eig = herm_eig(gram[block], tol)
+        eig = herm_eig(t[block], tol)
         eigvals[members] = eig.eigenvalues
         eigvecs[block] = eig.eigenvectors
         mag[block] = 0.0
     off_sector = float(mag.max() / scale) if scale > 0 else 0.0
-    del gram, mag    # keep at most three n^4 x n^4 arrays alive
     order = np.argsort(eigvals, kind="stable")
     try:
         qmap = quotient(HermEig(eigvals[order], eigvecs[:, order]), tol)
     except NotPSD as exc:
         raise GramNotPSD(str(exc)) from exc
+    # (r, l) is kept iff mu_r lam_l > tol mu_max lam_max; quotient kept
+    # mu_r > tol mu_max (descending), the cutoff of the largest lam_l
+    mu = qmap.eigenvalues
+    if qmap.rank and mu[-1] * lam[0] <= tol.decomp * mu[0] * lam[-1]:
+        raise RankUndecided(
+            f"T eigenvalue {mu[-1] / mu[0]:.3e} of the largest lies in "
+            f"({tol.decomp:.1e}, {tol.decomp * lam[-1] / lam[0]:.3e}]: kept in "
+            "some right blocks and dropped in others")
     return GramSpace(W=w, qmap=qmap, sector=sector, bohr_class=bohr_class,
-                     bohr=bohr, off_sector=off_sector)
+                     bohr=bohr, coord_sector=sector[order[::-1][:qmap.rank]],
+                     off_sector=off_sector)
 
 
 def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
-    """Tomita-bimodule axioms (a)-(f) for the quotient matrices.
-
-    U_z is built from the Bohr frequencies, so the group law (c), the
-    adjoint relation (d) and U_z J = J U_conj(z) (f) can fail only through
-    rounding or Gram entries between sectors; each of the three also reports
-    that relative off-sector magnitude.
-
-    L(a) is exactly block-diagonal over the right blocks H F_ll, so (a)
-    takes ||L(a)|| as the largest exact SVD norm of its n diagonal blocks
-    and (b) forms jq conj(L(a)) block column by block column; ||R(a)||,
-    which joins the blocks, stays one full SVD.
+    """Tomita-bimodule axioms (a)-(f) for the quotient matrices, on the
+    factors L(a) = kron(L_T(a), 1), R(a) = kron(1, rho(a)) and
+    U_z = kron(U_T(z), diag(lam)^{-iz}).  (a) takes the exact SVD norms of
+    L_T(a) and of the n x n rho(a) (R descends in closed form, so its half of
+    (a) measures rounding only).  diag(lam)^{-iz} meets (c), (d) and (e) to
+    rounding, so these are the residuals of U_T and L_T.  J joins the right
+    blocks: (b) and (f) apply the factors to it.  (c), (d) and (f) can fail
+    only through rounding or entries of T between sectors; each also
+    reports that relative off-sector magnitude.
 
     Each sample draws a, z, z2; all are drawn first, then evaluated in blocks
     of samples (``sampling.sample_blocks``) as stacks of quotient matrices.
@@ -431,30 +421,29 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     a, z, z2 = draw_samples(rng, n_samples, partial(random_matrix, n),
                             random_disk_point, random_disk_point)
     jq = g.op_conj()
-    # L(a) is zero between right blocks, so (a) and (b) read its diagonal
-    # blocks alone
-    idx, valid = g._right_blocks
-    jq_cols = np.swapaxes(jq[:, idx], 0, 1)
+    rt = g.qmap.rank
+    # J with its columns (r, l) taken in the order (l, r), so that (b) is two
+    # batched products: jq conj(L(a)) with L(a) = kron(L_T(a), 1), and R(Ja) jq
+    jq_lr = np.ascontiguousarray(jq.reshape(g.rank, rt, n).swapaxes(1, 2))
     # a stack holds one complex rank x rank matrix per sample
     for block in sample_blocks(n_samples, 16 * g.rank ** 2):
         ab, zb, z2b = a[block], z[block], z2[block]
-        la = g.op_left(ab)
-        la_blocks = g._diag_blocks(la)
-        norm_l = _spectral(la_blocks).max(axis=-1)
+        lt = g._op_left_t(ab)
+        norm_l = _spectral(lt)
 
         # (a) boundedness: |L(a)| <= |pi_l(a)| = |a|,
         # |R(a)| <= |pi_r(a)| = |h^{-1/2} a h^{1/2}|
         opn_l = _spectral(ab)
         opn_r = _spectral(g.W.h_isqrt @ ab @ g.W.h_sqrt)
         res["a"] = worst(res["a"], (norm_l - opn_l) / opn_l,
-                         (_spectral(g.op_right(ab)) - opn_r) / opn_r)
-        # (b) J L(a) = R(Ja) J  (J antilinear: J L(a) y = jq conj(la) conj(y));
-        # column block l of jq conj(la) is jq[:, idx_l] conj(L_l)
-        rja = g.op_right(td.conj_J(ab))
-        rj_cols = np.moveaxis((rja @ jq)[..., idx], -2, -3) * valid[:, None, :]
-        res["b"] = worst(res["b"], _frob_blocks([jq_cols @ la_blocks.conj() - rj_cols])
-                         / np.maximum(norm_l, 1e-300))
-        # (c) group law, on the sector blocks of U_z (GramSpace._group_blocks)
+                         (_spectral(g._right_factor(ab)) - opn_r) / opn_r)
+        # (b) J L(a) = R(Ja) J  (J antilinear: J L(a) y = jq conj(la) conj(y))
+        jl = jq_lr @ lt.conj()[..., None, :, :]
+        rja = g._right_factor(td.conj_J(ab))
+        rj = rja[..., None, :, :] @ jq_lr.reshape(rt, n, -1)
+        diff = (jl - rj.reshape(jl.shape)).reshape(jl.shape[:-2] + (-1,))
+        res["b"] = worst(res["b"], _frob(diff) / np.maximum(norm_l, 1e-300))
+        # (c) group law, on the sector blocks of U_T (GramSpace._group_blocks)
         uz, uzz = g._group_blocks(zb), g._group_blocks(zb + z2b)
         res["c"] = worst(res["c"], _frob_blocks(
             u @ v - w for u, v, w in zip(uz, g._group_blocks(z2b), uzz))
@@ -465,14 +454,15 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
             for u, v in zip(uz, g._group_blocks(-np.conj(zb))))
             / np.maximum(_frob_blocks(uz), 1e-300))
         # (e) U_z L(a) U_{-z} = L(U_z a)
-        rhs = g.op_left(td.modular_group(zb, ab))
-        lhs = g._group_apply(g._group_blocks(-zb), g._group_apply(uz, la), right=True)
+        rhs = g._op_left_t(td.modular_group(zb, ab))
+        lhs = g._group_apply(g._group_blocks(-zb), g._group_apply(uz, lt), right=True)
         res["e"] = worst(res["e"], _frob(lhs - rhs) / np.maximum(_frob(rhs), 1e-300))
-        # (f) U_z J = J U_{conj(z)}  (compose with conjugation correctly)
-        uzj = g._group_apply(uz, jq)
+        # (f) U_z J = J U_{conj(z)}  (compose with conjugation correctly;
+        # conj(lam^{-i conj(z)}) = lam^{iz})
+        uzj = g._group_apply(uz, jq, z=zb)
         ucz = [u.conj() for u in g._group_blocks(np.conj(zb))]
-        res["f"] = worst(res["f"], _frob(uzj - g._group_apply(ucz, jq, right=True))
-                         / np.maximum(_frob(uzj), 1e-300))
+        jucz = g._group_apply(ucz, jq, right=True, z=-zb)
+        res["f"] = worst(res["f"], _frob(uzj - jucz) / np.maximum(_frob(uzj), 1e-300))
     for k in "cdf":
         res[k] = max(res[k], g.off_sector)
     return res
@@ -499,23 +489,22 @@ def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
     The map R(b) delta_K(a) -> R(b) delta_B(a) on the common spanning set is
     isometric iff the two Gram matrices coincide; ranks must also agree.
     Both are taken over the eigenbasis pairs, where the quotient's Gram is
-    zero between sectors: it is subtracted one sector block at a time.
+    kron(embed_T* embed_T, diag(lam)): it is subtracted one right block at
+    a time.
     """
     span_g, _, sv = bimodule._span
-    n2 = g.W.n ** 2
-    u = g.W.eig.eigenvectors
+    n = g.W.n
+    n2 = n * n
+    lam, u = g.W.eig.eigenvalues, g.W.eig.eigenvectors
     rot = np.kron(u, u.conj())
-    order = np.argsort(g.sector, kind="stable")
     # the span's columns over the eigenbasis pairs, one rotation per axis
-    span = (rot.T @ (span_g.reshape(-1, n2, n2) @ rot)).reshape(-1, n2 * n2)[:, order]
+    span = (rot.T @ (span_g.reshape(-1, n2, n2) @ rot)).reshape(-1, n2 * n2)
     gram_b = span.conj().T @ span
-    embed = g.qmap.embed[:, order]
-    scale = max(np.abs(gram_b).max(), 1e-300)
-    bounds = np.cumsum(np.bincount(g.sector))
-    for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
-        block = embed[:, lo:hi].conj().T @ embed[:, lo:hi]
-        scale = max(scale, np.abs(block).max())
-        gram_b[lo:hi, lo:hi] -= block
+    gram_t = g.qmap.embed.conj().T @ g.qmap.embed
+    scale = max(np.abs(gram_b).max(), np.abs(gram_t).max() * lam[-1], 1e-300)
+    by_right = gram_b.reshape(n ** 3, n, n ** 3, n)
+    for l in range(n):
+        by_right[:, l, :, l] -= lam[l] * gram_t
     max_resid = float(np.abs(gram_b).max())
     # the eigenvalues of gram_b are the squared singular values sv of the span
     rank_b = int(np.sum(sv ** 2 > tol.decomp * np.max(sv, initial=0.0) ** 2))

@@ -1,6 +1,9 @@
 """Gram reconstruction, uniqueness isometry, Stinespring route in Kraus
 form, the representing vector."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +12,15 @@ from hypothesis import strategies as st
 import qms.numkernel
 import qms.reconstruct
 from qms.bimodule import FinBimodule
+from qms.cli import main
 from qms.config import DEFAULT_TOL
+from qms.errors import GramNotPSD, RankUndecided
 from qms.lindblad import (DirichletForm, JumpSystem, build_generator,
                           dirichlet_form, extract_alicki)
-from qms.modular import TomitaData, WeightedAlgebra, bohr_classes
+from qms.modular import TomitaData, WeightedAlgebra
 from qms.numkernel import (HermEig, Superoperator, herm_eig, matrix_units,
                            null_quotient)
 from qms.reconstruct import (
-    GramSpace,
     boundary_pairing,
     build_gram_space,
     gram_axioms_check,
@@ -25,10 +29,12 @@ from qms.reconstruct import (
     stinespring_route,
     uniqueness_isometry,
 )
-from qms.sampling import (random_jump_system, random_matrix, random_unitary,
-                          random_weighted_algebra)
+from qms.sampling import (random_disk_point, random_jump_system, random_matrix,
+                          random_unitary, random_weighted_algebra)
 
 from conftest import depolarizing_generator, matrix_unit
+from test_cli import base_scenario, mat_json, write_scenario
+from test_sampled_checks import jump_system, ref_gram_axioms_check
 
 
 @pytest.fixture
@@ -58,10 +64,11 @@ def assert_rel_close(got, want, rel=1e-12):
     assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)
 
 
-def unit_gram(form):
+def unit_gram(form, units=None):
     """The n^4 x n^4 Gram over unit pairs (p, q) at index p * n^2 + q, entry
-    by entry from ``gram_entry``."""
-    units = matrix_units(form.W.n)
+    by entry from ``gram_entry``; over the matrix units E_p unless ``units``
+    gives others."""
+    units = matrix_units(form.W.n) if units is None else units
     k = units.shape[0]
     return gram_entry(form, units[:, None, None, None], units[None, :, None, None],
                       units[None, None, :, None],
@@ -76,32 +83,61 @@ def quotient_gram(g):
     return e.conj() @ e.T
 
 
+def pair_embed(g):
+    """The quotient coordinates of the eigenbasis pairs F_p (x) F_q (index
+    p * n^2 + q), as columns: kron(embed_T, diag(lam)^{1/2})."""
+    return np.kron(g.qmap.embed, np.diag(np.sqrt(g.W.eig.eigenvalues)))
+
+
+def mult_map(n):
+    """coeff(b (x) c) -> coeff(bc) on unit pairs, from its definition."""
+    units = matrix_units(n)
+    return np.array([(a @ b).flatten() for a in units for b in units]).T
+
+
+def act_left(a, coeff):
+    """L(a) on unit-pair coefficient columns: [ab (x) c] - [a (x) bc]."""
+    n = a.shape[0]
+    c = coeff.reshape(n ** 4, -1)
+    out = (a @ c.reshape(n, -1)).reshape(c.shape) - np.kron(a.reshape(-1, 1),
+                                                            mult_map(n) @ c)
+    return out.reshape(coeff.shape)
+
+
+def act_right(a, coeff):
+    """R(a) on unit-pair coefficient columns: [b (x) ca]."""
+    n = a.shape[0]
+    c = coeff.reshape(n ** 3, n, -1)
+    return np.einsum("xlr,ly->xyr", c, a).reshape(coeff.shape)
+
+
 def well_definedness_residual(g, n_samples=20, seed=23):
     """Max change of quotient images when a representative is shifted by a
     random Gram-null vector (Step-7 well-definedness probe); L and R act by
     eigenbasis units F_p, whose products are those of the E_p.  The dropped
-    eigenspace is the orthogonal complement of the rows of ``embed``."""
+    eigenspace is the orthogonal complement of the columns of
+    ``pair_embed``."""
     if g.rank == 0:
         return 0.0
-    kept = g.qmap.embed.conj().T / np.sqrt(g.qmap.eigenvalues)
-    null = np.linalg.qr(kept, mode="complete")[0][:, g.rank:]
+    embed = pair_embed(g)
+    null = np.linalg.qr(embed.conj().T, mode="complete")[0][:, g.rank:]
     if null.shape[1] == 0:
         return 0.0
     rng = np.random.default_rng(seed)
     n2 = g.W.n ** 2
     units = matrix_units(g.W.n)
     worst = 0.0
-    scale = np.sqrt(max(g.qmap.eigenvalues[0], 1e-300))
+    scale = np.sqrt(max(g.eigenvalues[0], 1e-300))
     for _ in range(n_samples):
         z = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
         null_vec = null @ z
         nrm = max(np.linalg.norm(null_vec), 1e-300)
         # the class of the null vector is zero; so must be its images
-        for act in (g._act_left, g._act_right):
+        for act in (act_left, act_right):
             a = units[int(rng.integers(0, n2))]
-            img = g.qmap.embed @ act(a, null_vec)
+            img = embed @ act(a, null_vec)
             worst = max(worst, np.linalg.norm(img) / (nrm * scale))
-        worst = max(worst, np.linalg.norm(g.qmap.embed @ null_vec) / (nrm * scale))
+        worst = max(worst, np.linalg.norm(embed @ null_vec) / (nrm * scale))
     return worst
 
 
@@ -166,7 +202,8 @@ class TestGramSpace:
         g = build_gram_space(random_form(3, 74))
         units = matrix_units(3)
         want = np.array([(a @ b).flatten() for a in units for b in units]).T
-        np.testing.assert_array_equal(g._mult_map(), want)
+        # F_ij F_kl = [j = k] F_il keeps the last index
+        np.testing.assert_array_equal(np.kron(g._mult_map(), np.eye(3)), want)
 
     def test_op_conj_matches_definition(self):
         """J[a (x) b] = [Jb.Ja (x) 1] - [Jb (x) Ja], J a = h^1/2 a* h^-1/2, on
@@ -199,15 +236,27 @@ class TestGramSpace:
         assert max(res.values()) <= 1e-9
 
 
-class DenseGramSpace(GramSpace):
+class DenseGramSpace:
     """The dense reference route: one quotient of the whole unit-pair Gram
     built by ``unit_gram``, and L(a), R(a), U_z, J descended from their
     n^4 x n^4 coefficient matrices over unit pairs."""
 
-    @classmethod
-    def of(cls, form):
-        return cls(W=form.W, qmap=null_quotient(unit_gram(form)), sector=None,
-                   bohr_class=None, bohr=None, off_sector=0.0)
+    off_sector = 0.0
+
+    def __init__(self, form):
+        self.W = form.W
+        self.qmap = null_quotient(unit_gram(form))
+
+    @property
+    def rank(self):
+        return self.qmap.rank
+
+    def embed_pair(self, a, b):
+        n2 = self.W.n ** 2
+        embed = self.qmap.embed.reshape(self.rank, n2, n2)
+        ca, cb = (np.reshape(x, np.shape(x)[:-2] + (n2,)) for x in (a, b))
+        return np.einsum("...p,...rp->...r", ca,
+                         np.einsum("rpq,...q->...rp", embed, cb))
 
     def _descend(self, coeff):
         return self.qmap.embed @ coeff @ self.qmap.lift
@@ -224,7 +273,7 @@ class DenseGramSpace(GramSpace):
         n = self.W.n
         return self._each(lambda a: self._descend(
             np.kron(np.kron(a, np.eye(n)), np.eye(n * n))
-            - np.kron(a.reshape(-1, 1), self._mult_map())), a, 2)
+            - np.kron(a.reshape(-1, 1), mult_map(n))), a, 2)
 
     def op_right(self, a):
         return self._each(lambda a: self._descend(
@@ -235,20 +284,6 @@ class DenseGramSpace(GramSpace):
             f = np.kron(self.W.power(1j * z), self.W.power(-1j * z).T)
             return self._descend(np.kron(f, f))
         return self._each(one, z, 0)
-
-    @property
-    def _right_blocks(self):
-        """All quotient coordinates as one block: unit pairs mix last indices."""
-        return np.arange(self.rank)[None], np.ones((1, self.rank), dtype=bool)
-
-    @property
-    def _group(self):
-        """U_z as one dense block over all quotient coordinates."""
-        return None, None, [(np.arange(self.rank), None, None)]
-
-    def _group_blocks(self, z):
-        u = self.op_group(z)
-        return [np.zeros(u.shape[:-1] + (1, 1)), u[..., None, :, :]]
 
     def op_conj(self):
         """Column (a, b): [Jb.Ja (x) 1] - [Jb (x) Ja] with
@@ -300,17 +335,17 @@ class TestSectors:
         spectrum, source = SPECTRA[case]
         form = spectrum_form(spectrum, 90, source)
         g = build_gram_space(form)
-        dense = DenseGramSpace.of(form)
+        dense = DenseGramSpace(form)
         # the sector quotient rebuilds the dense Gram over unit pairs
         assert_rel_close(quotient_gram(g), unit_gram(form), 1e-11)
         assert g.rank == dense.rank
-        assert np.all(np.diff(g.qmap.eigenvalues) <= 0)
-        assert_rel_close(g.qmap.eigenvalues, dense.qmap.eigenvalues, 1e-11)
+        assert np.all(np.diff(g.eigenvalues) <= 0)
+        assert_rel_close(g.eigenvalues, dense.qmap.eigenvalues, 1e-11)
         if np.ptp(spectrum) == 0:
             assert g.bohr.size == 1
         assert g.off_sector <= 1e-3 * DEFAULT_TOL.axiom
         got = gram_axioms_check(g, n_samples=8, seed=91)
-        ref = gram_axioms_check(dense, n_samples=8, seed=91)
+        ref = ref_gram_axioms_check(dense, n_samples=8, seed=91)[0]
         for k in "abcdef":
             assert got[k] <= DEFAULT_TOL.axiom
             assert got[k] <= ref[k] + 1e-11   # no worse than the dense route
@@ -322,8 +357,8 @@ class TestSectors:
     @pytest.mark.parametrize("case", ["random-n4", "repeated-n4", "tracial-n3",
                                       "near-degenerate-n3"])
     def test_batched_eigh_matches_sector_loop(self, case, monkeypatch):
-        """One eigh call per block size gives the quotient of one call per
-        block; the blocks are the (sector, last index) classes of the pairs."""
+        """One eigh call per sector size gives the quotient of one call per
+        sector of triples."""
         spectrum, source = SPECTRA[case]
         form = spectrum_form(spectrum, 90, source)
         calls = []
@@ -339,8 +374,7 @@ class TestSectors:
 
         monkeypatch.setattr(qms.reconstruct, "herm_eig", spy)
         g = build_gram_space(form)
-        n = g.W.n
-        sizes = np.unique(g.sector * n + np.arange(n ** 4) % n, return_counts=True)[1]
+        sizes = np.bincount(g.sector)
         assert len(calls) == np.unique(sizes).size
         assert sum(calls) == sizes.size
         monkeypatch.setattr(qms.reconstruct, "herm_eig", per_sector)
@@ -352,23 +386,24 @@ class TestSectors:
     @pytest.mark.parametrize("step", [1.0, 3.0, 6.0])
     def test_equal_frequencies_share_sector(self, step):
         """Over an equally spaced spectrum (condition number up to 7e7) many
-        pairs share a frequency by accident of the spectrum; rounding in the
-        computed eigenvalues must not split them."""
+        triples share a frequency by accident of the spectrum; rounding in
+        the computed eigenvalues must not split them."""
         k = np.arange(4)
-        # the exact frequencies are multiples of step, in increasing order
-        same, freq, _ = bohr_classes(np.exp(k), 2)
-        want = freq[same].round().astype(int) + 6
+        # the exact frequencies omega_ij + log lam_k are step (i - j + k)
+        # less log sum(lam): i - j + k runs over -3 ... 6
+        i, j, kk = np.meshgrid(k, k, k, indexing="ij")
+        want = (i - j + kk).ravel() + 3
         rng = np.random.default_rng(95)
         for _ in range(20):
             u = random_unitary(4, rng)
             lam = np.exp(step * k)
             w = WeightedAlgebra((u * (lam / lam.sum())) @ u.conj().T)
             got = qms.reconstruct._sectors(w.eig.eigenvalues)[2]
-            for s in range(13):
+            for s in range(10):
                 assert np.ptp(got[want == s]) == 0
             # at step 6 the two smallest eigenvalues are closer than
             # _EIG_GAP lam_max, which merges sectors
-            assert got.max() + 1 == (13 if step <= 3 else 1)
+            assert got.max() + 1 == (10 if step <= 3 else 1)
 
     @pytest.mark.parametrize("seed", [90, 91])
     def test_conj_in_eigenbasis(self, seed):
@@ -403,19 +438,17 @@ class TestSectors:
 
 
 def captured_gram(form):
-    """``build_gram_space`` of the form, and the eigenbasis Gram it splits."""
+    """``build_gram_space`` of the form (None where the Gram fails the PSD
+    gate), and the factor T it quotients."""
     grams, gram = [], qms.reconstruct._gram
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qms.reconstruct, "_gram",
                    lambda *args: grams.append(gram(*args)) or grams[-1])
-        g = build_gram_space(form, allow_large=True)
+        try:
+            g = build_gram_space(form, allow_large=True)
+        except GramNotPSD:
+            g = None
     return g, grams[0]
-
-
-def right_block(g):
-    """The right block H F_ll of each quotient coordinate: the last index l
-    of the pairs its embedding row is supported on."""
-    return np.argmax(g.qmap.embed != 0, axis=1) % g.W.n
 
 
 RIGHT_SPECTRA = {
@@ -425,37 +458,45 @@ RIGHT_SPECTRA = {
     "equally-spaced": lambda n: np.exp(-3.0 * np.arange(n)),
     "near-degenerate": lambda n: [1, 1 + 1e-9, 2, 3, 4][:n],
     # condition number up to 7e7; from n = 4 the two smallest are closer
-    # than _EIG_GAP lam_max, which merges all pairs into one sector
+    # than _EIG_GAP lam_max, which merges all triples into one sector
     "merged": lambda n: np.exp(6.0 * np.minimum(np.arange(n), 3)),
 }
 
 
 class TestRightBlocks:
-    """Every Gram entry carries h[u, l] = [u = l] lam_l, so the sectors split
-    exactly by the last eigenbasis index l, into the right blocks H F_ll."""
+    """The Gram is kron(T, diag(lam)): the right block H F_ll of the
+    quotient is the coordinates (r, l) of one l, and L(a) = kron(L_T(a), 1)
+    keeps it."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("case", sorted(RIGHT_SPECTRA))
     def test_exact_zeros(self, case, n):
-        """The Gram, the quotient coordinates and L(a) are exact zeros across
-        right blocks, and the largest block norm is the norm of L(a).  The
-        zeros hold for any form, so the jump-system gate (which the merged
-        spectrum fails at 2e-8 from n = 4) is off."""
-        g, gram = captured_gram(spectrum_form(RIGHT_SPECTRA[case](n), 96,
-                                              validate=False))
+        """The T coordinates are exact zeros off their sector (U_T reads the
+        sector of a coordinate from ``coord_sector``), L(a) is an exact zero
+        across right blocks, and ||L(a)|| = ||L_T(a)||.  The zeros hold for
+        any form, so the jump-system gate (which the merged spectrum fails
+        at 2e-8 from n = 4) is off; from n = 4 the merged spectrum's rank
+        is undecided."""
+        form = spectrum_form(RIGHT_SPECTRA[case](n), 96, validate=False)
         if case == "merged" and n >= 4:
-            assert g.sector.max() == 0
-        last = np.arange(n ** 4) % n
-        across = last[:, None] != last[None, :]
-        assert np.array_equal(gram[across], np.zeros(across.sum()))
-        right = right_block(g)
+            # one sector, and a T eigenvalue between the cutoffs of the
+            # largest and the smallest right block (a cutoff per right block
+            # keeps 16, 32, 33 and 45 coordinates at n = 4)
+            assert qms.reconstruct._sectors(form.W.eig.eigenvalues)[2].max() == 0
+            with pytest.raises(RankUndecided):
+                build_gram_space(form, allow_large=True)
+            return
+        g = build_gram_space(form, allow_large=True)
+        assert g.rank == n * g.qmap.rank
         support = g.qmap.embed != 0
-        assert not np.any(support & (last != right[:, None]))
+        assert not np.any(support & (g.sector != g.coord_sector[:, None]))
         rng = np.random.default_rng(97)
-        la = g.op_left(np.array([random_matrix(n, rng) for _ in range(3)]))
+        a = np.array([random_matrix(n, rng) for _ in range(3)])
+        la = g.op_left(a)
+        right = np.arange(g.rank) % n
         off = right[:, None] != right[None, :]
         assert np.array_equal(la[:, off], np.zeros((3, off.sum())))
-        got = qms.reconstruct._spectral(g._diag_blocks(la)).max(axis=-1)
+        got = qms.reconstruct._spectral(g._op_left_t(a))
         want = np.linalg.norm(la, 2, axis=(-2, -1))
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 
@@ -482,18 +523,137 @@ def conditioned_systems(draw):
 @given(system=conditioned_systems())
 def test_right_blocks_match_one_dense_eigh(system):
     """Over condition numbers up to ~1e4 and eigenvalue gaps down to 1e-9
-    relative, the quotient built by (sector, last index) blocks has the
-    rank and, to 1e-13 of the largest, the eigenvalues of one eigh of the
-    whole Gram; at full rank m n^2 each right block holds m n coordinates."""
+    relative, the quotient of T by sectors has the rank and, to 1e-13 of
+    the largest, the eigenvalues mu_r lam_l of one eigh of the whole
+    entrywise Gram over unit pairs; at full rank m n^2 T has rank m n."""
     n = system.W.n
-    g, gram = captured_gram(dirichlet_form(build_generator(system), system.W))
-    dense = null_quotient(gram)
+    form = dirichlet_form(build_generator(system), system.W)
+    g = build_gram_space(form)
+    dense = null_quotient(unit_gram(form))
     assert g.rank == dense.rank
     scale = np.max(dense.eigenvalues, initial=0.0)
-    assert np.all(np.abs(g.qmap.eigenvalues - dense.eigenvalues) <= 1e-13 * scale)
+    assert np.all(np.abs(g.eigenvalues - dense.eigenvalues) <= 1e-13 * scale)
     if g.rank == system.m * n * n:
-        assert np.array_equal(np.bincount(right_block(g), minlength=n),
-                              np.full(n, system.m * n))
+        assert g.qmap.rank == system.m * n
+
+
+class TestFactors:
+    """The Gram over eigenbasis pairs is kron(T, diag(lam)), and the
+    operators read off its factors are those of the dense route."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("covariant", [True, False], ids=["form", "psd"])
+    def test_unit_gram_is_kron(self, n, covariant):
+        """The Hermitian part of the entrywise Gram over the matrix units is
+        kron(T_E, h^T) to 1e-14 relative, T_E the factor T turned from the
+        eigenbasis triples to the matrix-unit ones; also for a random PSD
+        form without modular covariance (whose Gram is not Hermitian)."""
+        form = spectrum_form(np.exp([0.3, -0.8, 1.1, 0.1][:n]), 98)
+        if not covariant:
+            x = random_matrix(n * n, np.random.default_rng(99))
+            form = DirichletForm(form.L, form.W, x @ x.conj().T)
+        _, t = captured_gram(form)
+        u = form.W.eig.eigenvectors
+        # F_ij (x) F_kl: the pair (i, j) turns by kron(u, conj(u)), the row
+        # index k of F_kl by u (its column index l goes with h)
+        turn = np.kron(np.kron(u, u.conj()), u)
+        want = unit_gram(form)
+        want = 0.5 * (want + want.conj().T)
+        assert_rel_close(np.kron(turn @ t @ turn.conj().T, form.W.h.T), want, 1e-14)
+
+    @pytest.mark.parametrize("case", ["random-n4", "repeated-n3-generator",
+                                      "near-degenerate-n3", "geometric-n3"])
+    def test_operators_match_dense_route(self, case):
+        """<[x (x) y], Op [v (x) w]> of L(a), R(a), U_z and J agree with the
+        dense route on random pairs: a statement about classes, in no
+        particular basis."""
+        spectrum, source = SPECTRA[case]
+        form = spectrum_form(spectrum, 90, source)
+        g, dense = build_gram_space(form), DenseGramSpace(form)
+        n = g.W.n
+        rng = np.random.default_rng(100)
+        x, y, a = (np.array([random_matrix(n, rng) for _ in range(12)])
+                   for _ in range(3))
+        z = random_disk_point(rng)
+        for space in (g, dense):
+            e = space.embed_pair(x, y)
+            ops = [space.op_left(a[0]), space.op_right(a[1]), space.op_group(z)]
+            got = [e.conj() @ op @ e.T for op in ops]
+            got.append(e.conj() @ space.op_conj() @ e.T.conj())
+            if space is g:
+                want = got
+        for u, v in zip(got, want):
+            assert_rel_close(v, u, 1e-10)
+
+    def test_right_norm_closed_form(self):
+        """||R(a)|| = ||h^{-1/2} a h^{1/2}||."""
+        form = spectrum_form(np.exp([0.3, -0.8, 1.1]), 101)
+        g = build_gram_space(form)
+        a = np.array([random_matrix(3, np.random.default_rng(102)) for _ in range(4)])
+        got = np.linalg.norm(g.op_right(a), 2, axis=(-2, -1))
+        want = np.linalg.norm(g.W.h_isqrt @ a @ g.W.h_sqrt, 2, axis=(-2, -1))
+        assert_rel_close(got, want, 1e-14)
+
+    def test_memory_below_one_dense_gram(self, monkeypatch):
+        """At n = 5, m = 10 building the space allocates less than one
+        n^4 x n^4 complex array (6.25 MB), and no eigendecomposition is
+        wider than n^3."""
+        system = jump_system(5, 10, 103)
+        form = dirichlet_form(build_generator(system), system.W)
+        sides = []
+
+        def spy(h, tol):
+            sides.append(np.shape(h)[-1])
+            return herm_eig(h, tol)
+
+        monkeypatch.setattr(qms.reconstruct, "herm_eig", spy)
+        tracemalloc.start()
+        try:
+            g = build_gram_space(form, allow_large=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.rank == 10 * 25
+        assert peak < 16 * 625 ** 2
+        assert max(sides) <= 125
+
+
+EXP_SEEDS = [88, 90, 91, 92]
+
+
+class TestRankUndecided:
+    """n = 4, m = 8, lam ~ exp(-c k): at c = 4.5 (condition number 7e5) one
+    T eigenvalue per seed lies between the cutoffs of the largest and the
+    smallest right block."""
+
+    @pytest.mark.parametrize("seed", EXP_SEEDS)
+    def test_raised(self, seed):
+        form = spectrum_form(np.exp(-4.5 * np.arange(4)), seed)
+        with pytest.raises(RankUndecided) as exc:
+            build_gram_space(form)
+        # T eigenvalue r of the largest lies in (tol, tol cond(h)]
+        ratio, lo, hi = map(float, re.findall(r"\d\.\d+e[-+]\d+", str(exc.value)))
+        cond = form.W.eig.eigenvalues[-1] / form.W.eig.eigenvalues[0]
+        assert lo == DEFAULT_TOL.decomp and np.isclose(hi, lo * cond, rtol=1e-3)
+        assert lo < ratio <= hi
+
+    @pytest.mark.parametrize("seed", EXP_SEEDS)
+    def test_decided_at_lower_condition(self, seed):
+        """At c = 3 (condition number 8e3) the rank is m n^2 = 128."""
+        assert build_gram_space(spectrum_form(np.exp(-3.0 * np.arange(4)), seed)).rank == 128
+
+    @pytest.mark.parametrize("seed", EXP_SEEDS)
+    def test_cli_exit_2(self, seed, tmp_path, capsys):
+        """``qms run`` reports it as a scenario error, exit 2.  (The jumps
+        themselves are no source here: the density read back from the file
+        turns the computed eigenvectors, and two of the four seeds then fail
+        the modular-eigenvector gate.)"""
+        form = spectrum_form(np.exp(-4.5 * np.arange(4)), seed)
+        scenario = base_scenario(checks=["gram-axioms"])
+        scenario["algebra"] = {"dim": 4, "h": mat_json(form.W.h)}
+        scenario["source"] = {"generator": mat_json(form.L.matrix)}
+        assert main(["run", write_scenario(tmp_path, scenario)]) == 2
+        assert "scenario error: RankUndecided" in capsys.readouterr().err
 
 
 class TestUniqueness:

@@ -363,12 +363,16 @@ def test_gram_axioms_check_matches_reference(case, drawn):
 
 def ref_op_group(g, z):
     """U_z = sum_k exp(i z nu_k) P_k with P_k = embed[:, k] lift[k] over
-    the pairs of Bohr class k, as dense rank x rank matrices."""
-    embed, lift = g.qmap.embed, g.qmap.lift
-    proj = np.array([embed[:, g.bohr_class == k] @ lift[g.bohr_class == k]
-                     for k in range(g.bohr.size)])
-    return np.einsum("...k,kij->...ij", np.exp(1j * np.multiply.outer(z, g.bohr)),
-                     proj)
+    the eigenbasis pairs of Bohr frequency nu_k, as dense rank x rank
+    matrices: the pair F_ij (x) F_kl has the frequency of its triple
+    (i, j, k) less log lam_l, and the embedding of the pairs is
+    kron(embed_T, diag(lam)^{1/2})."""
+    lam = g.W.eig.eigenvalues
+    embed = np.kron(g.qmap.embed, np.diag(np.sqrt(lam)))
+    lift = np.kron(g.qmap.lift, np.diag(1.0 / np.sqrt(lam)))
+    nu = np.subtract.outer(g.bohr[g.bohr_class], np.log(lam)).ravel()
+    return np.einsum("ip,...p,pj->...ij", embed,
+                     np.exp(1j * np.multiply.outer(z, nu)), lift)
 
 
 @pytest.mark.parametrize("case", ["n2-m3", "n3-m6", "n4-m8", *GRAM_SYSTEMS])
