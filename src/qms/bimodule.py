@@ -26,9 +26,9 @@ phases lam^{iz} in the eigenbasis of h), ``inner``/``norm`` return one value
 per vector and ``conj`` solves for the whole stack with one pseudo-inverse
 product.  A single vector is the case without leading axes, so each map has
 one implementation.  The sampled checks (``axioms_check``,
-``Derivation.check``, ``twisted_rule_residual``) draw all their samples
-first, with the generator calls of a loop that draws sample by sample
-(``sampling.draw_samples``), then evaluate every residual on the stacks.
+``Derivation.check``) draw all their samples first, with the generator
+calls of a loop that draws sample by sample (``sampling.draw_samples``),
+then evaluate every residual on the stacks.
 """
 
 from functools import cached_property, partial
@@ -155,10 +155,9 @@ class FinBimodule:
     def _span(self):
         """Spanning family R(b_q) delta(a_p) over matrix-unit pairs.
 
-        Returns (G, JG, singular values of G): column p * n^2 + q of G holds
-        the coordinates of R(E_q) delta(E_p), and the same column of JG those
-        of its image L(J E_q) delta(J E_p) under the abstract conjugation
-        rule.
+        Returns (G, JG): column p * n^2 + q of G holds the coordinates of
+        R(E_q) delta(E_p), and the same column of JG those of its image
+        L(J E_q) delta(J E_p) under the abstract conjugation rule.
         """
         n, w = self.n, self.W
         units = matrix_units(n)
@@ -168,7 +167,7 @@ class FinBimodule:
                       w.h_sqrt, optimize=True).reshape(self.m * n * n, n ** 4)
         jg = np.einsum("qrs,pjsx,xt->jtrpq", j_units, self.delta(j_units).comps,
                        w.h_sqrt, optimize=True).reshape(self.m * n * n, n ** 4)
-        return g, jg, np.linalg.svd(g, compute_uv=False)
+        return g, jg
 
     @cached_property
     def _span_pinv(self):
@@ -190,7 +189,7 @@ class FinBimodule:
         A vector outside the span raises ``NotInGeneratedSpan``; in a stack,
         the first such vector in row-major order of the leading axes.
         """
-        g, jg, _ = self._span
+        g, jg = self._span
         c = self.coords(xi)
         coeff = c @ self._span_pinv.T
         resid = np.linalg.norm(coeff @ g.T - c, axis=-1)
@@ -323,32 +322,6 @@ class Derivation:
                 0.0, np.abs(b.inner(dx, dy) - rhs_ip)
                 / np.maximum(np.abs(rhs_ip), 1.0))
         return res
-
-    def twisted_rule_residual(self, n_samples=50, seed=17):
-        """Residual of the twisted product rule in correspondence form.
-
-        With the right action of the ambient algebra on the bimodule given by
-        xi . y = xi sigma_{-i/2}(y) (the normal right action on L_2 copies),
-        the derivation satisfies
-
-            delta(xy) = x delta(y) + delta(x) . sigma_{i/2}(y),
-
-        which is the componentwise form the abstract twisted rule takes here;
-        the half-step twists cancel against the action's own twist.
-        Each sample draws x, y.
-        """
-        b = self.B
-        rng = np.random.default_rng(seed)
-        mat = partial(random_matrix, b.n)
-        x, y = draw_samples(rng, n_samples, mat, mat)
-        lhs = b.delta(x @ y)
-        sig_y = b.tomita.modular_group(0.5j, y)
-        # right action of sigma_{i/2}(y) as correspondence action:
-        # plain right multiplication by sigma_{-i/2}(sigma_{i/2}(y)) = y
-        twist = b.act_right(b.tomita.modular_group(-0.5j, sig_y), b.delta(x))
-        rhs = b.act_left(x, b.delta(y)) + twist
-        scale = np.maximum(b.norm(lhs), 1e-300)
-        return worst(0.0, b.norm(lhs - rhs) / scale)
 
 
 def inner_derivation_generator(b: FinBimodule, xi: BimoduleVector,

@@ -105,10 +105,16 @@ class JumpSystem:
         scale = np.maximum(norm, 1e-300)
         res["traceless"] = float(np.max(
             np.abs(np.trace(v, axis1=1, axis2=2)) / scale))
+        # h v h^{-1} = e^{-omega} v, entry by entry in the eigenbasis of h:
+        # v~ = u* v u vanishes where lam_a != e^{-omega} lam_b.  Each entry is
+        # weighed by |lam_a - e^{-omega} lam_b| / (lam_a + e^{-omega} lam_b)
+        # <= 1, so rounding in v~ is not amplified by cond(h) as in
+        # h v h^{-1}, and an error eps in omega reads eps / 2
+        lam, u = self.W.eig.eigenvalues, self.W.eig.eigenvectors
+        down = np.exp(-omega)[:, None, None] * lam
+        weight = (lam[:, None] - down) / (lam[:, None] + down)
         res["modular-eigenvector"] = float(np.max(np.linalg.norm(
-            np.einsum("ab,jbc,cd->jad", self.W.h, v, self.W.h_inv)
-            - np.exp(-omega)[:, None, None] * v,
-            axis=(1, 2)) / scale))
+            weight * (u.conj().T @ v @ u), axis=(1, 2)) / scale))
         partner = np.asarray(self.pairing)
         gap = (np.linalg.norm(v[partner] - v.conj().transpose(0, 2, 1),
                               axis=(1, 2)) / scale

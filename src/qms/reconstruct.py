@@ -36,7 +36,10 @@ per wide sector (of several classes, near-degenerate spectra).  J joins the
 right blocks; it is formed on the whole quotient in closed form.  Gram
 axioms (c), (d), (f) then hold up to rounding, so each also reports the
 largest entry of T between sectors relative to the largest entry: what a
-form without modular covariance would show.
+form without modular covariance would show.  The jump bimodule's Gram over
+the same pairs is kron(T_B, diag(lam)) as well, so uniqueness compares T_B
+with the quotient's Gram of T and reads its rank by the same sector quotient
+and rank rule; no n^4 x n^4 matrix is formed on either side.
 
 Stinespring route: the same space from a single unital CP GNS-symmetric map
 Phi with <x(x)y, c(x)d> = (1/2) phi(y* Phi(x* c) d) and boundary
@@ -363,11 +366,23 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
     rot = np.kron(u, u.conj())
     t = _gram(rot.conj().T @ f @ rot, lam)
     bohr_class, bohr, sector = _sectors(lam)
+    qmap, coord_sector, off_sector = _quotient_sectors(t, sector, lam, tol)
+    return GramSpace(W=w, qmap=qmap, sector=sector, bohr_class=bohr_class,
+                     bohr=bohr, coord_sector=coord_sector, off_sector=off_sector)
 
+
+def _quotient_sectors(t, sector, lam, tol):
+    """Quotient the factor t of a Gram kron(t, diag(lam)) one sector at a
+    time.  (r, l) is kept iff mu_r lam_l > tol.decomp mu_max lam_max; a mu_r
+    kept for some l and dropped for others raises ``RankUndecided``.
+
+    Returns the ``QuotientMap`` of t, the sector of each of its coordinates
+    and the largest |t| entry between sectors relative to the largest entry.
+    """
     # one eigendecomposition per sector, batched by size, its eigenvectors in
     # the columns of its own triples; what is left of |t| is off-sector
-    eigvals = np.empty(n ** 3)
-    eigvecs = np.zeros((n ** 3, n ** 3), dtype=np.complex128)
+    eigvals = np.empty(t.shape[0])
+    eigvecs = np.zeros(t.shape, dtype=np.complex128)
     mag = np.abs(t)
     scale = mag.max()
     size, by_sector = np.bincount(sector), np.argsort(sector, kind="stable")
@@ -385,17 +400,15 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
         qmap = quotient(HermEig(eigvals[order], eigvecs[:, order]), tol)
     except NotPSD as exc:
         raise GramNotPSD(str(exc)) from exc
-    # (r, l) is kept iff mu_r lam_l > tol mu_max lam_max; quotient kept
-    # mu_r > tol mu_max (descending), the cutoff of the largest lam_l
+    # quotient kept mu_r > tol mu_max (descending), the cutoff of the
+    # largest lam_l
     mu = qmap.eigenvalues
     if qmap.rank and mu[-1] * lam[0] <= tol.decomp * mu[0] * lam[-1]:
         raise RankUndecided(
             f"T eigenvalue {mu[-1] / mu[0]:.3e} of the largest lies in "
             f"({tol.decomp:.1e}, {tol.decomp * lam[-1] / lam[0]:.3e}]: kept in "
             "some right blocks and dropped in others")
-    return GramSpace(W=w, qmap=qmap, sector=sector, bohr_class=bohr_class,
-                     bohr=bohr, coord_sector=sector[order[::-1][:qmap.rank]],
-                     off_sector=off_sector)
+    return qmap, sector[order[::-1][:qmap.rank]], off_sector
 
 
 def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
@@ -488,26 +501,24 @@ def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
 
     The map R(b) delta_K(a) -> R(b) delta_B(a) on the common spanning set is
     isometric iff the two Gram matrices coincide; ranks must also agree.
-    Both are taken over the eigenbasis pairs, where the quotient's Gram is
-    kron(embed_T* embed_T, diag(lam)): it is subtracted one right block at
-    a time.
+    Over the eigenbasis pairs both Grams are kron(., diag(lam)): the right
+    factor enters <delta(F_ij) F_kl, delta(F_rs) F_tu> = sum_p tr(F_lk
+    delta_p(F_ij)* delta_p(F_rs) F_tu h) only through F_tu h = lam_u F_tu,
+    so the explicit one is kron(T_B, diag(lam)) with
+    T_B[ijk, rst] = sum_p (u* delta_p(F_ij)* delta_p(F_rs) u)_kt.  T_B is
+    compared with the quotient's embed_T* embed_T entry by entry, and its
+    rank is read by the rule of the Gram route (``_quotient_sectors``).
     """
-    span_g, _, sv = bimodule._span
     n = g.W.n
-    n2 = n * n
     lam, u = g.W.eig.eigenvalues, g.W.eig.eigenvectors
-    rot = np.kron(u, u.conj())
-    # the span's columns over the eigenbasis pairs, one rotation per axis
-    span = (rot.T @ (span_g.reshape(-1, n2, n2) @ rot)).reshape(-1, n2 * n2)
-    gram_b = span.conj().T @ span
+    # rows (p, x), columns (ij, k): (u* delta_p(F_ij) u)[x, k]
+    d = g._rotate(bimodule.delta(u @ matrix_units(n) @ u.conj().T).comps)
+    d = d.transpose(1, 2, 0, 3).reshape(-1, n ** 3)
+    t_b = d.conj().T @ d
     gram_t = g.qmap.embed.conj().T @ g.qmap.embed
-    scale = max(np.abs(gram_b).max(), np.abs(gram_t).max() * lam[-1], 1e-300)
-    by_right = gram_b.reshape(n ** 3, n, n ** 3, n)
-    for l in range(n):
-        by_right[:, l, :, l] -= lam[l] * gram_t
-    max_resid = float(np.abs(gram_b).max())
-    # the eigenvalues of gram_b are the squared singular values sv of the span
-    rank_b = int(np.sum(sv ** 2 > tol.decomp * np.max(sv, initial=0.0) ** 2))
+    max_resid = float(np.abs(t_b - gram_t).max())
+    scale = max(np.abs(t_b).max(), np.abs(gram_t).max(), 1e-300)
+    rank_b = n * _quotient_sectors(t_b, g.sector, lam, tol)[0].rank
     return {
         "max_residual": max_resid,
         "relative_residual": max_resid / scale,

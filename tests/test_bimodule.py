@@ -14,6 +14,7 @@ from qms.errors import NotInvariantVector
 from qms.lindblad import JumpSystem, build_generator, dirichlet_form
 from qms.modular import TomitaData
 from qms.numkernel import frob
+from qms.sampling import random_jump_system, random_matrix, random_weighted_algebra
 
 from conftest import E11, E12, E21, SX
 
@@ -161,8 +162,31 @@ class TestDerivation:
                 rhs = form(a, c)
                 assert abs(lhs - rhs) < 1e-12 * max(abs(rhs), 1.0)
 
-    def test_twisted_rule(self, bim):
-        assert Derivation(bim).twisted_rule_residual() < 1e-10
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_twisted_rule(self, n):
+        """In the standard-form coordinates X(a) = delta(a) h^{1/2} the right
+        action is twisted: X(xy) = x X(y) + X(x) h^{-1/2} y h^{1/2}.  The
+        untwisted X(x) y misses it on a non-tracial h."""
+        rng = np.random.default_rng(33 + n)
+        w = random_weighted_algebra(n, rng)
+        b = FinBimodule(random_jump_system(w, rng, m_max=2 * n))
+        x, y = (np.array([random_matrix(n, rng) for _ in range(20)])[:, None]
+                for _ in range(2))
+
+        def std(a):
+            return b.delta(a[:, 0]).comps @ w.h_sqrt
+
+        lhs = std(x @ y)
+
+        def rel(rhs):
+            """|lhs - rhs| / |lhs| per sample."""
+            return np.linalg.norm((lhs - rhs).reshape(len(lhs), -1), axis=1) / (
+                np.linalg.norm(lhs.reshape(len(lhs), -1), axis=1))
+
+        twisted = rel(x @ std(y) + std(x) @ (w.h_isqrt @ y @ w.h_sqrt))
+        untwisted = rel(x @ std(y) + std(x) @ y)
+        assert twisted.max() < 1e-13
+        assert untwisted.min() > 1e-4
 
     def test_check_residuals(self, bim, qubit_system3):
         form = dirichlet_form(build_generator(qubit_system3), qubit_system3.W)

@@ -117,6 +117,25 @@ class TestJumpSystem:
         with pytest.raises(InvalidJumpSystem):
             bad.check_valid()
 
+    @pytest.mark.parametrize("seed", range(88, 93))
+    def test_modular_eigenvector_at_high_condition(self, seed):
+        """lam ~ exp(-4.5 k) at n = 4 (condition number 7e5): the residual
+        stays at rounding on h / tr(h), which differs from the density the
+        jumps were built on by rounding, and an error of 1e-6 in one weight
+        still reads about 5e-7."""
+        rng = np.random.default_rng(seed)
+        system = random_jump_system(
+            algebra_with_spectrum(np.exp(-4.5 * np.arange(4)), rng), rng, m_max=8)
+        h = system.W.h
+        w = WeightedAlgebra(h / np.trace(h).real)
+        res = JumpSystem(W=w, jumps=system.jumps, pairing=system.pairing).validate()
+        assert res["modular-eigenvector"] < 1e-10
+        for k, (v, omega) in enumerate(system.jumps):
+            jumps = list(system.jumps)
+            jumps[k] = (v, omega + 1e-6)
+            res = JumpSystem(W=w, jumps=jumps, pairing=system.pairing).validate()
+            assert 4e-7 < res["modular-eigenvector"] < 6e-7
+
 
 class TestBuildGenerator:
     def test_empty(self, w_qubit):
@@ -337,7 +356,7 @@ def test_extraction_near_degenerate_spectrum(system):
         g = build_gram_space(dirichlet_form(build_generator(ex), system.W))
         res = gram_axioms_check(g, n_samples=20)
         assert max(res.values()) <= DEFAULT_TOL.axiom
-        # close eigenvalues merge sectors, which uniqueness subtracts per sector
+        # close eigenvalues merge sectors, which uniqueness quotients per sector
         u = uniqueness_isometry(g, FinBimodule(ex))
         assert u["ranks_agree"]
         assert u["relative_residual"] <= DEFAULT_TOL.roundtrip
