@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .numkernel import (Superoperator, as_cmatrix, as_cstack, cluster, frob,
+from .numkernel import (Superoperator, as_cmatrix, as_cstack, cluster,
                         herm_eig, mat_power, unvec, vec)
 
 __all__ = ["WeightedAlgebra", "TomitaData", "bohr_classes"]
@@ -195,9 +195,4 @@ class TomitaData:
     def flat(self, x):
         """x -> h x* h^{-1} = U_{-i}(x*), the adjoint for right multiplication."""
         return self.W.h @ _adjoint(self.W._check_stack(x)) @ self.W.h_inv
-
-    def s_residual(self, x):
-        """|| J(Delta^{1/2} x) - x* || — the polar decomposition S = J Delta^{1/2}."""
-        d_half = self.W.h_sqrt @ self.W._check(x) @ self.W.h_isqrt
-        return frob(self.conj_J(d_half) - x.conj().T)
 

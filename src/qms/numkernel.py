@@ -76,10 +76,6 @@ class HermEig:
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # unitary, columns
 
-    def reconstruct(self):
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
 
 def herm_eig(h, tol=DEFAULT_TOL):
     """Hermitian eigendecomposition of a matrix or stack, with a relative

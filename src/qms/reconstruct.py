@@ -33,10 +33,17 @@ R(a) = kron(1, lam^{1/2} a~^T lam^{-1/2}), a~ = u* a u, in closed form; and
 U_z = kron(U_T(z), diag(lam)^{-iz}), U_T(z) = sum_k e^{i z nu_k} P_k over the
 triple frequencies, kept as one phase per T coordinate and a small block
 per wide sector (of several classes, near-degenerate spectra).  J joins the
-right blocks; it is formed on the whole quotient in closed form.  Gram
-axioms (c), (d), (f) then hold up to rounding, so each also reports the
-largest entry of T between sectors relative to the largest entry: what a
-form without modular covariance would show.  The jump bimodule's Gram over
+right blocks; it is formed on the whole quotient in closed form, and it is
+sparse (about two nonzero entries a row).  The Gram axioms that involve J
+form no rank x rank matrix per sample: (b) J L(a) = R(Ja) J is
+conjugate-linear in a, so its defect is sum_p conj(c_p) D_p over the n^2
+eigenbasis units F_p (a = sum_p c_p F_p), and each sample reads
+c^T <D_p, D_q> conj(c) off one n^2 x n^2 Gram; (f) U_z J = J conj(U_conj(z))
+is evaluated only where its terms Q_A J and J conj(Q_B) are nonzero, Q_A the
+(class, right block) pieces of U_z.  Gram axioms (c), (d), (f) hold up to
+rounding, so each also reports the largest entry of T between sectors
+relative to the largest entry: what a form without modular covariance would
+show.  The jump bimodule's Gram over
 the same pairs is kron(T_B, diag(lam)) as well, so uniqueness compares T_B
 with the quotient's Gram of T and reads its rank by the same sector quotient
 and rank rule; no n^4 x n^4 matrix is formed on either side.
@@ -256,6 +263,28 @@ class GramSpace:
             out[..., idx, :] = b[..., 0, :, :] @ x[..., idx, :]
         return out
 
+    def _by_class(self, x, adjoint=False):
+        """The nonzero entries of Q_A x over the (class, right block) pairs A
+        of U_z = sum_A e^{i z alpha_A} Q_A, Q_A = kron(P_k, e_l e_l^T) and
+        alpha_A = nu_k - log lam_l, for x with quotient rows (of Q_A^* x with
+        ``adjoint``): (alpha_A, value, row, column) of each.  On a
+        single-class coordinate Q_A keeps or drops the row; a wide sector's
+        P_k mixes the rows of its coordinates."""
+        freq, single, wide = self._group
+        n = self.W.n
+        log_lam = np.log(self.W.eig.eigenvalues)
+        x = x.reshape(self.qmap.rank, n, -1)
+        coord = np.flatnonzero(single)
+        r, l, c = np.nonzero(x[coord])
+        r = coord[r]
+        parts = [(freq[r] - log_lam[l], x[r, l, c], r * n + l, c)]
+        for idx, nu, proj in wide:
+            p = proj[:, 0].conj().swapaxes(-1, -2) if adjoint else proj[:, 0]
+            y = np.einsum("kab,blc->kalc", p, x[idx])
+            k, r, l, c = np.nonzero(y)
+            parts.append((nu[k] - log_lam[l], y[k, r, l, c], idx[r] * n + l, c))
+        return [np.concatenate(t) for t in zip(*parts)]
+
     def op_group(self, z):
         """U_z = kron(U_T(z), diag(lam)^{-iz}), U_T(z) from its sector
         blocks.  An array of z gives the stack of U_z."""
@@ -284,14 +313,20 @@ class GramSpace:
 
 def _sparse(images):
     """The nonzero entries of a sequence of equally shaped arrays, grouped by
-    flat position: (array index, value) of each entry in position order, the
-    distinct positions, and where each position's entries start."""
+    flat position as ``_by_position`` gives them, with the array index of
+    each entry."""
     parts = []
     for k, img in enumerate(images):
         img = img.ravel()
         pos = np.flatnonzero(img)
         parts.append((np.full(pos.size, k), pos, img[pos]))
-    index, pos, val = (np.concatenate(x) for x in zip(*parts))
+    return _by_position(*(np.concatenate(x) for x in zip(*parts)))
+
+
+def _by_position(index, pos, val):
+    """Entries (index, flat position, value) grouped by position: the index
+    and value of each entry in position order, the distinct positions, and
+    where each position's entries start."""
     order = np.argsort(pos, kind="stable")
     positions, starts = np.unique(pos[order], return_index=True)
     return index[order], val[order], positions, starts
@@ -418,12 +453,16 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     L_T(a) and of the n x n rho(a) (R descends in closed form, so its half of
     (a) measures rounding only).  diag(lam)^{-iz} meets (c), (d) and (e) to
     rounding, so these are the residuals of U_T and L_T.  J joins the right
-    blocks: (b) and (f) apply the factors to it.  (c), (d) and (f) can fail
-    only through rounding or entries of T between sectors; each also
-    reports that relative off-sector magnitude.
+    blocks, and (b) and (f) form no rank x rank matrix per sample: (b) is
+    conjugate-linear in a, so |J L(a) - R(Ja) J| is read off the Gram of its
+    n^2 values on the eigenbasis units (``_conj_defect_gram``), and (f) is
+    evaluated on the nonzero entries of U_z J - J conj(U_conj(z)) only
+    (``_conj_group_terms``).  (c), (d) and (f) can fail only through
+    rounding or entries of T between sectors; each also reports that
+    relative off-sector magnitude.
 
     Each sample draws a, z, z2; all are drawn first, then evaluated in blocks
-    of samples (``sampling.sample_blocks``) as stacks of quotient matrices.
+    of samples (``sampling.sample_blocks``) as stacks of T-level matrices.
     """
     rng = np.random.default_rng(seed)
     n = g.W.n
@@ -434,12 +473,10 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     a, z, z2 = draw_samples(rng, n_samples, partial(random_matrix, n),
                             random_disk_point, random_disk_point)
     jq = g.op_conj()
-    rt = g.qmap.rank
-    # J with its columns (r, l) taken in the order (l, r), so that (b) is two
-    # batched products: jq conj(L(a)) with L(a) = kron(L_T(a), 1), and R(Ja) jq
-    jq_lr = np.ascontiguousarray(jq.reshape(g.rank, rt, n).swapaxes(1, 2))
-    # a stack holds one complex rank x rank matrix per sample
-    for block in sample_blocks(n_samples, 16 * g.rank ** 2):
+    defect = _conj_defect_gram(g, jq)
+    freq, first, val, starts = _conj_group_terms(g, jq)
+    # a sample holds rt x rt stacks of L_T and U_T, and one value per (f) term
+    for block in sample_blocks(n_samples, 16 * (g.qmap.rank ** 2 + val.size)):
         ab, zb, z2b = a[block], z[block], z2[block]
         lt = g._op_left_t(ab)
         norm_l = _spectral(lt)
@@ -450,12 +487,12 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
         opn_r = _spectral(g.W.h_isqrt @ ab @ g.W.h_sqrt)
         res["a"] = worst(res["a"], (norm_l - opn_l) / opn_l,
                          (_spectral(g._right_factor(ab)) - opn_r) / opn_r)
-        # (b) J L(a) = R(Ja) J  (J antilinear: J L(a) y = jq conj(la) conj(y))
-        jl = jq_lr @ lt.conj()[..., None, :, :]
-        rja = g._right_factor(td.conj_J(ab))
-        rj = rja[..., None, :, :] @ jq_lr.reshape(rt, n, -1)
-        diff = (jl - rj.reshape(jl.shape)).reshape(jl.shape[:-2] + (-1,))
-        res["b"] = worst(res["b"], _frob(diff) / np.maximum(norm_l, 1e-300))
+        # (b) J L(a) = R(Ja) J: with a = sum_p c_p F_p the defect is
+        # sum_p conj(c_p) D_p, of squared norm c^T M conj(c)
+        c = _coeff(g._rotate(ab))
+        sq = np.einsum("...p,pq,...q->...", c, defect, c.conj()).real
+        res["b"] = worst(res["b"], np.sqrt(np.maximum(sq, 0.0))
+                         / np.maximum(norm_l, 1e-300))
         # (c) group law, on the sector blocks of U_T (GramSpace._group_blocks)
         uz, uzz = g._group_blocks(zb), g._group_blocks(zb + z2b)
         res["c"] = worst(res["c"], _frob_blocks(
@@ -470,15 +507,84 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
         rhs = g._op_left_t(td.modular_group(zb, ab))
         lhs = g._group_apply(g._group_blocks(-zb), g._group_apply(uz, lt), right=True)
         res["e"] = worst(res["e"], _frob(lhs - rhs) / np.maximum(_frob(rhs), 1e-300))
-        # (f) U_z J = J U_{conj(z)}  (compose with conjugation correctly;
-        # conj(lam^{-i conj(z)}) = lam^{iz})
-        uzj = g._group_apply(uz, jq, z=zb)
-        ucz = [u.conj() for u in g._group_blocks(np.conj(zb))]
-        jucz = g._group_apply(ucz, jq, right=True, z=-zb)
-        res["f"] = worst(res["f"], _frob(uzj - jucz) / np.maximum(_frob(uzj), 1e-300))
+        # (f) U_z J = J conj(U_{conj(z)}), on the terms e^{i z freq} val
+        terms = np.exp(1j * np.multiply.outer(zb, freq)) * val
+        uzj = np.add.reduceat(terms * first, starts, axis=-1)
+        diff = np.add.reduceat(terms, starts, axis=-1)
+        res["f"] = worst(res["f"], np.linalg.norm(diff, axis=-1)
+                         / np.maximum(np.linalg.norm(uzj, axis=-1), 1e-300))
     for k in "cdf":
         res[k] = max(res[k], g.off_sector)
     return res
+
+
+def _pairs(a, b):
+    """The index pairs (i, j) with a[i] == b[j], for integer labels."""
+    order = np.argsort(b, kind="stable")
+    lo, hi = (np.searchsorted(b[order], a, side) for side in ("left", "right"))
+    count = hi - lo
+    i = np.repeat(np.arange(a.size), count)
+    j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(i.size)]
+    return i, j
+
+
+def _conj_defect_gram(g: GramSpace, jq):
+    """M[p, q] = <D_p, D_q> for the defects D_p = jq conj(L(F_p)) - R(J F_p) jq
+    of axiom (b) on the n^2 eigenbasis units F_p.
+
+    Both terms are sparse: L(F_p) = kron(L_T(F_p), 1) from the images, and
+    rho(J F_ij) = E_ij, so R(J F_ij) jq moves the rows (x, j) of jq to (x, i).
+    Each D_p is formed entry by entry as the difference of the two terms (so
+    that its rounding-level values keep their size), then M accumulates over
+    chunks of D's nonzero positions in row order, each held as a dense
+    (n^2, chunk) array within ``sampling._BLOCK_BYTES``.
+    """
+    n, rank, rt = g.W.n, g.rank, g.qmap.rank
+    row, col = np.nonzero(jq)
+    val = jq[row, col]
+    image, img_val, img_pos, img_start = g._images
+    r, s = np.divmod(np.repeat(img_pos, np.diff(np.append(img_start, image.size))), rt)
+    # jq conj(L(F_p)): entry (row, (r, m)) of jq meets entry (r, s) of L_T(F_p)
+    i, j = _pairs(col // n, r)
+    unit = [image[j]]
+    pos = [row[i] * rank + s[j] * n + col[i] % n]
+    term = [val[i] * img_val[j].conj()]
+    # - R(J F_kl) jq: entry ((x, l), c) of jq goes to ((x, k), c) of D_kl
+    for k in range(n):
+        unit.append(k * n + row % n)
+        pos.append((row - row % n + k) * rank + col)
+        term.append(-val)
+    unit, term, positions, starts = _by_position(
+        *(np.concatenate(x) for x in (unit, pos, term)))
+    where = np.repeat(np.arange(positions.size), np.diff(np.append(starts, unit.size)))
+    m = np.zeros((n * n, n * n), dtype=np.complex128)
+    for chunk in sample_blocks(positions.size, 16 * n * n):
+        lo, hi = np.searchsorted(where, (chunk.start, chunk.stop))
+        d = np.zeros((n * n, chunk.stop - chunk.start), dtype=np.complex128)
+        np.add.at(d, (unit[lo:hi], where[lo:hi] - chunk.start), term[lo:hi])
+        m += d.conj() @ d.T
+    return m
+
+
+def _conj_group_terms(g: GramSpace, jq):
+    """The nonzero terms of axiom (f)'s
+      U_z jq - jq conj(U_conj(z)) = sum_A e^{i z alpha_A} Q_A jq
+                                    - sum_B e^{-i z alpha_B} jq conj(Q_B)
+    over the (class, right block) pairs of U_z = sum_A e^{i z alpha_A} Q_A
+    (``GramSpace._by_class``): the frequency of each term (alpha_A, or
+    -alpha_B), whether it is one of U_z jq, its value, and where the terms of
+    each flat position start, in position order.  Between single-class
+    coordinates the positions are those of jq's own nonzero entries.
+    """
+    alpha, val, row, col = g._by_class(jq)
+    # (jq conj(Q_B))^T = Q_B^* jq^T
+    beta, val_t, col_t, row_t = g._by_class(jq.T, adjoint=True)
+    freq = np.concatenate([alpha, -beta])
+    first = np.arange(freq.size) < alpha.size
+    index, val, _, starts = _by_position(
+        np.arange(freq.size), np.concatenate([row, row_t]) * g.rank
+        + np.concatenate([col, col_t]), np.concatenate([val, -val_t]))
+    return freq[index], first[index], val, starts
 
 
 def _spectral(x):

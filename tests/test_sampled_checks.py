@@ -9,7 +9,7 @@ every residual within rounding of the loop's.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qms import bimodule, reconstruct, sampling, suites
@@ -288,6 +288,7 @@ GRAM_SYSTEMS = {
     "near-degenerate-n3": lambda: spectrum_system((1, 1 + 1e-9, 2), 90),
     "tracial-n3": lambda: spectrum_system((1, 1, 1), 91),
 }
+GRAM_CASES = {**SYSTEMS, **GRAM_SYSTEMS, "n5-m10": lambda: jump_system(5, 10, 7)}
 
 
 # --- the batched checks against the references -----------------------------------
@@ -344,21 +345,48 @@ def test_suites_match_reference(case, drawn):
 
 
 @pytest.mark.parametrize("case", ["n2-m0", "n2-m3", "n3-m6", "n4-m8",
-                                  *GRAM_SYSTEMS])
-def test_gram_axioms_check_matches_reference(case, drawn):
-    g = build_gram_space(form_of({**SYSTEMS, **GRAM_SYSTEMS}[case]()))
+                                  *GRAM_SYSTEMS, "n5-m10"])
+def test_gram_axioms_check_matches_reference(case, drawn, monkeypatch):
+    g = build_gram_space(form_of(GRAM_CASES[case]()), allow_large=True)
     if case.startswith("near-degenerate"):
         assert not g._group[1].any()
     if case.startswith("tracial"):
         assert g.bohr.size == 1
-    # twenty samples span more than one block at every rank here
-    want, per_sample = ref_gram_axioms_check(g, n_samples=20, seed=37)
-    got = gram_axioms_check(g, n_samples=20, seed=37)
-    if g.rank:
-        assert len(sampling.sample_blocks(20, 16 * g.rank ** 2)) > 1
+    # at a small block size every case spans several sample blocks, and
+    # several chunks of the (b) defect Gram over D's nonzero positions
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", 1 << 12)
+    blocks = []
+
+    def spy(count, sample_bytes):
+        out = sampling.sample_blocks(count, sample_bytes)
+        blocks.append((sample_bytes, len(out)))
+        return out
+
+    monkeypatch.setattr(reconstruct, "sample_blocks", spy)
+    samples = 4 if case == "n5-m10" else 20
+    want, per_sample = ref_gram_axioms_check(g, n_samples=samples, seed=37)
+    got = gram_axioms_check(g, n_samples=samples, seed=37)
     assert_residuals_agree(got, want)
     if g.rank:
+        (defect_bytes, chunks), (_, sample_blocks) = blocks
+        assert defect_bytes == 16 * g.W.n ** 2
+        assert chunks > 1 and sample_blocks > 1
         assert_same_draws(drawn[0], per_sample)
+
+
+@pytest.mark.parametrize("case", ["n3-m6", "near-degenerate-n3"])
+def test_gram_axioms_check_sees_conj_off_support(case, monkeypatch):
+    """An entry added to J where it vanishes is not skipped as a known zero:
+    (b) and (f) read the large residuals of the dense reference."""
+    g = build_gram_space(form_of(GRAM_CASES[case]()))
+    jq = g.op_conj()
+    bad = jq.copy()
+    bad[tuple(np.argwhere(jq == 0)[0])] = 0.5
+    monkeypatch.setattr(g, "op_conj", lambda: bad)
+    want = ref_gram_axioms_check(g, n_samples=20, seed=37)[0]
+    got = gram_axioms_check(g, n_samples=20, seed=37)
+    assert_residuals_agree(got, want)
+    assert got["b"] > 1e-2 and got["f"] > 1e-2
 
 
 def ref_op_group(g, z):
@@ -377,7 +405,7 @@ def ref_op_group(g, z):
 
 @pytest.mark.parametrize("case", ["n2-m3", "n3-m6", "n4-m8", *GRAM_SYSTEMS])
 def test_op_group_matches_projections(case):
-    g = build_gram_space(form_of({**SYSTEMS, **GRAM_SYSTEMS}[case]()))
+    g = build_gram_space(form_of(GRAM_CASES[case]()))
     rng = np.random.default_rng(43)
     z = np.array([[random_disk_point(rng) for _ in range(3)] for _ in range(2)])
     got, want = g.op_group(z), ref_op_group(g, z)
@@ -425,3 +453,27 @@ def test_batched_checks_match_reference_on_random_systems(n, seed):
     for k in range(len(a)):
         np.testing.assert_allclose(got[k], ref_carre_du_champ(form, a[k], a[k]),
                                    rtol=1e-12, atol=1e-14)
+
+
+@st.composite
+def clustered_spectra(draw):
+    """A spectrum of n = 2 or 3 eigenvalues, each the one before times
+    1 + gap, gap 0 (a repeated eigenvalue), log-uniform in [1e-9, 1e-3],
+    or 1; and a seed for the eigenbasis and the jumps."""
+    n = draw(st.sampled_from([2, 3]))
+    gap = st.one_of(st.just(0.0), st.just(1.0),
+                    st.floats(-9.0, -3.0).map(lambda e: 10.0 ** e))
+    gaps = draw(st.lists(gap, min_size=n - 1, max_size=n - 1))
+    return np.cumprod([1.0] + [1.0 + x for x in gaps]), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=10)
+@example(case=(np.array([1.0, 1.0 + 1e-9, 2.0]), 90))
+@given(case=clustered_spectra())
+def test_gram_axioms_check_matches_reference_on_clustered_spectra(case):
+    """Over repeated and close eigenvalues, where sectors hold several Bohr
+    classes, the check reads the reference's residuals."""
+    spectrum, seed = case
+    g = build_gram_space(form_of(spectrum_system(spectrum, seed)))
+    want = ref_gram_axioms_check(g, n_samples=8, seed=seed % 1000)[0]
+    assert_residuals_agree(gram_axioms_check(g, n_samples=8, seed=seed % 1000), want)
