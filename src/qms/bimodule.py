@@ -224,8 +224,10 @@ class FinBimodule:
         mat = partial(random_matrix, self.n)
         samples = draw_samples(rng, n_vectors, mat, mat, mat, mat,
                                random_disk_point, mat, random_disk_point)
-        # a stack holds one complex vector of m n x n components per sample
-        for block in sample_blocks(n_vectors, 16 * self.m * self.n ** 2):
+        # a sample holds the three n^4-wide coefficient rows of its ``conj``
+        # call and four vectors of m n x n components
+        n2 = self.n ** 2
+        for block in sample_blocks(n_vectors, 16 * (3 * n2 ** 2 + 4 * self.m * n2)):
             self._axioms_block(res, *(x[block] for x in samples))
         return res
 

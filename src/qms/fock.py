@@ -118,12 +118,6 @@ class TruncatedFock:
         v[: self.dims[0]] = self.W.coords(np.eye(self.W.n))
         return v
 
-    def inject(self, layer, vec):
-        out = np.zeros(self.D, dtype=np.complex128)
-        o = self.offsets[layer]
-        out[o : o + self.dims[layer]] = vec
-        return out
-
     def layer_block(self, full_vec, layer):
         o = self.offsets[layer]
         return full_vec[o : o + self.dims[layer]]
@@ -357,7 +351,6 @@ class ScalarFock(TruncatedFock):
         # commutation V_t I = I V_t  <=>  I conj(A) conj(I) = A^{-1}
         self.commutation_residual = float(np.linalg.norm(
             imat @ a.conj() @ imat.conj() - np.linalg.inv(a)))
-        self._conj_i = imat
         super().__init__(WeightedAlgebra(np.eye(1)), d,
                          imat @ self._power(-0.5).conj(),
                          imat @ self._power(0.5).conj(), d_max, tol)
@@ -373,19 +366,6 @@ class ScalarFock(TruncatedFock):
             if k:
                 vk = np.kron(vk, v)
             out[o:o + dk, o:o + dk] = vk
-        return out
-
-    def conj_j(self):
-        """Antiunitary part of J: apply as conj_j() @ conj(vec)."""
-        out = np.zeros((self.D, self.D), dtype=np.complex128)
-        ik = np.eye(1, dtype=np.complex128)
-        for k, (o, dk) in enumerate(zip(self.offsets, self.dims)):
-            if k:
-                ik = np.kron(ik, self._conj_i)
-            # tensor reversal e_{i1..ik} -> e_{ik..i1}: reverse the digit axes
-            rev = np.eye(dk).reshape((self.m,) * k + (dk,)).transpose(
-                list(range(k))[::-1] + [k]).reshape(dk, dk)
-            out[o:o + dk, o:o + dk] = ik @ rev
         return out
 
     def _levels(self):

@@ -168,10 +168,12 @@ class Superoperator:
         return cls(n=a.shape[0], matrix=_kron_action(a, b))
 
     def apply(self, x):
-        x = as_cmatrix(x)
-        if x.shape != (self.n, self.n):
-            raise DimensionMismatch(f"expected {self.n}x{self.n}, got {x.shape}")
-        return unvec(self.matrix @ vec(x), self.n)
+        """S(x), of each matrix of a stack (..., n, n) as one product with
+        the matrix."""
+        x = as_cstack(x)
+        if x.shape[-2:] != (self.n, self.n):
+            raise DimensionMismatch(f"expected {self.n}x{self.n} matrices, got {x.shape}")
+        return np.swapaxes((vec(x) @ self.matrix.T).reshape(x.shape), -1, -2)
 
     def __call__(self, x):
         return self.apply(x)

@@ -19,8 +19,14 @@ __all__ = ["random_unitary", "random_density", "random_weighted_algebra",
 
 # The sampled checks evaluate their samples in blocks whose stacks take at
 # most this many bytes each, so that their working set does not grow with
-# the sample count (one sample a block at least)
-_BLOCK_BYTES = 1 << 15
+# the sample count (one sample a block at least).  Each check counts the
+# complex entries one sample holds at once, at 16 bytes each:
+# ``gram_axioms_check`` the rt x rt stacks of L_T and U_T plus one value per
+# axiom (f) term (rt = rank / n), its (b) defect Gram n^2 per nonzero
+# position of D, and ``FinBimodule.axioms_check`` the three n^4-wide ``conj``
+# coefficient rows plus four m n^2 bimodule vectors.  At n = 4 a Gram
+# sample takes ~17 KB, so a block holds ~15 of them; at n = 8 ~270 KB, one.
+_BLOCK_BYTES = 1 << 18
 
 
 def random_unitary(n, rng):

@@ -111,6 +111,35 @@ class TestVec:
         assert np.array_equal(unvec(vec(x), 3), x)
 
 
+class TestSuperoperatorApply:
+    @staticmethod
+    def random_map(n, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+        return Superoperator.from_matrix(m), rng
+
+    def test_matrix_is_vec_convention(self):
+        s, rng = self.random_map(3, 9)
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        np.testing.assert_array_equal(s.apply(x), unvec(s.matrix @ vec(x), 3))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)])
+    def test_stack_matches_single_calls(self, shape):
+        s, rng = self.random_map(3, 10)
+        x = rng.standard_normal(shape + (3, 3)) + 1j * rng.standard_normal(shape + (3, 3))
+        got = s.apply(x)
+        assert got.shape == x.shape
+        for k in np.ndindex(shape):
+            want = s.apply(x[k])
+            assert np.linalg.norm(got[k] - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (4, 3, 2), (3,)])
+    def test_rejects_wrong_size(self, shape):
+        s, _ = self.random_map(3, 11)
+        with pytest.raises(DimensionMismatch):
+            s.apply(np.zeros(shape))
+
+
 class TestChoi:
     def test_identity_superoperator(self):
         c = choi(Superoperator.identity(2))

@@ -17,10 +17,11 @@ from qms.bimodule import (BimoduleVector, Derivation, FinBimodule,
                           carre_du_champ)
 from qms.config import DEFAULT_TOL
 from qms.errors import NotInGeneratedSpan
-from qms.lindblad import JumpSystem, build_generator, dirichlet_form
+from qms.lindblad import JumpSystem, build_generator, dirichlet_form, semigroup
 from qms.modular import TomitaData, WeightedAlgebra
 from qms.numkernel import matrix_units
-from qms.reconstruct import build_gram_space, gram_axioms_check, gram_entry
+from qms.reconstruct import (boundary_pairing, build_gram_space,
+                             gram_axioms_check, gram_entry, stinespring_rate)
 from qms.sampling import (random_disk_point, random_jump_system, random_matrix,
                           random_unitary, random_weighted_algebra)
 from qms.suites import Scenario, ScenarioData, run_suite
@@ -209,6 +210,27 @@ def ref_triple_agreement(form, bim, gram):
     return {"triple/form_vs_bimodule": d_form_bim,
             "triple/form_vs_gram": d_form_gram,
             "triple/bimodule_vs_gram": d_bim_gram}
+
+
+def ref_stinespring_rate(l, w, form, ts=(1e-1, 1e-2, 1e-3)):
+    """One matrix unit at a time, through the single-matrix calls."""
+    units = matrix_units(w.n)
+    devs = []
+    route_gap = 0.0
+    for t in ts:
+        p_t = semigroup(l, t)
+        worst = 0.0
+        for a in units:
+            direct = (w.inner(a - p_t.apply(a), a) / t).real
+            via_pairing = (w.state(boundary_pairing(p_t, a, a)) / t).real
+            route_gap = max(route_gap, abs(direct - via_pairing))
+            worst = max(worst, abs(direct - form(a, a).real))
+        devs.append(worst)
+    lt = np.log(np.asarray(ts))
+    ld = np.log(np.maximum(np.asarray(devs), 1e-300))
+    slope = float(np.polyfit(lt, ld, 1)[0])
+    return {"ts": list(ts), "deviations": devs, "slope": slope,
+            "route_gap": route_gap}
 
 
 # --- helpers ------------------------------------------------------------------
@@ -411,6 +433,62 @@ def test_op_group_matches_projections(case):
     got, want = g.op_group(z), ref_op_group(g, z)
     assert got.shape == want.shape == (2, 3, g.rank, g.rank)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["n2-m3", "n3-m6", "n5-m10"])
+def test_stinespring_rate_matches_reference(case):
+    system = GRAM_CASES[case]()
+    l = build_generator(system)
+    form = dirichlet_form(l, system.W)
+    got = stinespring_rate(l, system.W, form)
+    want = ref_stinespring_rate(l, system.W, form)
+    assert got["ts"] == want["ts"]
+    for g, v in zip(got["deviations"] + [got["route_gap"]],
+                    want["deviations"] + [want["route_gap"]]):
+        assert abs(g - v) <= 1e-13 * abs(v)
+    assert abs(got["slope"] - want["slope"]) <= 1e-12
+
+
+def spy_blocks(module, monkeypatch):
+    """The slices every ``sample_blocks`` call of ``module`` returns."""
+    record = []
+
+    def spy(count, sample_bytes):
+        out = sampling.sample_blocks(count, sample_bytes)
+        record.append(out)
+        return out
+
+    monkeypatch.setattr(module, "sample_blocks", spy)
+    return record
+
+
+def test_gram_axioms_check_blocks_at_default_budget(monkeypatch):
+    """At n = 4, m = 8 a default block holds several samples, and the
+    residuals are those of one-sample blocks."""
+    g = build_gram_space(form_of(GRAM_CASES["n4-m8"]()))
+    blocks = spy_blocks(reconstruct, monkeypatch)
+    got = gram_axioms_check(g, n_samples=60)
+    samples = blocks[-1]
+    assert len(samples) > 1 and all(b.stop - b.start >= 8 for b in samples[:-1])
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", 1 << 12)
+    want = gram_axioms_check(g, n_samples=60)
+    assert len(blocks[-1]) == 60
+    for k, v in want.items():
+        assert abs(got[k] - v) <= 1e-13 * abs(v), (k, got[k], v)
+
+
+def test_axioms_check_blocks_at_default_budget(monkeypatch):
+    """At n = 3, m = 6 the residuals of default blocks are those of
+    one-sample blocks."""
+    b = FinBimodule(SYSTEMS["n3-m6"](), validate=False)
+    blocks = spy_blocks(bimodule, monkeypatch)
+    got = b.axioms_check()
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", 1 << 12)
+    want = b.axioms_check()
+    default, small = blocks
+    assert len(small) == 200 and len(default) < len(small)
+    for k, v in want.items():
+        assert abs(got[k] - v) <= 1e-13 * abs(v), (k, got[k], v)
 
 
 def test_stacked_conj_raises_like_the_loop():
