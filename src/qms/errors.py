@@ -99,7 +99,7 @@ class RankUndecided(QMSError):
 
 
 class SizeLimitExceeded(QMSError):
-    """The scenario is larger than a stage accepts by default."""
+    """A stage would hold over ``sampling._STAGE_BYTES`` at its peak."""
 
 
 class NotFixedPoint(QMSError):

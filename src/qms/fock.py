@@ -36,27 +36,24 @@ import numpy as np
 
 from .bimodule import FinBimodule
 from .config import DEFAULT_TOL
-from .errors import NotFixedPoint, NotPositiveDefinite, SizeLimitExceeded
+from .errors import NotFixedPoint, NotPositiveDefinite
 from .modular import WeightedAlgebra
 from .numkernel import as_cmatrix, herm_eig, mat_power
+from .sampling import check_stage_bytes
 
 __all__ = ["TruncatedFock", "fock_build", "ScalarFock", "free_aw"]
 
 
-# bytes one array of the scalar model may take
-_MAX_SCALAR_FOCK_BYTES = 1 << 27
-# bytes a TruncatedFock check may hold at its peak
-_MAX_FOCK_CHECK_BYTES = 1 << 28
 # bytes of the column block in which the commutant check forms t(s[:, :K])
 _COMMUTANT_BLOCK_BYTES = 1 << 23
 
 
 def _scalar_fock_bytes(d, depth):
-    """Bytes of the largest complex arrays of the scalar model over C^d: the
-    D x D matrices with D = 1 + d + ... + d^depth, and delta of a top-layer
-    vector, (2d)^depth entries."""
+    """Bytes of two of the largest complex arrays of the scalar model over
+    C^d (the free-AW suite holds two D x D ones at once, D = 1 + d + ... +
+    d^depth; delta of a top-layer vector has (2d)^depth entries)."""
     dim = sum(d ** k for k in range(depth + 1))
-    return 16 * max(dim * dim, (2 * d) ** depth)
+    return 32 * max(dim * dim, (2 * d) ** depth)
 
 
 class TruncatedFock:
@@ -218,14 +215,6 @@ class TruncatedFock:
 
     # -- checks ----------------------------------------------------------------
 
-    def _check_budget(self, nbytes, what):
-        if nbytes > _MAX_FOCK_CHECK_BYTES:
-            raise SizeLimitExceeded(
-                f"{what} on the Fock space of {self.m} copies of "
-                f"L2(M_{self.W.n}) at depth {self.d_max} needs "
-                f"{nbytes / 2 ** 20:.0f} MiB at its peak; the limit is "
-                f"{_MAX_FOCK_CHECK_BYTES / 2 ** 20:.0f} MiB")
-
     def commutant_check(self, xi, eta):
         """||[s(xi), t(eta)] P|| / (||s(xi) P|| ||t(eta) P||) with P the
         projection onto the safe zone; S0 xi = xi and F0 eta = eta must hold
@@ -247,8 +236,8 @@ class TruncatedFock:
         k = int(self.offsets[safe + 1])
         mid = int(self.offsets[min(safe + 1, self._top) + 1])
         rows = int(self.offsets[min(safe + 2, self._top) + 1])
-        self._check_budget(16 * k * (2 * rows + (len(xis) + len(etas)) * mid),
-                           "the commutant check")
+        check_stage_bytes(16 * k * (2 * rows + (len(xis) + len(etas)) * mid),
+                          f"the commutant check at Fock dimension {self.D}")
         gate = self.tol.axiom
         for vecs, a, what in ((xis, self._a_s, "xi is not S0-fixed"),
                               (etas, self._a_f, "eta is not F0-fixed")):
@@ -289,7 +278,7 @@ class TruncatedFock:
         """
         rows = int(self.offsets[min(1, self._top) + 1])
         # the image of Omega, the expected vector and their difference
-        self._check_budget(3 * 16 * rows, "the vacuum identities")
+        check_stage_bytes(48 * rows, f"the vacuum identities at Fock dimension {self.D}")
         omega = self.W.coords(np.eye(self.W.n)).reshape(-1, 1)
         worst_x = 0.0
         for x in xs:
@@ -333,12 +322,8 @@ class ScalarFock(TruncatedFock):
     """
 
     def __init__(self, a_matrix, conj_i=None, d_max=4, tol=DEFAULT_TOL):
-        need = _scalar_fock_bytes(len(a_matrix), int(d_max))
-        if need > _MAX_SCALAR_FOCK_BYTES:
-            raise SizeLimitExceeded(
-                f"free Araki-Woods model over C^{len(a_matrix)} at depth {d_max} "
-                f"needs {need / 2 ** 20:.0f} MiB for one array; the "
-                f"limit is {_MAX_SCALAR_FOCK_BYTES / 2 ** 20:.0f} MiB")
+        check_stage_bytes(_scalar_fock_bytes(len(a_matrix), int(d_max)),
+                          f"the free Araki-Woods model at depth {d_max}")
         a = as_cmatrix(a_matrix)
         eig = herm_eig(a, tol)
         if eig.eigenvalues[0] <= 0:

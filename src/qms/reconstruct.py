@@ -65,13 +65,13 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (GramNotPSD, NotGNSSymmetric, NotPSD, NotUCP,
-                     RankUndecided, SizeLimitExceeded)
+                     RankUndecided)
 from .lindblad import DirichletForm, semigroup
 from .modular import TomitaData, WeightedAlgebra, bohr_classes
 from .numkernel import (HermEig, Superoperator, as_cmatrix, as_cstack, choi,
                         cluster, frob, herm_eig, matrix_units, quotient)
-from .sampling import (draw_samples, random_disk_point, random_matrix,
-                       sample_blocks, worst)
+from .sampling import (check_stage_bytes, draw_samples, random_disk_point,
+                       random_matrix, sample_blocks, worst)
 
 __all__ = [
     "GramSpace",
@@ -85,7 +85,8 @@ __all__ = [
     "stinespring_rate",
 ]
 
-_MAX_DEFAULT_DIM = 4
+# numpy's iteration buffers and small objects a Gram stage holds beyond its arrays
+_SMALL_BYTES = 1 << 19
 # Rounding mixes the eigenvectors of eigenvalues of h closer than
 # _EIG_GAP * lam_max by about eps / _EIG_GAP: such eigenvalues form one group
 _EIG_GAP = 1e-4
@@ -381,14 +382,12 @@ def _sectors(lam):
 def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
                      tol=DEFAULT_TOL, allow_large=False) -> GramSpace:
     """Assemble the n^3 x n^3 factor T of the Gram over the eigenbasis pairs
-    and quotient it one Bohr-frequency sector at a time."""
+    and quotient it one sector at a time; ``allow_large`` skips its count."""
     w = w if w is not None else form.W
     n = w.n
-    if n > _MAX_DEFAULT_DIM and not allow_large:
-        raise SizeLimitExceeded(
-            f"n = {n} exceeds the default spanning-set limit {_MAX_DEFAULT_DIM}; "
-            "pass allow_large=True to override"
-        )
+    # 7 n^6 entries: T, |T|, eigenvectors by sector and sorted, the quotient's 3
+    if not allow_large:
+        check_stage_bytes(16 * 7 * n ** 6 + _SMALL_BYTES, f"the Gram T at n = {n}")
     # f[ij, kl] = E(E_ij, E_kl), from the form in vec coordinates
     to_coords = np.kron(w.h_sqrt.T, np.eye(n))
     f = to_coords.conj().T @ form.matrix @ to_coords
@@ -470,6 +469,8 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     res = {k: 0.0 for k in "abcdef"}
     if g.rank == 0:
         return res
+    # 3 rank x rank arrays: J, the second einsum's term and its product (op_conj)
+    check_stage_bytes(48 * g.rank ** 2 + _SMALL_BYTES, f"the Gram J at rank {g.rank}")
     a, z, z2 = draw_samples(rng, n_samples, partial(random_matrix, n),
                             random_disk_point, random_disk_point)
     jq = g.op_conj()
@@ -616,6 +617,9 @@ def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
     rank is read by the rule of the Gram route (``_quotient_sectors``).
     """
     n = g.W.n
+    # 4 m n^4 entries of delta images, then 8 n^6: T_B, embed* embed, T_B's quotient
+    check_stage_bytes(16 * (8 * n ** 6 + 4 * bimodule.m * n ** 4) + _SMALL_BYTES,
+                      f"the factor T_B at n = {n}, m = {bimodule.m}")
     lam, u = g.W.eig.eigenvalues, g.W.eig.eigenvectors
     # rows (p, x), columns (ij, k): (u* delta_p(F_ij) u)[x, k]
     d = g._rotate(bimodule.delta(u @ matrix_units(n) @ u.conj().T).comps)

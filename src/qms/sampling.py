@@ -10,12 +10,13 @@ allow, up to unitary gauge inside degenerate weight blocks.
 
 import numpy as np
 
+from .errors import SizeLimitExceeded
 from .lindblad import JumpSystem
 from .modular import WeightedAlgebra
 
 __all__ = ["random_unitary", "random_density", "random_weighted_algebra",
            "random_jump_system", "random_matrix", "random_disk_point",
-           "draw_samples", "sample_blocks", "worst"]
+           "draw_samples", "sample_blocks", "check_stage_bytes", "worst"]
 
 # The sampled checks evaluate their samples in blocks whose stacks take at
 # most this many bytes each, so that their working set does not grow with
@@ -27,6 +28,9 @@ __all__ = ["random_unitary", "random_density", "random_weighted_algebra",
 # coefficient rows plus four m n^2 bimodule vectors.  At n = 4 a Gram
 # sample takes ~17 KB, so a block holds ~15 of them; at n = 8 ~270 KB, one.
 _BLOCK_BYTES = 1 << 18
+
+# The bytes any stage may hold at its peak (``check_stage_bytes``)
+_STAGE_BYTES = 1 << 28
 
 
 def random_unitary(n, rng):
@@ -75,6 +79,13 @@ def sample_blocks(count, sample_bytes):
     ``sample_bytes`` per sample."""
     size = max(1, _BLOCK_BYTES // sample_bytes)
     return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+def check_stage_bytes(nbytes, what):
+    """Refuse ``what`` if the ``nbytes`` it would hold exceed ``_STAGE_BYTES``."""
+    if nbytes > _STAGE_BYTES:
+        raise SizeLimitExceeded(f"{what} would hold {nbytes / 2 ** 20:.1f} MiB at its "
+                                f"peak; the limit is {_STAGE_BYTES / 2 ** 20:.1f} MiB")
 
 
 def worst(*residuals):

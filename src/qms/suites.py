@@ -10,7 +10,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .bimodule import BimoduleVector, Derivation, FinBimodule, carre_du_champ
+from .bimodule import Derivation, FinBimodule, carre_du_champ
 from .errors import NotGNSSymmetric, QMSError
 from .fock import fock_build, free_aw
 from .lindblad import (JumpSystem, _extract_certified, build_generator, certify,
@@ -118,8 +118,8 @@ def suite_triple_agreement(sc, seed):
     units = matrix_units(sc.W.n)
     # pairing matrices [p, q] over the unit pairs (E_p, E_q)
     e_form = form(units[:, None], units[None, :])
-    d_bim = bim.delta(units).comps
-    e_bim = bim.inner(BimoduleVector(d_bim[:, None]), BimoduleVector(d_bim[None, :]))
+    c_bim = bim.coords(bim.delta(units))
+    e_bim = c_bim.conj() @ c_bim.T
     d_gram = gram.delta(units)
     e_gram = d_gram.conj() @ d_gram.T
     return [

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import qms.sampling
 from qms.cli import main
 
 LOG2 = float(np.log(2.0))
@@ -182,8 +183,11 @@ class TestRunCommand:
         ("triple-agreement", 2), ("uniqueness", 2), ("gram-axioms", 2),
         ("certify-generator", 0),
     ])
-    def test_size_limit_is_scenario_error(self, tmp_path, capsys, suite, code):
-        """n = 5 is above the default Gram size limit: exit 2, not 3."""
+    def test_size_limit_is_scenario_error(self, tmp_path, capsys, monkeypatch,
+                                          suite, code):
+        """An n = 5 scenario passes under the default stage limit; with the
+        limit at 1 MiB each Gram suite is refused with exit 2 (``code``),
+        never 3, and a suite without a counted stage still passes."""
         from qms.sampling import random_jump_system, random_weighted_algebra
         rng = np.random.default_rng(77)
         w = random_weighted_algebra(5, rng)
@@ -193,8 +197,12 @@ class TestRunCommand:
         scenario["source"] = {"jumps": [{"matrix": mat_json(v), "omega": om}
                                         for v, om in system.jumps]}
         path = write_scenario(tmp_path, scenario)
+        assert main(["run", path]) == 0
+        assert "SizeLimitExceeded" not in capsys.readouterr().err
+        monkeypatch.setattr(qms.sampling, "_STAGE_BYTES", 1 << 20)
         assert main(["run", path]) == code
-        assert ("SizeLimitExceeded" in capsys.readouterr().err) == (code == 2)
+        assert ("scenario error: SizeLimitExceeded" in capsys.readouterr().err) \
+            == (code == 2)
 
     def test_missing_file_parse_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2

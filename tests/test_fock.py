@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import qms.fock
+import qms.sampling
 from qms.bimodule import FinBimodule
 from qms.config import DEFAULT_TOL
 from qms.errors import NotFixedPoint, SizeLimitExceeded
@@ -309,7 +310,7 @@ class TestTruncatedFock:
         """A budget that holds the peak of one pair does not hold that of
         a 3 x 3 grid, whose six images of s and t are all kept."""
         k, mid, rows = (int(fock3.offsets[i]) for i in (2, 3, 4))
-        monkeypatch.setattr(qms.fock, "_MAX_FOCK_CHECK_BYTES",
+        monkeypatch.setattr(qms.sampling, "_STAGE_BYTES",
                             16 * k * (2 * rows + 2 * mid))
         xis, etas = (v[:3] for v in fock3.fixed_vectors())
         assert fock3.commutant_check(xis[0], etas[0]) <= 1e-9
@@ -467,7 +468,7 @@ class TestTruncatedFock:
             raise AssertionError("allocated before the size check")
 
         k, rows = int(fock3.offsets[2]), int(fock3.offsets[4])
-        monkeypatch.setattr(qms.fock, "_MAX_FOCK_CHECK_BYTES", 16 * rows * k)
+        monkeypatch.setattr(qms.sampling, "_STAGE_BYTES", 16 * rows * k)
         for name in ("_apply", "_creator"):
             monkeypatch.setattr(TruncatedFock, name, refuse)
         zero = np.zeros(fock3.dims[1], dtype=complex)
@@ -480,7 +481,7 @@ class TestTruncatedFock:
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the size check")
 
-        monkeypatch.setattr(qms.fock, "_MAX_FOCK_CHECK_BYTES",
+        monkeypatch.setattr(qms.sampling, "_STAGE_BYTES",
                             16 * fock3.offsets[2] - 1)
         for name in ("_apply", "_creator", "_left"):
             monkeypatch.setattr(TruncatedFock, name, refuse)
@@ -501,13 +502,28 @@ class TestScalarFock:
         with pytest.raises(SizeLimitExceeded):
             free_aw(np.eye(d), d_max=depth)
 
+    def test_size_limit_admits_old_set(self):
+        """The model admits exactly the (d, depth) whose largest array,
+        16 max(D^2, (2d)^depth) bytes, fits 128 MiB: counting two such arrays
+        against the stage limit changes no admission."""
+        for d in range(1, 9):
+            for depth in range(13):
+                dim = sum(d ** k for k in range(depth + 1))
+                admitted = 16 * max(dim * dim, (2 * d) ** depth) <= 1 << 27
+                try:
+                    free_aw(np.eye(d), d_max=depth)
+                except SizeLimitExceeded:
+                    assert not admitted, (d, depth)
+                else:
+                    assert admitted, (d, depth)
+
     @pytest.mark.parametrize("d, depth",
                              [(2, 6), (3, 5), (4, 4), (1, 8), (2, 8)])
     def test_size_limit_admits(self, d, depth):
         """Within budget, the model builds and delta, the energy and the
         OU semigroup run on its top layer."""
         assert qms.fock._scalar_fock_bytes(d, depth) <= \
-            qms.fock._MAX_SCALAR_FOCK_BYTES
+            qms.sampling._STAGE_BYTES
         f = free_aw(np.eye(d), d_max=depth)
         xi = np.ones(f.D, dtype=complex)
         top = f.layer_block(xi, depth)

@@ -3,6 +3,7 @@ form, the representing vector."""
 
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,16 +12,18 @@ from hypothesis import strategies as st
 
 import qms.numkernel
 import qms.reconstruct
+import qms.sampling
 from qms.bimodule import FinBimodule
 from qms.cli import main
 from qms.config import DEFAULT_TOL
-from qms.errors import GramNotPSD, RankUndecided
+from qms.errors import GramNotPSD, RankUndecided, SizeLimitExceeded
 from qms.lindblad import (DirichletForm, JumpSystem, build_generator,
                           dirichlet_form, extract_alicki)
 from qms.modular import TomitaData, WeightedAlgebra
 from qms.numkernel import (HermEig, Superoperator, herm_eig, matrix_units,
                            null_quotient)
 from qms.reconstruct import (
+    GramSpace,
     boundary_pairing,
     build_gram_space,
     gram_axioms_check,
@@ -34,7 +37,8 @@ from qms.sampling import (random_disk_point, random_jump_system, random_matrix,
 
 from conftest import depolarizing_generator, matrix_unit
 from test_cli import base_scenario, mat_json, write_scenario
-from test_sampled_checks import jump_system, ref_gram_axioms_check
+from test_sampled_checks import (GRAM_SYSTEMS, form_of, jump_system,
+                                 ref_gram_axioms_check)
 
 
 @pytest.fixture
@@ -451,7 +455,7 @@ def captured_gram(form):
         mp.setattr(qms.reconstruct, "_gram",
                    lambda *args: grams.append(gram(*args)) or grams[-1])
         try:
-            g = build_gram_space(form, allow_large=True)
+            g = build_gram_space(form)
         except GramNotPSD:
             g = None
     return g, grams[0]
@@ -490,9 +494,9 @@ class TestRightBlocks:
             # keeps 16, 32, 33 and 45 coordinates at n = 4)
             assert qms.reconstruct._sectors(form.W.eig.eigenvalues)[2].max() == 0
             with pytest.raises(RankUndecided):
-                build_gram_space(form, allow_large=True)
+                build_gram_space(form)
             return
-        g = build_gram_space(form, allow_large=True)
+        g = build_gram_space(form)
         assert g.rank == n * g.qmap.rank
         support = g.qmap.embed != 0
         assert not np.any(support & (g.sector != g.coord_sector[:, None]))
@@ -615,13 +619,104 @@ class TestFactors:
         monkeypatch.setattr(qms.reconstruct, "herm_eig", spy)
         tracemalloc.start()
         try:
-            g = build_gram_space(form, allow_large=True)
+            g = build_gram_space(form)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert g.rank == 10 * 25
         assert peak < 16 * 625 ** 2
         assert max(sides) <= 125
+
+
+def traced_peak(fn):
+    """fn() and the most bytes tracemalloc saw held during the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# m = n and m = 2n (at most n^2 - 1 jumps exist), a T of full rank at n = 4,
+# and the sector cases of the sampled checks
+BUDGET_SYSTEMS = {
+    **{f"n{n}-m{m}": partial(jump_system, n, m, 110 + n)
+       for n in range(2, 7) for m in sorted({n, min(2 * n, n * n - 1)})},
+    "n4-m15": partial(jump_system, 4, 15, 117),
+    **GRAM_SYSTEMS,
+}
+
+
+def stage_counts(monkeypatch):
+    """The byte counts the Gram stages pass to ``check_stage_bytes``, in call
+    order."""
+    counts, check = [], qms.reconstruct.check_stage_bytes
+    monkeypatch.setattr(qms.reconstruct, "check_stage_bytes",
+                        lambda nbytes, what: counts.append(nbytes)
+                        or check(nbytes, what))
+    return counts
+
+
+class TestStageBudget:
+    """Each Gram stage counts its arrays before it allocates them and is
+    refused above ``sampling._STAGE_BYTES``."""
+
+    @staticmethod
+    def stages(system):
+        """The three counted stages: build the space, check uniqueness, and
+        the Gram axioms, whose count is that of ``GramSpace.op_conj``."""
+        form = form_of(system)
+        g = build_gram_space(form)
+        bim = FinBimodule(system, validate=False)
+        return g, {"gram": lambda: build_gram_space(form),
+                   "uniqueness": lambda: uniqueness_isometry(g, bim),
+                   "gram-axioms": lambda: gram_axioms_check(g, n_samples=1)}
+
+    @pytest.mark.parametrize("case", sorted(BUDGET_SYSTEMS))
+    def test_count_bounds_peak(self, case, monkeypatch):
+        g, stages = self.stages(BUDGET_SYSTEMS[case]())
+        counts = stage_counts(monkeypatch)
+        for name, run in stages.items():
+            if name == "gram-axioms":
+                run()
+                run = g.op_conj
+            peak = traced_peak(run)[1]
+            assert peak <= counts[-1], name
+        assert len(counts) == 3
+
+    @pytest.mark.parametrize("stage", ["gram", "uniqueness", "gram-axioms"])
+    def test_refused_before_allocating(self, stage, monkeypatch):
+        """One byte below its count a stage raises the named size error
+        before it assembles T, T_B or J; at its count it runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        g, stages = self.stages(jump_system(3, 6, 5))
+        run = stages[stage]
+        with monkeypatch.context() as mp:
+            counts = stage_counts(mp)
+            run()
+        (count,) = counts
+        with monkeypatch.context() as mp:
+            mp.setattr(qms.sampling, "_STAGE_BYTES", count - 1)
+            mp.setattr(qms.reconstruct, "_gram", refuse)
+            mp.setattr(GramSpace, "op_conj", refuse)
+            mp.setattr(FinBimodule, "delta", refuse)
+            with pytest.raises(SizeLimitExceeded, match="at its peak"):
+                run()
+        monkeypatch.setattr(qms.sampling, "_STAGE_BYTES", count)
+        run()
+
+    def test_default_limit_admits_n8(self, monkeypatch):
+        """Under the default limit every Gram stage runs at n = 8, m = 16
+        (rank 1024)."""
+        counts = stage_counts(monkeypatch)
+        g, stages = self.stages(jump_system(8, 16, 118))
+        assert g.rank == 1024
+        for run in stages.values():
+            run()
+        assert len(counts) == 4
 
 
 EXP_SEEDS = [88, 90, 91, 92]

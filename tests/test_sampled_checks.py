@@ -369,7 +369,7 @@ def test_suites_match_reference(case, drawn):
 @pytest.mark.parametrize("case", ["n2-m0", "n2-m3", "n3-m6", "n4-m8",
                                   *GRAM_SYSTEMS, "n5-m10"])
 def test_gram_axioms_check_matches_reference(case, drawn, monkeypatch):
-    g = build_gram_space(form_of(GRAM_CASES[case]()), allow_large=True)
+    g = build_gram_space(form_of(GRAM_CASES[case]()))
     if case.startswith("near-degenerate"):
         assert not g._group[1].any()
     if case.startswith("tracial"):

@@ -15,6 +15,8 @@ with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
   (h = I/n, a repeated eigenvalue, a geometric spectrum 1, 2, 4, ..., the
   equally spaced spectrum exp(-3k) of condition number up to 8e3) in a
   random eigenbasis, with a jumps and a generator source;
+* the three Gram suites at n = 5, m = 10 and n = 6, m = 12 with a jumps
+  source, sizes the stage byte limit admits;
 * ``alicki-validate`` and ``gram-axioms`` on a generator source over a
   near-degenerate spectrum (1, 1 + g, 2), g = 1e-9 and 1e-8, in a random
   eigenbasis.  The density read back from the file differs from the one the
@@ -61,6 +63,8 @@ DEGENERATE_SPECTRA = {
     "equally-spaced": lambda n: [math.exp(-3.0 * k) for k in range(n)],
 }
 DEGENERATE_SEED = 21
+LARGE_SIZES = ((5, 10), (6, 12))
+LARGE_SEED = 23
 NEAR_DEGENERATE_GAPS = (1e-9, 1e-8)
 NEAR_DEGENERATE_SUITES = ("alicki-validate", "gram-axioms")
 NEAR_DEGENERATE_SEED = 22
@@ -125,6 +129,11 @@ def write_cases(workdir):
                 name = f"degenerate-{spectrum}-n{n}-{source}"
                 specs.append((name, "cli", _spectrum_scenario(
                     name, lams(n), source, rng)))
+    rng = np.random.default_rng(LARGE_SEED)
+    for n, m in LARGE_SIZES:
+        name = f"large-gram-n{n}-m{m}-jumps"
+        specs.append((name, "cli", workloads._scenario(
+            name, n, m, "jumps", GRAM_SUITES, rng)))
     rng = np.random.default_rng(NEAR_DEGENERATE_SEED)
     for gap in NEAR_DEGENERATE_GAPS:
         name = f"near-degenerate-{gap:g}-n3-generator"
