@@ -85,10 +85,6 @@ class NotInGeneratedSpan(QMSError):
         )
 
 
-class NotInvariantVector(QMSError):
-    """Vector is not fixed by the bimodule group and conjugation."""
-
-
 class GramNotPSD(QMSError):
     """Reconstruction Gram matrix failed the PSD gate."""
 

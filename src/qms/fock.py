@@ -119,11 +119,6 @@ class TruncatedFock:
         o = self.offsets[layer]
         return full_vec[o : o + self.dims[layer]]
 
-    def safe_projector(self, max_layer):
-        p = np.zeros(self.D)
-        p[: self.offsets[max_layer + 1]] = 1.0
-        return np.diag(p)
-
     # -- operators, applied layer block by layer block ------------------------
     #
     # A column stack holds the coordinates of layers 0..L of some vectors:
@@ -209,10 +204,6 @@ class TruncatedFock:
         """b(xi): appends xi on the right; layer k -> k + 1."""
         return self._raising(self._creator(xi, right=True)[0])
 
-    def t_op(self, xi):
-        b = self.b_creation(xi)
-        return b + b.conj().T
-
     # -- checks ----------------------------------------------------------------
 
     def commutant_check(self, xi, eta):
@@ -260,15 +251,6 @@ class TruncatedFock:
                 comm[:, c:c + step] -= self._apply(t_ops[j], s_cols[i][:, c:c + step])
             out[i, j] = np.linalg.norm(comm, 2) / max(s_norm[i] * t_norm[j], 1e-300)
         return out.reshape(xi.shape[:-1] + eta.shape[:-1])[()]
-
-    def vacuum_expectation(self, x_mat):
-        """E(X) = I* X I in M (layer-0 block projected onto left
-        multiplications) and the weight phi_hat(X) = phi(E(X))."""
-        n = self.W.n
-        x00 = x_mat[: self.dims[0], : self.dims[0]]
-        blocks = x00.reshape(n, n, n, n)
-        e = np.einsum("ikil->kl", blocks) / n
-        return e, complex(np.trace(e @ self.W.h))
 
     def lambda_identities(self, xs, xis):
         """Residuals of pi_l(x) Omega = x phi^{1/2} and s(xi) Omega = xi.

@@ -178,15 +178,6 @@ class GeneratorReport:
     modular_commuting: bool
     residuals: dict
 
-    @property
-    def all_pass(self):
-        return (
-            self.gns_symmetric
-            and self.markov_unital
-            and self.cp_semigroup
-            and self.modular_commuting
-        )
-
 
 def certify(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL,
             ts=(0.05, 0.5, 2.0)) -> GeneratorReport:

@@ -35,6 +35,7 @@ __all__ = [
     "null_quotient",
     "matrix_units",
     "frob",
+    "spectral_norm",
     "as_cmatrix",
     "as_cstack",
 ]
@@ -62,6 +63,14 @@ def as_cstack(x):
 
 def frob(x):
     return float(np.linalg.norm(x))
+
+
+def spectral_norm(x):
+    """Largest singular value of each matrix of a stack: the root of the
+    largest eigenvalue of the smaller of x x* and x* x."""
+    x_adj = np.swapaxes(x, -1, -2).conj()
+    gram = x_adj @ x if x.shape[-1] <= x.shape[-2] else x @ x_adj
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def matrix_units(n):

@@ -69,9 +69,10 @@ from .errors import (GramNotPSD, NotGNSSymmetric, NotPSD, NotUCP,
 from .lindblad import DirichletForm, semigroup
 from .modular import TomitaData, WeightedAlgebra, bohr_classes
 from .numkernel import (HermEig, Superoperator, as_cmatrix, as_cstack, choi,
-                        cluster, frob, herm_eig, matrix_units, quotient)
-from .sampling import (check_stage_bytes, draw_samples, random_disk_point,
-                       random_matrix, sample_blocks, worst)
+                        cluster, frob, herm_eig, matrix_units, quotient,
+                        spectral_norm)
+from .sampling import (_SMALL_BYTES, DISK, check_stage_bytes, draw_samples,
+                       matrices, sample_blocks, worst)
 
 __all__ = [
     "GramSpace",
@@ -85,8 +86,6 @@ __all__ = [
     "stinespring_rate",
 ]
 
-# numpy's iteration buffers and small objects a Gram stage holds beyond its arrays
-_SMALL_BYTES = 1 << 19
 # Rounding mixes the eigenvectors of eigenvalues of h closer than
 # _EIG_GAP * lam_max by about eps / _EIG_GAP: such eigenvalues form one group
 _EIG_GAP = 1e-4
@@ -155,9 +154,6 @@ class GramSpace:
     def delta(self, a):
         return self.embed_pair(a, np.eye(self.W.n))
 
-    def inner(self, x, y):
-        return complex(np.vdot(x, y))
-
     # -- operators on the quotient ---------------------------------------------
 
     def _mult_map(self):
@@ -224,19 +220,6 @@ class GramSpace:
         """u* a u of each matrix of a stack: a over the eigenbasis units F_p."""
         u = self.W.eig.eigenvectors
         return u.conj().T @ as_cstack(a) @ u
-
-    def op_left(self, a):
-        """Matrix of L(a) = kron(L_T(a), 1) on quotient coordinates; a stack
-        of them for a stack (..., n, n) of a."""
-        lt = self._op_left_t(a)
-        out = np.einsum("...ij,kl->...ikjl", lt, np.eye(self.W.n))
-        return out.reshape(lt.shape[:-2] + (self.rank, self.rank))
-
-    def op_right(self, a):
-        """Matrix of R(a) = kron(1, rho(a)) on quotient coordinates."""
-        rho = self._right_factor(a)
-        out = np.einsum("ij,...kl->...ikjl", np.eye(self.qmap.rank), rho)
-        return out.reshape(rho.shape[:-2] + (self.rank, self.rank))
 
     def _group_blocks(self, z):
         """The diagonal blocks of U_T(z): the phases (..., rt, 1, 1), zero on
@@ -471,8 +454,7 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
         return res
     # 3 rank x rank arrays: J, the second einsum's term and its product (op_conj)
     check_stage_bytes(48 * g.rank ** 2 + _SMALL_BYTES, f"the Gram J at rank {g.rank}")
-    a, z, z2 = draw_samples(rng, n_samples, partial(random_matrix, n),
-                            random_disk_point, random_disk_point)
+    a, z, z2 = draw_samples(rng, n_samples, matrices(n), DISK, DISK)
     jq = g.op_conj()
     defect = _conj_defect_gram(g, jq)
     freq, first, val, starts = _conj_group_terms(g, jq)
@@ -480,14 +462,14 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     for block in sample_blocks(n_samples, 16 * (g.qmap.rank ** 2 + val.size)):
         ab, zb, z2b = a[block], z[block], z2[block]
         lt = g._op_left_t(ab)
-        norm_l = _spectral(lt)
+        norm_l = spectral_norm(lt)
 
         # (a) boundedness: |L(a)| <= |pi_l(a)| = |a|,
         # |R(a)| <= |pi_r(a)| = |h^{-1/2} a h^{1/2}|
-        opn_l = _spectral(ab)
-        opn_r = _spectral(g.W.h_isqrt @ ab @ g.W.h_sqrt)
+        opn_l = spectral_norm(ab)
+        opn_r = spectral_norm(g.W.h_isqrt @ ab @ g.W.h_sqrt)
         res["a"] = worst(res["a"], (norm_l - opn_l) / opn_l,
-                         (_spectral(g._right_factor(ab)) - opn_r) / opn_r)
+                         (spectral_norm(g._right_factor(ab)) - opn_r) / opn_r)
         # (b) J L(a) = R(Ja) J: with a = sum_p c_p F_p the defect is
         # sum_p conj(c_p) D_p, of squared norm c^T M conj(c)
         c = _coeff(g._rotate(ab))
@@ -588,11 +570,6 @@ def _conj_group_terms(g: GramSpace, jq):
     return freq[index], first[index], val, starts
 
 
-def _spectral(x):
-    """Spectral norm of each matrix of a stack."""
-    return np.linalg.norm(x, 2, axis=(-2, -1))
-
-
 def _frob(x):
     """Frobenius norm of each matrix of a stack."""
     return np.linalg.norm(x, axis=(-2, -1))
@@ -620,15 +597,13 @@ def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
     # 4 m n^4 entries of delta images, then 8 n^6: T_B, embed* embed, T_B's quotient
     check_stage_bytes(16 * (8 * n ** 6 + 4 * bimodule.m * n ** 4) + _SMALL_BYTES,
                       f"the factor T_B at n = {n}, m = {bimodule.m}")
-    lam, u = g.W.eig.eigenvalues, g.W.eig.eigenvectors
     # rows (p, x), columns (ij, k): (u* delta_p(F_ij) u)[x, k]
-    d = g._rotate(bimodule.delta(u @ matrix_units(n) @ u.conj().T).comps)
-    d = d.transpose(1, 2, 0, 3).reshape(-1, n ** 3)
+    d = bimodule.span_block
     t_b = d.conj().T @ d
     gram_t = g.qmap.embed.conj().T @ g.qmap.embed
     max_resid = float(np.abs(t_b - gram_t).max())
     scale = max(np.abs(t_b).max(), np.abs(gram_t).max(), 1e-300)
-    rank_b = n * _quotient_sectors(t_b, g.sector, lam, tol)[0].rank
+    rank_b = n * _quotient_sectors(t_b, g.sector, g.W.eig.eigenvalues, tol)[0].rank
     return {
         "max_residual": max_resid,
         "relative_residual": max_resid / scale,

@@ -6,7 +6,15 @@ omega = log(lambda_b / lambda_a), off-diagonal units come in adjoint pairs
 with opposite weights, and Hermitian traceless diagonal jumps carry
 omega = 0.  This produces every valid configuration the four conditions
 allow, up to unitary gauge inside degenerate weight blocks.
+
+The sampled checks draw by spec: a ``Draw`` names a generator method, the
+values one sample takes of it and their map to the sample's value.
+``draw_samples`` takes each run of draws of one kind in one generator call
+per sample, bit for bit as scalar calls such as ``random_matrix`` would.
 """
+
+from collections import namedtuple
+from itertools import groupby, product
 
 import numpy as np
 
@@ -15,22 +23,21 @@ from .lindblad import JumpSystem
 from .modular import WeightedAlgebra
 
 __all__ = ["random_unitary", "random_density", "random_weighted_algebra",
-           "random_jump_system", "random_matrix", "random_disk_point",
-           "draw_samples", "sample_blocks", "check_stage_bytes", "worst"]
+           "random_jump_system", "random_matrix", "Draw", "matrices", "DISK",
+           "SQUARE", "draw_samples", "sample_blocks", "check_stage_bytes", "worst"]
 
 # The sampled checks evaluate their samples in blocks whose stacks take at
 # most this many bytes each, so that their working set does not grow with
 # the sample count (one sample a block at least).  Each check counts the
-# complex entries one sample holds at once, at 16 bytes each:
-# ``gram_axioms_check`` the rt x rt stacks of L_T and U_T plus one value per
-# axiom (f) term (rt = rank / n), its (b) defect Gram n^2 per nonzero
-# position of D, and ``FinBimodule.axioms_check`` the three n^4-wide ``conj``
-# coefficient rows plus four m n^2 bimodule vectors.  At n = 4 a Gram
-# sample takes ~17 KB, so a block holds ~15 of them; at n = 8 ~270 KB, one.
+# complex entries one sample holds at once, at 16 bytes each: at n = 4 a
+# ``gram_axioms_check`` sample takes ~17 KB, so a block holds ~15 of them;
+# at n = 8 ~270 KB, one.
 _BLOCK_BYTES = 1 << 18
 
-# The bytes any stage may hold at its peak (``check_stage_bytes``)
+# The bytes any stage may hold at its peak (``check_stage_bytes``), and
+# numpy's iteration buffers and small objects a stage holds beyond its arrays
 _STAGE_BYTES = 1 << 28
+_SMALL_BYTES = 1 << 19
 
 
 def random_unitary(n, rng):
@@ -56,22 +63,50 @@ def random_matrix(n, rng, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
-def random_disk_point(rng):
-    """A point of the closed unit disk, uniform in area."""
-    r = np.sqrt(rng.uniform())
-    return r * np.exp(2j * np.pi * rng.uniform())
+# kind = (name, *args) of the generator method; make maps (..., size) to (...)
+Draw = namedtuple("Draw", "kind size make")
+
+
+def matrices(n, scale=1.0):
+    """The draw of ``random_matrix(n, rng, scale)``."""
+    return Draw(("standard_normal",), 2 * n * n, lambda x: scale * (
+        x[..., :n * n] + 1j * x[..., n * n:]).reshape(x.shape[:-1] + (n, n)))
+
+
+# a point of the closed unit disk, uniform in area
+DISK = Draw(("uniform", 0.0, 1.0), 2,
+            lambda u: np.sqrt(u[..., 0]) * np.exp(2j * np.pi * u[..., 1]))
+# uniform(-1, 1) + 1j uniform(-1, 1): the square [-1, 1]^2 of the plane
+SQUARE = Draw(("uniform", -1.0, 1.0), 2, lambda u: u[..., 0] + 1j * u[..., 1])
 
 
 def draw_samples(rng, count, *draws):
-    """``count`` samples, each one call of every ``draws[k](rng)`` in order,
-    as one array per draw with a leading sample axis.
+    """``count`` samples, each one value of every ``Draw`` in ``draws`` in
+    order, as one array per draw with a leading sample axis.
 
-    The generator is called sample by sample, exactly as a loop that draws
-    each sample's values before the next sample would call it, so the
-    stacked values are bit-identical to that loop's.
+    Consecutive draws of one kind form a run, which a sample takes from the
+    generator in one call; if a sample is a single run, one call takes all
+    samples.  The generator fills an array one value at a time, as repeated
+    scalar calls would, so the values are bit-identical to those of a loop
+    that draws each sample's values before the next sample's.
     """
-    samples = [[draw(rng) for draw in draws] for _ in range(count)]
-    return [np.array(values) for values in zip(*samples)]
+    def call(kind, size):
+        return getattr(rng, kind[0])(*kind[1:], size=size)
+
+    runs = [list(run) for _, run in groupby(draws, key=lambda d: d.kind)]
+    sizes = [sum(d.size for d in run) for run in runs]
+    if len(runs) == 1:
+        values = [call(runs[0][0].kind, (count, sizes[0]))]
+    else:
+        values = [np.empty((count, size)) for size in sizes]
+        for i, (run, v) in product(range(count), zip(runs, values)):
+            v[i] = call(run[0].kind, v.shape[1])
+    out = []
+    for run, v in zip(runs, values):
+        ends = np.cumsum([d.size for d in run])
+        out.extend(d.make(v[:, end - d.size:end]) for d, end in zip(run, ends))
+    return out
+
 
 
 def sample_blocks(count, sample_bytes):

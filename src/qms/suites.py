@@ -6,7 +6,7 @@ scenario and seed.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .modular import WeightedAlgebra
 from .numkernel import Superoperator, matrix_units
 from .reconstruct import (build_gram_space, gram_axioms_check,
                           stinespring_rate, uniqueness_isometry)
-from .sampling import draw_samples, random_matrix, worst
+from .sampling import draw_samples, matrices, random_matrix, worst
 
 __all__ = ["ScenarioData", "Scenario", "SUITES", "run_suite", "suite_names"]
 
@@ -164,10 +164,10 @@ def suite_carre_positivity(sc, seed):
     sc.certified()
     w, form, bim = sc.W, sc.form, sc.bimodule
     rng = np.random.default_rng(seed)
-    (a,) = draw_samples(rng, 100, partial(random_matrix, w.n))
+    (a,) = draw_samples(rng, 100, matrices(w.n))
     g = carre_du_champ(form, a, a)
     worst_neg = worst(0.0, -np.linalg.eigvals(g).real.min(axis=-1))
-    da = bim.delta(a).comps
+    da = bim.to_standard(bim.delta(a))
     direct = w.h_sqrt @ np.einsum("sjrk,sjrl->skl", da.conj(), da) @ w.h_isqrt
     worst_cons = worst(0.0, np.linalg.norm(g - direct, axis=(-2, -1))
                        / np.maximum(np.linalg.norm(direct, axis=(-2, -1)), 1e-300))

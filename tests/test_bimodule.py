@@ -2,21 +2,53 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qms.bimodule import (
-    BimoduleVector,
-    Derivation,
-    FinBimodule,
-    carre_du_champ,
-    inner_derivation_generator,
-)
-from qms.errors import NotInvariantVector
+import qms.bimodule
+import qms.sampling
+
+from qms.bimodule import BimoduleVector, Derivation, FinBimodule, carre_du_champ
+from qms.config import DEFAULT_TOL
+from qms.errors import SizeLimitExceeded
 from qms.lindblad import JumpSystem, build_generator, dirichlet_form
-from qms.modular import TomitaData
-from qms.numkernel import frob
-from qms.sampling import random_jump_system, random_matrix, random_weighted_algebra
+from qms.modular import TomitaData, WeightedAlgebra
+from qms.numkernel import Superoperator, frob
+from qms.sampling import (random_jump_system, random_matrix, random_unitary,
+                          random_weighted_algebra)
+from qms.suites import Scenario, ScenarioData, run_suite
 
 from conftest import E11, E12, E21, SX
+from test_reconstruct import traced_peak
+from test_sampled_checks import clustered_spectra, form_of, jump_system
+
+
+class NotInvariantVector(Exception):
+    """Vector is not fixed by the bimodule group and conjugation."""
+
+
+def inner_derivation_generator(b, xi, tol=DEFAULT_TOL):
+    """L_xi(x) = (xi|xi) x + x (xi|xi) - 2 (xi| x xi) for an invariant vector.
+
+    (xi|eta) = sum_j xi_j* eta_j is the algebra-valued pairing, read off the
+    standard-basis components.  The vector must be fixed by the modular
+    group and by the conjugation.
+    """
+    nrm = max(b.norm(xi), 1e-300)
+    for t in (0.5, 1.0):
+        if b.norm(b.mod_group(t, xi) - xi) > tol.axiom * nrm:
+            raise NotInvariantVector(f"U_{t} xi != xi")
+    if b.m > 0 and b.norm(b.conj_ambient(xi) - xi) > tol.axiom * nrm:
+        raise NotInvariantVector("conj xi != xi")
+    n = b.n
+    eye = np.eye(n, dtype=np.complex128)
+    q = np.zeros((n, n), dtype=np.complex128)
+    total = Superoperator.zero(n)
+    for c in b.to_standard(xi):
+        q += c.conj().T @ c
+        total = total - 2.0 * Superoperator.left_right(c.conj().T, c)
+    total = total + Superoperator.left_right(q, eye) + Superoperator.left_right(eye, q)
+    return total
 
 
 @pytest.fixture
@@ -135,12 +167,12 @@ class TestDerivation:
     def test_unit_oracle(self, qubit_system):
         """delta(E11) on the reference pair, frozen from the commutators."""
         b = FinBimodule(qubit_system)
-        da = b.delta(E11)
+        da = b.to_standard(b.delta(E11))
         np.testing.assert_allclose(
-            da.comps[0], 1j * 2.0 ** (-0.25) * E21, atol=1e-13
+            da[0], 1j * 2.0 ** (-0.25) * E21, atol=1e-13
         )
         np.testing.assert_allclose(
-            da.comps[1], -1j * 2.0 ** (0.25) * E12, atol=1e-13
+            da[1], -1j * 2.0 ** (0.25) * E12, atol=1e-13
         )
 
     def test_product_rule(self, bim):
@@ -174,7 +206,7 @@ class TestDerivation:
                 for _ in range(2))
 
         def std(a):
-            return b.delta(a[:, 0]).comps @ w.h_sqrt
+            return b.to_standard(b.delta(a[:, 0])) @ w.h_sqrt
 
         lhs = std(x @ y)
 
@@ -214,7 +246,7 @@ class TestAxioms:
 
 class TestInnerDerivationGenerator:
     def test_zero_vector(self, bim):
-        l = inner_derivation_generator(bim, bim.zero())
+        l = inner_derivation_generator(bim, BimoduleVector(np.zeros((bim.m, 2, 2))))
         assert frob(l.matrix) == 0.0
 
     def test_sigma_x_oracle(self, w_tracial):
@@ -222,7 +254,7 @@ class TestInnerDerivationGenerator:
             W=w_tracial, jumps=[(SX / np.sqrt(2.0), 0.0)], pairing=[0]
         )
         b = FinBimodule(system)
-        xi = BimoduleVector(np.array([SX / np.sqrt(2.0)]))
+        xi = b.from_standard(np.array([SX / np.sqrt(2.0)]))
         l = inner_derivation_generator(b, xi)
         np.testing.assert_allclose(
             l.matrix, build_generator(system).matrix, atol=1e-12
@@ -233,7 +265,7 @@ class TestInnerDerivationGenerator:
         comps = np.array([
             np.exp(-om / 4.0) * v for v, om in qubit_system3.jumps
         ])
-        xi = BimoduleVector(comps)
+        xi = b.from_standard(comps)
         l = inner_derivation_generator(b, xi)
         want = build_generator(qubit_system3)
         assert frob(l.matrix - want.matrix) <= 1e-9 * frob(want.matrix)
@@ -266,9 +298,9 @@ class TestCarreDuChamp:
         rng = np.random.default_rng(46)
         for _ in range(20):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            da = b.delta(a)
+            da = b.to_standard(b.delta(a))
             direct = w.h_sqrt @ sum(
-                da.comps[j].conj().T @ da.comps[j] for j in range(b.m)
+                da[j].conj().T @ da[j] for j in range(b.m)
             ) @ w.h_isqrt
             got = carre_du_champ(form, a, a)
             assert frob(got - direct) < 1e-9 * max(frob(direct), 1.0)
@@ -287,3 +319,113 @@ class TestCarreDuChamp:
             rhs = 0.5 * (form(a, bb @ c) + form(a @ c_flat, bb)
                          - form(c_flat, td.sharp(a) @ bb))
             assert abs(lhs - rhs) < 1e-10 * max(abs(rhs), 1.0)
+
+
+def _adjoint(x):
+    return np.swapaxes(x, -1, -2).conj()
+
+
+@settings(max_examples=10)
+@example(case=(np.ones(3), 0), m_max=0)
+@example(case=(np.ones(3), 1), m_max=6)
+@example(case=(np.array([1.0, 1.0, 2.0]), 2), m_max=6)
+@given(case=clustered_spectra(), m_max=st.integers(0, 6))
+def test_eigenbasis_maps_match_standard_formulas(case, m_max):
+    """Over tracial, repeated and clustered spectra, and with no jumps, the
+    eigenbasis forms of the structure maps read, in standard components,
+    the defining formulas: h^{iz} xi_j h^{-iz} e^{i omega_j z},
+    sum_j tr(xi_j* eta_j h), J(xi_{j*}), vec(xi_j h^{1/2}), the actions,
+    delta, and conj(delta(a)) = delta(J a)."""
+    spectrum, seed = case
+    rng = np.random.default_rng(seed)
+    n = spectrum.size
+    u = random_unitary(n, rng)
+    w = WeightedAlgebra((u * (spectrum / spectrum.sum())) @ u.conj().T)
+    system = random_jump_system(w, rng, m_max=min(m_max, 2 * n))
+    b = FinBimodule(system)
+    m = b.m
+    s, t = (rng.standard_normal((2, 4, m, n, n)) + 1j * rng.standard_normal((2, 4, m, n, n)))
+    a = np.array([random_matrix(n, rng) for _ in range(4)])
+    z = rng.uniform(-1, 1, 4) + 0.5j * rng.uniform(-1, 1, 4)
+    xi, eta = b.from_standard(s), b.from_standard(t)
+
+    def close(got, want, rel=1e-12):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= rel * max(np.abs(want).max(initial=0.0), 1.0)
+
+    close(b.to_standard(xi), s)
+    phase = np.exp(1j * np.multiply.outer(z, b.omegas))[..., None, None]
+    close(b.to_standard(b.mod_group(z, xi)),
+          phase * (w.power(1j * z)[:, None] @ s @ w.power(-1j * z)[:, None]))
+    close(b.inner(xi, eta), np.trace(_adjoint(s) @ t @ w.h, axis1=-2, axis2=-1).sum(-1))
+    close(b.to_standard(b.conj_ambient(xi)),
+          w.h_sqrt @ _adjoint(s[:, system.pairing]) @ w.h_isqrt)
+    close(b.coords(xi), np.swapaxes(s @ w.h_sqrt, -1, -2).reshape(4, -1))
+    close(b.to_standard(b.from_coords(b.coords(xi))), s)
+    close(b.to_standard(b.act_left(a, xi)), a[:, None] @ s)
+    close(b.to_standard(b.act_right(a, xi)), s @ a[:, None])
+    v = np.array([v for v, _ in system.jumps]).reshape(m, n, n)
+    weights = 1j * np.exp(-b.omegas / 4.0)[:, None, None]
+    close(b.to_standard(b.delta(a)), weights * (v @ a[:, None] - a[:, None] @ v))
+    close(b.to_standard(b.conj(b.delta(a))),
+          b.to_standard(b.delta(b.tomita.conj_J(a))), rel=1e-10)
+
+
+def _counts(monkeypatch):
+    """The byte counts the bimodule checks pass to ``check_stage_bytes``."""
+    counts, check = [], qms.bimodule.check_stage_bytes
+    monkeypatch.setattr(qms.bimodule, "check_stage_bytes",
+                        lambda nbytes, what: counts.append(nbytes) or check(nbytes, what))
+    return counts
+
+
+class TestStageBudget:
+    """``axioms_check`` and ``Derivation.check`` count what they hold before
+    they allocate, and are refused above ``sampling._STAGE_BYTES``."""
+
+    @staticmethod
+    def checks(system):
+        form = form_of(system)
+        return {"axioms": lambda b: b.axioms_check(n_vectors=60),
+                "derivation": lambda b: Derivation(b).check(form, n_samples=50)}
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 6), (3, 8), (4, 8),
+                                      (4, 15), (5, 10), (6, 12), (6, 35)])
+    def test_count_bounds_peak(self, n, m, monkeypatch):
+        system = jump_system(n, m, 110 + n)
+        counts = _counts(monkeypatch)
+        for name, run in self.checks(system).items():
+            b = FinBimodule(system, validate=False)
+            peak = traced_peak(lambda: run(b))[1]
+            assert peak <= counts[-1], name
+
+    @pytest.mark.parametrize("check", ["axioms", "derivation"])
+    def test_refused_before_allocating(self, check, monkeypatch):
+        """One byte below its count a check raises the named size error
+        before it forms any delta; at its count it runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        system = jump_system(3, 6, 5)
+        run = self.checks(system)[check]
+        with monkeypatch.context() as mp:
+            counts = _counts(mp)
+            run(FinBimodule(system, validate=False))
+        (count,) = counts
+        with monkeypatch.context() as mp:
+            mp.setattr(qms.sampling, "_STAGE_BYTES", count - 1)
+            mp.setattr(FinBimodule, "_delta", refuse)
+            with pytest.raises(SizeLimitExceeded, match="at its peak"):
+                run(FinBimodule(system, validate=False))
+        monkeypatch.setattr(qms.sampling, "_STAGE_BYTES", count)
+        run(FinBimodule(system, validate=False))
+
+    def test_default_limit_admits_n8(self, monkeypatch):
+        """Under the default limit the bimodule-axioms suite passes at
+        n = 8, m = 16; both counts grow with n and m, so every m = 2n run
+        up to n = 8 is admitted."""
+        system = jump_system(8, 16, 118)
+        counts = _counts(monkeypatch)
+        sc = Scenario(ScenarioData(W=system.W, system=system), DEFAULT_TOL)
+        assert all(c["pass"] for c in run_suite("bimodule-axioms", sc, 0))
+        assert len(counts) == 2 and max(counts) < qms.sampling._STAGE_BYTES

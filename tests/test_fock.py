@@ -57,12 +57,28 @@ def conj_j(f, conj_i):
     return out
 
 
+def safe_projector(f, max_layer):
+    """The projector onto layers 0..max_layer of a ``TruncatedFock``."""
+    p = np.zeros(f.D)
+    p[: f.offsets[max_layer + 1]] = 1.0
+    return np.diag(p)
+
+
+def vacuum_expectation(f, x_mat):
+    """E(X) = I* X I in M (layer-0 block projected onto left
+    multiplications) and the weight phi_hat(X) = phi(E(X))."""
+    n = f.W.n
+    blocks = x_mat[: f.dims[0], : f.dims[0]].reshape(n, n, n, n)
+    e = np.einsum("ikil->kl", blocks) / n
+    return e, complex(np.trace(e @ f.W.h))
+
+
 # Reference: the defining formulas of the M-valued inner product, on
 # coordinate vectors of the bimodule.
 
 def pairing(b, xi, eta):
     """(xi|eta) = sum_j xi_j* eta_j in M."""
-    x, y = b.from_coords(xi).comps, b.from_coords(eta).comps
+    x, y = b.to_standard(b.from_coords(xi)), b.to_standard(b.from_coords(eta))
     return np.einsum("jrk,jrl->kl", x.conj(), y)
 
 
@@ -117,7 +133,7 @@ def kron_pi_left(f, x):
 def kron_commutant(f, xi, eta):
     a, b = kron_creation(f, xi), kron_b_creation(f, eta)
     s, t = a + a.conj().T, b + b.conj().T
-    p = f.safe_projector(max(f.d_max - 2, 0))
+    p = safe_projector(f, max(f.d_max - 2, 0))
     resid = np.linalg.norm((s @ t - t @ s) @ p, 2)
     return resid / max(np.linalg.norm(s @ p, 2) * np.linalg.norm(t @ p, 2),
                        1e-300)
@@ -336,7 +352,7 @@ class TestTruncatedFock:
         assert loose.commutant_check(xi, eta) < 1e-5
 
     def test_vacuum_expectation_unital(self, fock3):
-        e, weight = fock3.vacuum_expectation(np.eye(fock3.D, dtype=complex))
+        e, weight = vacuum_expectation(fock3, np.eye(fock3.D, dtype=complex))
         np.testing.assert_allclose(e, np.eye(2), atol=1e-12)
         assert abs(weight - 1.0) < 1e-12
 
@@ -344,7 +360,7 @@ class TestTruncatedFock:
         rng = np.random.default_rng(69)
         xi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         s = fock3.s_op(xi)
-        e, _ = fock3.vacuum_expectation(s @ s)
+        e, _ = vacuum_expectation(fock3, s @ s)
         m = pairing(bim3, xi, xi)
         np.testing.assert_allclose(e, m, atol=1e-9 * max(np.linalg.norm(m), 1.0))
 

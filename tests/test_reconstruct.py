@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qms.numkernel
 import qms.reconstruct
 import qms.sampling
-from qms.bimodule import FinBimodule
+from qms.bimodule import BimoduleVector, FinBimodule
 from qms.cli import main
 from qms.config import DEFAULT_TOL
 from qms.errors import GramNotPSD, RankUndecided, SizeLimitExceeded
@@ -32,12 +32,13 @@ from qms.reconstruct import (
     stinespring_route,
     uniqueness_isometry,
 )
-from qms.sampling import (random_disk_point, random_jump_system, random_matrix,
-                          random_unitary, random_weighted_algebra)
+from qms.sampling import (random_jump_system, random_matrix, random_unitary,
+                          random_weighted_algebra)
 
 from conftest import depolarizing_generator, matrix_unit
 from test_cli import base_scenario, mat_json, write_scenario
-from test_sampled_checks import (GRAM_SYSTEMS, form_of, jump_system,
+from test_sampled_checks import (GRAM_SYSTEMS, form_of, jump_system, op_left,
+                                 op_right, random_disk_point,
                                  ref_gram_axioms_check)
 
 
@@ -502,11 +503,11 @@ class TestRightBlocks:
         assert not np.any(support & (g.sector != g.coord_sector[:, None]))
         rng = np.random.default_rng(97)
         a = np.array([random_matrix(n, rng) for _ in range(3)])
-        la = g.op_left(a)
+        la = op_left(g, a)
         right = np.arange(g.rank) % n
         off = right[:, None] != right[None, :]
         assert np.array_equal(la[:, off], np.zeros((3, off.sum())))
-        got = qms.reconstruct._spectral(g._op_left_t(a))
+        got = qms.numkernel.spectral_norm(g._op_left_t(a))
         want = np.linalg.norm(la, 2, axis=(-2, -1))
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 
@@ -585,9 +586,10 @@ class TestFactors:
         x, y, a = (np.array([random_matrix(n, rng) for _ in range(12)])
                    for _ in range(3))
         z = random_disk_point(rng)
-        for space in (g, dense):
+        for space, left, right in ((g, partial(op_left, g), partial(op_right, g)),
+                                   (dense, dense.op_left, dense.op_right)):
             e = space.embed_pair(x, y)
-            ops = [space.op_left(a[0]), space.op_right(a[1]), space.op_group(z)]
+            ops = [left(a[0]), right(a[1]), space.op_group(z)]
             got = [e.conj() @ op @ e.T for op in ops]
             got.append(e.conj() @ space.op_conj() @ e.T.conj())
             if space is g:
@@ -600,7 +602,7 @@ class TestFactors:
         form = spectrum_form(np.exp([0.3, -0.8, 1.1]), 101)
         g = build_gram_space(form)
         a = np.array([random_matrix(3, np.random.default_rng(102)) for _ in range(4)])
-        got = np.linalg.norm(g.op_right(a), 2, axis=(-2, -1))
+        got = np.linalg.norm(op_right(g, a), 2, axis=(-2, -1))
         want = np.linalg.norm(g.W.h_isqrt @ a @ g.W.h_sqrt, 2, axis=(-2, -1))
         assert_rel_close(got, want, 1e-14)
 
@@ -797,18 +799,18 @@ class TestUniqueness:
 
     def test_rank_matches_span_quotient(self):
         """The explicit rank equals the rank of the quotient of span* span,
-        and the span is never built for it."""
+        and the least squares of the conjugation is never built for it."""
         for seed in range(5):
             system = random_system(2 + seed % 2, 80 + seed)
             if seed == 0:
                 system = JumpSystem(W=system.W, jumps=[], pairing=[])
-            span = FinBimodule(system)._span[0]
+            span = dense_span(FinBimodule(system))
             want = null_quotient(span.conj().T @ span).rank
             assert (want == 0) == (seed == 0)
             form = dirichlet_form(build_generator(system), system.W)
             bim = FinBimodule(system)
             u = uniqueness_isometry(build_gram_space(form, system.W), bim)
-            assert "_span" not in bim.__dict__
+            assert "_conj_maps" not in bim.__dict__
             assert u["rank_bimodule"] == want
             assert u["ranks_agree"]
 
@@ -826,13 +828,13 @@ class TestUniqueness:
         g = build_gram_space(dirichlet_form(build_generator(system), w), w)
         lam, u = w.eig.eigenvalues, w.eig.eigenvectors
         rot = np.kron(u, u.conj())
-        span = (rot.T @ (bim._span[0].reshape(-1, n * n, n * n) @ rot)).reshape(
+        span = (rot.T @ (dense_span(bim).reshape(-1, n * n, n * n) @ rot)).reshape(
             -1, n ** 4)
         dense = span.conj().T @ span
         sv = np.linalg.svd(span, compute_uv=False)
         rank = int(np.sum(sv ** 2 > DEFAULT_TOL.decomp * sv.max() ** 2))
         # T_B[ijk, rst] = sum_p (u* delta_p(F_ij)* delta_p(F_rs) u)_kt
-        d = u.conj().T @ bim.delta(u @ matrix_units(n) @ u.conj().T).comps @ u
+        d = u.conj().T @ bim.to_standard(bim.delta(u @ matrix_units(n) @ u.conj().T)) @ u
         t_b = np.einsum("apxk,bpxt->akbt", d.conj(), d).reshape(n ** 3, n ** 3)
         scale = np.abs(dense).max()
         by_right = dense.reshape(n ** 3, n, n ** 3, n)
@@ -844,6 +846,14 @@ class TestUniqueness:
         res = uniqueness_isometry(g, bim)
         assert res["rank_bimodule"] == res["rank_gram"] == rank
         assert res["relative_residual"] <= 1e-12
+
+
+def dense_span(bim):
+    """The spanning family R(E_q) delta(E_p) over the matrix-unit pairs in
+    standard coordinates: column p n^2 + q holds its coordinates."""
+    units = matrix_units(bim.n)
+    pairs = bim.act_right(units[None], BimoduleVector(bim.delta(units).comps[:, None]))
+    return bim.coords(pairs).reshape(bim.n ** 4, -1).T
 
 
 def stinespring_case(n, seed, t=0.3):
@@ -1007,8 +1017,7 @@ class TestRepVector:
 
     @staticmethod
     def spec_vector(system):
-        from qms.bimodule import BimoduleVector
-        return BimoduleVector(np.array([
+        return FinBimodule(system).from_standard(np.array([
             -1j * np.exp(-om / 4.0) * v for v, om in system.jumps
         ]))
 

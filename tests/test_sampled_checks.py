@@ -7,6 +7,8 @@ bit-identical inputs (recorded by a spy on ``draw_samples``) and report
 every residual within rounding of the loop's.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,16 +22,22 @@ from qms.errors import NotInGeneratedSpan
 from qms.lindblad import JumpSystem, build_generator, dirichlet_form, semigroup
 from qms.modular import TomitaData, WeightedAlgebra
 from qms.numkernel import matrix_units
-from qms.reconstruct import (boundary_pairing, build_gram_space,
+from qms.reconstruct import (GramSpace, boundary_pairing, build_gram_space,
                              gram_axioms_check, gram_entry, stinespring_rate)
-from qms.sampling import (random_disk_point, random_jump_system, random_matrix,
-                          random_unitary, random_weighted_algebra)
+from qms.sampling import (DISK, SQUARE, matrices, random_jump_system,
+                          random_matrix, random_unitary, random_weighted_algebra)
 from qms.suites import Scenario, ScenarioData, run_suite
 
 from conftest import E12, E21, SX
 
 
 # --- references: the per-sample loops ------------------------------------------
+
+def random_disk_point(rng):
+    """A point of the closed unit disk, uniform in area, by scalar calls."""
+    r = np.sqrt(rng.uniform())
+    return r * np.exp(2j * np.pi * rng.uniform())
+
 
 def ref_axioms_check(self, n_vectors=200, seed=11):
     rng = np.random.default_rng(seed)
@@ -140,14 +148,34 @@ def ref_carre_positivity(w, form, bim, seed):
         g = ref_carre_du_champ(form, a, a)
         ev = np.linalg.eigvals(g)
         worst_neg = max(worst_neg, max(-ev.real.min(), 0.0))
-        da = bim.delta(a)
+        da = bim.to_standard(bim.delta(a))
         direct = w.h_sqrt @ sum(
-            (da.comps[j].conj().T @ da.comps[j] for j in range(bim.m)),
+            (da[j].conj().T @ da[j] for j in range(bim.m)),
             np.zeros((w.n, w.n))) @ w.h_isqrt
         worst_cons = max(worst_cons, np.linalg.norm(g - direct)
                          / max(np.linalg.norm(direct), 1e-300))
         drawn.append((a,))
     return {"carre/psd": worst_neg, "carre/consistency": worst_cons}, drawn
+
+
+def op_left(g, a):
+    """Matrix of L(a) = kron(L_T(a), 1) on the quotient coordinates of a
+    ``GramSpace`` g (a dense reference space forms its own); a stack of them
+    for a stack (..., n, n) of a."""
+    if not isinstance(g, GramSpace):
+        return g.op_left(a)
+    lt = g._op_left_t(a)
+    out = np.einsum("...ij,kl->...ikjl", lt, np.eye(g.W.n))
+    return out.reshape(lt.shape[:-2] + (g.rank, g.rank))
+
+
+def op_right(g, a):
+    """Matrix of R(a) = kron(1, rho(a)) on the quotient coordinates of g."""
+    if not isinstance(g, GramSpace):
+        return g.op_right(a)
+    rho = g._right_factor(a)
+    out = np.einsum("ij,...kl->...ikjl", np.eye(g.qmap.rank), rho)
+    return out.reshape(rho.shape[:-2] + (g.rank, g.rank))
 
 
 def ref_gram_axioms_check(g, n_samples=200, seed=29):
@@ -161,8 +189,8 @@ def ref_gram_axioms_check(g, n_samples=200, seed=29):
     jq = g.op_conj()
     for _ in range(n_samples):
         a = random_matrix(n, rng)
-        la = g.op_left(a)
-        ra = g.op_right(a)
+        la = op_left(g, a)
+        ra = op_right(g, a)
         z, z2 = random_disk_point(rng), random_disk_point(rng)
         uz = g.op_group(z)
         norm_l = np.linalg.norm(la, 2)
@@ -171,7 +199,7 @@ def ref_gram_axioms_check(g, n_samples=200, seed=29):
         opn_r = float(np.linalg.norm(g.W.h_isqrt @ a @ g.W.h_sqrt, 2))
         res["a"] = max(res["a"], (norm_l - opn_l) / opn_l,
                        (np.linalg.norm(ra, 2) - opn_r) / opn_r)
-        rja = g.op_right(td.conj_J(a))
+        rja = op_right(g, td.conj_J(a))
         res["b"] = max(res["b"], np.linalg.norm(jq @ la.conj() - rja @ jq)
                        / max(norm_l, 1e-300))
         uzz = g.op_group(z + z2)
@@ -181,7 +209,7 @@ def ref_gram_axioms_check(g, n_samples=200, seed=29):
             uz.conj().T - g.op_group(-np.conj(z)))
             / max(np.linalg.norm(uz), 1e-300))
         lhs = uz @ la @ g.op_group(-z)
-        rhs = g.op_left(td.modular_group(z, a))
+        rhs = op_left(g, td.modular_group(z, a))
         res["e"] = max(res["e"], np.linalg.norm(lhs - rhs)
                        / max(np.linalg.norm(rhs), 1e-300))
         uzj = uz @ jq
@@ -203,7 +231,7 @@ def ref_triple_agreement(form, bim, gram):
         for b, bim_b, gram_b in zip(units, d_bim, d_gram):
             e_form = form(a, b)
             e_bim = bim.inner(bim_a, bim_b)
-            e_gram = gram.inner(gram_a, gram_b)
+            e_gram = np.vdot(gram_a, gram_b)
             d_form_bim = max(d_form_bim, abs(e_form - e_bim))
             d_form_gram = max(d_form_gram, abs(e_form - e_gram))
             d_bim_gram = max(d_bim_gram, abs(e_bim - e_gram))
@@ -512,6 +540,64 @@ def test_stacked_conj_raises_like_the_loop():
         b.conj(stack)
     assert stacked.value.residual == pytest.approx(single.value.residual, rel=1e-12)
     assert stacked.value.residual > DEFAULT_TOL.span
+
+
+# --- draws ---------------------------------------------------------------------
+
+class CountingRng:
+    """A generator that counts the method calls made on it."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.rng, name)
+
+
+def ref_draw_loop(seed, count, refs, shapes):
+    """The per-sample loop: each sample calls every ``refs[k](rng)`` in order.
+    Returns one stack per draw (of the given value shapes) and the generator."""
+    rng = np.random.default_rng(seed)
+    samples = [[f(rng) for f in refs] for _ in range(count)]
+    return [np.array([s[k] for s in samples], dtype=complex).reshape((count,) + shape)
+            for k, shape in enumerate(shapes)], rng
+
+
+@pytest.mark.parametrize("count", [0, 1, 9])
+def test_draw_samples_matches_loop_for_mixed_kinds(count):
+    """Draws of three kinds, a scale != 1 and Derivation's z: bit for bit the
+    loop's values, one generator call per run and sample, and the generator
+    left where the loop leaves it."""
+    draws = (matrices(2), matrices(3, scale=0.5), DISK, SQUARE, SQUARE,
+             matrices(2), DISK)
+    refs = (partial(random_matrix, 2), partial(random_matrix, 3, scale=0.5),
+            random_disk_point, *[lambda r: r.uniform(-1, 1) + 1j * r.uniform(-1, 1)] * 2,
+            partial(random_matrix, 2), random_disk_point)
+    shapes = ((2, 2), (3, 3), (), (), (), (2, 2), ())
+    rng = CountingRng(5)
+    got = sampling.draw_samples(rng, count, *draws)
+    want, ref = ref_draw_loop(5, count, refs, shapes)
+    for stack, stack_want in zip(got, want, strict=True):
+        assert stack.dtype == stack_want.dtype and stack.shape == stack_want.shape
+        assert np.array_equal(stack, stack_want)
+    # runs: normal, uniform(0, 1), uniform(-1, 1), normal, uniform(0, 1)
+    assert rng.calls == 5 * count
+    assert rng.rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("count", [0, 7])
+def test_draw_samples_single_run_is_one_call(count):
+    """Samples of one kind take one generator call for all of them."""
+    rng = CountingRng(6)
+    got = sampling.draw_samples(rng, count, matrices(2), matrices(3, scale=2.0))
+    want, ref = ref_draw_loop(6, count, (partial(random_matrix, 2),
+                                         partial(random_matrix, 3, scale=2.0)),
+                              ((2, 2), (3, 3)))
+    for stack, stack_want in zip(got, want, strict=True):
+        assert stack.shape == stack_want.shape and np.array_equal(stack, stack_want)
+    assert rng.calls == 1
+    assert rng.rng.random() == ref.random()
 
 
 # --- property test --------------------------------------------------------------

@@ -15,6 +15,8 @@ with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
   (h = I/n, a repeated eigenvalue, a geometric spectrum 1, 2, 4, ..., the
   equally spaced spectrum exp(-3k) of condition number up to 8e3) in a
   random eigenbasis, with a jumps and a generator source;
+* ``bimodule-axioms`` and ``carre-positivity``, whose vectors are kept in
+  the eigenbasis of h, over the same degenerate spectra, sizes and sources;
 * the three Gram suites at n = 5, m = 10 and n = 6, m = 12 with a jumps
   source, sizes the stage byte limit admits;
 * ``alicki-validate`` and ``gram-axioms`` on a generator source over a
@@ -63,6 +65,8 @@ DEGENERATE_SPECTRA = {
     "equally-spaced": lambda n: [math.exp(-3.0 * k) for k in range(n)],
 }
 DEGENERATE_SEED = 21
+BIMODULE_SUITES = ("bimodule-axioms", "carre-positivity")
+DEGENERATE_BIMODULE_SEED = 24
 LARGE_SIZES = ((5, 10), (6, 12))
 LARGE_SEED = 23
 NEAR_DEGENERATE_GAPS = (1e-9, 1e-8)
@@ -122,13 +126,16 @@ def write_cases(workdir):
                 name = f"suite-{suite}-n{n}-m{m}-{source}"
                 specs.append((name, "cli", workloads._scenario(
                     name, n, m, source, (suite,), rng)))
-    rng = np.random.default_rng(DEGENERATE_SEED)
-    for spectrum, lams in DEGENERATE_SPECTRA.items():
-        for n in (3, 4):
-            for source in ("jumps", "generator"):
-                name = f"degenerate-{spectrum}-n{n}-{source}"
-                specs.append((name, "cli", _spectrum_scenario(
-                    name, lams(n), source, rng)))
+    for prefix, checks, seed in (("degenerate", GRAM_SUITES, DEGENERATE_SEED),
+                                 ("degenerate-bimodule", BIMODULE_SUITES,
+                                  DEGENERATE_BIMODULE_SEED)):
+        rng = np.random.default_rng(seed)
+        for spectrum, lams in DEGENERATE_SPECTRA.items():
+            for n in (3, 4):
+                for source in ("jumps", "generator"):
+                    name = f"{prefix}-{spectrum}-n{n}-{source}"
+                    specs.append((name, "cli", _spectrum_scenario(
+                        name, lams(n), source, rng, checks)))
     rng = np.random.default_rng(LARGE_SEED)
     for n, m in LARGE_SIZES:
         name = f"large-gram-n{n}-m{m}-jumps"
