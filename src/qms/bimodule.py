@@ -109,6 +109,7 @@ class FinBimodule:
         self.omegas = np.array([w for _, w in system.jumps])
         lam, self._u = self.W.eig.eigenvalues, self.W.eig.eigenvectors
         self._lam, self._sqrt_lam = lam, np.sqrt(lam)
+        self._lam_parts = np.repeat(lam, 2)
         # sigma_z(x)'_ab = e^{i z bohr_ab} x'_ab, (J x)'_ab = j_scale_ab conj(x'_ba)
         self._bohr = np.subtract.outer(np.log(lam), np.log(lam))
         self._j_scale = np.sqrt(np.divide.outer(lam, lam))
@@ -136,7 +137,10 @@ class FinBimodule:
         return np.sum(xi.comps.conj() * eta.comps * self._lam, axis=(-3, -2, -1))
 
     def norm(self, xi):
-        return np.sqrt(np.maximum(self.inner(xi, xi).real, 0.0))
+        """|xi| = (sum_jab lam_b |xi'_jab|^2)^{1/2} of each vector of a stack,
+        in one pass over the real and imaginary parts of the components."""
+        v = np.ascontiguousarray(xi.comps).view(np.float64)
+        return np.sqrt(np.einsum("...jab,...jab,b->...", v, v, self._lam_parts))
 
     def coords(self, xi: BimoduleVector):
         """Stacked orthonormal coordinates (componentwise vec(xi_j h^{1/2}))."""
@@ -296,26 +300,33 @@ class FinBimodule:
         rhs = BimoduleVector(conj_xi.comps @ self._conj_j(c)[:, None])
         res["b"] = worst(res["b"], self.norm(lhs_b - rhs) / (opn_l * nrm_xi))
 
+        # U_z may stretch xi far beyond |xi|, so (c)-(f) are relative to the
+        # larger of the two sides and |xi| (in (d), |xi| |eta| and the
+        # Cauchy-Schwarz bounds of both pairings)
+        def gap(lhs, rhs):
+            return self.norm(lhs - rhs) / np.maximum.reduce([self.norm(lhs), self.norm(rhs),
+                                                             nrm_xi])
+
         # (c) analyticity proxy: group law of z -> U_z
         lhs = self.mod_group(z, self.mod_group(z2, xi))
-        rhs = self.mod_group(z + z2, xi)
-        res["c"] = worst(res["c"], self.norm(lhs - rhs) / nrm_xi)
+        res["c"] = worst(res["c"], gap(lhs, self.mod_group(z + z2, xi)))
 
         # (d) <xi, U_z eta> = <U_{-conj(z)} xi, eta>
-        lhs_ip = self.inner(xi, self.mod_group(z, eta))
-        rhs_ip = self.inner(self.mod_group(-np.conj(z), xi), eta)
-        res["d"] = worst(res["d"], np.abs(lhs_ip - rhs_ip) / (nrm_xi * nrm_eta))
+        u_eta, u_xi = self.mod_group(z, eta), self.mod_group(-np.conj(z), xi)
+        scale = np.maximum.reduce([nrm_xi * self.norm(u_eta), self.norm(u_xi) * nrm_eta,
+                                   nrm_xi * nrm_eta])
+        res["d"] = worst(res["d"], np.abs(self.inner(xi, u_eta) - self.inner(u_xi, eta))
+                         / scale)
 
         # (e) U_z L(a) U_{-z} = L(U_z a) on generators:
         #     U_z(delta(a) b) = delta(U_z a) U_z b
         lhs = self.mod_group(z, xi)
         rhs = BimoduleVector(self._delta(self._sigma(z, a)).comps
                              @ self._sigma(z, b)[:, None])
-        res["e"] = worst(res["e"], self.norm(lhs - rhs) / nrm_xi)
+        res["e"] = worst(res["e"], gap(lhs, rhs))
 
         # (f) U_z conj = conj U_{conj(z)}
-        lhs = self.mod_group(z, conj_xi)
-        res["f"] = worst(res["f"], self.norm(lhs - rhs_f) / nrm_xi)
+        res["f"] = worst(res["f"], gap(self.mod_group(z, conj_xi), rhs_f))
 
 
 class Derivation:

@@ -14,7 +14,7 @@ matrices X = x h^{1/2}, so no layer needs a Gram quotient.  Operators are
 applied layer block by layer block: a creation operator maps layer k to
 layer k + 1 by a reshape and one einsum, and the checks read only the
 coordinates they need (the safe columns of [s, t], layer 0 of
-pi_l(x) Omega); the dense D x D matrices are assembled from the same blocks.
+pi_l(x) Omega); the dense a(xi) is assembled from the same blocks.
 
 The fields s(xi) and t(eta) commute on the safe zone when S_0 xi = xi and
 F_0 eta = eta, with the antilinear maps S_0 = J U_{-i/2} and F_0 = J U_{i/2}
@@ -25,11 +25,12 @@ S_0-fixed vectors and (1 + F_0)/2 onto the F_0-fixed ones
 
 The scalar case M = C (``ScalarFock``, n = 1) recovers free Araki-Woods:
 layers are plain tensor powers, the modular group acts as (V_{-t})^{(x)n}
-with V_t = A^{it}, and the number operator generates the Ornstein-Uhlenbeck
-semigroup.
+with V_t = A^{it} (taken one layer block at a time), and the number operator
+generates the Ornstein-Uhlenbeck semigroup.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -38,20 +39,26 @@ from .bimodule import FinBimodule
 from .config import DEFAULT_TOL
 from .errors import NotFixedPoint, NotPositiveDefinite
 from .modular import WeightedAlgebra
-from .numkernel import as_cmatrix, herm_eig, mat_power
+from .numkernel import as_cmatrix, herm_eig, mat_power, spectral_norm
 from .sampling import check_stage_bytes
 
 __all__ = ["TruncatedFock", "fock_build", "ScalarFock", "free_aw"]
 
 
-# bytes of the column block in which the commutant check forms t(s[:, :K])
-_COMMUTANT_BLOCK_BYTES = 1 << 23
+# bytes of the [s, t] images the commutant check forms at once (one pair's at
+# least: stacking pairs saves per-apply overhead only where images are small),
+# of the Python objects it holds, and of numpy's ufunc buffers (8192 entries
+# for each of three operands) on the strided tiles of several pairs
+_COMMUTANT_BLOCK_BYTES = 1 << 20
+_COMMUTANT_SMALL_BYTES = 12 << 10
+_UFUNC_BUFFER_BYTES = 3 << 17
 
 
 def _scalar_fock_bytes(d, depth):
-    """Bytes of two of the largest complex arrays of the scalar model over
-    C^d (the free-AW suite holds two D x D ones at once, D = 1 + d + ... +
-    d^depth; delta of a top-layer vector has (2d)^depth entries)."""
+    """Bytes of two D x D complex arrays, D = 1 + d + ... + d^depth, or of
+    two delta images of a top-layer vector ((2d)^depth entries).  The suite
+    forms no D x D array: three top-layer blocks of (d^depth)^2 entries fit
+    this for d <= 5, which keeps the admitted (d, depth) as they were."""
     dim = sum(d ** k for k in range(depth + 1))
     return 32 * max(dim * dim, (2 * d) ** depth)
 
@@ -110,11 +117,6 @@ class TruncatedFock:
 
     # -- vectors ---------------------------------------------------------------
 
-    def vacuum(self):
-        v = np.zeros(self.D, dtype=np.complex128)
-        v[: self.dims[0]] = self.W.coords(np.eye(self.W.n))
-        return v
-
     def layer_block(self, full_vec, layer):
         o = self.offsets[layer]
         return full_vec[o : o + self.dims[layer]]
@@ -148,8 +150,9 @@ class TruncatedFock:
             sub_up, sub_down = "jrs,Icsk->jIcrk", "jrs,jIcrk->Icsk"
 
         def up(v):
+            # in row order, so that numpy forms the output without buffers
             k = v.shape[1]
-            return np.einsum(sub_up, f, v.reshape(-1, n, n, k)).reshape(-1, k)
+            return np.einsum(sub_up, f, v.reshape(-1, n, n, k), order="C").reshape(-1, k)
 
         def down(w):
             k = w.shape[1]
@@ -157,29 +160,24 @@ class TruncatedFock:
                              w.reshape(*split, n, n, k)).reshape(-1, k)
         return up, down
 
-    def _apply(self, creator, v):
+    def _apply(self, creator, v, out=None):
         """(c + c*) v for the block maps (up, down) of a creator c and a column
-        stack v of layers 0..L; the result holds layers 0..min(L + 1, top)."""
+        stack v of layers 0..L, added into ``out`` (zeros if None): layers
+        0..min(L + 1, top), columns possibly split as (rows, ..., k)."""
         up, down = creator
         off = self.offsets
         last = int(np.searchsorted(off, len(v))) - 1
         new = min(last + 1, self._top)
-        out = np.zeros((off[new + 1], v.shape[1]), dtype=np.complex128)
+        if out is None:
+            out = np.zeros((off[new + 1], v.shape[1]), dtype=np.complex128)
         for k in range(last + 1):
             blk = v[off[k]:off[k + 1]]
             if k < new:
-                out[off[k + 1]:off[k + 2]] = up(blk)
+                dst = out[off[k + 1]:off[k + 2]]
+                dst += up(blk).reshape(dst.shape)
             if k > 0:
-                out[off[k - 1]:off[k]] += down(blk)
-        return out
-
-    def _raising(self, up):
-        """Dense operator whose block from layer k to layer k + 1 is up(I)."""
-        out = np.zeros((self.D, self.D), dtype=np.complex128)
-        off = self.offsets
-        for k in range(self._top):
-            out[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = up(
-                np.eye(self.dims[k]))
+                dst = out[off[k - 1]:off[k]]
+                dst += down(blk).reshape(dst.shape)
         return out
 
     def _left(self, x, v):
@@ -187,22 +185,14 @@ class TruncatedFock:
         n, c = self.W.n, v.shape[1]
         return (as_cmatrix(x) @ v.reshape(-1, n, c)).reshape(-1, c)
 
-    def pi_left(self, x):
-        """Left action of M on the whole truncated Fock space."""
-        # I_{m^k} (x) lambda(x) on every layer is I_{D/n} (x) x overall
-        return self._left(x, np.eye(self.D))
-
     def creation(self, xi):
-        """a(xi): prepends xi; layer k -> k + 1 (top layer to zero)."""
-        return self._raising(self._creator(xi)[0])
-
-    def s_op(self, xi):
-        a = self.creation(xi)
-        return a + a.conj().T
-
-    def b_creation(self, xi):
-        """b(xi): appends xi on the right; layer k -> k + 1."""
-        return self._raising(self._creator(xi, right=True)[0])
+        """a(xi) as a dense matrix: prepends xi; layer k -> k + 1 (top layer
+        to zero), each block the image of the identity."""
+        up, off = self._creator(xi)[0], self.offsets
+        out = np.zeros((self.D, self.D), dtype=np.complex128)
+        for k in range(self._top):
+            out[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = up(np.eye(self.dims[k]))
+        return out
 
     # -- checks ----------------------------------------------------------------
 
@@ -213,21 +203,33 @@ class TruncatedFock:
         the residual of every pair, of shape xi.shape[:-1] + eta.shape[:-1].
 
         ||X P||_2 = ||X[:, :K]||_2 with K = offsets[safe + 1], so each norm is
-        the SVD of the images of the first K basis vectors; rows of layers
-        that these images cannot reach are zero and left out.  The images
-        of s and t and their norms are taken once per vector.  The check
-        holds those images, the image of [s, t] and the SVD's copy of it;
-        t(s[:, :K]) is subtracted a column block at a time, so no second
-        image of [s, t] is formed.
+        taken on the images of the first K basis vectors; rows of layers that
+        these images cannot reach are zero and left out.  The images of s and
+        t are formed once per vector, side by side; the pairs go in tiles of
+        as many as fit ``_COMMUTANT_BLOCK_BYTES``, with one apply per vector
+        of a tile.  Each norm stack is one ``spectral_norm`` call: the s
+        images, the t images, the commutators of a tile.
         """
         xi, eta = np.asarray(xi), np.asarray(eta)
         xis, etas = (v.reshape(math.prod(v.shape[:-1]), v.shape[-1])
                      for v in (xi, eta))
+        n_s, n_t = len(xis), len(etas)
         safe = max(self.d_max - 2, 0)
         k = int(self.offsets[safe + 1])
         mid = int(self.offsets[min(safe + 1, self._top) + 1])
         rows = int(self.offsets[min(safe + 2, self._top) + 1])
-        check_stage_bytes(16 * k * (2 * rows + (len(xis) + len(etas)) * mid),
+        per_tile = max(1, min(n_s * n_t, _COMMUTANT_BLOCK_BYTES // (16 * rows * k)))
+        tile_t = min(n_t, per_tile) or 1
+        tile_s = min(n_s, per_tile // tile_t) or 1
+        # complex entries at the peak: each creator's coefficients (and one
+        # conjugate), the s and t images, one tile, and the larger of the
+        # einsum output of the widest apply into the top layer and the Grams
+        # of a ``spectral_norm`` call (real 2k x 2k and complex k x k, < 4 k^2)
+        widest = max(tile_s, tile_t) * k * self.dims[min(safe + 2, self._top)]
+        grams = 4 * max(tile_s * tile_t, n_s, n_t) * k * k
+        check_stage_bytes(16 * ((n_s + n_t + 1) * xis.shape[-1] + (n_s + n_t) * mid * k
+                                + tile_s * tile_t * rows * k + max(widest, grams))
+                          + _COMMUTANT_SMALL_BYTES + _UFUNC_BUFFER_BYTES * (per_tile > 1),
                           f"the commutant check at Fock dimension {self.D}")
         gate = self.tol.axiom
         for vecs, a, what in ((xis, self._a_s, "xi is not S0-fixed"),
@@ -236,21 +238,39 @@ class TruncatedFock:
                 if np.linalg.norm(a @ np.conj(v) - v) > gate * max(
                         np.linalg.norm(v), 1e-300):
                     raise NotFixedPoint(what)
-        cols = np.eye(k)
         s_ops = [self._creator(v) for v in xis]
         t_ops = [self._creator(v, right=True) for v in etas]
-        s_cols = [self._apply(s, cols) for s in s_ops]
-        t_cols = [self._apply(t, cols) for t in t_ops]
-        s_norm = [np.linalg.norm(c, 2) for c in s_cols]
-        t_norm = [np.linalg.norm(c, 2) for c in t_cols]
-        step = max(1, _COMMUTANT_BLOCK_BYTES // (16 * rows))
-        out = np.empty((len(xis), len(etas)))
-        for i, j in np.ndindex(out.shape):
-            comm = self._apply(s_ops[i], t_cols[j])
-            for c in range(0, k, step):
-                comm[:, c:c + step] -= self._apply(t_ops[j], s_cols[i][:, c:c + step])
-            out[i, j] = np.linalg.norm(comm, 2) / max(s_norm[i] * t_norm[j], 1e-300)
+        s_img, t_img = (self._images(ops, k, mid) for ops in (s_ops, t_ops))
+        s_norm, t_norm = (spectral_norm(img.reshape(mid, -1, k).transpose(1, 0, 2))
+                          for img in (s_img, t_img))
+        out = np.empty((n_s, n_t))
+        for i0, j0 in itertools.product(range(0, n_s, tile_s), range(0, n_t, tile_t)):
+            si, tj = slice(i0, i0 + tile_s), slice(j0, j0 + tile_t)
+            out[si, tj] = self._commutator_norms(
+                s_ops[si], t_ops[tj], s_img[:, i0 * k:(i0 + tile_s) * k],
+                t_img[:, j0 * k:(j0 + tile_t) * k], rows)
+        out /= np.maximum(np.multiply.outer(s_norm, t_norm), 1e-300)
         return out.reshape(xi.shape[:-1] + eta.shape[:-1])[()]
+
+    def _images(self, ops, k, rows):
+        """The images of the first k basis vectors under each of ``ops``."""
+        cols = np.eye(k)
+        out = np.zeros((rows, len(ops) * k), dtype=np.complex128)
+        for i, op in enumerate(ops):
+            self._apply(op, cols, out[:, i * k:(i + 1) * k])
+        return out
+
+    def _commutator_norms(self, s_ops, t_ops, s_img, t_img, rows):
+        """||[s, t] P|| of each pair of a tile: minus each t over the stacked
+        s images, plus each s over the stacked t images."""
+        k = s_img.shape[1] // len(s_ops)
+        comm = np.zeros((rows, len(s_ops), len(t_ops), k), dtype=np.complex128)
+        for j, op in enumerate(t_ops):
+            self._apply(op, s_img, comm[:, :, j])
+        np.negative(comm, out=comm)
+        for i, op in enumerate(s_ops):
+            self._apply(op, t_img, comm[:, i])
+        return spectral_norm(comm.transpose(1, 2, 0, 3))
 
     def lambda_identities(self, xs, xis):
         """Residuals of pi_l(x) Omega = x phi^{1/2} and s(xi) Omega = xi.
@@ -324,23 +344,18 @@ class ScalarFock(TruncatedFock):
 
     # -- structure maps --------------------------------------------------------
 
-    def modular_unitary(self, t):
-        """Delta^{it} = (+)_k (V_{-t})^{(x)k}, block by block."""
+    def modular_blocks(self, t):
+        """The diagonal blocks (V_{-t})^{(x)k} of Delta^{it}, k = 0..d_max."""
         v = self._power(-1j * t)
-        out = np.zeros((self.D, self.D), dtype=np.complex128)
         vk = np.eye(1, dtype=np.complex128)
-        for k, (o, dk) in enumerate(zip(self.offsets, self.dims)):
+        for k in range(self.d_max + 1):
             if k:
                 vk = np.kron(vk, v)
-            out[o:o + dk, o:o + dk] = vk
-        return out
+            yield vk
 
     def _levels(self):
         """The layer index of each coordinate: N and exp(-tN) are diagonal."""
         return np.repeat(np.arange(self.d_max + 1.0), self.dims)
-
-    def ou_semigroup(self, t):
-        return np.diag(np.exp(-t * self._levels()))
 
     # -- derivation ------------------------------------------------------------
 

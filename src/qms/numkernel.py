@@ -66,10 +66,16 @@ def frob(x):
 
 
 def spectral_norm(x):
-    """Largest singular value of each matrix of a stack: the root of the
-    largest eigenvalue of the smaller of x x* and x* x."""
-    x_adj = np.swapaxes(x, -1, -2).conj()
-    gram = x_adj @ x if x.shape[-1] <= x.shape[-2] else x @ x_adj
+    """Largest singular value of each matrix of a stack (..., r, c): the root
+    of the largest eigenvalue of the c x c Gram x* x = a^T a + b^T b +
+    i (a^T b - b^T a), x = a + ib, read off the real Gram of the float view of
+    x, which copies x only if its last axis is strided (pass tall matrices)."""
+    x = np.asarray(x, dtype=np.complex128)
+    z = (x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x)).view(np.float64)
+    g = np.swapaxes(z, -1, -2) @ z
+    gram = np.empty(g.shape[:-2] + (x.shape[-1],) * 2, dtype=np.complex128)
+    gram.real = g[..., ::2, ::2] + g[..., 1::2, 1::2]
+    gram.imag = g[..., ::2, 1::2] - g[..., 1::2, ::2]
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 

@@ -211,13 +211,16 @@ def suite_free_aw_derivation(sc, seed):
         worst_pair = max(worst_pair,
                          abs(got - layer * np.vdot(xi, xi))
                          / max(abs(np.vdot(xi, xi)), 1e-300))
-    t = 0.37
-    mu = f.modular_unitary(t)
-    ou = f.ou_semigroup(0.51)
-    # ou is diagonal, so mu ou and ou mu scale the columns and the rows of mu
-    o = np.diag(ou)
-    comm = np.linalg.norm(mu * o - o[:, None] * mu) / max(np.linalg.norm(ou),
-                                                          1e-300)
+    # Delta^{it} is (V_{-t})^{(x)k} and exp(-sN) the scalar e^{-sk} on layer
+    # k: ||[Delta^{it}, exp(-sN)]||_F / ||exp(-sN)||_F, one layer at a time.
+    # A block times one scalar commutes exactly in floating point, so this
+    # reads 0 on every input and tests nothing of the model
+    ou, comm = np.exp(-0.51 * np.arange(f.d_max + 1.0)), 0.0
+    for mu, o in zip(f.modular_blocks(0.37), ou):
+        diff = mu * o
+        diff -= o * mu
+        comm += np.linalg.norm(diff) ** 2
+    comm = np.sqrt(comm) / max(np.linalg.norm(np.repeat(ou, f.dims)), 1e-300)
     # E(xi) = <xi, N xi> equals the derivation pairing summed over layers
     full = rng.standard_normal(f.D) + 1j * rng.standard_normal(f.D)
     e_direct = f.energy(full)

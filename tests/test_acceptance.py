@@ -31,7 +31,8 @@ from qms.reconstruct import (
 from qms.sampling import random_jump_system, random_matrix, random_weighted_algebra
 
 from conftest import E12, E21, SX, SZ
-from test_fock import safe_projector, vacuum_expectation
+from test_fock import (modular_unitary, ou_semigroup, pi_left, s_op,
+                       safe_projector, vacuum_expectation)
 
 
 def report(name, passed, detail):
@@ -222,8 +223,8 @@ def test_criterion_8_free_araki_woods():
         got = f.derivation_pairing(xi, layer, xi, layer)
         worst_pair = max(worst_pair, abs(got - layer * np.vdot(xi, xi))
                          / max(abs(np.vdot(xi, xi)), 1.0))
-    mu = f.modular_unitary(0.43)
-    ou = f.ou_semigroup(0.31)
+    mu = modular_unitary(f, 0.43)
+    ou = ou_semigroup(f, 0.31)
     comm = np.linalg.norm(mu @ ou - ou @ mu) / np.linalg.norm(ou)
 
     # commutant lemma: the scalar model is the layered model over M_1 = C
@@ -270,11 +271,11 @@ def test_criterion_9_operator_valued_fock():
         word = np.eye(f.D, dtype=complex)
         for _ in range(int(rng.integers(1, 4))):
             if rng.uniform() < 0.5:
-                word = word @ f.pi_left(random_matrix(2, rng))
+                word = word @ pi_left(f, random_matrix(2, rng))
             else:
                 xi = rng.standard_normal(f.dims[1]) \
                     + 1j * rng.standard_normal(f.dims[1])
-                word = word @ f.s_op(xi)
+                word = word @ s_op(f, xi)
         if np.linalg.norm(word @ safe) < 1e-12:
             continue
         _, wt = vacuum_expectation(f, word.conj().T @ word)

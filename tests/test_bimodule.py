@@ -243,6 +243,61 @@ class TestAxioms:
         res = b.axioms_check(n_vectors=50, seed=42)
         assert res["e"] > 1e-3
 
+    def test_perturbed_weight_fails_e_and_f(self, w_qubit):
+        """The golden failing case, the qubit jumps with the first weight off
+        by 0.1, fails (e) and (f) relative to the vectors compared, and
+        passes (a)-(d)."""
+        d = np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2.0)
+        broken = JumpSystem(W=w_qubit, jumps=[(E21, np.log(2.0) + 0.1),
+                                              (E12, -np.log(2.0)), (d, 0.0)],
+                            pairing=[1, 0, 2])
+        res = FinBimodule(broken, validate=False).axioms_check()
+        assert min(res["e"], res["f"]) > 1e-2
+        assert max(res[k] for k in "abcd") <= 1e-9
+
+    def test_weight_error_on_equally_spaced_spectrum(self):
+        """Over the equally spaced spectrum exp(-3k) at n = 4 (cond(h) = 8e3),
+        where U_z stretches xi by up to e^{27}, a valid system passes all six
+        axioms and a 1e-6 error in one weight fails (e) and (f)."""
+        rng = np.random.default_rng(24)
+        lam = np.exp(-3.0 * np.arange(4))
+        u = random_unitary(4, rng)
+        w = WeightedAlgebra((u * (lam / lam.sum())) @ u.conj().T)
+        system = random_jump_system(w, rng, m_max=8)
+        assert max(FinBimodule(system).axioms_check().values()) <= 1e-9
+        jumps = list(system.jumps)
+        v, omega = jumps[0]
+        assert omega != 0.0
+        jumps[0] = (v, omega + 1e-6)
+        broken = JumpSystem(W=w, jumps=jumps, pairing=system.pairing)
+        res = FinBimodule(broken, validate=False).axioms_check()
+        assert min(res["e"], res["f"]) > 1e-9
+
+
+@st.composite
+def conditioned_jump_systems(draw):
+    """A jump system of ``random_jump_system`` (m <= 2n jumps) over a density
+    of size n = 2..4 in a random eigenbasis, with log-eigenvalues spread over
+    [0, log c], c log-uniform in [1, 1e4], the two ends included."""
+    n = draw(st.integers(2, 4))
+    log_c = np.log(10.0) * draw(st.floats(0.0, 4.0))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))
+    lam = np.exp(log_c * np.array([0.0, 1.0] + inner))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = random_unitary(n, rng)
+    w = WeightedAlgebra((u * (lam / lam.sum())) @ u.conj().T)
+    return random_jump_system(w, rng, m_max=2 * n)
+
+
+@settings(max_examples=12)
+@given(system=conditioned_jump_systems(), seed=st.integers(0, 2 ** 32 - 1))
+def test_valid_systems_pass_every_axiom(system, seed):
+    """Every valid jump system with cond(h) <= 1e4 passes axioms (a)-(f) at
+    the axiom tolerance, whatever the samples (the seed draws them; z and
+    z2 lie in the unit disk)."""
+    res = FinBimodule(system).axioms_check(n_vectors=60, seed=seed)
+    assert max(res.values()) <= DEFAULT_TOL.axiom, res
+
 
 class TestInnerDerivationGenerator:
     def test_zero_vector(self, bim):

@@ -1,5 +1,8 @@
 """Truncated Fock spaces over the jump bimodule, and the free case."""
 
+import itertools
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +13,11 @@ from qms.bimodule import FinBimodule
 from qms.config import DEFAULT_TOL
 from qms.errors import NotFixedPoint, SizeLimitExceeded
 from qms.fock import TruncatedFock, fock_build, free_aw
+from qms.modular import WeightedAlgebra
 from qms.sampling import random_jump_system, random_weighted_algebra
+from qms.suites import Scenario, ScenarioData, run_suite
+
+from test_reconstruct import traced_peak
 
 
 def nontracial_a(d=3, seed=3, scale=0.7):
@@ -30,6 +37,14 @@ def jump_bimodule(n, m, seed):
     raise RuntimeError(f"no jump system with m = {m} at n = {n}")
 
 
+def commutant_counts(monkeypatch):
+    """The byte counts the commutant check passes to ``check_stage_bytes``."""
+    counts, check = [], qms.fock.check_stage_bytes
+    monkeypatch.setattr(qms.fock, "check_stage_bytes",
+                        lambda nbytes, what: counts.append(nbytes) or check(nbytes, what))
+    return counts
+
+
 def rand_vec(rng, d):
     return rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
@@ -40,6 +55,26 @@ def inject(f, layer, vec):
     o = f.offsets[layer]
     out[o : o + f.dims[layer]] = vec
     return out
+
+
+def vacuum(f):
+    """The vacuum Omega: the coordinates of 1 in layer 0."""
+    return inject(f, 0, f.W.coords(np.eye(f.W.n)))
+
+
+def b_creation(f, xi):
+    """b(xi) as a dense matrix: appends xi on the right; layer k -> k + 1,
+    each block the image of the identity."""
+    up, off = f._creator(xi, right=True)[0], f.offsets
+    out = np.zeros((f.D, f.D), dtype=np.complex128)
+    for k in range(f._top):
+        out[off[k + 1]:off[k + 2], off[k]:off[k + 1]] = up(np.eye(f.dims[k]))
+    return out
+
+
+def pi_left(f, x):
+    """Left action of M on the whole truncated Fock space."""
+    return f._left(x, np.eye(f.D))
 
 
 def conj_j(f, conj_i):
@@ -55,6 +90,35 @@ def conj_j(f, conj_i):
             list(range(k))[::-1] + [k]).reshape(dk, dk)
         out[o:o + dk, o:o + dk] = ik @ rev
     return out
+
+
+def s_op(f, xi):
+    """s(xi) = a(xi) + a(xi)* as a dense D x D matrix."""
+    a = f.creation(xi)
+    return a + a.conj().T
+
+
+def modular_unitary(f, t):
+    """Delta^{it} of a ``ScalarFock`` as a dense D x D matrix, its layer
+    blocks placed on the diagonal."""
+    out = np.zeros((f.D, f.D), dtype=np.complex128)
+    for o, dk, block in zip(f.offsets, f.dims, f.modular_blocks(t)):
+        out[o:o + dk, o:o + dk] = block
+    return out
+
+
+def ou_semigroup(f, t):
+    """exp(-tN) of a ``ScalarFock`` as a dense D x D matrix."""
+    return np.diag(np.exp(-t * f._levels()))
+
+
+def dense_ou_modular_commute(f, t=0.37, s=0.51):
+    """||mu ou - ou mu||_F / ||ou||_F over the whole space, with the dense
+    mu = Delta^{it} and ou = exp(-sN), ou diagonal (the free-AW suite's
+    check, formed as before it went layer by layer)."""
+    mu, ou = modular_unitary(f, t), ou_semigroup(f, s)
+    o = np.diag(ou)
+    return np.linalg.norm(mu * o - o[:, None] * mu) / max(np.linalg.norm(ou), 1e-300)
 
 
 def safe_projector(f, max_layer):
@@ -140,7 +204,7 @@ def kron_commutant(f, xi, eta):
 
 
 def kron_lambda_identities(f, xs, xis):
-    omega = f.vacuum()
+    omega = vacuum(f)
     worst_x = max(np.linalg.norm(f.layer_block(kron_pi_left(f, x) @ omega, 0)
                                  - f.W.coords(x))
                   / np.linalg.norm(f.W.coords(x)) for x in xs)
@@ -229,7 +293,7 @@ class TestRelTensor:
             xi, eta = rand_vec(rng, f.dims[1]), rand_vec(rng, f.dims[1])
             x, y = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                     for _ in range(2))
-            got = f.b_creation(eta) @ inject(f, 0, b.W.coords(x))
+            got = b_creation(f, eta) @ inject(f, 0, b.W.coords(x))
             want = inject(f, 1, b.coords(b.act_left(x, b.from_coords(eta))))
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             got = f.creation(xi) @ inject(f, 0, b.W.coords(y))
@@ -239,7 +303,7 @@ class TestRelTensor:
     def test_associativity(self, bim3):
         """(x1 (x) x2) (x) x3 = x1 (x) (x2 (x) x3) on layer 3."""
         f = fock_build(bim3, d_max=3)
-        a, b, omega = f.creation, f.b_creation, f.vacuum()
+        a, b, omega = f.creation, partial(b_creation, f), vacuum(f)
         rng = np.random.default_rng(65)
         for _ in range(5):
             x1, x2, x3 = (rand_vec(rng, f.dims[1]) for _ in range(3))
@@ -250,7 +314,7 @@ class TestRelTensor:
     def test_balancing(self, bim3):
         """xi . x (x) eta = xi (x) x eta on layer 2."""
         b, f = bim3, fock_build(bim3)
-        a, omega = f.creation, f.vacuum()
+        a, omega = f.creation, vacuum(f)
         rng = np.random.default_rng(66)
         for _ in range(10):
             xi, eta = rand_vec(rng, f.dims[1]), rand_vec(rng, f.dims[1])
@@ -275,7 +339,7 @@ class TestTruncatedFock:
     def test_creation_on_vacuum(self, fock3):
         rng = np.random.default_rng(65)
         xi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        got = fock3.creation(xi) @ fock3.vacuum()
+        got = fock3.creation(xi) @ vacuum(fock3)
         np.testing.assert_allclose(got, inject(fock3, 1, xi), atol=1e-10)
 
     def test_annihilation_pairing(self, fock3, bim3):
@@ -283,7 +347,7 @@ class TestTruncatedFock:
         rng = np.random.default_rng(66)
         xi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         eta = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        omega = fock3.vacuum()
+        omega = vacuum(fock3)
         lhs = np.vdot(fock3.creation(xi) @ omega, fock3.creation(eta) @ omega)
         m = pairing(bim3, xi, eta)
         rhs = np.trace(m @ bim3.W.h)
@@ -359,7 +423,7 @@ class TestTruncatedFock:
     def test_vacuum_expectation_of_s_squared(self, fock3, bim3):
         rng = np.random.default_rng(69)
         xi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        s = fock3.s_op(xi)
+        s = s_op(fock3, xi)
         e, _ = vacuum_expectation(fock3, s @ s)
         m = pairing(bim3, xi, xi)
         np.testing.assert_allclose(e, m, atol=1e-9 * max(np.linalg.norm(m), 1.0))
@@ -376,7 +440,7 @@ class TestTruncatedFock:
                                         m_max=2)
         bim = FinBimodule(system)
         f = fock_build(bim, d_max=3)
-        a, b, omega = f.creation, f.b_creation, f.vacuum()
+        a, b, omega = f.creation, partial(b_creation, f), vacuum(f)
         fock2, words2, fock3, words3 = [], [], [], []
         for k in range(8):
             x1, x2, x3 = (rand_vec(rng, f.dims[1]) for _ in range(3))
@@ -413,8 +477,8 @@ class TestTruncatedFock:
         xi = rand_vec(rng, f.dims[1])
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert np.array_equal(f.creation(xi), kron_creation(f, xi))
-        assert np.array_equal(f.b_creation(xi), kron_b_creation(f, xi))
-        assert np.array_equal(f.pi_left(x), kron_pi_left(f, x))
+        assert np.array_equal(b_creation(f, xi), kron_b_creation(f, xi))
+        assert np.array_equal(pi_left(f, x), kron_pi_left(f, x))
 
     @pytest.mark.parametrize("d_max", [2, 3, 4])
     @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
@@ -435,8 +499,9 @@ class TestTruncatedFock:
 
     @pytest.mark.parametrize("per_block", [1, 5])
     def test_commutant_column_blocks(self, per_block, monkeypatch):
-        """t(s[:, :K]) subtracted a few columns at a time gives the dense
-        residual, on a fixed pair and a random one."""
+        """Under a block budget below one pair's image of [s, t] each pair
+        is its own tile, and gives the dense residual, on a fixed pair and
+        a random one."""
         f = fock_build(jump_bimodule(2, 3, seed=82), d_max=4,
                        tol=DEFAULT_TOL.override(axiom=1e300))
         rows = int(f.offsets[-1])
@@ -478,8 +543,9 @@ class TestTruncatedFock:
 
     def test_size_limit_counts_peak(self, fock3, monkeypatch):
         """A budget that holds the image of [s, t] on the safe columns, but
-        not the peak of the check (that image, the SVD's copy of it and the
-        images of s and t), raises before anything is allocated."""
+        not the peak of the check (that image, the einsum output of its
+        widest apply and the images of s and t), raises before anything is
+        allocated."""
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the size check")
 
@@ -490,6 +556,93 @@ class TestTruncatedFock:
         zero = np.zeros(fock3.dims[1], dtype=complex)
         with pytest.raises(SizeLimitExceeded, match="at its peak"):
             fock3.commutant_check(zero, zero)
+
+    @pytest.mark.parametrize("pairs", [1, 2, 4, 9])
+    def test_commutant_tiles(self, fock3, pairs, monkeypatch):
+        """Tiles of 1, 2, 4 or 9 pairs give the grid bit for bit; each tile
+        takes one apply per operator, over the stacked images of the other
+        side, on top of one apply per vector for the images of s and t."""
+        xis, etas = (v[:3] for v in fock3.fixed_vectors())
+        want = fock3.commutant_check(xis, etas)
+        k, rows = int(fock3.offsets[2]), int(fock3.offsets[4])
+        monkeypatch.setattr(qms.fock, "_COMMUTANT_BLOCK_BYTES", 16 * rows * k * pairs)
+        apply, calls = TruncatedFock._apply, []
+        monkeypatch.setattr(TruncatedFock, "_apply",
+                            lambda self, *args: calls.append(1) or apply(self, *args))
+        assert np.array_equal(fock3.commutant_check(xis, etas), want)
+        tiles = {1: [(1, 1)] * 9, 2: [(1, 2), (1, 1)] * 3, 4: [(1, 3)] * 3,
+                 9: [(3, 3)]}[pairs]
+        assert len(calls) == 6 + sum(a + b for a, b in tiles)
+
+    @pytest.mark.parametrize("grid", [1, 3])
+    @pytest.mark.parametrize("n, m, d_max", [
+        (n, m, d_max) for n in (2, 3, 4) for m in sorted({n, min(2 * n, n * n - 1)})
+        for d_max in (2, 3, 4) if (n, m, d_max) not in {(3, 6, 4), (4, 4, 4), (4, 8, 4)}])
+    def test_count_bounds_peak(self, n, m, d_max, grid, monkeypatch):
+        """The bytes the check counts bound the most tracemalloc sees it
+        hold, on one pair and on a 3 x 3 grid (sizes whose count passes
+        64 MiB are left out to keep the test small)."""
+        f = fock_build(jump_bimodule(n, m, seed=88), d_max=d_max)
+        xis, etas = (v[:grid] for v in f.fixed_vectors())
+        counts = commutant_counts(monkeypatch)
+        f.commutant_check(xis, etas)
+        peak = traced_peak(lambda: f.commutant_check(xis, etas))[1]
+        assert peak <= counts[-1] <= 1 << 26
+
+    def test_refused_one_byte_below_count(self, fock3, monkeypatch):
+        """One byte below its count the check raises the named size error
+        before any apply; at its count it runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("applied before the size check")
+
+        xis, etas = (v[:3] for v in fock3.fixed_vectors())
+        with monkeypatch.context() as mp:
+            counts = commutant_counts(mp)
+            fock3.commutant_check(xis, etas)
+        with monkeypatch.context() as mp:
+            mp.setattr(qms.sampling, "_STAGE_BYTES", counts[-1] - 1)
+            mp.setattr(TruncatedFock, "_apply", refuse)
+            with pytest.raises(SizeLimitExceeded, match="at its peak"):
+                fock3.commutant_check(xis, etas)
+        monkeypatch.setattr(qms.sampling, "_STAGE_BYTES", counts[-1])
+        assert np.max(fock3.commutant_check(xis, etas)) <= 1e-9
+
+    def test_count_admits_what_the_old_count_admitted(self, monkeypatch):
+        """For n <= 6, m <= 2 n^2, d_max <= 5 and grids of up to 3 x 3, every
+        check that the count 16 k (2 rows + (S + T) mid) of the SVD version
+        admitted is admitted.  The new count is not below the old one
+        everywhere: the old one bounded no peak (at n = m = d_max = 2 the
+        SVD version held 14 KB against 5 KB counted), a tile of several
+        pairs holds more than two images, and at small m the k x k Grams
+        of the image norms weigh as much as the images."""
+        class Counted(Exception):
+            pass
+
+        counts = []
+
+        def record(nbytes, what):
+            counts.append(nbytes)
+            raise Counted
+
+        monkeypatch.setattr(qms.fock, "check_stage_bytes", record)
+        limit = qms.sampling._STAGE_BYTES
+        for n in range(1, 7):
+            w = random_weighted_algebra(n, np.random.default_rng(n)) if n > 1 \
+                else WeightedAlgebra(np.eye(1))
+            for m in range(2 * n * n + 1):
+                d = m * n * n
+                for d_max in range(6):
+                    # the count comes before S0 and F0 are read
+                    f = TruncatedFock(w, m, None, None, d_max)
+                    safe = max(d_max - 2, 0)
+                    k, mid, rows = (int(f.offsets[min(layer, f._top) + 1])
+                                    for layer in (safe, safe + 1, safe + 2))
+                    for s_n, t_n in itertools.product((1, 2, 3), repeat=2):
+                        with pytest.raises(Counted):
+                            f.commutant_check(np.zeros((s_n, d)), np.zeros((t_n, d)))
+                        old = 16 * k * (2 * rows + (s_n + t_n) * mid)
+                        if old <= limit:
+                            assert counts[-1] <= limit, (n, m, d_max, s_n, t_n)
 
     def test_size_limit_vacuum_identities(self, fock3, monkeypatch):
         """The vacuum identities check their (layer 0 and 1) arrays against
@@ -545,7 +698,7 @@ class TestScalarFock:
         top = f.layer_block(xi, depth)
         assert f.derivation_pairing(top, depth, top, depth) == depth * len(top)
         assert f.energy(xi) == sum(k * dk for k, dk in enumerate(f.dims))
-        assert f.ou_semigroup(0.5).shape == (f.D, f.D)
+        assert ou_semigroup(f, 0.5).shape == (f.D, f.D)
 
     @pytest.mark.parametrize("layer", range(6))
     @pytest.mark.parametrize("d", [2, 3])
@@ -559,13 +712,25 @@ class TestScalarFock:
         assert np.array_equal(f.delta(xi, layer),
                               kron_delta_matrix(d, layer) @ xi)
 
+    @pytest.mark.parametrize("d, depth", [(2, 6), (3, 5), (4, 4), (3, 4)])
+    def test_ou_modular_commute_matches_dense(self, d, depth):
+        """The suite's residual, summed layer by layer over the blocks of
+        Delta^{it}, is the dense ||mu ou - ou mu||_F / ||ou||_F bit for bit,
+        on the non-tracial A of these tests."""
+        a = nontracial_a(d)
+        sc = Scenario(ScenarioData(W=WeightedAlgebra(np.eye(1)), fock_spec={
+            "A": a, "I": None, "depth": depth}), DEFAULT_TOL)
+        got = {c["name"]: c["residual"] for c in run_suite("free-aw-derivation", sc)}
+        want = dense_ou_modular_commute(free_aw(a, d_max=depth))
+        assert got["free_aw/ou_modular_commute"] == want
+
     def test_tracial_commutator(self):
         """Real left/right fields commute exactly in the tracial scalar case."""
         f = free_aw(np.eye(2), d_max=3)
         rng = np.random.default_rng(70)
         xi = rng.standard_normal(2).astype(complex)
         eta = rng.standard_normal(2).astype(complex)
-        s = f.s_op(xi)
+        s = s_op(f, xi)
         # right field: append on the right
         b = np.zeros((f.D, f.D), dtype=complex)
         for k in range(f.d_max):
@@ -582,12 +747,12 @@ class TestScalarFock:
         """[DERIVED] ||s(e)|| = 2 cos(pi / (d_max + 2)) exactly when d = 1."""
         for d_max in (3, 4, 6):
             f = free_aw(np.eye(1), d_max=d_max)
-            s = f.s_op(np.array([1.0 + 0j]))
+            s = s_op(f, np.array([1.0 + 0j]))
             want = 2.0 * np.cos(np.pi / (d_max + 2))
             assert abs(np.linalg.norm(s, 2) - want) < 1e-12
         # deep truncation approaches the semicircular norm 2||xi||
         f8 = free_aw(np.eye(1), d_max=8)
-        assert abs(np.linalg.norm(f8.s_op(np.array([1.0 + 0j])), 2) - 2.0) < 0.1
+        assert abs(np.linalg.norm(s_op(f8, np.array([1.0 + 0j])), 2) - 2.0) < 0.1
 
     def test_nontracial_structure(self):
         f = free_aw(nontracial_a(), d_max=4)
@@ -598,10 +763,10 @@ class TestScalarFock:
         # modular unitaries form a group and commute with OU
         t1, t2 = 0.37, -0.61
         np.testing.assert_allclose(
-            f.modular_unitary(t1) @ f.modular_unitary(t2),
-            f.modular_unitary(t1 + t2), atol=1e-10)
-        ou = f.ou_semigroup(0.4)
-        mu = f.modular_unitary(t1)
+            modular_unitary(f, t1) @ modular_unitary(f, t2),
+            modular_unitary(f, t1 + t2), atol=1e-10)
+        ou = ou_semigroup(f, 0.4)
+        mu = modular_unitary(f, t1)
         assert np.linalg.norm(mu @ ou - ou @ mu) < 1e-10
 
     def test_derivation_pairing_scaling(self):

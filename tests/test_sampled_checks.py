@@ -72,22 +72,27 @@ def ref_axioms_check(self, n_vectors=200, seed=11):
         rhs = self.act_right(self.tomita.conj_J(c), conj_xi)
         res["b"] = max(res["b"], self.norm(lhs - rhs) / (opn_l * nrm_xi))
 
+        def gap(lhs, rhs):
+            return self.norm(lhs - rhs) / max(self.norm(lhs), self.norm(rhs), nrm_xi)
+
         z2 = random_disk_point(rng)
         lhs = self.mod_group(z, self.mod_group(z2, xi))
         rhs = self.mod_group(z + z2, xi)
-        res["c"] = max(res["c"], self.norm(lhs - rhs) / nrm_xi)
+        res["c"] = max(res["c"], gap(lhs, rhs))
 
-        lhs_ip = self.inner(xi, self.mod_group(z, eta))
-        rhs_ip = self.inner(self.mod_group(-np.conj(z), xi), eta)
-        res["d"] = max(res["d"], abs(lhs_ip - rhs_ip) / (nrm_xi * nrm_eta))
+        u_eta, u_xi = self.mod_group(z, eta), self.mod_group(-np.conj(z), xi)
+        lhs_ip = self.inner(xi, u_eta)
+        rhs_ip = self.inner(u_xi, eta)
+        res["d"] = max(res["d"], abs(lhs_ip - rhs_ip) / max(
+            nrm_xi * self.norm(u_eta), self.norm(u_xi) * nrm_eta, nrm_xi * nrm_eta))
 
         lhs = self.mod_group(z, xi)
         rhs = self.act_right(mg(z, b), self.delta(mg(z, a)))
-        res["e"] = max(res["e"], self.norm(lhs - rhs) / nrm_xi)
+        res["e"] = max(res["e"], gap(lhs, rhs))
 
         lhs = self.mod_group(z, conj_xi)
         rhs = self.conj(self.mod_group(np.conj(z), xi))
-        res["f"] = max(res["f"], self.norm(lhs - rhs) / nrm_xi)
+        res["f"] = max(res["f"], gap(lhs, rhs))
         drawn.append((a, b, eta_r, eta_a, z, c, z2))
     return res, drawn
 

@@ -19,6 +19,9 @@ with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
   the eigenbasis of h, over the same degenerate spectra, sizes and sources;
 * the three Gram suites at n = 5, m = 10 and n = 6, m = 12 with a jumps
   source, sizes the stage byte limit admits;
+* ``fock-commutant`` at n = 3, m = 6 and n = 4, m = 8 (d_max = 3), and
+  ``free-aw-derivation`` at the largest depth the stage byte limit admits
+  for d = 2 (depth 10) and d = 3 (depth 6);
 * ``alicki-validate`` and ``gram-axioms`` on a generator source over a
   near-degenerate spectrum (1, 1 + g, 2), g = 1e-9 and 1e-8, in a random
   eigenbasis.  The density read back from the file differs from the one the
@@ -69,6 +72,9 @@ BIMODULE_SUITES = ("bimodule-axioms", "carre-positivity")
 DEGENERATE_BIMODULE_SEED = 24
 LARGE_SIZES = ((5, 10), (6, 12))
 LARGE_SEED = 23
+LARGE_FOCK_SIZES = ((3, 6), (4, 8))
+LARGE_FREE_AW = ((2, 10), (3, 6))
+LARGE_FOCK_SEED = 25
 NEAR_DEGENERATE_GAPS = (1e-9, 1e-8)
 NEAR_DEGENERATE_SUITES = ("alicki-validate", "gram-axioms")
 NEAR_DEGENERATE_SEED = 22
@@ -141,6 +147,14 @@ def write_cases(workdir):
         name = f"large-gram-n{n}-m{m}-jumps"
         specs.append((name, "cli", workloads._scenario(
             name, n, m, "jumps", GRAM_SUITES, rng)))
+    rng = np.random.default_rng(LARGE_FOCK_SEED)
+    for n, m in LARGE_FOCK_SIZES:
+        name = f"large-fock-n{n}-m{m}-jumps"
+        specs.append((name, "cli", workloads._scenario(
+            name, n, m, "jumps", ("fock-commutant",), rng)))
+    for d, depth in LARGE_FREE_AW:
+        name = f"large-free-aw-d{d}-k{depth}"
+        specs.append((name, "cli", workloads._free_aw_scenario(name, d, depth, rng)))
     rng = np.random.default_rng(NEAR_DEGENERATE_SEED)
     for gap in NEAR_DEGENERATE_GAPS:
         name = f"near-degenerate-{gap:g}-n3-generator"
