@@ -21,7 +21,7 @@ from .lindblad import (
     extract_alicki,
     semigroup,
 )
-from .bimodule import BimoduleVector, Derivation, FinBimodule, carre_du_champ
+from .bimodule import Derivation, FinBimodule, carre_du_champ
 from .reconstruct import (
     GramSpace,
     build_gram_space,
@@ -47,7 +47,6 @@ __all__ = [
     "extract_alicki",
     "semigroup",
     "FinBimodule",
-    "BimoduleVector",
     "Derivation",
     "carre_du_champ",
     "GramSpace",

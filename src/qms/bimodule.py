@@ -7,13 +7,14 @@ Carrier: H^{+m} = (L_2(M, phi))^m with inner product
 * modular group          (U_z xi)_j = e^{i omega_j z} h^{iz} xi_j h^{-iz},
 * derivation             delta(a)_j = i e^{-omega_j/4} [v_j, a].
 
-A ``FinBimodule`` keeps the components of its vectors in the eigenbasis of
-h = u diag(lam) u*, xi'_j = u* xi_j u, where the modular maps are diagonal:
-U_z multiplies xi'_jab by exp(iz(omega_j + log lam_a - log lam_b)),
-<xi, eta> = sum_jab conj(xi'_jab) eta'_jab lam_b, and J x = h^{1/2} x* h^{-1/2}
-is (J x)'_ab = (lam_a / lam_b)^{1/2} conj(x'_ba).  The actions and ``delta``
-rotate their matrix argument once, to u* a u.  ``to_standard`` and
-``from_standard`` convert components; ``coords``/``from_coords`` are the
+A vector of a ``FinBimodule`` is the array (m, n, n) of its components in
+the modular eigenbasis of h = u diag(lam) u*, xi'_j = u* xi_j u
+(``WeightedAlgebra.to_eig``), where the modular maps are diagonal: U_z
+multiplies xi'_jab by exp(iz(omega_j + omega_ab)), omega_ab the Bohr
+frequency log lam_a - log lam_b, <xi, eta> = sum_jab conj(xi'_jab) eta'_jab
+lam_b, and J acts as ``WeightedAlgebra.conj_eig``.  The actions and
+``delta`` rotate their matrix argument once, to u* a u; ``W.from_eig`` gives
+the standard-basis components, and ``coords``/``from_coords`` are the
 standard-basis coordinates vec(xi_j h^{1/2}).
 
 The conjugation is NOT taken from a closed-form display.  It is defined on
@@ -34,8 +35,7 @@ blocks: ``conj`` applies the projector D D^+ (its residual decides
 ``NotInGeneratedSpan``) and the antilinear K = E conj(D^+), E the images, to
 the n columns of a vector's coordinates.
 
-Stacked samples: a ``BimoduleVector`` may hold a stack of vectors, comps
-(..., m, n, n).  Every structure map acts on each vector of a stack at once
+Stacked samples: an array (..., m, n, n) is a stack of vectors.  Every structure map acts on each vector of a stack at once
 (the actions and ``delta`` take a matrix or a stack (..., n, n),
 ``mod_group`` a scalar z or an array of them), so each map has one
 implementation.  The sampled checks draw all their samples first
@@ -48,139 +48,81 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import DimensionMismatch, NotInGeneratedSpan
+from .errors import NotInGeneratedSpan
 from .lindblad import DirichletForm, JumpSystem
-from .modular import TomitaData
 from .numkernel import matrix_units, spectral_norm
 from .reconstruct import gram_entry
 from .sampling import (_BLOCK_BYTES, _SMALL_BYTES, DISK, SQUARE, check_stage_bytes,
                        draw_samples, matrices, sample_blocks, worst)
 
-__all__ = ["FinBimodule", "BimoduleVector", "Derivation", "carre_du_champ"]
-
-
-class BimoduleVector:
-    """Element of H^{+m}: m matrices of size n x n, comps of shape (m, n, n);
-    or a stack of such elements, comps of shape (..., m, n, n)."""
-
-    def __init__(self, comps):
-        comps = np.asarray(comps, dtype=np.complex128)
-        if comps.ndim == 2:
-            comps = comps[None, :, :]
-        if comps.ndim < 3 or comps.shape[-2] != comps.shape[-1]:
-            raise DimensionMismatch(f"bad component shape {comps.shape}")
-        self.comps = comps
-
-    @property
-    def m(self):
-        return self.comps.shape[-3]
-
-    @property
-    def n(self):
-        return self.comps.shape[-1]
-
-    def __add__(self, other):
-        return BimoduleVector(self.comps + other.comps)
-
-    def __sub__(self, other):
-        return BimoduleVector(self.comps - other.comps)
-
-    def __mul__(self, scalar):
-        return BimoduleVector(self.comps * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return BimoduleVector(-self.comps)
+__all__ = ["FinBimodule", "Derivation", "carre_du_champ"]
 
 
 class FinBimodule:
-    """H^{+m} with the componentwise Tomita-bimodule structure, components
-    in the eigenbasis of h."""
+    """H^{+m} with the componentwise Tomita-bimodule structure; a vector is
+    the array (m, n, n) of its components in the eigenbasis of h."""
 
     def __init__(self, system: JumpSystem, tol=DEFAULT_TOL, validate=True):
         if validate:
             system.check_valid()
         self.W = system.W
         self.tol = tol
-        self.tomita = TomitaData(self.W)
         self.m = system.m
         self.n = self.W.n
-        self.omegas = np.array([w for _, w in system.jumps])
-        lam, self._u = self.W.eig.eigenvalues, self.W.eig.eigenvectors
+        jumps, self.omegas = system._stack()
+        lam = self.W.eig.eigenvalues
         self._lam, self._sqrt_lam = lam, np.sqrt(lam)
         self._lam_parts = np.repeat(lam, 2)
-        # sigma_z(x)'_ab = e^{i z bohr_ab} x'_ab, (J x)'_ab = j_scale_ab conj(x'_ba)
-        self._bohr = np.subtract.outer(np.log(lam), np.log(lam))
-        self._j_scale = np.sqrt(np.divide.outer(lam, lam))
-        self._freq = self.omegas[:, None, None] + self._bohr
-        self._jumps = self._rotate(np.array([v for v, _ in system.jumps]).reshape(
-            self.m, self.n, self.n))
+        # (U_z xi)'_jab = e^{i z freq_jab} xi'_jab
+        self._freq = self.omegas[:, None, None] + self.W.bohr
+        self._jumps = self.W.to_eig(jumps)
         self.pairing = list(system.pairing)
 
-    # --- basis, inner product and coordinates --------------------------------
+    # --- inner product and coordinates ----------------------------------------
 
-    def _rotate(self, a):
-        """u* a u of each matrix of a stack: a in the eigenbasis of h."""
-        return self._u.conj().T @ self.W._check_stack(a) @ self._u
-
-    def to_standard(self, xi: BimoduleVector):
-        """The standard-basis components u xi'_j u*, (..., m, n, n)."""
-        return self._u @ xi.comps @ self._u.conj().T
-
-    def from_standard(self, comps) -> BimoduleVector:
-        """The vector (or stack) of standard-basis components (..., m, n, n)."""
-        return BimoduleVector(self._rotate(comps))
-
-    def inner(self, xi: BimoduleVector, eta: BimoduleVector):
-        """<xi, eta>, one value per vector of a stack."""
-        return np.sum(xi.comps.conj() * eta.comps * self._lam, axis=(-3, -2, -1))
+    def inner(self, xi, eta):
+        """<xi, eta>, one value per vector of a stack (complex also for real
+        components)."""
+        xi = np.asarray(xi, dtype=np.complex128)
+        return np.sum(xi.conj() * eta * self._lam, axis=(-3, -2, -1))
 
     def norm(self, xi):
         """|xi| = (sum_jab lam_b |xi'_jab|^2)^{1/2} of each vector of a stack,
         in one pass over the real and imaginary parts of the components."""
-        v = np.ascontiguousarray(xi.comps).view(np.float64)
+        v = np.ascontiguousarray(xi, dtype=np.complex128).view(np.float64)
         return np.sqrt(np.einsum("...jab,...jab,b->...", v, v, self._lam_parts))
 
-    def coords(self, xi: BimoduleVector):
+    def coords(self, xi):
         """Stacked orthonormal coordinates (componentwise vec(xi_j h^{1/2}))."""
-        c = np.swapaxes(self.to_standard(xi) @ self.W.h_sqrt, -1, -2)
+        c = np.swapaxes(self.W.from_eig(xi) @ self.W.h_sqrt, -1, -2)
         return c.reshape(c.shape[:-3] + (self.m * self.n * self.n,))
 
     def from_coords(self, c):
         n = self.n
         comps = np.swapaxes(c.reshape(c.shape[:-1] + (self.m, n, n)), -1, -2)
-        return self.from_standard(comps @ self.W.h_isqrt)
+        return self.W.to_eig(comps @ self.W.h_isqrt)
 
     # --- actions and modular structure ---------------------------------------
 
-    def act_left(self, a, xi: BimoduleVector) -> BimoduleVector:
-        return BimoduleVector(self._rotate(a)[..., None, :, :] @ xi.comps)
+    def act_left(self, a, xi):
+        return self.W.to_eig(a)[..., None, :, :] @ xi
 
-    def act_right(self, a, xi: BimoduleVector) -> BimoduleVector:
-        return BimoduleVector(xi.comps @ self._rotate(a)[..., None, :, :])
+    def act_right(self, a, xi):
+        return xi @ self.W.to_eig(a)[..., None, :, :]
 
-    def mod_group(self, z, xi: BimoduleVector) -> BimoduleVector:
+    def mod_group(self, z, xi):
         """U_z xi: z a scalar, or an array of the stack's leading shape."""
-        return BimoduleVector(np.exp(1j * np.multiply.outer(z, self._freq)) * xi.comps)
-
-    def _sigma(self, z, ar):
-        """sigma_z(a) = h^{iz} a h^{-iz} of eigenbasis matrices, z per matrix."""
-        return np.exp(1j * np.multiply.outer(z, self._bohr)) * ar
-
-    def _conj_j(self, ar):
-        """J a = h^{1/2} a* h^{-1/2} of eigenbasis matrices."""
-        return self._j_scale * np.swapaxes(ar, -1, -2).conj()
+        return np.exp(1j * np.multiply.outer(z, self._freq)) * xi
 
     def _delta(self, ar):
         """delta of eigenbasis matrices ar, a matrix or a stack (..., n, n)."""
         ar = ar[..., None, :, :]
         weights = 1j * np.exp(-self.omegas / 4.0)
-        return BimoduleVector(weights[:, None, None] * (self._jumps @ ar - ar @ self._jumps))
+        return weights[:, None, None] * (self._jumps @ ar - ar @ self._jumps)
 
-    def delta(self, a) -> BimoduleVector:
+    def delta(self, a):
         """delta(a) = (i e^{-omega_j/4} [v_j, a])_j."""
-        return self._delta(self._rotate(a))
+        return self._delta(self.W.to_eig(a))
 
     # --- conjugation via generator forms --------------------------------------
 
@@ -189,7 +131,7 @@ class FinBimodule:
         """D[(j, a), (p, k)] = delta(F_p)'_jak over the eigenbasis units F_p:
         the spanning family's block at each right index l, up to lam_l^{1/2}."""
         n = self.n
-        d = self._delta(matrix_units(n)).comps
+        d = self._delta(matrix_units(n))
         return d.transpose(1, 2, 0, 3).reshape(self.m * n, n ** 3)
 
     @cached_property
@@ -198,7 +140,7 @@ class FinBimodule:
         E[(j, b), (p, k)] = lam_b^{1/2} lam_k^{-1/2} delta(J F_p)'_jkb the
         images of the block's columns at each left index l."""
         n, s = self.n, self._sqrt_lam
-        images = self._delta(self._conj_j(matrix_units(n))).comps * s / s[:, None]
+        images = self._delta(self.W.conj_eig(matrix_units(n))) * s / s[:, None]
         images = images.transpose(1, 3, 0, 2).reshape(self.m * n, n ** 3)
         u, sv, vh = np.linalg.svd(self.span_block, full_matrices=False)
         keep = sv > 1e-10 * np.max(sv, initial=0.0)
@@ -206,23 +148,23 @@ class FinBimodule:
         pinv = (vh[keep].conj().T / sv[keep]) @ u.conj().T
         return u @ u.conj().T, images @ pinv.conj()
 
-    def conj_ambient(self, xi: BimoduleVector) -> BimoduleVector:
+    def conj_ambient(self, xi):
         """Componentwise extension of the conjugation to all of H^{+m}:
         conj(xi)_j = J(xi_{j*}).  Agrees with the abstract generator-form
         map on the generated span (asserted by the test suite); used where a
         vector need not lie in that span (e.g. representing vectors)."""
-        return BimoduleVector(self._conj_j(xi.comps[..., self.pairing, :, :]))
+        return self.W.conj_eig(xi[..., self.pairing, :, :])
 
-    def conj(self, xi: BimoduleVector) -> BimoduleVector:
+    def conj(self, xi):
         """Antilinear conjugation, extended to the generated span.
 
         A vector outside the span raises ``NotInGeneratedSpan``; in a stack,
         the first such vector in row-major order of the leading axes.
         """
         proj, antilinear = self._conj_maps
-        n, lead = self.n, xi.comps.shape[:-3]
+        n, lead = self.n, xi.shape[:-3]
         # coordinates xi'_jab lam_b^{1/2}: rows (j, a), a column per right index
-        x = (xi.comps * self._sqrt_lam).reshape(lead + (self.m * n, n))
+        x = (xi * self._sqrt_lam).reshape(lead + (self.m * n, n))
         resid = np.linalg.norm(proj @ x - x, axis=(-2, -1))
         scale = np.maximum(np.linalg.norm(x, axis=(-2, -1)), 1e-300)
         outside = (resid > self.tol.span * scale).ravel()
@@ -232,7 +174,7 @@ class FinBimodule:
                                      self.tol.span)
         # column l goes to the rows of left index l: y[(j, b), l]
         y = (antilinear @ x.conj()).reshape(lead + (self.m, n, n))
-        return BimoduleVector(np.swapaxes(y, -1, -2) / self._sqrt_lam)
+        return np.swapaxes(y, -1, -2) / self._sqrt_lam
 
     # --- axiom checker ---------------------------------------------------------
 
@@ -271,9 +213,10 @@ class FinBimodule:
 
     def _axioms_block(self, res, a, b, eta_r, eta_a, z, c, z2):
         """Raise ``res`` to the residuals of one block of samples."""
-        a, b, eta_r, eta_a, c = self._rotate(np.stack([a, b, eta_r, eta_a, c]))
-        xi = BimoduleVector(self._delta(a).comps @ b[:, None])
-        eta = BimoduleVector(self._delta(eta_a).comps @ eta_r[:, None])
+        w = self.W
+        a, b, eta_r, eta_a, c = w.to_eig(np.stack([a, b, eta_r, eta_a, c]))
+        xi = self._delta(a) @ b[:, None]
+        eta = self._delta(eta_a) @ eta_r[:, None]
         norm_xi = self.norm(xi)
         nrm_xi = np.maximum(norm_xi, 1e-300)
         nrm_eta = np.maximum(self.norm(eta), 1e-300)
@@ -283,21 +226,19 @@ class FinBimodule:
         s = self._sqrt_lam
         opn_l = spectral_norm(c)
         opn_r = spectral_norm(c * s / s[:, None])
-        c_xi = BimoduleVector(c[:, None] @ xi.comps)
+        c_xi = c[:, None] @ xi
         res["a"] = worst(res["a"], (self.norm(c_xi) - opn_l * norm_xi) / nrm_xi,
-                         (self.norm(BimoduleVector(xi.comps @ c[:, None]))
-                          - opn_r * norm_xi) / nrm_xi)
+                         (self.norm(xi @ c[:, None]) - opn_r * norm_xi) / nrm_xi)
 
         # the conjugations of (b) and (f), stacked per sample in the order a
         # loop over samples calls them, so a vector outside the span raises
         # where the loop would
-        conjugated = self.conj(BimoduleVector(np.stack(
-            [c_xi.comps, xi.comps, self.mod_group(np.conj(z), xi).comps], axis=1)))
-        lhs_b, conj_xi, rhs_f = (BimoduleVector(conjugated.comps[:, k])
-                                 for k in range(3))
+        conjugated = self.conj(np.stack([c_xi, xi, self.mod_group(np.conj(z), xi)],
+                                        axis=1))
+        lhs_b, conj_xi, rhs_f = (conjugated[:, k] for k in range(3))
 
         # (b) conj L(c) = R(Jc) conj
-        rhs = BimoduleVector(conj_xi.comps @ self._conj_j(c)[:, None])
+        rhs = conj_xi @ w.conj_eig(c)[:, None]
         res["b"] = worst(res["b"], self.norm(lhs_b - rhs) / (opn_l * nrm_xi))
 
         # U_z may stretch xi far beyond |xi|, so (c)-(f) are relative to the
@@ -321,8 +262,7 @@ class FinBimodule:
         # (e) U_z L(a) U_{-z} = L(U_z a) on generators:
         #     U_z(delta(a) b) = delta(U_z a) U_z b
         lhs = self.mod_group(z, xi)
-        rhs = BimoduleVector(self._delta(self._sigma(z, a)).comps
-                             @ self._sigma(z, b)[:, None])
+        rhs = self._delta(w.sigma_eig(z, a)) @ w.sigma_eig(z, b)[:, None]
         res["e"] = worst(res["e"], gap(lhs, rhs))
 
         # (f) U_z conj = conj U_{conj(z)}
@@ -351,18 +291,18 @@ class Derivation:
         x, y, z = draw_samples(rng, n_samples, mat, mat, SQUARE)
         res = {"product_rule": 0.0, "conj_intertwine": 0.0,
                "mod_intertwine": 0.0, "energy_identity": 0.0}
-        xr, yr = b._rotate(np.stack([x, y]))
+        xr, yr = b.W.to_eig(np.stack([x, y]))
         dx, dy = b._delta(xr), b._delta(yr)
         scale = np.maximum(b.norm(dx) * np.linalg.norm(y, axis=(-2, -1)), 1e-300)
         lhs = b._delta(xr @ yr)
-        rhs = BimoduleVector(xr[:, None] @ dy.comps + dx.comps @ yr[:, None])
+        rhs = xr[:, None] @ dy + dx @ yr[:, None]
         res["product_rule"] = worst(0.0, b.norm(lhs - rhs) / scale)
 
-        rhs = b._delta(b._conj_j(xr))
+        rhs = b._delta(b.W.conj_eig(xr))
         res["conj_intertwine"] = worst(
             0.0, b.norm(b.conj(dx) - rhs) / np.maximum(b.norm(rhs), 1e-300))
 
-        rhs = b._delta(b._sigma(z, xr))
+        rhs = b._delta(b.W.sigma_eig(z, xr))
         res["mod_intertwine"] = worst(
             0.0, b.norm(b.mod_group(z, dx) - rhs) / np.maximum(b.norm(rhs), 1e-300))
 

@@ -57,8 +57,9 @@ _UFUNC_BUFFER_BYTES = 3 << 17
 def _scalar_fock_bytes(d, depth):
     """Bytes of two D x D complex arrays, D = 1 + d + ... + d^depth, or of
     two delta images of a top-layer vector ((2d)^depth entries).  The suite
-    forms no D x D array: three top-layer blocks of (d^depth)^2 entries fit
-    this for d <= 5, which keeps the admitted (d, depth) as they were."""
+    forms no D x D array and holds one top-layer block of (d^depth)^2
+    entries at a time (its commutator is formed in row chunks), so this
+    bounds its peak and keeps the admitted (d, depth) as they were."""
     dim = sum(d ** k for k in range(depth + 1))
     return 32 * max(dim * dim, (2 * d) ** depth)
 

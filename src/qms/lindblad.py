@@ -110,11 +110,11 @@ class JumpSystem:
         # weighed by |lam_a - e^{-omega} lam_b| / (lam_a + e^{-omega} lam_b)
         # <= 1, so rounding in v~ is not amplified by cond(h) as in
         # h v h^{-1}, and an error eps in omega reads eps / 2
-        lam, u = self.W.eig.eigenvalues, self.W.eig.eigenvectors
+        lam = self.W.eig.eigenvalues
         down = np.exp(-omega)[:, None, None] * lam
         weight = (lam[:, None] - down) / (lam[:, None] + down)
         res["modular-eigenvector"] = float(np.max(np.linalg.norm(
-            weight * (u.conj().T @ v @ u), axis=(1, 2)) / scale))
+            weight * self.W.to_eig(v), axis=(1, 2)) / scale))
         partner = np.asarray(self.pairing)
         gap = (np.linalg.norm(v[partner] - v.conj().transpose(0, 2, 1),
                               axis=(1, 2)) / scale
@@ -244,8 +244,7 @@ def _modular_basis(w: WeightedAlgebra, herm):
     of frequency 0.
     """
     n = w.n
-    lam, u = w.eig.eigenvalues, w.eig.eigenvectors
-    same, mean, equal = bohr_classes(lam)
+    same, mean, equal = bohr_classes(w.eig.eigenvalues)
     # row l of the ladder: 1 before index l, -l at l
     ladder = np.tril(np.ones((n, n)), -1) - np.diag(np.arange(n))
     ladder = ladder[1:] / np.sqrt(np.arange(1, n) * np.arange(2, n + 1))[:, None]
@@ -260,7 +259,7 @@ def _modular_basis(w: WeightedAlgebra, herm):
     ])
     idx = np.r_[np.zeros(n - 1, dtype=int), p, q]   # F_00 for the ladder
     freq = np.where(np.r_[np.ones(n - 1, bool), herm, herm], 0.0, mean[same[idx]])
-    return u @ basis @ u.conj().T, equal[idx], freq
+    return w.from_eig(basis), equal[idx], freq
 
 
 def _kossakowski(l: Superoperator, basis):

@@ -11,6 +11,13 @@ carrying the weighted inner product <x, y>_h = tr(x* y h).  On it live
 with S = J Delta^{1/2} realizing sharp.  ``coords``/``from_coords`` expose an
 orthonormal coordinate system (x -> vec(x h^{1/2})) in which adjoints of
 linear maps are plain conjugate transposes.
+
+The modular eigenbasis: with h = u diag(lam) u*, ``to_eig`` maps x to
+x~ = u* x u, the coefficients of x over the units F_ab = u E_ab u*, and
+``from_eig`` back.  There the modular maps are diagonal: sigma_z(x)~_ab =
+e^{i z omega_ab} x~_ab with the Bohr frequencies omega_ab = log lam_a -
+log lam_b (``bohr``), and (J x)~_ab = (lam_a / lam_b)^{1/2} conj(x~_ba).
+Every layer reads the basis from here.
 """
 
 import warnings
@@ -66,17 +73,32 @@ class WeightedAlgebra:
         # eigendecomposition of exactly this matrix
         self.h = 0.5 * (h + h.conj().T)
         self.eig = eig
-        self.h_sqrt = self._power(0.5)
-        self.h_isqrt = self._power(-0.5)
-        self.h_inv = self._power(-1.0)
+        self.h_sqrt, self.h_isqrt, self.h_inv = (
+            mat_power(self.h, z, tol, _eig=eig) for z in (0.5, -0.5, -1.0))
+        log_lam = np.log(w)
+        self.bohr = np.subtract.outer(log_lam, log_lam)
+        self._j_scale = np.sqrt(np.divide.outer(w, w))
 
-    def _power(self, z):
-        return mat_power(self.h, z, self.tol, _eig=self.eig)
+    # --- the modular eigenbasis -----------------------------------------------
 
-    def power(self, z):
-        """h**z (principal branch; z may be complex, or an array of exponents
-        for a stack of powers)."""
-        return self._power(z)
+    def to_eig(self, x):
+        """u* x u of each matrix of a stack: x over the eigenbasis units."""
+        u = self.eig.eigenvectors
+        return u.conj().T @ self._check_stack(x) @ u
+
+    def from_eig(self, x):
+        """u x u* of each matrix of a stack, the inverse of ``to_eig``."""
+        u = self.eig.eigenvectors
+        return u @ self._check_stack(x) @ u.conj().T
+
+    def sigma_eig(self, z, x):
+        """sigma_z(x) = h^{iz} x h^{-iz} of eigenbasis matrices; z a scalar
+        or an array of the stack's leading shape."""
+        return np.exp(1j * np.multiply.outer(z, self.bohr)) * x
+
+    def conj_eig(self, x):
+        """J x = h^{1/2} x* h^{-1/2} of eigenbasis matrices."""
+        return self._j_scale * np.swapaxes(x, -1, -2).conj()
 
     # --- GNS structure --------------------------------------------------------
 
@@ -171,7 +193,8 @@ class TomitaData:
         return Superoperator.left_right(self.W.h, self.W.h_inv)
 
     def modular_group(self, z, x):
-        """U_z(x) = h^{iz} x h^{-iz}; U_{-i} = Delta."""
+        """U_z(x) = h^{iz} x h^{-iz}, through the modular eigenbasis;
+        U_{-i} = Delta."""
         z = np.asarray(z)
         im_z = np.max(np.abs(z.imag))
         if im_z > self.W.tol.im_z_max:
@@ -180,13 +203,13 @@ class TomitaData:
                 "accuracy is not guaranteed",
                 stacklevel=2,
             )
-        left = self.W.power(1j * z)
-        right = self.W.power(-1j * z)
-        return left @ self.W._check_stack(x) @ right
+        w = self.W
+        return w.from_eig(w.sigma_eig(z, w.to_eig(x)))
 
     def conj_J(self, x):
         """J(x) = h^{1/2} x* h^{-1/2} (antiunitary involution)."""
-        return self.W.h_sqrt @ _adjoint(self.W._check_stack(x)) @ self.W.h_isqrt
+        w = self.W
+        return w.from_eig(w.conj_eig(w.to_eig(x)))
 
     def sharp(self, x):
         """x -> x*, the adjoint for left multiplication."""

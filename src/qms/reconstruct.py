@@ -147,8 +147,8 @@ class GramSpace:
         stacks of a and b: sum_ijk embed_T[r, ijk] a~_ij b~_kl lam_l^{1/2}."""
         n = self.W.n
         embed = self.qmap.embed.reshape(-1, n * n, n)
-        left = np.einsum("rpk,...p->...rk", embed, _coeff(self._rotate(a)))
-        out = left @ self._rotate(b) * np.sqrt(self.W.eig.eigenvalues)
+        left = np.einsum("rpk,...p->...rk", embed, _coeff(self.W.to_eig(a)))
+        out = left @ self.W.to_eig(b) * np.sqrt(self.W.eig.eigenvalues)
         return out.reshape(out.shape[:-2] + (self.rank,))
 
     def delta(self, a):
@@ -202,9 +202,10 @@ class GramSpace:
         return self.bohr[lo[coord]], lo[coord] == hi[coord], wide
 
     def _op_left_t(self, a):
-        """L_T(a) from the sparse images, for each matrix of a stack."""
+        """L_T(a) from the sparse images, for each eigenbasis matrix a~ of a
+        stack."""
         index, val, positions, starts = self._images
-        coeff = _coeff(self._rotate(a))
+        coeff = _coeff(a)
         lead, rt = coeff.shape[:-1], self.qmap.rank
         out = np.zeros(lead + (rt * rt,), dtype=np.complex128)
         out[..., positions] = np.add.reduceat(coeff[..., index] * val, starts,
@@ -212,14 +213,10 @@ class GramSpace:
         return out.reshape(lead + (rt, rt))
 
     def _right_factor(self, a):
-        """rho(a) = lam^{1/2} a~^T lam^{-1/2}, with R(a) = kron(1, rho(a))."""
+        """rho(a) = lam^{1/2} a~^T lam^{-1/2} of an eigenbasis matrix a~, with
+        R(a) = kron(1, rho(a))."""
         s = np.sqrt(self.W.eig.eigenvalues)
-        return np.swapaxes(self._rotate(a), -1, -2) * s[:, None] / s
-
-    def _rotate(self, a):
-        """u* a u of each matrix of a stack: a over the eigenbasis units F_p."""
-        u = self.W.eig.eigenvectors
-        return u.conj().T @ as_cstack(a) @ u
+        return np.swapaxes(a, -1, -2) * s[:, None] / s
 
     def _group_blocks(self, z):
         """The diagonal blocks of U_T(z): the phases (..., rt, 1, 1), zero on
@@ -371,17 +368,12 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
     # 7 n^6 entries: T, |T|, eigenvectors by sector and sorted, the quotient's 3
     if not allow_large:
         check_stage_bytes(16 * 7 * n ** 6 + _SMALL_BYTES, f"the Gram T at n = {n}")
-    # f[ij, kl] = E(E_ij, E_kl), from the form in vec coordinates
-    to_coords = np.kron(w.h_sqrt.T, np.eye(n))
-    f = to_coords.conj().T @ form.matrix @ to_coords
-    f = f.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
-
-    # In the modular eigenbasis F_ab = u E_ab u* (unit coefficients: column
-    # ab of rot) h is diagonal, and T vanishes between triples of different
-    # frequency omega_ij + log lam_k
-    lam, u = w.eig.eigenvalues, w.eig.eigenvectors
-    rot = np.kron(u, u.conj())
-    t = _gram(rot.conj().T @ f @ rot, lam)
+    # f[p, q] = E(F_p, F_q) over the units F_p = u E_p u* of the modular
+    # eigenbasis, where h is diagonal and T vanishes between triples of
+    # different frequency omega_ij + log lam_k
+    lam = w.eig.eigenvalues
+    c = w.coords(w.from_eig(matrix_units(n)))
+    t = _gram(c.conj() @ form.matrix @ c.T, lam)
     bohr_class, bohr, sector = _sectors(lam)
     qmap, coord_sector, off_sector = _quotient_sectors(t, sector, lam, tol)
     return GramSpace(W=w, qmap=qmap, sector=sector, bohr_class=bohr_class,
@@ -444,35 +436,36 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     relative off-sector magnitude.
 
     Each sample draws a, z, z2; all are drawn first, then evaluated in blocks
-    of samples (``sampling.sample_blocks``) as stacks of T-level matrices.
+    of samples (``sampling.sample_blocks``) as stacks of T-level matrices,
+    each block's a rotated once to the eigenbasis.
     """
     rng = np.random.default_rng(seed)
-    n = g.W.n
-    td = TomitaData(g.W)
+    w = g.W
+    s = np.sqrt(w.eig.eigenvalues)
     res = {k: 0.0 for k in "abcdef"}
     if g.rank == 0:
         return res
     # 3 rank x rank arrays: J, the second einsum's term and its product (op_conj)
     check_stage_bytes(48 * g.rank ** 2 + _SMALL_BYTES, f"the Gram J at rank {g.rank}")
-    a, z, z2 = draw_samples(rng, n_samples, matrices(n), DISK, DISK)
+    a, z, z2 = draw_samples(rng, n_samples, matrices(w.n), DISK, DISK)
     jq = g.op_conj()
     defect = _conj_defect_gram(g, jq)
     freq, first, val, starts = _conj_group_terms(g, jq)
     # a sample holds rt x rt stacks of L_T and U_T, and one value per (f) term
     for block in sample_blocks(n_samples, 16 * (g.qmap.rank ** 2 + val.size)):
-        ab, zb, z2b = a[block], z[block], z2[block]
+        ab, zb, z2b = w.to_eig(a[block]), z[block], z2[block]
         lt = g._op_left_t(ab)
         norm_l = spectral_norm(lt)
 
         # (a) boundedness: |L(a)| <= |pi_l(a)| = |a|,
-        # |R(a)| <= |pi_r(a)| = |h^{-1/2} a h^{1/2}|
+        # |R(a)| <= |pi_r(a)| = |h^{-1/2} a h^{1/2}|, in the eigenbasis
         opn_l = spectral_norm(ab)
-        opn_r = spectral_norm(g.W.h_isqrt @ ab @ g.W.h_sqrt)
+        opn_r = spectral_norm(ab * s / s[:, None])
         res["a"] = worst(res["a"], (norm_l - opn_l) / opn_l,
                          (spectral_norm(g._right_factor(ab)) - opn_r) / opn_r)
         # (b) J L(a) = R(Ja) J: with a = sum_p c_p F_p the defect is
         # sum_p conj(c_p) D_p, of squared norm c^T M conj(c)
-        c = _coeff(g._rotate(ab))
+        c = _coeff(ab)
         sq = np.einsum("...p,pq,...q->...", c, defect, c.conj()).real
         res["b"] = worst(res["b"], np.sqrt(np.maximum(sq, 0.0))
                          / np.maximum(norm_l, 1e-300))
@@ -487,7 +480,7 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
             for u, v in zip(uz, g._group_blocks(-np.conj(zb))))
             / np.maximum(_frob_blocks(uz), 1e-300))
         # (e) U_z L(a) U_{-z} = L(U_z a)
-        rhs = g._op_left_t(td.modular_group(zb, ab))
+        rhs = g._op_left_t(w.sigma_eig(zb, ab))
         lhs = g._group_apply(g._group_blocks(-zb), g._group_apply(uz, lt), right=True)
         res["e"] = worst(res["e"], _frob(lhs - rhs) / np.maximum(_frob(rhs), 1e-300))
         # (f) U_z J = J conj(U_{conj(z)}), on the terms e^{i z freq} val

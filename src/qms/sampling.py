@@ -131,7 +131,7 @@ def worst(*residuals):
 def random_jump_system(w: WeightedAlgebra, rng, m_max=6):
     """Valid jump system with at most m_max jumps over the given algebra."""
     n = w.n
-    lam, u = w.eig.eigenvalues, w.eig.eigenvectors
+    lam = w.eig.eigenvalues
     pairs = [(a, b) for a in range(n) for b in range(n) if a < b]
     rng.shuffle(pairs)
 
@@ -143,7 +143,7 @@ def random_jump_system(w: WeightedAlgebra, rng, m_max=6):
         c = rng.uniform(0.3, 1.5) * np.exp(2j * np.pi * rng.uniform())
         e_ab = np.zeros((n, n), dtype=np.complex128)
         e_ab[a, b] = 1.0
-        v = c * (u @ e_ab @ u.conj().T)
+        v = c * w.from_eig(e_ab)
         omega = float(np.log(lam[b]) - np.log(lam[a]))
         j = len(jumps)
         jumps.append((v, omega))
@@ -161,7 +161,7 @@ def random_jump_system(w: WeightedAlgebra, rng, m_max=6):
             col = q[:, k]
             if np.linalg.norm(col) < 0.5:
                 continue
-            v = rng.uniform(0.3, 1.5) * (u @ np.diag(col.astype(np.complex128)) @ u.conj().T)
+            v = rng.uniform(0.3, 1.5) * w.from_eig(np.diag(col))
             pairing.append(len(jumps))
             jumps.append((v, 0.0))
 

@@ -19,7 +19,7 @@ from .modular import WeightedAlgebra
 from .numkernel import Superoperator, matrix_units
 from .reconstruct import (build_gram_space, gram_axioms_check,
                           stinespring_rate, uniqueness_isometry)
-from .sampling import draw_samples, matrices, random_matrix, worst
+from .sampling import draw_samples, matrices, random_matrix, sample_blocks, worst
 
 __all__ = ["ScenarioData", "Scenario", "SUITES", "run_suite", "suite_names"]
 
@@ -167,7 +167,7 @@ def suite_carre_positivity(sc, seed):
     (a,) = draw_samples(rng, 100, matrices(w.n))
     g = carre_du_champ(form, a, a)
     worst_neg = worst(0.0, -np.linalg.eigvals(g).real.min(axis=-1))
-    da = bim.to_standard(bim.delta(a))
+    da = w.from_eig(bim.delta(a))
     direct = w.h_sqrt @ np.einsum("sjrk,sjrl->skl", da.conj(), da) @ w.h_isqrt
     worst_cons = worst(0.0, np.linalg.norm(g - direct, axis=(-2, -1))
                        / np.maximum(np.linalg.norm(direct, axis=(-2, -1)), 1e-300))
@@ -212,14 +212,16 @@ def suite_free_aw_derivation(sc, seed):
                          abs(got - layer * np.vdot(xi, xi))
                          / max(abs(np.vdot(xi, xi)), 1e-300))
     # Delta^{it} is (V_{-t})^{(x)k} and exp(-sN) the scalar e^{-sk} on layer
-    # k: ||[Delta^{it}, exp(-sN)]||_F / ||exp(-sN)||_F, one layer at a time.
-    # A block times one scalar commutes exactly in floating point, so this
-    # reads 0 on every input and tests nothing of the model
+    # k: ||[Delta^{it}, exp(-sN)]||_F / ||exp(-sN)||_F, one layer at a time,
+    # each commutator in row chunks so that the top block is the only one
+    # held.  A block times one scalar commutes exactly in floating point, so
+    # this reads 0 on every input and tests nothing of the model
     ou, comm = np.exp(-0.51 * np.arange(f.d_max + 1.0)), 0.0
     for mu, o in zip(f.modular_blocks(0.37), ou):
-        diff = mu * o
-        diff -= o * mu
-        comm += np.linalg.norm(diff) ** 2
+        for rows in sample_blocks(len(mu), 16 * len(mu)):
+            diff = mu[rows] * o
+            diff -= o * mu[rows]
+            comm += np.linalg.norm(diff) ** 2
     comm = np.sqrt(comm) / max(np.linalg.norm(np.repeat(ou, f.dims)), 1e-300)
     # E(xi) = <xi, N xi> equals the derivation pairing summed over layers
     full = rng.standard_normal(f.D) + 1j * rng.standard_normal(f.D)

@@ -194,7 +194,7 @@ def test_criterion_7_carre_du_champ():
         g = carre_du_champ(form, a, a)
         ev = np.linalg.eigvals(g)
         worst_neg = max(worst_neg, max(-ev.real.min(), 0.0))
-        da = bim.to_standard(bim.delta(a))
+        da = bim.W.from_eig(bim.delta(a))
         direct = w.h_sqrt @ sum(
             da[j].conj().T @ da[j] for j in range(bim.m)
         ) @ w.h_isqrt

@@ -142,7 +142,7 @@ def vacuum_expectation(f, x_mat):
 
 def pairing(b, xi, eta):
     """(xi|eta) = sum_j xi_j* eta_j in M."""
-    x, y = b.to_standard(b.from_coords(xi)), b.to_standard(b.from_coords(eta))
+    x, y = b.W.from_eig(b.from_coords(xi)), b.W.from_eig(b.from_coords(eta))
     return np.einsum("jrk,jrl->kl", x.conj(), y)
 
 
@@ -699,6 +699,17 @@ class TestScalarFock:
         assert f.derivation_pairing(top, depth, top, depth) == depth * len(top)
         assert f.energy(xi) == sum(k * dk for k, dk in enumerate(f.dims))
         assert ou_semigroup(f, 0.5).shape == (f.D, f.D)
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_size_count_bounds_suite_peak(self, d):
+        """At the deepest depth the count admits, the whole free-AW suite
+        holds no more than it counts (tracemalloc peak)."""
+        depth = max(k for k in range(13) if qms.fock._scalar_fock_bytes(d, k)
+                    <= qms.sampling._STAGE_BYTES)
+        sc = Scenario(ScenarioData(W=WeightedAlgebra(np.eye(1)), fock_spec={
+            "A": nontracial_a(d), "I": None, "depth": depth}), DEFAULT_TOL)
+        _, peak = traced_peak(lambda: run_suite("free-aw-derivation", sc))
+        assert peak <= qms.fock._scalar_fock_bytes(d, depth)
 
     @pytest.mark.parametrize("layer", range(6))
     @pytest.mark.parametrize("d", [2, 3])

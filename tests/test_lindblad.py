@@ -280,7 +280,8 @@ class TestExtractAlicki:
             lam = np.array([1.0, 1.0 + gap, 2.0]) / (4.0 + gap)
             u0 = random_unitary(3, rng)
             w = WeightedAlgebra((u0 * lam) @ u0.conj().T)
-            analytic = SimpleNamespace(n=3, eig=HermEig(lam, u0))
+            analytic = SimpleNamespace(n=3, eig=HermEig(lam, u0),
+                                       from_eig=lambda x: u0 @ x @ u0.conj().T)
             jumps = random_jump_system(analytic, rng, m_max=6)
             l = build_generator(JumpSystem(W=w, jumps=jumps.jumps,
                                            pairing=jumps.pairing))

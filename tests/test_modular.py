@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qms.modular import TomitaData, WeightedAlgebra
 from qms.errors import NotPositiveDefinite
-from qms.numkernel import Superoperator
-from qms.sampling import random_weighted_algebra
+from qms.numkernel import Superoperator, mat_power
+from qms.sampling import random_matrix, random_unitary, random_weighted_algebra
 
 from conftest import E11, E12, E21, matrix_unit
 
@@ -99,6 +101,32 @@ class TestModularGroup:
                 w_qubit.inner(td.modular_group(t, x), td.modular_group(t, y))
                 - w_qubit.inner(x, y)
             ) < 1e-10
+
+
+    @given(n=st.integers(2, 5), log_cond=st.floats(0.0, 4.0),
+           re=st.floats(-3.0, 3.0), im=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_powers(self, n, log_cond, re, im, seed):
+        """U_z through the modular eigenbasis is h^{iz} x h^{-iz} formed from
+        the dense powers, to 1e-13 relative, for cond(h) <= 1e4 and
+        |Im z| <= 2; also for a stack of x with one z each."""
+        rng = np.random.default_rng(seed)
+        lam = 10.0 ** np.r_[0.0, log_cond, rng.uniform(0.0, log_cond, n - 2)]
+        u = random_unitary(n, rng)
+        w = WeightedAlgebra((u * (lam / lam.sum())) @ u.conj().T)
+        x = np.array([random_matrix(n, rng) for _ in range(3)])
+        z = complex(re, im) * np.array([1.0, 0.5, -1.0])
+        want = (mat_power(w.h, 1j * z, _eig=w.eig) @ x
+                @ mat_power(w.h, -1j * z, _eig=w.eig))
+        got = TomitaData(w).modular_group(z, x)
+        assert np.all(np.linalg.norm(got - want, axis=(-2, -1))
+                      <= 1e-13 * np.linalg.norm(want, axis=(-2, -1)))
+        assert np.allclose(TomitaData(w).modular_group(z[0], x[0]), got[0],
+                           rtol=1e-13, atol=0.0)
+
+    def test_warns_beyond_supported_range(self, w_qubit):
+        with pytest.warns(UserWarning, match="beyond supported range"):
+            TomitaData(w_qubit).modular_group(4.5j, E12)
 
 
 class TestConjugation:

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 import qms.numkernel
 import qms.reconstruct
 import qms.sampling
-from qms.bimodule import BimoduleVector, FinBimodule
+from qms.bimodule import FinBimodule
 from qms.cli import main
 from qms.config import DEFAULT_TOL
 from qms.errors import GramNotPSD, RankUndecided, SizeLimitExceeded
 from qms.lindblad import (DirichletForm, JumpSystem, build_generator,
                           dirichlet_form, extract_alicki)
 from qms.modular import TomitaData, WeightedAlgebra
-from qms.numkernel import (HermEig, Superoperator, herm_eig, matrix_units,
-                           null_quotient)
+from qms.numkernel import (HermEig, Superoperator, herm_eig, mat_power,
+                           matrix_units, null_quotient)
 from qms.reconstruct import (
     GramSpace,
     boundary_pairing,
@@ -286,7 +286,9 @@ class DenseGramSpace:
 
     def op_group(self, z):
         def one(z):
-            f = np.kron(self.W.power(1j * z), self.W.power(-1j * z).T)
+            w = self.W
+            f = np.kron(mat_power(w.h, 1j * z, _eig=w.eig),
+                        mat_power(w.h, -1j * z, _eig=w.eig).T)
             return self._descend(np.kron(f, f))
         return self._each(one, z, 0)
 
@@ -507,7 +509,7 @@ class TestRightBlocks:
         right = np.arange(g.rank) % n
         off = right[:, None] != right[None, :]
         assert np.array_equal(la[:, off], np.zeros((3, off.sum())))
-        got = qms.numkernel.spectral_norm(g._op_left_t(a))
+        got = qms.numkernel.spectral_norm(g._op_left_t(g.W.to_eig(a)))
         want = np.linalg.norm(la, 2, axis=(-2, -1))
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 
@@ -834,7 +836,7 @@ class TestUniqueness:
         sv = np.linalg.svd(span, compute_uv=False)
         rank = int(np.sum(sv ** 2 > DEFAULT_TOL.decomp * sv.max() ** 2))
         # T_B[ijk, rst] = sum_p (u* delta_p(F_ij)* delta_p(F_rs) u)_kt
-        d = u.conj().T @ bim.to_standard(bim.delta(u @ matrix_units(n) @ u.conj().T)) @ u
+        d = u.conj().T @ bim.W.from_eig(bim.delta(u @ matrix_units(n) @ u.conj().T)) @ u
         t_b = np.einsum("apxk,bpxt->akbt", d.conj(), d).reshape(n ** 3, n ** 3)
         scale = np.abs(dense).max()
         by_right = dense.reshape(n ** 3, n, n ** 3, n)
@@ -852,7 +854,7 @@ def dense_span(bim):
     """The spanning family R(E_q) delta(E_p) over the matrix-unit pairs in
     standard coordinates: column p n^2 + q holds its coordinates."""
     units = matrix_units(bim.n)
-    pairs = bim.act_right(units[None], BimoduleVector(bim.delta(units).comps[:, None]))
+    pairs = bim.act_right(units[None], bim.delta(units)[:, None])
     return bim.coords(pairs).reshape(bim.n ** 4, -1).T
 
 
@@ -1017,7 +1019,7 @@ class TestRepVector:
 
     @staticmethod
     def spec_vector(system):
-        return FinBimodule(system).from_standard(np.array([
+        return FinBimodule(system).W.to_eig(np.array([
             -1j * np.exp(-om / 4.0) * v for v, om in system.jumps
         ]))
 

@@ -37,8 +37,10 @@ with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
 Per case the tool compares the exit code, stderr and report bytes (for a
 three-route job, its result).  Where the bytes differ it prints, for each
 check name whose residual moved, the base -> change residuals of its largest
-move.  It exits with 1 if any exit code, check name or pass flag differs,
-else with 0.
+move.  After the case counts it prints one tally line per check name whose
+residual moved anywhere: the number of cases it moved in and the base ->
+change residuals of its largest move over all cases.  It exits with 1 if any
+exit code, check name or pass flag differs, else with 0.
 """
 
 import contextlib
@@ -260,10 +262,17 @@ def _residual_moves(base, change):
     return out
 
 
+def _larger(move, other):
+    """The larger of two (base, change) moves."""
+    return move if abs(move[0] - move[1]) >= abs(other[0] - other[1]) else other
+
+
 def compare(base, change):
-    """(identical, breaking, lines) for two runs of the same cases."""
+    """(identical, breaking, lines, tally) for two runs of the same cases;
+    tally maps each check name whose residual moved to (cases, largest move)."""
     identical = breaking = 0
     lines = []
+    tally = {}
     for name, b in base.items():
         c = change[name]
         problems = []
@@ -284,7 +293,10 @@ def compare(base, change):
             moves = _residual_moves(b, c)
             lines.append(f"  {name}: differs; residuals base -> change: " + ", ".join(
                 f"{k} {u:.1e} -> {v:.1e}" for k, (u, v) in sorted(moves.items())))
-    return identical, breaking, lines
+            for k, move in moves.items():
+                cases, largest = tally.get(k, (0, move))
+                tally[k] = (cases + 1, _larger(move, largest))
+    return identical, breaking, lines, tally
 
 
 def main(argv=None):
@@ -301,12 +313,14 @@ def main(argv=None):
             _in_tree(tree, "run_cases", workdir, out)
             with open(out) as fh:
                 runs.append(json.load(fh))
-    identical, breaking, lines = compare(*runs)
+    identical, breaking, lines, tally = compare(*runs)
     for line in lines:
         print(line)
     print(f"{len(runs[0])} cases: {identical} identical, "
           f"{len(runs[0]) - identical - breaking} differ in residuals or stderr "
           f"only, {breaking} differ in an exit code, check name or pass flag")
+    for name, (cases, (u, v)) in sorted(tally.items()):
+        print(f"moved {name}: {cases} cases, largest {u:.1e} -> {v:.1e}")
     return 1 if breaking else 0
 
 
