@@ -244,7 +244,7 @@ def _modular_basis(w: WeightedAlgebra, herm):
     of frequency 0.
     """
     n = w.n
-    same, mean, equal = bohr_classes(w.eig.eigenvalues)
+    same, mean, equal = bohr_classes(w)
     # row l of the ladder: 1 before index l, -l at l
     ladder = np.tril(np.ones((n, n)), -1) - np.diag(np.arange(n))
     ladder = ladder[1:] / np.sqrt(np.arange(1, n) * np.arange(2, n + 1))[:, None]

@@ -149,8 +149,8 @@ class WeightedAlgebra:
         return x
 
 
-def bohr_classes(lam, triple=False):
-    """Classes of the Bohr frequencies omega_ab = log lam_a - log lam_b of
+def bohr_classes(w: WeightedAlgebra, triple=False):
+    """Classes of the Bohr frequencies omega_ab (``WeightedAlgebra.bohr``) of
     F_ab = u E_ab u* (index a n + b) of h = u diag(lam) u* (lam ascending),
     or, if ``triple``, of the frequencies omega_ab + log lam_c of the triples
     (a, b, c) at index a n^2 + b n + c: F_ab (x) F_cd has the frequency of
@@ -162,8 +162,8 @@ def bohr_classes(lam, triple=False):
     may agree.  Classes (``numkernel.cluster``) only merge, so equal
     frequencies are never split.
     """
+    lam, freq = w.eig.eigenvalues, w.bohr.ravel()
     log_lam = np.log(lam)
-    freq = np.subtract.outer(log_lam, log_lam).ravel()
     if triple:
         freq = np.add.outer(freq, log_lam).ravel()
     rounding = _FREQ_GAP * (1.0 + np.abs(log_lam).max())

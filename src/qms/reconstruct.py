@@ -33,19 +33,19 @@ R(a) = kron(1, lam^{1/2} a~^T lam^{-1/2}), a~ = u* a u, in closed form; and
 U_z = kron(U_T(z), diag(lam)^{-iz}), U_T(z) = sum_k e^{i z nu_k} P_k over the
 triple frequencies, kept as one phase per T coordinate and a small block
 per wide sector (of several classes, near-degenerate spectra).  J joins the
-right blocks; it is formed on the whole quotient in closed form, and it is
-sparse (about two nonzero entries a row).  The Gram axioms that involve J
-form no rank x rank matrix per sample: (b) J L(a) = R(Ja) J is
-conjugate-linear in a, so its defect is sum_p conj(c_p) D_p over the n^2
-eigenbasis units F_p (a = sum_p c_p F_p), and each sample reads
-c^T <D_p, D_q> conj(c) off one n^2 x n^2 Gram; (f) U_z J = J conj(U_conj(z))
-is evaluated only where its terms Q_A J and J conj(Q_B) are nonzero, Q_A the
-(class, right block) pieces of U_z.  Gram axioms (c), (d), (f) hold up to
-rounding, so each also reports the largest entry of T between sectors
-relative to the largest entry: what a form without modular covariance would
-show.  The jump bimodule's Gram over
-the same pairs is kron(T_B, diag(lam)) as well, so uniqueness compares T_B
-with the quotient's Gram of T and reads its rank by the same sector quotient
+right blocks and is sparse (about two nonzero entries a row); J and the
+images are kept as their nonzero entries (``GramSpace._products``).  The
+Gram axioms that involve J form no rank x rank matrix per sample: (b)
+J L(a) = R(Ja) J is conjugate-linear in a, so its defect is
+sum_p conj(c_p) D_p over the n^2 eigenbasis units F_p (a = sum_p c_p F_p),
+and each sample reads c^T <D_p, D_q> conj(c) off one n^2 x n^2 Gram; (f)
+U_z J = J conj(U_conj(z)) is evaluated only where its terms Q_A J and
+J conj(Q_B) are nonzero, Q_A the (class, right block) pieces of U_z.  Gram
+axioms (c), (d), (f) hold up to rounding, so each also reports the largest
+entry of T between sectors relative to the largest entry: what a form
+without modular covariance would show.  The jump bimodule's Gram over the
+same pairs is kron(T_B, diag(lam)) as well, so uniqueness compares T_B with
+the quotient's Gram of T and reads its rank by the same sector quotient
 and rank rule; no n^4 x n^4 matrix is formed on either side.
 
 Stinespring route: the same space from a single unital CP GNS-symmetric map
@@ -71,8 +71,8 @@ from .modular import TomitaData, WeightedAlgebra, bohr_classes
 from .numkernel import (HermEig, Superoperator, as_cmatrix, as_cstack, choi,
                         cluster, frob, herm_eig, matrix_units, quotient,
                         spectral_norm)
-from .sampling import (_SMALL_BYTES, DISK, check_stage_bytes, draw_samples,
-                       matrices, sample_blocks, worst)
+from .sampling import (_BLOCK_BYTES, _SMALL_BYTES, DISK, check_stage_bytes,
+                       draw_samples, matrices, sample_blocks, worst)
 
 __all__ = [
     "GramSpace",
@@ -89,6 +89,8 @@ __all__ = [
 # Rounding mixes the eigenvectors of eigenvalues of h closer than
 # _EIG_GAP * lam_max by about eps / _EIG_GAP: such eigenvalues form one group
 _EIG_GAP = 1e-4
+# pairs of J and image entries the (b) defect joins at once, besides one T row
+_JOIN_PAIRS = 1 << 16
 
 
 def _coeff(x):
@@ -156,30 +158,40 @@ class GramSpace:
 
     # -- operators on the quotient ---------------------------------------------
 
-    def _mult_map(self):
-        """coeff(b (x) c) -> coeff(bc) on triples, b = F_ij and c a row index
-        k: [j = k] F_i (F_ij F_kl = [j = k] F_il keeps the last index l, so
-        the multiplication on unit pairs is kron(_mult_map(), 1))."""
-        n = self.W.n
-        eye = np.eye(n)
-        return np.einsum("xi,jk->xijk", eye, eye).reshape(n, -1)
+    def _image_factor(self):
+        """N[j, k, b] = lift_T[bjk] - [j = b] sum_i lift_T[kii], so that
+        L_T(F_ab) = embed_a N[:, :, b]: [F_ab F_ij (x) F_kl] - [F_ab (x) F_ij F_kl]
+        takes the triple (b, j, k) to (a, j, k) and (k, i, i) to (a, b, k)."""
+        n, rt = self.W.n, self.qmap.rank
+        lift = self.qmap.lift.reshape(n, n, n, rt)
+        out = lift.transpose(1, 2, 0, 3).copy()
+        out[np.arange(n), :, np.arange(n)] -= np.einsum("kiir->kr", lift)
+        return out
 
-    def _act_left(self, a, coeff):
-        """L_T(a) on triple coefficient columns: [ab (x) c] - [a (x) bc]."""
-        n = self.W.n
-        c = coeff.reshape(n ** 3, -1)
-        out = (as_cmatrix(a) @ c.reshape(n, -1)).reshape(c.shape) - np.kron(
-            _coeff(a)[:, None], self._mult_map() @ c)
-        return out.reshape(coeff.shape)
+    def _products(self, right):
+        """The nonzero entries (a, row, (b, column), value) of the products
+        embed_a right[:, :, b], embed_a the columns of embed_T on the triples
+        (a, j, k) and right (n, n, n, rt) over (j, k, b): embed_a times right
+        on the nonzero rows and columns of both; exact zeros are dropped."""
+        n, rt = self.W.n, self.qmap.rank
+        right = right.reshape(n * n, n * rt)
+        parts = []
+        for a, x in enumerate(self.qmap.embed.reshape(rt, n, n * n).swapaxes(0, 1)):
+            rows, keys = (np.flatnonzero(x.any(axis=k)) for k in (1, 0))
+            cols = np.flatnonzero(right[keys].any(axis=0))
+            block = x[np.ix_(rows, keys)] @ right[np.ix_(keys, cols)]
+            r, c = np.nonzero(block)
+            parts.append((np.full(r.size, a), rows[r], cols[c], block[r, c]))
+        return [np.concatenate(x) for x in zip(*parts)]
 
     @cached_property
     def _images(self):
-        """Nonzero entries of the quotient images L_T(F_p), F_p = u E_p u*,
-        as ``_sparse`` gives them: an image joins only sectors whose
-        frequencies differ by omega_p, all other entries are exact zeros."""
-        embed, lift = self.qmap.embed, self.qmap.lift
-        return _sparse(embed @ self._act_left(e, lift)
-                       for e in matrix_units(self.W.n))
+        """Nonzero entries of the quotient images L_T(F_p), F_p = u E_p u*, as
+        ``_by_position`` gives them, by p and flat position in L_T(F_p): an
+        image joins only sectors whose frequencies differ by omega_p."""
+        n, rt = self.W.n, self.qmap.rank
+        a, row, col, val = self._products(self._image_factor())
+        return _by_position(a * n + col // rt, row * rt + col % rt, val)
 
     @cached_property
     def _group(self):
@@ -202,14 +214,12 @@ class GramSpace:
         return self.bohr[lo[coord]], lo[coord] == hi[coord], wide
 
     def _op_left_t(self, a):
-        """L_T(a) from the sparse images, for each eigenbasis matrix a~ of a
-        stack."""
-        index, val, positions, starts = self._images
+        """L_T(a) from the images, for each eigenbasis matrix a~ of a stack."""
+        index, val, pos, starts = self._images
         coeff = _coeff(a)
         lead, rt = coeff.shape[:-1], self.qmap.rank
         out = np.zeros(lead + (rt * rt,), dtype=np.complex128)
-        out[..., positions] = np.add.reduceat(coeff[..., index] * val, starts,
-                                              axis=-1)
+        out[..., pos[starts]] = np.add.reduceat(coeff[..., index] * val, starts, -1)
         return out.reshape(lead + (rt, rt))
 
     def _right_factor(self, a):
@@ -244,26 +254,26 @@ class GramSpace:
             out[..., idx, :] = b[..., 0, :, :] @ x[..., idx, :]
         return out
 
-    def _by_class(self, x, adjoint=False):
+    def _by_class(self, row, col, val, adjoint=False):
         """The nonzero entries of Q_A x over the (class, right block) pairs A
         of U_z = sum_A e^{i z alpha_A} Q_A, Q_A = kron(P_k, e_l e_l^T) and
-        alpha_A = nu_k - log lam_l, for x with quotient rows (of Q_A^* x with
-        ``adjoint``): (alpha_A, value, row, column) of each.  On a
-        single-class coordinate Q_A keeps or drops the row; a wide sector's
-        P_k mixes the rows of its coordinates."""
+        alpha_A = nu_k - log lam_l, for x by its entries (of Q_A^* x with
+        ``adjoint``): (alpha_A, value, row, column) of each.  Q_A keeps or
+        drops an entry of a single-class coordinate; a wide sector's P_k
+        mixes its rows, made dense first."""
         freq, single, wide = self._group
-        n = self.W.n
-        log_lam = np.log(self.W.eig.eigenvalues)
-        x = x.reshape(self.qmap.rank, n, -1)
-        coord = np.flatnonzero(single)
-        r, l, c = np.nonzero(x[coord])
-        r = coord[r]
-        parts = [(freq[r] - log_lam[l], x[r, l, c], r * n + l, c)]
+        n, log_lam = self.W.n, np.log(self.W.eig.eigenvalues)
+        r, l = np.divmod(row, n)
+        keep = single[r]
+        parts = [(freq[r[keep]] - log_lam[l[keep]], val[keep], row[keep], col[keep])]
         for idx, nu, proj in wide:
             p = proj[:, 0].conj().swapaxes(-1, -2) if adjoint else proj[:, 0]
-            y = np.einsum("kab,blc->kalc", p, x[idx])
-            k, r, l, c = np.nonzero(y)
-            parts.append((nu[k] - log_lam[l], y[k, r, l, c], idx[r] * n + l, c))
+            at = np.isin(r, idx)
+            x = np.zeros((idx.size, n, self.rank), dtype=np.complex128)
+            x[np.searchsorted(idx, r[at]), l[at], col[at]] = val[at]
+            y = np.einsum("kab,blc->kalc", p, x)
+            k, i, j, c = np.nonzero(y)
+            parts.append((nu[k] - log_lam[j], y[k, i, j, c], idx[i] * n + j, c))
         return [np.concatenate(t) for t in zip(*parts)]
 
     def op_group(self, z):
@@ -272,45 +282,29 @@ class GramSpace:
         return self._group_apply(self._group_blocks(z), np.eye(self.rank), z=z)
 
     def op_conj(self):
-        """Antilinear conjugation: y -> op_conj() @ conj(y).
+        """Antilinear conjugation y -> Jq conj(y), as the nonzero entries
+        (row, column, value) of Jq in row-major order.
 
         J[a (x) b] = [Jb.Ja (x) 1] - [Jb (x) Ja] with J a = h^{1/2} a* h^{-1/2},
         so J F_ij = c_ij F_ji with c_ij = (lam_j / lam_i)^{1/2}, and
-        J[F_ij (x) F_kl] = c_il [j = k] [F_li (x) 1] - c_ij c_kl [F_lk (x) F_ji];
-        through the factors, entry ((x, l), (r, m)) is
-          lam_l^{1/2} sum_i embed_T[x, mil] lam_i^{-1/2} sum_j conj(lift_T[ijj, r])
-          - sum_jk embed_T[x, mkj] c_kj conj(lift_T[ljk, r]).
+        J[F_ij (x) F_kl] = c_il [j = k] [F_li (x) 1] - c_ij c_kl [F_lk (x) F_ji]:
+        through the factors, entry ((x, l), (r, m)) is -(embed_m M)[x, (l, r)]
+        with M[k, j, l] = c_kj conj(N[j, k, l]), N of ``_image_factor``.
         """
-        n, rt = self.W.n, self.qmap.rank
-        s = np.sqrt(self.W.eig.eigenvalues)
-        embed = self.qmap.embed.reshape(rt, n, n, n)
-        lift = self.qmap.lift.conj().reshape(n, n, n, rt)
-        trace = np.einsum("ijjr->ir", lift) / s[:, None]
-        out = np.einsum("xmil,ir,l->xlrm", embed, trace, s)
-        out -= np.einsum("xmkj,kj,ljkr->xlrm", embed, s / s[:, None], lift,
-                         optimize=True)
-        return out.reshape(self.rank, self.rank)
-
-
-def _sparse(images):
-    """The nonzero entries of a sequence of equally shaped arrays, grouped by
-    flat position as ``_by_position`` gives them, with the array index of
-    each entry."""
-    parts = []
-    for k, img in enumerate(images):
-        img = img.ravel()
-        pos = np.flatnonzero(img)
-        parts.append((np.full(pos.size, k), pos, img[pos]))
-    return _by_position(*(np.concatenate(x) for x in zip(*parts)))
+        n, rt, s = self.W.n, self.qmap.rank, np.sqrt(self.W.eig.eigenvalues)
+        right = np.einsum("kj,jklr->kjlr", s / s[:, None], self._image_factor())
+        m, x, col, val = self._products(np.conj(right, out=right))
+        key = (x * n + col // rt) * self.rank + col % rt * n + m
+        order = np.argsort(key)
+        return (*np.divmod(key[order], self.rank), -val[order])
 
 
 def _by_position(index, pos, val):
-    """Entries (index, flat position, value) grouped by position: the index
-    and value of each entry in position order, the distinct positions, and
-    where each position's entries start."""
+    """Entries (index, flat position, value) in position order, as (index,
+    value, position) of each and where each position's entries start."""
     order = np.argsort(pos, kind="stable")
-    positions, starts = np.unique(pos[order], return_index=True)
-    return index[order], val[order], positions, starts
+    pos = pos[order]
+    return index[order], val[order], pos, np.flatnonzero(np.diff(pos, prepend=-1))
 
 
 def _gram(f, lam):
@@ -334,7 +328,7 @@ def _gram(f, lam):
     return 0.5 * (terms + terms.conj().T)
 
 
-def _sectors(lam):
+def _sectors(w: WeightedAlgebra):
     """Bohr classes and sectors of the triples (i, j, k) of h = u diag(lam) u*
     (lam ascending): (class of each triple, frequency omega_ij + log lam_k of
     each class, sector label 0, 1, ... of each triple).  The sectors are the
@@ -342,8 +336,8 @@ def _sectors(lam):
     may agree and triples that differ only in indices of eigenvalues closer
     than _EIG_GAP lam_max: merging is always safe, splitting either is not.
     """
-    n = lam.size
-    bohr_class, bohr, by_freq = bohr_classes(lam, triple=True)
+    n, lam = w.n, w.eig.eigenvalues
+    bohr_class, bohr, by_freq = bohr_classes(w, triple=True)
     groups = cluster(lam / lam[-1], _EIG_GAP)
     by_group = np.ravel_multi_index(
         np.meshgrid(groups, groups, groups, indexing="ij"), (n,) * 3).ravel()
@@ -365,16 +359,16 @@ def build_gram_space(form: DirichletForm, w: WeightedAlgebra = None,
     and quotient it one sector at a time; ``allow_large`` skips its count."""
     w = w if w is not None else form.W
     n = w.n
-    # 7 n^6 entries: T, |T|, eigenvectors by sector and sorted, the quotient's 3
+    # 5 n^6 entries: T, its eigenvectors and the quotient's 3
     if not allow_large:
-        check_stage_bytes(16 * 7 * n ** 6 + _SMALL_BYTES, f"the Gram T at n = {n}")
+        check_stage_bytes(16 * 5 * n ** 6 + _SMALL_BYTES, f"the Gram T at n = {n}")
     # f[p, q] = E(F_p, F_q) over the units F_p = u E_p u* of the modular
     # eigenbasis, where h is diagonal and T vanishes between triples of
     # different frequency omega_ij + log lam_k
     lam = w.eig.eigenvalues
     c = w.coords(w.from_eig(matrix_units(n)))
     t = _gram(c.conj() @ form.matrix @ c.T, lam)
-    bohr_class, bohr, sector = _sectors(lam)
+    bohr_class, bohr, sector = _sectors(w)
     qmap, coord_sector, off_sector = _quotient_sectors(t, sector, lam, tol)
     return GramSpace(W=w, qmap=qmap, sector=sector, bohr_class=bohr_class,
                      bohr=bohr, coord_sector=coord_sector, off_sector=off_sector)
@@ -404,9 +398,13 @@ def _quotient_sectors(t, sector, lam, tol):
         eigvecs[block] = eig.eigenvectors
         mag[block] = 0.0
     off_sector = float(mag.max() / scale) if scale > 0 else 0.0
+    del mag
+    # ascending eigenvalues, the columns sorted in place a block of rows at a time
     order = np.argsort(eigvals, kind="stable")
+    for rows in sample_blocks(order.size, 16 * order.size):
+        eigvecs[rows] = eigvecs[rows][:, order]
     try:
-        qmap = quotient(HermEig(eigvals[order], eigvecs[:, order]), tol)
+        qmap = quotient(HermEig(eigvals[order], eigvecs), tol)
     except NotPSD as exc:
         raise GramNotPSD(str(exc)) from exc
     # quotient kept mu_r > tol mu_max (descending), the cutoff of the
@@ -426,14 +424,10 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     U_z = kron(U_T(z), diag(lam)^{-iz}).  (a) takes the exact SVD norms of
     L_T(a) and of the n x n rho(a) (R descends in closed form, so its half of
     (a) measures rounding only).  diag(lam)^{-iz} meets (c), (d) and (e) to
-    rounding, so these are the residuals of U_T and L_T.  J joins the right
-    blocks, and (b) and (f) form no rank x rank matrix per sample: (b) is
-    conjugate-linear in a, so |J L(a) - R(Ja) J| is read off the Gram of its
-    n^2 values on the eigenbasis units (``_conj_defect_gram``), and (f) is
-    evaluated on the nonzero entries of U_z J - J conj(U_conj(z)) only
-    (``_conj_group_terms``).  (c), (d) and (f) can fail only through
-    rounding or entries of T between sectors; each also reports that
-    relative off-sector magnitude.
+    rounding, so these are the residuals of U_T and L_T.  (b) and (f) read J
+    by its nonzero entries (``_conj_defect_gram``, ``_conj_group_terms``).
+    (c), (d) and (f) can fail only through rounding or entries of T between
+    sectors; each also reports that relative off-sector magnitude.
 
     Each sample draws a, z, z2; all are drawn first, then evaluated in blocks
     of samples (``sampling.sample_blocks``) as stacks of T-level matrices,
@@ -445,14 +439,24 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     res = {k: 0.0 for k in "abcdef"}
     if g.rank == 0:
         return res
-    # 3 rank x rank arrays: J, the second einsum's term and its product (op_conj)
-    check_stage_bytes(48 * g.rank ** 2 + _SMALL_BYTES, f"the Gram J at rank {g.rank}")
-    a, z, z2 = draw_samples(rng, n_samples, matrices(w.n), DISK, DISK)
     jq = g.op_conj()
-    defect = _conj_defect_gram(g, jq)
     freq, first, val, starts = _conj_group_terms(g, jq)
     # a sample holds rt x rt stacks of L_T and U_T, and one value per (f) term
-    for block in sample_blocks(n_samples, 16 * (g.qmap.rank ** 2 + val.size)):
+    n, rt, nj = w.n, g.qmap.rank, jq[0].size
+    sample_bytes = 16 * (rt ** 2 + val.size)
+    # the image entries each T row x of J meets in _conj_defect_gram, which
+    # joins them _JOIN_PAIRS and one row at most at a time
+    meets = np.bincount(g._images[2] // rt, minlength=rt)[jq[1] // n]
+    per_row = np.bincount(jq[0] // n, meets, minlength=rt)
+    # complex entries: the factors of the images and J (2 n^3 rt); J, the images,
+    # the (f) terms (4 each); _conj_defect_gram's join (9 each); 8 sample blocks
+    check_stage_bytes(16 * (2 * n ** 3 * rt + 4 * (nj + g._images[0].size + val.size)
+                            + 9 * (_JOIN_PAIRS + int(per_row.max()) + n * nj))
+                      + 8 * max(sample_bytes, _BLOCK_BYTES) + _SMALL_BYTES,
+                      f"the Gram axioms at rank {g.rank}")
+    a, z, z2 = draw_samples(rng, n_samples, matrices(w.n), DISK, DISK)
+    defect = _conj_defect_gram(g, jq, (np.cumsum(per_row) // _JOIN_PAIRS)[jq[0] // n])
+    for block in sample_blocks(n_samples, sample_bytes):
         ab, zb, z2b = w.to_eig(a[block]), z[block], z2[block]
         lt = g._op_left_t(ab)
         norm_l = spectral_norm(lt)
@@ -494,51 +498,45 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     return res
 
 
-def _pairs(a, b):
-    """The index pairs (i, j) with a[i] == b[j], for integer labels."""
-    order = np.argsort(b, kind="stable")
-    lo, hi = (np.searchsorted(b[order], a, side) for side in ("left", "right"))
-    count = hi - lo
-    i = np.repeat(np.arange(a.size), count)
-    j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(i.size)]
-    return i, j
-
-
-def _conj_defect_gram(g: GramSpace, jq):
+def _conj_defect_gram(g: GramSpace, jq, chunk):
     """M[p, q] = <D_p, D_q> for the defects D_p = jq conj(L(F_p)) - R(J F_p) jq
-    of axiom (b) on the n^2 eigenbasis units F_p.
-
-    Both terms are sparse: L(F_p) = kron(L_T(F_p), 1) from the images, and
-    rho(J F_ij) = E_ij, so R(J F_ij) jq moves the rows (x, j) of jq to (x, i).
-    Each D_p is formed entry by entry as the difference of the two terms (so
-    that its rounding-level values keep their size), then M accumulates over
-    chunks of D's nonzero positions in row order, each held as a dense
-    (n^2, chunk) array within ``sampling._BLOCK_BYTES``.
+    of axiom (b) on the n^2 eigenbasis units F_p, from the entries of jq
+    (``GramSpace.op_conj``) and of the images: L(F_p) = kron(L_T(F_p), 1),
+    and rho(J F_ij) = E_ij, so R(J F_ij) jq moves the rows (x, j) of jq to
+    (x, i).  The entries of jq are taken a ``chunk`` label at a time, each
+    label a run of whole T rows x, whose positions of D are disjoint.  Each
+    D_p is formed entry by entry as the difference of the two terms (so that
+    its rounding-level values keep their size), then M accumulates over
+    blocks of D's positions, each a dense (n^2, block) array within
+    ``sampling._BLOCK_BYTES``.
     """
     n, rank, rt = g.W.n, g.rank, g.qmap.rank
-    row, col = np.nonzero(jq)
-    val = jq[row, col]
-    image, img_val, img_pos, img_start = g._images
-    r, s = np.divmod(np.repeat(img_pos, np.diff(np.append(img_start, image.size))), rt)
-    # jq conj(L(F_p)): entry (row, (r, m)) of jq meets entry (r, s) of L_T(F_p)
-    i, j = _pairs(col // n, r)
-    unit = [image[j]]
-    pos = [row[i] * rank + s[j] * n + col[i] % n]
-    term = [val[i] * img_val[j].conj()]
-    # - R(J F_kl) jq: entry ((x, l), c) of jq goes to ((x, k), c) of D_kl
-    for k in range(n):
-        unit.append(k * n + row % n)
-        pos.append((row - row % n + k) * rank + col)
-        term.append(-val)
-    unit, term, positions, starts = _by_position(
-        *(np.concatenate(x) for x in (unit, pos, term)))
-    where = np.repeat(np.arange(positions.size), np.diff(np.append(starts, unit.size)))
+    image, img_val, img_pos = g._images[:3]
+    r, s = np.divmod(img_pos, rt)
     m = np.zeros((n * n, n * n), dtype=np.complex128)
-    for chunk in sample_blocks(positions.size, 16 * n * n):
-        lo, hi = np.searchsorted(where, (chunk.start, chunk.stop))
-        d = np.zeros((n * n, chunk.stop - chunk.start), dtype=np.complex128)
-        np.add.at(d, (unit[lo:hi], where[lo:hi] - chunk.start), term[lo:hi])
-        m += d.conj() @ d.T
+    for label in np.unique(chunk):
+        row, col, val = (x[chunk == label] for x in jq)
+        # jq conj(L(F_p)): entry (row, (r, m)) of jq meets the entries (r, s)
+        # of L_T(F_p), one run of the images in position order
+        lo, count = np.searchsorted(r, col // n), np.bincount(r, minlength=rt)[col // n]
+        i = np.repeat(np.arange(col.size), count)
+        j = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(i.size)
+        unit = [image[j]]
+        pos = [row[i] * rank + s[j] * n + col[i] % n]
+        term = [val[i] * img_val[j].conj()]
+        # - R(J F_kl) jq: entry ((x, l), c) of jq goes to ((x, k), c) of D_kl
+        for k in range(n):
+            unit.append(k * n + row % n)
+            pos.append((row - row % n + k) * rank + col)
+            term.append(-val)
+        unit, term, _, starts = _by_position(
+            *(np.concatenate(x) for x in (unit, pos, term)))
+        where = np.repeat(np.arange(starts.size), np.diff(np.append(starts, unit.size)))
+        for block in sample_blocks(starts.size, 16 * n * n):
+            lo, hi = np.searchsorted(where, (block.start, block.stop))
+            d = np.zeros((n * n, block.stop - block.start), dtype=np.complex128)
+            np.add.at(d, (unit[lo:hi], where[lo:hi] - block.start), term[lo:hi])
+            m += d.conj() @ d.T
     return m
 
 
@@ -547,19 +545,18 @@ def _conj_group_terms(g: GramSpace, jq):
       U_z jq - jq conj(U_conj(z)) = sum_A e^{i z alpha_A} Q_A jq
                                     - sum_B e^{-i z alpha_B} jq conj(Q_B)
     over the (class, right block) pairs of U_z = sum_A e^{i z alpha_A} Q_A
-    (``GramSpace._by_class``): the frequency of each term (alpha_A, or
-    -alpha_B), whether it is one of U_z jq, its value, and where the terms of
-    each flat position start, in position order.  Between single-class
-    coordinates the positions are those of jq's own nonzero entries.
+    (``GramSpace._by_class``), for jq by its entries: the frequency of each
+    term (alpha_A, or -alpha_B), whether it is one of U_z jq, its value, and
+    where the terms of each flat position start, in position order.
     """
-    alpha, val, row, col = g._by_class(jq)
-    # (jq conj(Q_B))^T = Q_B^* jq^T
-    beta, val_t, col_t, row_t = g._by_class(jq.T, adjoint=True)
+    alpha, val_a, row_a, col_a = g._by_class(*jq)
+    # (jq conj(Q_B))^T = Q_B^* jq^T, jq^T by its entries (col, row, val)
+    beta, val_t, col_t, row_t = g._by_class(jq[1], jq[0], jq[2], adjoint=True)
     freq = np.concatenate([alpha, -beta])
     first = np.arange(freq.size) < alpha.size
     index, val, _, starts = _by_position(
-        np.arange(freq.size), np.concatenate([row, row_t]) * g.rank
-        + np.concatenate([col, col_t]), np.concatenate([val, -val_t]))
+        np.arange(freq.size), np.concatenate([row_a, row_t]) * g.rank
+        + np.concatenate([col_a, col_t]), np.concatenate([val_a, -val_t]))
     return freq[index], first[index], val, starts
 
 
@@ -587,15 +584,17 @@ def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
     rank is read by the rule of the Gram route (``_quotient_sectors``).
     """
     n = g.W.n
-    # 4 m n^4 entries of delta images, then 8 n^6: T_B, embed* embed, T_B's quotient
-    check_stage_bytes(16 * (8 * n ** 6 + 4 * bimodule.m * n ** 4) + _SMALL_BYTES,
+    # 4 m n^4 entries of delta images, then 3 n^6: T_B, embed* embed and
+    # |difference|, or T_B, its eigenvectors and the quotient's 3 of <= m n^4
+    check_stage_bytes(16 * (3 * n ** 6 + 4 * bimodule.m * n ** 4) + _SMALL_BYTES,
                       f"the factor T_B at n = {n}, m = {bimodule.m}")
     # rows (p, x), columns (ij, k): (u* delta_p(F_ij) u)[x, k]
     d = bimodule.span_block
     t_b = d.conj().T @ d
     gram_t = g.qmap.embed.conj().T @ g.qmap.embed
-    max_resid = float(np.abs(t_b - gram_t).max())
     scale = max(np.abs(t_b).max(), np.abs(gram_t).max(), 1e-300)
+    max_resid = float(np.abs(np.subtract(gram_t, t_b, out=gram_t)).max())
+    del gram_t
     rank_b = n * _quotient_sectors(t_b, g.sector, g.W.eig.eigenvalues, tol)[0].rank
     return {
         "max_residual": max_resid,

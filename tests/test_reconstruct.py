@@ -23,7 +23,6 @@ from qms.modular import TomitaData, WeightedAlgebra
 from qms.numkernel import (HermEig, Superoperator, herm_eig, mat_power,
                            matrix_units, null_quotient)
 from qms.reconstruct import (
-    GramSpace,
     boundary_pairing,
     build_gram_space,
     gram_axioms_check,
@@ -37,8 +36,8 @@ from qms.sampling import (random_jump_system, random_matrix, random_unitary,
 
 from conftest import depolarizing_generator, matrix_unit
 from test_cli import base_scenario, mat_json, write_scenario
-from test_sampled_checks import (GRAM_SYSTEMS, form_of, jump_system, op_left,
-                                 op_right, random_disk_point,
+from test_sampled_checks import (GRAM_SYSTEMS, conj_matrix, form_of, jump_system,
+                                 op_left, op_right, random_disk_point,
                                  ref_gram_axioms_check)
 
 
@@ -107,6 +106,55 @@ def act_left(a, coeff):
     out = (a @ c.reshape(n, -1)).reshape(c.shape) - np.kron(a.reshape(-1, 1),
                                                             mult_map(n) @ c)
     return out.reshape(coeff.shape)
+
+
+def triple_mult_map(n):
+    """coeff(b (x) c) -> coeff(bc) on triples, b = F_ij and c a row index
+    k: [j = k] F_i (F_ij F_kl = [j = k] F_il keeps the last index l, so the
+    multiplication on unit pairs is kron(triple_mult_map(n), 1))."""
+    eye = np.eye(n)
+    return np.einsum("xi,jk->xijk", eye, eye).reshape(n, -1)
+
+
+def act_left_t(a, coeff):
+    """L_T(a) on triple coefficient columns: [ab (x) c] - [a (x) bc]."""
+    n = a.shape[0]
+    c = coeff.reshape(n ** 3, -1)
+    out = (a @ c.reshape(n, -1)).reshape(c.shape) - np.kron(
+        a.reshape(-1, 1), triple_mult_map(n) @ c)
+    return out.reshape(coeff.shape)
+
+
+def dense_images(g):
+    """The quotient images L_T(F_p) as dense embed_T L_T(E_p) lift_T
+    products over the triples, stacked over p."""
+    return np.array([g.qmap.embed @ act_left_t(e, g.qmap.lift)
+                     for e in matrix_units(g.W.n)])
+
+
+def dense_conj(g):
+    """The matrix Jq of J y = Jq conj(y) by two einsums over the factors:
+    entry ((x, l), (r, m)) is
+      lam_l^{1/2} sum_i embed_T[x, mil] lam_i^{-1/2} sum_j conj(lift_T[ijj, r])
+      - sum_jk embed_T[x, mkj] c_kj conj(lift_T[ljk, r]),
+    c_kj = (lam_j / lam_k)^{1/2}."""
+    n, rt = g.W.n, g.qmap.rank
+    s = np.sqrt(g.W.eig.eigenvalues)
+    embed = g.qmap.embed.reshape(rt, n, n, n)
+    lift = g.qmap.lift.conj().reshape(n, n, n, rt)
+    trace = np.einsum("ijjr->ir", lift) / s[:, None]
+    out = np.einsum("xmil,ir,l->xlrm", embed, trace, s)
+    out -= np.einsum("xmkj,kj,ljkr->xlrm", embed, s / s[:, None], lift,
+                     optimize=True)
+    return out.reshape(g.rank, g.rank)
+
+
+def images_matrix(g):
+    """The images L_T(F_p), stacked over p, from their entries."""
+    index, val, pos, _ = g._images
+    out = np.zeros((g.W.n ** 2, g.qmap.rank ** 2), dtype=np.complex128)
+    out[index, pos] = val
+    return out.reshape(-1, g.qmap.rank, g.qmap.rank)
 
 
 def act_right(a, coeff):
@@ -204,11 +252,10 @@ class TestGramSpace:
         assert_rel_close(quotient_gram(build_gram_space(form)), unit_gram(form), 1e-11)
 
     def test_mult_map_matches_definition(self):
-        g = build_gram_space(random_form(3, 74))
         units = matrix_units(3)
         want = np.array([(a @ b).flatten() for a in units for b in units]).T
         # F_ij F_kl = [j = k] F_il keeps the last index
-        np.testing.assert_array_equal(np.kron(g._mult_map(), np.eye(3)), want)
+        np.testing.assert_array_equal(np.kron(triple_mult_map(3), np.eye(3)), want)
 
     def test_op_conj_matches_definition(self):
         """J[a (x) b] = [Jb.Ja (x) 1] - [Jb (x) Ja], J a = h^1/2 a* h^-1/2, on
@@ -220,7 +267,7 @@ class TestGramSpace:
             a, b = (np.array([random_matrix(n, rng) for _ in range(6)])
                     for _ in range(2))
             ja, jb = td.conj_J(a), td.conj_J(b)
-            got = g.embed_pair(a, b).conj() @ g.op_conj().T
+            got = g.embed_pair(a, b).conj() @ conj_matrix(g).T
             want = g.embed_pair(jb @ ja, np.eye(n)) - g.embed_pair(jb, ja)
             assert_rel_close(got, want, 1e-10)
 
@@ -411,7 +458,7 @@ class TestSectors:
             u = random_unitary(4, rng)
             lam = np.exp(step * k)
             w = WeightedAlgebra((u * (lam / lam.sum())) @ u.conj().T)
-            got = qms.reconstruct._sectors(w.eig.eigenvalues)[2]
+            got = qms.reconstruct._sectors(w)[2]
             for s in range(10):
                 assert np.ptp(got[want == s]) == 0
             # at step 6 the two smallest eigenvalues are closer than
@@ -476,6 +523,36 @@ RIGHT_SPECTRA = {
 }
 
 
+# random spectra at n = 2...5 and the repeated-eigenvalue spectrum of the
+# golden cases, (1, 1, 2, 3, ...), at n = 3...5, with a jumps and a generator
+# source; the near-degenerate spectrum has only wide sectors
+ENTRY_SPECTRA = {
+    **{f"{case}-n{n}-{source}": (RIGHT_SPECTRA[case](n), source)
+       for case, sizes in (("random", range(2, 6)), ("repeated", range(3, 6)))
+       for n in sizes for source in ("jumps", "generator")},
+    "near-degenerate-n3": ((1, 1 + 1e-9, 2), "jumps"),
+}
+
+
+class TestEntryLists:
+    """J and the images L_T(F_p) by their nonzero entries against the dense
+    products over the triples they replace."""
+
+    @pytest.mark.parametrize("case", sorted(ENTRY_SPECTRA))
+    def test_match_dense_products(self, case):
+        spectrum, source = ENTRY_SPECTRA[case]
+        g = build_gram_space(spectrum_form(spectrum, 104, source))
+        assert_rel_close(images_matrix(g), dense_images(g), 1e-13)
+        assert_rel_close(conj_matrix(g), dense_conj(g), 1e-13)
+        row, col, val = g.op_conj()
+        assert np.all(np.diff(row * g.rank + col) > 0) and np.all(val != 0)
+        _, val, pos, starts = g._images
+        assert np.all(np.diff(pos) >= 0) and np.all(val != 0)
+        assert np.array_equal(starts, np.flatnonzero(np.diff(pos, prepend=-1)))
+        if case.startswith("near-degenerate"):
+            assert g._group[2] and not g._group[1].any()
+
+
 class TestRightBlocks:
     """The Gram is kron(T, diag(lam)): the right block H F_ll of the
     quotient is the coordinates (r, l) of one l, and L(a) = kron(L_T(a), 1)
@@ -495,7 +572,7 @@ class TestRightBlocks:
             # one sector, and a T eigenvalue between the cutoffs of the
             # largest and the smallest right block (a cutoff per right block
             # keeps 16, 32, 33 and 45 coordinates at n = 4)
-            assert qms.reconstruct._sectors(form.W.eig.eigenvalues)[2].max() == 0
+            assert qms.reconstruct._sectors(form.W)[2].max() == 0
             with pytest.raises(RankUndecided):
                 build_gram_space(form)
             return
@@ -593,7 +670,7 @@ class TestFactors:
             e = space.embed_pair(x, y)
             ops = [left(a[0]), right(a[1]), space.op_group(z)]
             got = [e.conj() @ op @ e.T for op in ops]
-            got.append(e.conj() @ space.op_conj() @ e.T.conj())
+            got.append(e.conj() @ conj_matrix(space) @ e.T.conj())
             if space is g:
                 want = got
         for u, v in zip(got, want):
@@ -642,12 +719,14 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-# m = n and m = 2n (at most n^2 - 1 jumps exist), a T of full rank at n = 4,
-# and the sector cases of the sampled checks
+# m = n and m = 2n (at most n^2 - 1 jumps exist), a T of full rank at
+# n = 4...6, and the sector cases of the sampled checks
 BUDGET_SYSTEMS = {
     **{f"n{n}-m{m}": partial(jump_system, n, m, 110 + n)
        for n in range(2, 7) for m in sorted({n, min(2 * n, n * n - 1)})},
     "n4-m15": partial(jump_system, 4, 15, 117),
+    "n5-m24": partial(jump_system, 5, 24, 115),
+    "n6-m35": partial(jump_system, 6, 35, 116),
     **GRAM_SYSTEMS,
 }
 
@@ -669,7 +748,8 @@ class TestStageBudget:
     @staticmethod
     def stages(system):
         """The three counted stages: build the space, check uniqueness, and
-        the Gram axioms, whose count is that of ``GramSpace.op_conj``."""
+        the Gram axioms (which form J, the images and the (f) terms before
+        their count)."""
         form = form_of(system)
         g = build_gram_space(form)
         bim = FinBimodule(system, validate=False)
@@ -682,9 +762,6 @@ class TestStageBudget:
         g, stages = self.stages(BUDGET_SYSTEMS[case]())
         counts = stage_counts(monkeypatch)
         for name, run in stages.items():
-            if name == "gram-axioms":
-                run()
-                run = g.op_conj
             peak = traced_peak(run)[1]
             assert peak <= counts[-1], name
         assert len(counts) == 3
@@ -692,7 +769,8 @@ class TestStageBudget:
     @pytest.mark.parametrize("stage", ["gram", "uniqueness", "gram-axioms"])
     def test_refused_before_allocating(self, stage, monkeypatch):
         """One byte below its count a stage raises the named size error
-        before it assembles T, T_B or J; at its count it runs."""
+        before it assembles T, T_B or the join of J with the images; at its
+        count it runs."""
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the size check")
 
@@ -705,7 +783,7 @@ class TestStageBudget:
         with monkeypatch.context() as mp:
             mp.setattr(qms.sampling, "_STAGE_BYTES", count - 1)
             mp.setattr(qms.reconstruct, "_gram", refuse)
-            mp.setattr(GramSpace, "op_conj", refuse)
+            mp.setattr(qms.reconstruct, "_conj_defect_gram", refuse)
             mp.setattr(FinBimodule, "delta", refuse)
             with pytest.raises(SizeLimitExceeded, match="at its peak"):
                 run()

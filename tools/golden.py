@@ -17,8 +17,8 @@ with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
   random eigenbasis, with a jumps and a generator source;
 * ``bimodule-axioms`` and ``carre-positivity``, whose vectors are kept in
   the eigenbasis of h, over the same degenerate spectra, sizes and sources;
-* the three Gram suites at n = 5, m = 10 and n = 6, m = 12 with a jumps
-  source, sizes the stage byte limit admits;
+* the three Gram suites with a jumps source at m = 2n for n = 5, 6, 10 and
+  12, the largest n the stage byte limit admits;
 * ``fock-commutant`` at n = 3, m = 6 and n = 4, m = 8 (d_max = 3), and
   ``free-aw-derivation`` at the largest depth the stage byte limit admits
   for d = 2 (depth 10) and d = 3 (depth 6);
@@ -72,7 +72,7 @@ DEGENERATE_SPECTRA = {
 DEGENERATE_SEED = 21
 BIMODULE_SUITES = ("bimodule-axioms", "carre-positivity")
 DEGENERATE_BIMODULE_SEED = 24
-LARGE_SIZES = ((5, 10), (6, 12))
+LARGE_SIZES = ((5, 10), (6, 12), (10, 20), (12, 24))
 LARGE_SEED = 23
 LARGE_FOCK_SIZES = ((3, 6), (4, 8))
 LARGE_FREE_AW = ((2, 10), (3, 6))
