@@ -25,6 +25,7 @@ seed; wall-clock timing appears only in the text report.
 """
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -46,11 +47,14 @@ SCHEMA_VERSION = 1
 
 
 def parse_scalar(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(
-            isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
+    """A matrix entry: a finite JSON number or a pair [re, im] of them; bools
+    are not numbers here."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool)
+           for x in parts):
+        z = complex(*parts)  # an int beyond float range raises OverflowError
+        if cmath.isfinite(z):
+            return z
     raise ScenarioParseError(f"bad numeric entry: {v!r}")
 
 

@@ -22,7 +22,6 @@ of ``reconstruct`` are, and joined with the classes it couples to.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -32,8 +31,8 @@ from .errors import (
     NotGNSSymmetric,
 )
 from .modular import TomitaData, WeightedAlgebra, bohr_classes
-from .numkernel import (Superoperator, as_cmatrix, choi, frob, herm_eig,
-                        matrix_units)
+from .numkernel import (Superoperator, as_cmatrix, choi, expm, frob,
+                        herm_eig, matrix_units)
 
 __all__ = [
     "JumpSystem",
@@ -153,7 +152,7 @@ def semigroup(l: Superoperator, t: float) -> Superoperator:
     """P_t = e^{-tL} by scaling-and-squaring on the superoperator matrix."""
     if t < 0:
         raise NegativeTime(f"t = {t} < 0")
-    return Superoperator(l.n, scipy.linalg.expm(-t * l.matrix))
+    return Superoperator(l.n, expm(-t * l.matrix))
 
 
 def semigroup_spectral(l: Superoperator, w: WeightedAlgebra, t: float) -> Superoperator:

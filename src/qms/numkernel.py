@@ -36,6 +36,7 @@ __all__ = [
     "matrix_units",
     "frob",
     "spectral_norm",
+    "expm",
     "as_cmatrix",
     "as_cstack",
 ]
@@ -77,6 +78,38 @@ def spectral_norm(x):
     gram.real = g[..., ::2, ::2] + g[..., 1::2, 1::2]
     gram.imag = g[..., ::2, 1::2] - g[..., 1::2, ::2]
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
+# Pade-13 coefficients b_0..b_13 and the 1-norm up to which r_13 meets e^a to
+# double precision: Higham, "The scaling and squaring method for the matrix
+# exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a):
+    """e^a of a square matrix by scaling and squaring: r_13(a / 2^s)^(2^s),
+    with r_13 = (V - U)^{-1} (V + U) the [13/13] Pade approximant and s the
+    least s >= 0 with ||a||_1 / 2^s <= theta_13."""
+    a = as_cmatrix(a)
+    norm = np.linalg.norm(a, 1)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm > 0 else 0
+    a = a / 2.0 ** s
+    b, eye = _PADE13, np.eye(len(a), dtype=np.complex128)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def matrix_units(n):

@@ -440,20 +440,23 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     if g.rank == 0:
         return res
     jq = g.op_conj()
+    n, rt, nj = w.n, g.qmap.rank, jq[0].size
+    # complex entries: the factors of the images and J (2 n^3 rt); J, the images,
+    # the (f) terms (4 each); _conj_defect_gram's join (9 each); 8 sample blocks.
+    # The part J fixes is checked before the images and the (f) terms are formed.
+    what = f"the Gram axioms at rank {g.rank}"
+    known = 16 * (2 * n ** 3 * rt + 4 * nj + 9 * n * nj) + _SMALL_BYTES
+    check_stage_bytes(known, what)
     freq, first, val, starts = _conj_group_terms(g, jq)
     # a sample holds rt x rt stacks of L_T and U_T, and one value per (f) term
-    n, rt, nj = w.n, g.qmap.rank, jq[0].size
     sample_bytes = 16 * (rt ** 2 + val.size)
     # the image entries each T row x of J meets in _conj_defect_gram, which
     # joins them _JOIN_PAIRS and one row at most at a time
     meets = np.bincount(g._images[2] // rt, minlength=rt)[jq[1] // n]
     per_row = np.bincount(jq[0] // n, meets, minlength=rt)
-    # complex entries: the factors of the images and J (2 n^3 rt); J, the images,
-    # the (f) terms (4 each); _conj_defect_gram's join (9 each); 8 sample blocks
-    check_stage_bytes(16 * (2 * n ** 3 * rt + 4 * (nj + g._images[0].size + val.size)
-                            + 9 * (_JOIN_PAIRS + int(per_row.max()) + n * nj))
-                      + 8 * max(sample_bytes, _BLOCK_BYTES) + _SMALL_BYTES,
-                      f"the Gram axioms at rank {g.rank}")
+    check_stage_bytes(known + 16 * (4 * (g._images[0].size + val.size)
+                                    + 9 * (_JOIN_PAIRS + int(per_row.max())))
+                      + 8 * max(sample_bytes, _BLOCK_BYTES), what)
     a, z, z2 = draw_samples(rng, n_samples, matrices(w.n), DISK, DISK)
     defect = _conj_defect_gram(g, jq, (np.cumsum(per_row) // _JOIN_PAIRS)[jq[0] // n])
     for block in sample_blocks(n_samples, sample_bytes):

@@ -1,8 +1,12 @@
 """Command-line front-end: scenario parsing, suites, exit codes, determinism."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +50,21 @@ def test_readme_scenario_passes(tmp_path):
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     assert main(["run", write_scenario(tmp_path, json.loads(block))]) == 0
+
+
+def test_run_imports_no_scipy(tmp_path):
+    """``qms run`` needs numpy alone: a whole run in a fresh process loads no
+    scipy module."""
+    path = write_scenario(tmp_path, base_scenario())
+    code = ("import sys\nfrom qms.cli import main\n"
+            f"assert main(['run', {path!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestSuitesCommand:
@@ -143,6 +162,31 @@ class TestRunCommand:
         path.write_text(json.dumps(scenario).replace('"VALUE"', raw))
         assert main(["run", str(path)]) == code
         assert ("parse error" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("raw", ["true", "[true, 1]", "NaN", "Infinity"])
+    @pytest.mark.parametrize("source", ["h", "jumps", "generator", "A"])
+    def test_bad_matrix_entry(self, tmp_path, capsys, source, raw):
+        """A bool, a pair holding one, NaN or Infinity as a matrix entry is a
+        parse error, raised before any arithmetic can warn on it."""
+        aw = {"v": 1, "source": {"fock_spec": {"A": [[1, 0], [0, 1]]}},
+              "checks": ["free-aw-derivation"]}
+        jumps = base_scenario()
+        gen = base_scenario(source={"generator": [[0] * 4 for _ in range(4)]})
+        scenario, matrix = {
+            "h": (jumps, jumps["algebra"]["h"]),
+            "jumps": (jumps, jumps["source"]["jumps"][0]["matrix"]),
+            "generator": (gen, gen["source"]["generator"]),
+            "A": (aw, aw["source"]["fock_spec"]["A"]),
+        }[source]
+        matrix[1][1] = "VALUE"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario).replace('"VALUE"', raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "parse error" in err and "Warning" not in err
 
     @pytest.mark.parametrize("file_tol, flag, code", [
         ({}, "decomp=-1", 2), ({}, "decomp=0", 2), ({}, "decomp=nan", 2),

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -207,6 +208,19 @@ class TestSemigroup:
         for t in (0.3, 0.7):
             ev = np.linalg.eigvalsh(choi(semigroup(l, t)))
             assert ev.min() >= -1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_scipy_expm(self, n):
+        """The Pade-13 scaling and squaring against scipy's expm on a random
+        generator, also at ||tL||_1 = 200 (far above theta_13 = 5.37, six
+        squarings), and on the zero generator."""
+        rng = np.random.default_rng(40 + n)
+        w = random_weighted_algebra(n, rng)
+        l = build_generator(random_jump_system(w, rng, m_max=2 * n))
+        ts = (0.0, 1e-3, 0.05, 0.5, 1.0, 2.0, 200.0 / np.linalg.norm(l.matrix, 1))
+        for gen, t in [(l, t) for t in ts] + [(Superoperator.zero(n), 1.0)]:
+            want = scipy.linalg.expm(-t * gen.matrix)
+            assert frob(semigroup(gen, t).matrix - want) <= 1e-13 * frob(want)
 
     def test_spectral_crosscheck(self, qubit_system3):
         l = build_generator(qubit_system3)

@@ -748,8 +748,8 @@ class TestStageBudget:
     @staticmethod
     def stages(system):
         """The three counted stages: build the space, check uniqueness, and
-        the Gram axioms (which form J, the images and the (f) terms before
-        their count)."""
+        the Gram axioms (which count the part J fixes once J is formed, and
+        the rest once the images and the (f) terms are)."""
         form = form_of(system)
         g = build_gram_space(form)
         bim = FinBimodule(system, validate=False)
@@ -759,12 +759,17 @@ class TestStageBudget:
 
     @pytest.mark.parametrize("case", sorted(BUDGET_SYSTEMS))
     def test_count_bounds_peak(self, case, monkeypatch):
+        """The last count of each stage bounds its traced peak, and the
+        early part the Gram axioms check after forming J never exceeds
+        their full count."""
         g, stages = self.stages(BUDGET_SYSTEMS[case]())
         counts = stage_counts(monkeypatch)
         for name, run in stages.items():
+            start = len(counts)
             peak = traced_peak(run)[1]
             assert peak <= counts[-1], name
-        assert len(counts) == 3
+            assert counts[start:] == sorted(counts[start:]), name
+        assert len(counts) == 4
 
     @pytest.mark.parametrize("stage", ["gram", "uniqueness", "gram-axioms"])
     def test_refused_before_allocating(self, stage, monkeypatch):
@@ -779,7 +784,8 @@ class TestStageBudget:
         with monkeypatch.context() as mp:
             counts = stage_counts(mp)
             run()
-        (count,) = counts
+        count = counts[-1]
+        assert max(counts) == count
         with monkeypatch.context() as mp:
             mp.setattr(qms.sampling, "_STAGE_BYTES", count - 1)
             mp.setattr(qms.reconstruct, "_gram", refuse)
@@ -798,7 +804,28 @@ class TestStageBudget:
         assert g.rank == 1024
         for run in stages.values():
             run()
-        assert len(counts) == 4
+        assert len(counts) == 5
+
+    def test_one_sector_refused_before_images(self, monkeypatch):
+        """h = I/8, m = 16 (rank 1024, one sector): J and the images are
+        dense, and the part of the count J fixes already exceeds the limit,
+        so the Gram axioms are refused before the images and the (f) terms
+        are formed, holding less than 100 MiB."""
+        w = WeightedAlgebra(np.eye(8) / 8)
+        g = build_gram_space(form_of(random_jump_system(
+            w, np.random.default_rng(0), m_max=16)))
+        assert g.rank == 1024
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("formed the (f) terms before the count")
+
+        def run():
+            with pytest.raises(SizeLimitExceeded, match="at its peak"):
+                gram_axioms_check(g, n_samples=1)
+
+        monkeypatch.setattr(qms.reconstruct, "_conj_group_terms", refuse)
+        assert traced_peak(run)[1] < 100 * 2 ** 20
+        assert "_images" not in g.__dict__
 
 
 EXP_SEEDS = [88, 90, 91, 92]
