@@ -12,10 +12,10 @@ the modular eigenbasis of h = u diag(lam) u*, xi'_j = u* xi_j u
 (``WeightedAlgebra.to_eig``), where the modular maps are diagonal: U_z
 multiplies xi'_jab by exp(iz(omega_j + omega_ab)), omega_ab the Bohr
 frequency log lam_a - log lam_b, <xi, eta> = sum_jab conj(xi'_jab) eta'_jab
-lam_b, and J acts as ``WeightedAlgebra.conj_eig``.  The actions and
-``delta`` rotate their matrix argument once, to u* a u; ``W.from_eig`` gives
-the standard-basis components, and ``coords``/``from_coords`` are the
-standard-basis coordinates vec(xi_j h^{1/2}).
+lam_b, and J acts as ``WeightedAlgebra.conj_eig``.  ``delta`` rotates its
+matrix argument once, to u* a u, and the checks form the actions as
+products with it; ``W.from_eig`` gives the standard-basis components and
+``coords``/``from_coords`` the coordinates vec(xi_j h^{1/2}).
 
 The conjugation is NOT taken from a closed-form display.  It is defined on
 generator-form vectors sum_i R(b_i) delta(a_i) by
@@ -36,7 +36,7 @@ blocks: ``conj`` applies the projector D D^+ (its residual decides
 the n columns of a vector's coordinates.
 
 Stacked samples: an array (..., m, n, n) is a stack of vectors.  Every structure map acts on each vector of a stack at once
-(the actions and ``delta`` take a matrix or a stack (..., n, n),
+(``delta`` takes a matrix or a stack (..., n, n),
 ``mod_group`` a scalar z or an array of them), so each map has one
 implementation.  The sampled checks draw all their samples first
 (``sampling.draw_samples``), rotate each drawn matrix once, then evaluate
@@ -102,13 +102,7 @@ class FinBimodule:
         comps = np.swapaxes(c.reshape(c.shape[:-1] + (self.m, n, n)), -1, -2)
         return self.W.to_eig(comps @ self.W.h_isqrt)
 
-    # --- actions and modular structure ---------------------------------------
-
-    def act_left(self, a, xi):
-        return self.W.to_eig(a)[..., None, :, :] @ xi
-
-    def act_right(self, a, xi):
-        return xi @ self.W.to_eig(a)[..., None, :, :]
+    # --- modular structure and derivation ------------------------------------
 
     def mod_group(self, z, xi):
         """U_z xi: z a scalar, or an array of the stack's leading shape."""
@@ -217,9 +211,8 @@ class FinBimodule:
         a, b, eta_r, eta_a, c = w.to_eig(np.stack([a, b, eta_r, eta_a, c]))
         xi = self._delta(a) @ b[:, None]
         eta = self._delta(eta_a) @ eta_r[:, None]
-        norm_xi = self.norm(xi)
+        norm_xi, norm_eta = self.norm(xi), self.norm(eta)
         nrm_xi = np.maximum(norm_xi, 1e-300)
-        nrm_eta = np.maximum(self.norm(eta), 1e-300)
 
         # (a) boundedness: |L(c)| <= |pi_l(c)| = |c| and
         # |R(c)| <= |pi_r(c)| = |h^{-1/2} c h^{1/2}| (right GNS action norm)
@@ -252,10 +245,12 @@ class FinBimodule:
         lhs = self.mod_group(z, self.mod_group(z2, xi))
         res["c"] = worst(res["c"], gap(lhs, self.mod_group(z + z2, xi)))
 
-        # (d) <xi, U_z eta> = <U_{-conj(z)} xi, eta>
+        # (d) <xi, U_z eta> = <U_{-conj(z)} xi, eta>; the scale is floored after
+        # the products, which underflow for tiny vectors
         u_eta, u_xi = self.mod_group(z, eta), self.mod_group(-np.conj(z), xi)
-        scale = np.maximum.reduce([nrm_xi * self.norm(u_eta), self.norm(u_xi) * nrm_eta,
-                                   nrm_xi * nrm_eta])
+        scale = np.maximum(np.maximum.reduce([
+            norm_xi * self.norm(u_eta), self.norm(u_xi) * norm_eta, norm_xi * norm_eta]),
+            1e-300)
         res["d"] = worst(res["d"], np.abs(self.inner(xi, u_eta) - self.inner(u_xi, eta))
                          / scale)
 

@@ -17,7 +17,11 @@ lists.  ``algebra`` takes either a density ``h`` or ``blocks`` (a list of
 block densities assembled block-diagonally).  Exactly one of ``jumps``,
 ``generator`` (an n^2 x n^2 superoperator matrix in column-stacking vec
 coordinates) or ``fock_spec`` (a scalar free model: matrix ``A``, optional
-``I`` and ``depth``) must appear under ``source``.
+``I`` and ``depth``) must appear under ``source``.  A jump's ``omega`` must
+satisfy |omega| <= log ``cond_max``: a jump v with h v h^{-1} = e^{-omega} v
+has e^{-omega} = lam_a / lam_b for two eigenvalues of h, and the admitted
+densities have lam_max / lam_min <= ``cond_max``.  A ``generator`` must have
+a finite Frobenius norm: the certificates are relative to it.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 parse error, 3 internal
 error.  JSON reports (--json) are byte-identical for the same scenario and
@@ -191,13 +195,22 @@ def parse_scenario(payload, tol_flags=None):
                 if v.shape != (w.n, w.n):
                     raise ScenarioParseError(
                         f"jump shape {v.shape} != algebra dim {w.n}")
-                jumps.append((v, parse_real(entry.get("omega", 0.0), "omega")))
+                omega = parse_real(entry.get("omega", 0.0), "omega")
+                if abs(omega) > math.log(tol.cond_max):
+                    raise ScenarioParseError(
+                        f"omega {omega!r} exceeds log cond_max = "
+                        f"{math.log(tol.cond_max):.6g} in modulus: no valid jump "
+                        "over an admitted density carries it")
+                jumps.append((v, omega))
             data.system = JumpSystem(W=w, jumps=jumps)
         else:
             m = parse_matrix(source["generator"])
             if m.shape != (w.n ** 2, w.n ** 2):
                 raise ScenarioParseError(
                     f"superoperator shape {m.shape} != ({w.n ** 2}, {w.n ** 2})")
+            if not np.isfinite(np.linalg.norm(m)):
+                raise ScenarioParseError("generator's Frobenius norm overflows: the "
+                                         "certificates are relative to it")
             data.generator = Superoperator.from_matrix(m)
 
     checks = payload.get("checks", [])

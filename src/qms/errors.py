@@ -72,6 +72,10 @@ class NotUCP(QMSError):
     """Map is not unital completely positive."""
 
 
+class NotContractive(QMSError):
+    """P_t = e^{-tL} overflows: L generates no Markov (contractive) semigroup."""
+
+
 # --- bimodule / reconstruction ------------------------------------------------
 
 class NotInGeneratedSpan(QMSError):

@@ -283,19 +283,19 @@ class TruncatedFock:
         # the image of Omega, the expected vector and their difference
         check_stage_bytes(48 * rows, f"the vacuum identities at Fock dimension {self.D}")
         omega = self.W.coords(np.eye(self.W.n)).reshape(-1, 1)
-        worst_x = 0.0
+        res_x, res_xi = [], []
         for x in xs:
             got = self._left(x, omega)[:, 0]
-            worst_x = max(worst_x, np.linalg.norm(got - self.W.coords(x))
-                          / max(np.linalg.norm(self.W.coords(x)), 1e-300))
-        worst_xi = 0.0
+            res_x.append(np.linalg.norm(got - self.W.coords(x))
+                         / max(np.linalg.norm(self.W.coords(x)), 1e-300))
         for xi in xis:
             got = self._apply(self._creator(xi), omega)[:, 0]
             want = np.zeros_like(got)
             want[self.dims[0]:] = xi
-            worst_xi = max(worst_xi, np.linalg.norm(got - want)
-                           / max(np.linalg.norm(xi), 1e-300))
-        return {"pi_left": worst_x, "s_vector": worst_xi}
+            res_xi.append(np.linalg.norm(got - want) / max(np.linalg.norm(xi), 1e-300))
+        # the largest of each, NaN if any is NaN (np.max propagates it)
+        return {"pi_left": float(np.max(res_x, initial=0.0)),
+                "s_vector": float(np.max(res_xi, initial=0.0))}
 
 
 def fock_build(bimodule: FinBimodule, d_max=3, tol=DEFAULT_TOL) -> TruncatedFock:

@@ -28,9 +28,10 @@ from .errors import (
     InvalidJumpSystem,
     NegativeTime,
     NotConditionallyCP,
+    NotContractive,
     NotGNSSymmetric,
 )
-from .modular import TomitaData, WeightedAlgebra, bohr_classes
+from .modular import WeightedAlgebra, bohr_classes
 from .numkernel import (Superoperator, as_cmatrix, choi, expm, frob,
                         herm_eig, matrix_units)
 
@@ -45,6 +46,9 @@ __all__ = [
     "extract_alicki",
     "dirichlet_form",
 ]
+
+# ``JumpSystem.check_valid`` fails a condition whose residual exceeds this
+_VALID_GATE = 1e-8
 
 
 @dataclass
@@ -106,12 +110,11 @@ class JumpSystem:
             np.abs(np.trace(v, axis1=1, axis2=2)) / scale))
         # h v h^{-1} = e^{-omega} v, entry by entry in the eigenbasis of h:
         # v~ = u* v u vanishes where lam_a != e^{-omega} lam_b.  Each entry is
-        # weighed by |lam_a - e^{-omega} lam_b| / (lam_a + e^{-omega} lam_b)
-        # <= 1, so rounding in v~ is not amplified by cond(h) as in
+        # weighed by (lam_a - e^{-omega} lam_b) / (lam_a + e^{-omega} lam_b)
+        # = tanh((omega_ab + omega) / 2), of modulus < 1 and finite for every
+        # omega, so rounding in v~ is not amplified by cond(h) as in
         # h v h^{-1}, and an error eps in omega reads eps / 2
-        lam = self.W.eig.eigenvalues
-        down = np.exp(-omega)[:, None, None] * lam
-        weight = (lam[:, None] - down) / (lam[:, None] + down)
+        weight = np.tanh((self.W.bohr + omega[:, None, None]) / 2.0)
         res["modular-eigenvector"] = float(np.max(np.linalg.norm(
             weight * self.W.to_eig(v), axis=(1, 2)) / scale))
         partner = np.asarray(self.pairing)
@@ -126,8 +129,9 @@ class JumpSystem:
         res["orthogonal"] = float(overlap.max())
         return res
 
-    def check_valid(self, gate=1e-8):
-        failed = {k: v for k, v in self.validate().items() if v > gate}
+    def check_valid(self):
+        """Raise ``InvalidJumpSystem`` for residuals above ``_VALID_GATE`` or NaN."""
+        failed = {k: v for k, v in self.validate().items() if not v <= _VALID_GATE}
         if failed:
             raise InvalidJumpSystem(failed)
 
@@ -148,11 +152,19 @@ def build_generator(system: JumpSystem, validate=True) -> Superoperator:
                          - sandwich)
 
 
+def _markov_map(n, p, t):
+    """The superoperator of the matrix p of P_t; a Markov P_t has norm 1,
+    so a p that overflows raises ``NotContractive``."""
+    if not np.all(np.isfinite(p)):
+        raise NotContractive(f"P_t = e^(-tL) overflows at t = {t:g}")
+    return Superoperator(n, p)
+
+
 def semigroup(l: Superoperator, t: float) -> Superoperator:
     """P_t = e^{-tL} by scaling-and-squaring on the superoperator matrix."""
     if t < 0:
         raise NegativeTime(f"t = {t} < 0")
-    return Superoperator(l.n, expm(-t * l.matrix))
+    return _markov_map(l.n, expm(-t * l.matrix), t)
 
 
 def semigroup_spectral(l: Superoperator, w: WeightedAlgebra, t: float) -> Superoperator:
@@ -165,15 +177,14 @@ def semigroup_spectral(l: Superoperator, w: WeightedAlgebra, t: float) -> Supero
     p_coords = (u * np.exp(-t * eig.eigenvalues)) @ u.conj().T
     # back to vec coordinates: K^{-1} P K with K = kron(h^{1/2}.T, 1)
     eye = np.eye(w.n)
-    return Superoperator.from_matrix(
-        np.kron(w.h_isqrt.T, eye) @ p_coords @ np.kron(w.h_sqrt.T, eye))
+    return _markov_map(l.n, np.kron(w.h_isqrt.T, eye) @ p_coords
+                       @ np.kron(w.h_sqrt.T, eye), t)
 
 
 @dataclass(frozen=True)
 class GeneratorReport:
     gns_symmetric: bool
     markov_unital: bool
-    cp_semigroup: bool
     modular_commuting: bool
     residuals: dict
 
@@ -196,10 +207,9 @@ def certify(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL,
     m = w.op_matrix(l)
     res_sym = frob(m - m.conj().T) / scale
 
-    delta = TomitaData(w).modular_op()
-    res_mod = frob(
-        l.matrix @ delta.matrix - delta.matrix @ l.matrix
-    ) / (scale * max(frob(delta.matrix), 1e-300))
+    # the modular operator x -> h x h^{-1} in vec coordinates
+    delta = np.kron(w.h_inv.T, w.h)
+    res_mod = frob(l.matrix @ delta - delta @ l.matrix) / (scale * max(frob(delta), 1e-300))
 
     min_choi = np.inf
     unital_semigroup = 0.0
@@ -226,7 +236,6 @@ def certify(l: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL,
     return GeneratorReport(
         gns_symmetric=res_sym <= tol.axiom,
         markov_unital=res_unital <= tol.axiom and unital_semigroup <= tol.axiom,
-        cp_semigroup=min_choi >= -tol.choi,
         modular_commuting=res_mod <= tol.axiom,
         residuals=residuals,
     )
@@ -325,13 +334,13 @@ def _extract_certified(l, w, report, tol):
     k = _kossakowski(l, basis)
     k_scale = max(frob(k), 1e-300)
 
+    # M_1 has no traceless basis: k is empty and gives the empty system
     k_eig = herm_eig(k, tol)
-    if k_eig.eigenvalues[0] < -tol.choi * max(k_eig.eigenvalues[-1], k_scale):
-        raise NotConditionallyCP(
-            f"Kossakowski matrix has eigenvalue {k_eig.eigenvalues[0]:.3e}"
-        )
+    lo, hi = (f(k_eig.eigenvalues, initial=0.0) for f in (np.min, np.max))
+    if lo < -tol.choi * max(hi, k_scale):
+        raise NotConditionallyCP(f"Kossakowski matrix has eigenvalue {lo:.3e}")
 
-    kappa_gate = tol.decomp * max(k_eig.eigenvalues[-1], 0.0)
+    kappa_gate = tol.decomp * hi
 
     # element j of the upper pairs is the adjoint of element j of the lower
     mirror = np.r_[np.arange(n - 1), np.arange(half) + n - 1 + half,
@@ -343,7 +352,8 @@ def _extract_certified(l, w, report, tol):
     link |= link[np.ix_(mirror, mirror)]
     for _ in range(n):    # paths of up to 2^n >= n^2 - 1 elements
         link = link @ link
-    comp = np.argmax(link, axis=1)    # the least element of each component
+    # the least element of each component
+    comp = np.argmax(link, axis=1) if n > 1 else np.zeros(0, dtype=int)
     herm = comp[mirror] == comp
     if herm[n - 1:].any():
         basis, _, freq = _modular_basis(w, herm[n - 1:n - 1 + half])

@@ -5,12 +5,10 @@ carrying the weighted inner product <x, y>_h = tr(x* y h).  On it live
 
 * the modular operator      Delta(x) = h x h^{-1},
 * the modular group         U_z(x)  = h^{iz} x h^{-iz}  (entire in z),
-* the modular conjugation   J(x)    = h^{1/2} x* h^{-1/2},
-* the involutions           sharp(x) = x*   and   flat(x) = h x* h^{-1},
+* the modular conjugation   J(x)    = h^{1/2} x* h^{-1/2}.
 
-with S = J Delta^{1/2} realizing sharp.  ``coords``/``from_coords`` expose an
-orthonormal coordinate system (x -> vec(x h^{1/2})) in which adjoints of
-linear maps are plain conjugate transposes.
+``coords`` gives an orthonormal coordinate system (x -> vec(x h^{1/2})) in
+which adjoints of linear maps are plain conjugate transposes.
 
 The modular eigenbasis: with h = u diag(lam) u*, ``to_eig`` maps x to
 x~ = u* x u, the coefficients of x over the units F_ab = u E_ab u*, and
@@ -26,8 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .numkernel import (Superoperator, as_cmatrix, as_cstack, cluster,
-                        herm_eig, mat_power, unvec, vec)
+from .numkernel import as_cmatrix, as_cstack, cluster, herm_eig, mat_power, vec
 
 __all__ = ["WeightedAlgebra", "TomitaData", "bohr_classes"]
 
@@ -100,44 +97,22 @@ class WeightedAlgebra:
         """J x = h^{1/2} x* h^{-1/2} of eigenbasis matrices."""
         return self._j_scale * np.swapaxes(x, -1, -2).conj()
 
-    # --- GNS structure --------------------------------------------------------
-
-    def inner(self, x, y):
-        """<x, y>_h = tr(x* y h)."""
-        x = self._check(x)
-        y = self._check(y)
-        return complex(np.trace(x.conj().T @ y @ self.h))
+    # --- GNS structure and orthonormal coordinates --------------------------
 
     def norm(self, x):
-        return float(np.sqrt(max(self.inner(x, x).real, 0.0)))
-
-    def state(self, x):
-        """phi(x) = tr(x h)."""
-        return complex(np.trace(self._check(x) @ self.h))
-
-    # --- orthonormal coordinates ---------------------------------------------
+        """|x|_h = tr(x* x h)^{1/2}."""
+        return float(np.sqrt(max(np.trace(x.conj().T @ x @ self.h).real, 0.0)))
 
     def coords(self, x):
         """Isometric coordinates: coords(x)^* coords(y) = <x, y>_h; of each
         matrix of a stack (..., n, n)."""
         return vec(self._check_stack(x) @ self.h_sqrt)
 
-    def from_coords(self, c):
-        return unvec(c, self.n) @ self.h_isqrt
-
     def op_matrix(self, s):
         """Matrix K S K^{-1} of a superoperator in the orthonormal coordinates,
         with K = kron(h^{1/2}.T, 1) the matrix of x -> x h^{1/2}."""
         eye = np.eye(self.n)
         return np.kron(self.h_sqrt.T, eye) @ s.matrix @ np.kron(self.h_isqrt.T, eye)
-
-    def _check(self, x):
-        x = as_cmatrix(x)
-        if x.shape != (self.n, self.n):
-            raise DimensionMismatch(
-                f"expected {self.n}x{self.n}, got {x.shape}"
-            )
-        return x
 
     def _check_stack(self, x):
         """An n x n matrix or a stack (..., n, n) of them."""
@@ -172,25 +147,13 @@ def bohr_classes(w: WeightedAlgebra, triple=False):
             cluster(freq, rounding + _FREQ_GAP * lam[-1] / lam[0]))
 
 
-def _adjoint(x):
-    """x* of each matrix of a stack."""
-    return np.swapaxes(x, -1, -2).conj()
-
-
 class TomitaData:
-    """Modular maps of a WeightedAlgebra; everything computed on demand.
-
-    ``modular_group``, ``conj_J``, ``sharp`` and ``flat`` map each matrix of
-    a stack (..., n, n); the exponent z of the group may be an array of the
-    stack's leading shape.
-    """
+    """The modular group of a WeightedAlgebra, on each matrix of a stack
+    (..., n, n); the exponent z may be an array of the stack's leading
+    shape."""
 
     def __init__(self, w: WeightedAlgebra):
         self.W = w
-
-    def modular_op(self):
-        """Delta as a superoperator: Delta(x) = h x h^{-1}."""
-        return Superoperator.left_right(self.W.h, self.W.h_inv)
 
     def modular_group(self, z, x):
         """U_z(x) = h^{iz} x h^{-iz}, through the modular eigenbasis;
@@ -205,17 +168,3 @@ class TomitaData:
             )
         w = self.W
         return w.from_eig(w.sigma_eig(z, w.to_eig(x)))
-
-    def conj_J(self, x):
-        """J(x) = h^{1/2} x* h^{-1/2} (antiunitary involution)."""
-        w = self.W
-        return w.from_eig(w.conj_eig(w.to_eig(x)))
-
-    def sharp(self, x):
-        """x -> x*, the adjoint for left multiplication."""
-        return _adjoint(self.W._check_stack(x))
-
-    def flat(self, x):
-        """x -> h x* h^{-1} = U_{-i}(x*), the adjoint for right multiplication."""
-        return self.W.h @ _adjoint(self.W._check_stack(x)) @ self.W.h_inv
-

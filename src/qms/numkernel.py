@@ -28,7 +28,6 @@ __all__ = [
     "herm_eig",
     "mat_power",
     "vec",
-    "unvec",
     "choi",
     "cluster",
     "quotient",
@@ -169,20 +168,6 @@ def vec(x):
     return np.swapaxes(x, -1, -2).reshape(x.shape[:-2] + (-1,))
 
 
-def unvec(v, n=None):
-    v = np.asarray(v, dtype=np.complex128).ravel()
-    if n is None:
-        n = int(round(np.sqrt(v.size)))
-    if n * n != v.size:
-        raise DimensionMismatch(f"vector of length {v.size} is not n*n")
-    return v.reshape((n, n), order="F")
-
-
-def _kron_action(a, b):
-    """Matrix of x -> a @ x @ b in the vec convention."""
-    return np.kron(b.T, a)
-
-
 @dataclass(frozen=True)
 class Superoperator:
     """Linear map on M_n stored as an n^2 x n^2 matrix in vec coordinates."""
@@ -198,23 +183,6 @@ class Superoperator:
             raise DimensionMismatch(f"superoperator matrix shape {m.shape}")
         return cls(n=n, matrix=m)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n=n, matrix=np.eye(n * n, dtype=np.complex128))
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n=n, matrix=np.zeros((n * n, n * n), dtype=np.complex128))
-
-    @classmethod
-    def left_right(cls, a, b):
-        """The map x -> a @ x @ b."""
-        a = as_cmatrix(a)
-        b = as_cmatrix(b)
-        if a.shape != b.shape or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch("left/right factors must be square, same size")
-        return cls(n=a.shape[0], matrix=_kron_action(a, b))
-
     def apply(self, x):
         """S(x), of each matrix of a stack (..., n, n) as one product with
         the matrix."""
@@ -222,26 +190,6 @@ class Superoperator:
         if x.shape[-2:] != (self.n, self.n):
             raise DimensionMismatch(f"expected {self.n}x{self.n} matrices, got {x.shape}")
         return np.swapaxes((vec(x) @ self.matrix.T).reshape(x.shape), -1, -2)
-
-    def __call__(self, x):
-        return self.apply(x)
-
-    def __add__(self, other):
-        self._same(other)
-        return Superoperator(self.n, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        self._same(other)
-        return Superoperator(self.n, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return Superoperator(self.n, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def _same(self, other):
-        if not isinstance(other, Superoperator) or other.n != self.n:
-            raise DimensionMismatch("superoperator dimension mismatch")
 
 
 def choi(s):

@@ -13,6 +13,7 @@ values one sample takes of it and their map to the sample's value.
 per sample, bit for bit as scalar calls such as ``random_matrix`` would.
 """
 
+import math
 from collections import namedtuple
 from itertools import groupby, product
 
@@ -108,7 +109,6 @@ def draw_samples(rng, count, *draws):
     return out
 
 
-
 def sample_blocks(count, sample_bytes):
     """Slices of consecutive samples, each as many as fit ``_BLOCK_BYTES`` at
     ``sample_bytes`` per sample."""
@@ -124,8 +124,10 @@ def check_stage_bytes(nbytes, what):
 
 
 def worst(*residuals):
-    """The largest entry over the given residuals, scalars or arrays."""
-    return max(float(np.max(r)) for r in residuals)
+    """The largest entry over the given residuals, scalars or arrays; NaN if
+    any entry is NaN, so that a check of it fails."""
+    values = [float(np.max(r)) for r in residuals]
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def random_jump_system(w: WeightedAlgebra, rng, m_max=6):

@@ -203,14 +203,13 @@ def suite_free_aw_derivation(sc, seed):
         raise QMSError("suite needs a fock_spec source")
     f = free_aw(spec["A"], spec.get("I"), spec.get("depth", 4), tol)
     rng = np.random.default_rng(seed)
-    worst_pair = 0.0
+    pairing = []    # np.max of it keeps a NaN residual
     for layer in range(1, f.d_max + 1):
         dim = f.dims[layer]
         xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         got = f.derivation_pairing(xi, layer, xi, layer)
-        worst_pair = max(worst_pair,
-                         abs(got - layer * np.vdot(xi, xi))
-                         / max(abs(np.vdot(xi, xi)), 1e-300))
+        norm2 = np.vdot(xi, xi)
+        pairing.append(abs(got - layer * norm2) / max(abs(norm2), 1e-300))
     # Delta^{it} is (V_{-t})^{(x)k} and exp(-sN) the scalar e^{-sk} on layer
     # k: ||[Delta^{it}, exp(-sN)]||_F / ||exp(-sN)||_F, one layer at a time,
     # each commutator in row chunks so that the top block is the only one
@@ -232,7 +231,7 @@ def suite_free_aw_derivation(sc, seed):
         for k in range(f.d_max + 1)
     )
     return [
-        _check("free_aw/derivation_pairing", worst_pair, tol.check),
+        _check("free_aw/derivation_pairing", np.max(pairing, initial=0.0), tol.check),
         _check("free_aw/ou_modular_commute", comm, tol.check),
         _check("free_aw/energy_identity",
                abs(e_direct - e_sum) / max(abs(e_direct), 1e-300), tol.check),

@@ -64,6 +64,78 @@ def qubit_system3(w_qubit):
     )
 
 
+# --- references for maps the package forms inline or not at all ---------------
+
+def unvec(v, n):
+    """The n x n matrix of a column-stacked vector: the inverse of ``vec``."""
+    return np.asarray(v, dtype=np.complex128).reshape((n, n), order="F")
+
+
+def sandwich(a, b):
+    """The superoperator x -> a x b, of matrix kron(b^T, a) in vec coordinates."""
+    return Superoperator.from_matrix(np.kron(np.asarray(b).T, np.asarray(a)))
+
+
+def zero_map(n):
+    return Superoperator.from_matrix(np.zeros((n * n, n * n)))
+
+
+def identity_map(n):
+    return Superoperator.from_matrix(np.eye(n * n))
+
+
+def commutator_map(d):
+    """The superoperator x -> i [d, x]."""
+    eye = np.eye(len(d))
+    return Superoperator.from_matrix(1j * (sandwich(d, eye).matrix
+                                           - sandwich(eye, d).matrix))
+
+
+def inner(w, x, y):
+    """<x, y>_h = tr(x* y h)."""
+    return complex(np.trace(np.asarray(x).conj().T @ y @ w.h))
+
+
+def state(w, x):
+    """phi(x) = tr(x h)."""
+    return complex(np.trace(x @ w.h))
+
+
+def from_coords(w, c):
+    """The matrix x with ``w.coords(x) = c``: x h^{1/2} = unvec(c)."""
+    return unvec(c, w.n) @ w.h_isqrt
+
+
+def conj_j(w, x):
+    """J x = h^{1/2} x* h^{-1/2}, through the modular eigenbasis."""
+    return w.from_eig(w.conj_eig(w.to_eig(x)))
+
+
+def sharp(x):
+    """x -> x*, the adjoint for left multiplication; of each matrix of a stack."""
+    return np.swapaxes(x, -1, -2).conj()
+
+
+def flat(w, x):
+    """x -> h x* h^{-1} = U_{-i}(x*), the adjoint for right multiplication."""
+    return w.h @ sharp(x) @ w.h_inv
+
+
+def modular_op(w):
+    """Delta(x) = h x h^{-1} as a superoperator."""
+    return sandwich(w.h, w.h_inv)
+
+
+def act_left(b, a, xi):
+    """a xi of a bimodule vector (stack) xi of a ``FinBimodule`` b."""
+    return b.W.to_eig(a)[..., None, :, :] @ xi
+
+
+def act_right(b, a, xi):
+    """xi a of a bimodule vector (stack) xi of a ``FinBimodule`` b."""
+    return xi @ b.W.to_eig(a)[..., None, :, :]
+
+
 def depolarizing_generator(w):
     """L(x) = x - phi(x) 1 as a superoperator in plain vec coordinates."""
     n = w.n

@@ -18,7 +18,8 @@ from qms.sampling import (random_jump_system, random_matrix, random_unitary,
                           random_weighted_algebra)
 from qms.suites import Scenario, ScenarioData, run_suite
 
-from conftest import E11, E12, E21, SX
+from conftest import (E11, E12, E21, SX, act_left, act_right, conj_j, flat, sandwich,
+                      sharp)
 from test_reconstruct import traced_peak
 from test_sampled_checks import clustered_spectra, form_of, jump_system
 
@@ -43,12 +44,12 @@ def inner_derivation_generator(b, xi, tol=DEFAULT_TOL):
     n = b.n
     eye = np.eye(n, dtype=np.complex128)
     q = np.zeros((n, n), dtype=np.complex128)
-    total = Superoperator.zero(n)
+    total = np.zeros((n * n, n * n), dtype=np.complex128)
     for c in b.W.from_eig(xi):
         q += c.conj().T @ c
-        total = total - 2.0 * Superoperator.left_right(c.conj().T, c)
-    total = total + Superoperator.left_right(q, eye) + Superoperator.left_right(eye, q)
-    return total
+        total -= 2.0 * sandwich(c.conj().T, c).matrix
+    return Superoperator.from_matrix(total + sandwich(q, eye).matrix
+                                     + sandwich(eye, q).matrix)
 
 
 @pytest.fixture
@@ -67,17 +68,17 @@ class TestActions:
         xi = rand_vec(bim, rng)
         eye = np.eye(2)
         np.testing.assert_allclose(
-            bim.act_left(eye, xi), xi, atol=1e-14
+            act_left(bim, eye, xi), xi, atol=1e-14
         )
         np.testing.assert_allclose(
-            bim.act_right(eye, xi), xi, atol=1e-14
+            act_right(bim, eye, xi), xi, atol=1e-14
         )
 
     def test_left_right_commute_exactly(self, bim):
         rng = np.random.default_rng(23)
         xi = rand_vec(bim, rng)
-        a = bim.act_left(E11, bim.act_right(np.eye(2) - E11, xi))
-        b = bim.act_right(np.eye(2) - E11, bim.act_left(E11, xi))
+        a = act_left(bim, E11, act_right(bim, np.eye(2) - E11, xi))
+        b = act_right(bim, np.eye(2) - E11, act_left(bim, E11, xi))
         assert np.array_equal(a, b)
 
     def test_left_action_bounded(self, bim):
@@ -85,7 +86,7 @@ class TestActions:
         for _ in range(100):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             xi = rand_vec(bim, rng)
-            assert bim.norm(bim.act_left(a, xi)) <= (
+            assert bim.norm(act_left(bim, a, xi)) <= (
                 np.linalg.norm(a, 2) * bim.norm(xi) + 1e-10
             )
 
@@ -136,7 +137,7 @@ class TestModularStructure:
         for _ in range(10):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             lhs = bim.conj(bim.delta(a))
-            rhs = bim.delta(TomitaData(bim.W).conj_J(a))
+            rhs = bim.delta(conj_j(bim.W, a))
             assert bim.norm(lhs - rhs) < 1e-10
 
     def test_conj_involution(self, bim):
@@ -144,7 +145,7 @@ class TestModularStructure:
         for _ in range(10):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            xi = bim.act_right(b, bim.delta(a))
+            xi = act_right(bim, b, bim.delta(a))
             assert bim.norm(bim.conj(bim.conj(xi)) - xi) < 1e-9 * bim.norm(xi)
 
     def test_conj_antiunitary(self, bim):
@@ -152,8 +153,8 @@ class TestModularStructure:
         for _ in range(10):
             xs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                   for _ in range(4)]
-            xi = bim.act_right(xs[0], bim.delta(xs[1]))
-            eta = bim.act_right(xs[2], bim.delta(xs[3]))
+            xi = act_right(bim, xs[0], bim.delta(xs[1]))
+            eta = act_right(bim, xs[2], bim.delta(xs[3]))
             lhs = bim.inner(bim.conj(xi), bim.conj(eta))
             rhs = bim.inner(eta, xi)
             assert abs(lhs - rhs) < 1e-9 * max(abs(rhs), 1.0)
@@ -164,7 +165,7 @@ class TestModularStructure:
         rng = np.random.default_rng(32)
         a, b = (rng.standard_normal((2, 20, 2, 2))
                 + 1j * rng.standard_normal((2, 20, 2, 2)))
-        xi = bim.act_right(b, bim.delta(a))
+        xi = act_right(bim, b, bim.delta(a))
         diff = bim.norm(bim.conj(xi) - bim.conj_ambient(xi))
         assert np.all(diff < 1e-10 * bim.norm(xi))
 
@@ -190,7 +191,7 @@ class TestDerivation:
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             lhs = bim.delta(x @ y)
-            rhs = bim.act_left(x, bim.delta(y)) + bim.act_right(y, bim.delta(x))
+            rhs = act_left(bim, x, bim.delta(y)) + act_right(bim, y, bim.delta(x))
             assert bim.norm(lhs - rhs) < 1e-11 * max(bim.norm(lhs), 1.0)
 
     def test_energy_identity(self, qubit_system):
@@ -371,7 +372,6 @@ class TestCarreDuChamp:
 
     def test_defining_identity(self, qubit_system3):
         w = qubit_system3.W
-        td = TomitaData(w)
         form = dirichlet_form(build_generator(qubit_system3), w)
         rng = np.random.default_rng(47)
         for _ in range(10):
@@ -379,14 +379,10 @@ class TestCarreDuChamp:
                         + 1j * rng.standard_normal((2, 2)) for _ in range(3))
             g = carre_du_champ(form, a, bb)
             lhs = np.trace(g @ w.h_sqrt @ c @ w.h_sqrt)
-            c_flat = td.flat(c)
+            c_flat = flat(w, c)
             rhs = 0.5 * (form(a, bb @ c) + form(a @ c_flat, bb)
-                         - form(c_flat, td.sharp(a) @ bb))
+                         - form(c_flat, sharp(a) @ bb))
             assert abs(lhs - rhs) < 1e-10 * max(abs(rhs), 1.0)
-
-
-def _adjoint(x):
-    return np.swapaxes(x, -1, -2).conj()
 
 
 @settings(max_examples=10)
@@ -422,18 +418,18 @@ def test_eigenbasis_maps_match_standard_formulas(case, m_max):
     close(b.W.from_eig(b.mod_group(z, xi)),
           phase * (mat_power(w.h, 1j * z, _eig=w.eig)[:, None] @ s
                    @ mat_power(w.h, -1j * z, _eig=w.eig)[:, None]))
-    close(b.inner(xi, eta), np.trace(_adjoint(s) @ t @ w.h, axis1=-2, axis2=-1).sum(-1))
+    close(b.inner(xi, eta), np.trace(sharp(s) @ t @ w.h, axis1=-2, axis2=-1).sum(-1))
     close(b.W.from_eig(b.conj_ambient(xi)),
-          w.h_sqrt @ _adjoint(s[:, system.pairing]) @ w.h_isqrt)
+          w.h_sqrt @ sharp(s[:, system.pairing]) @ w.h_isqrt)
     close(b.coords(xi), np.swapaxes(s @ w.h_sqrt, -1, -2).reshape(4, -1))
     close(b.W.from_eig(b.from_coords(b.coords(xi))), s)
-    close(b.W.from_eig(b.act_left(a, xi)), a[:, None] @ s)
-    close(b.W.from_eig(b.act_right(a, xi)), s @ a[:, None])
+    close(b.W.from_eig(act_left(b, a, xi)), a[:, None] @ s)
+    close(b.W.from_eig(act_right(b, a, xi)), s @ a[:, None])
     v = np.array([v for v, _ in system.jumps]).reshape(m, n, n)
     weights = 1j * np.exp(-b.omegas / 4.0)[:, None, None]
     close(b.W.from_eig(b.delta(a)), weights * (v @ a[:, None] - a[:, None] @ v))
     close(b.W.from_eig(b.conj(b.delta(a))),
-          b.W.from_eig(b.delta(TomitaData(w).conj_J(a))), rel=1e-10)
+          b.W.from_eig(b.delta(conj_j(w, a))), rel=1e-10)
 
 
 def _counts(monkeypatch):

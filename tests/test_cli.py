@@ -1,5 +1,7 @@
 """Command-line front-end: scenario parsing, suites, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -10,9 +12,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qms.sampling
 from qms.cli import main
+from qms.lindblad import JumpSystem, build_generator
+from qms.modular import WeightedAlgebra
 
 LOG2 = float(np.log(2.0))
 
@@ -433,3 +439,122 @@ class TestFockSpecSource:
                                         for v, om in system.jumps]}
         assert main(["run", write_scenario(tmp_path, scenario)]) == 2
         assert "scenario error: SizeLimitExceeded" in capsys.readouterr().err
+
+
+# --- inputs at the edges: a report or a named error, never exit 3 -------------
+
+# P_t = I: a valid GNS-symmetric semigroup with E = 0, on M_2 and on M_1
+TRIVIAL = {
+    "no-jumps-n2": ({"h": [[0.6, 0], [0, 0.4]]}, {"jumps": []}),
+    "zero-generator-n2": ({"h": [[0.6, 0], [0, 0.4]]}, {"generator": [[0] * 4] * 4}),
+    "no-jumps-n1": ({"h": [[1]]}, {"jumps": []}),
+    "zero-generator-n1": ({"h": [[1]]}, {"generator": [[0]]}),
+}
+
+
+@pytest.mark.parametrize("suite", NON_FOCK_SUITES + ["fock-commutant"])
+@pytest.mark.parametrize("case", sorted(TRIVIAL))
+def test_trivial_semigroup_passes(tmp_path, capsys, case, suite):
+    """Every suite that takes the source passes; on M_1 the generator source
+    gives the empty jump system (M_1 has no traceless basis), and
+    stinespring-rate fits no slope to deviations that are rounding only."""
+    algebra, source = TRIVIAL[case]
+    path = write_scenario(tmp_path, {"v": 1, "algebra": algebra, "source": source,
+                                     "checks": [suite]})
+    assert main(["run", path]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega, tolerances", [
+    (800.0, {}), (-800.0, {}), (3000.0, {}), (-3000.0, {}), (1e308, {}),
+    (5.0, {"cond_max": 100.0})])
+def test_weight_beyond_log_cond_max_is_parse_error(tmp_path, capsys, omega, tolerances):
+    """No valid jump over an admitted density (cond(h) <= cond_max) carries
+    a weight of modulus above log cond_max: refused before any suite runs."""
+    scenario = base_scenario(checks=["alicki-validate"], tolerances=tolerances)
+    scenario["source"]["jumps"][0]["omega"] = omega
+    assert main(["run", write_scenario(tmp_path, scenario)]) == 2
+    assert "exceeds log cond_max" in capsys.readouterr().err
+
+
+def test_weight_at_log_cond_max_is_admitted(tmp_path, capsys):
+    scenario = base_scenario(checks=["alicki-validate"])
+    scenario["source"]["jumps"][0]["omega"] = float(np.log(1e12))
+    assert main(["run", write_scenario(tmp_path, scenario)]) == 1
+    assert "alicki/modular-eigenvector" in capsys.readouterr().out
+
+
+def test_generator_without_finite_norm_is_parse_error(tmp_path, capsys):
+    scenario = base_scenario(checks=["certify-generator"])
+    scenario["source"] = {"generator": (1e200 * np.eye(4)).tolist()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["run", write_scenario(tmp_path, scenario)]) == 2
+    assert "Frobenius norm overflows" in capsys.readouterr().err
+
+
+def test_growing_semigroup_is_named_check_failure(tmp_path, capsys):
+    """L = -1000 I: e^{-tL} overflows, so L generates no Markov semigroup."""
+    scenario = base_scenario(checks=["certify-generator"])
+    scenario["source"] = {"generator": (-1000.0 * np.eye(4)).tolist()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["run", write_scenario(tmp_path, scenario)]) == 1
+    assert "check failure: NotContractive" in capsys.readouterr().err
+
+
+_OMEGAS = ("zero", "match", "flip", 1e3, -1e3, 1e308, -1e308)
+
+
+@st.composite
+def edge_scenarios(draw):
+    """A scenario over diag(lam), n in {1, 2, 3}: 0-4 jumps c E_ab with
+    weight 0, +-log(lam_b / lam_a) (the valid one and its negative), +-1e3
+    or +-1e308, as jumps or as the generator they build; 1-3 non-Fock suites."""
+    n = draw(st.integers(1, 3))
+    lam = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    lam /= lam.sum()
+    jumps = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        v = np.zeros((n, n), dtype=complex)
+        v[a, b] = draw(st.sampled_from([1.0, 0.5j, 1e-200]))
+        kind = draw(st.sampled_from(_OMEGAS))
+        valid = float(np.log(lam[b] / lam[a]))
+        jumps.append((v, {"zero": 0.0, "match": valid, "flip": -valid}.get(kind, kind)))
+    if draw(st.booleans()):
+        source = {"jumps": [{"matrix": mat_json(v), "omega": om} for v, om in jumps]}
+    else:
+        w = WeightedAlgebra(np.diag(lam))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gen = build_generator(JumpSystem(W=w, jumps=jumps), validate=False)
+        source = {"generator": mat_json(gen.matrix)}
+    checks = draw(st.lists(st.sampled_from(NON_FOCK_SUITES), min_size=1, max_size=3,
+                           unique=True))
+    return {"v": 1, "algebra": {"h": mat_json(np.diag(lam))}, "source": source,
+            "checks": checks}
+
+
+@settings(max_examples=80)
+@example(sc={"v": 1, "algebra": {"h": [[1]]}, "source": {"generator": [[0]]},
+             "checks": NON_FOCK_SUITES})
+@example(sc=base_scenario(source={"jumps": [
+    {"matrix": [[0, 0], [1, 0]], "omega": 800.0},
+    {"matrix": [[0, 1], [0, 0]], "omega": -800.0}]}, checks=NON_FOCK_SUITES))
+@example(sc={"v": 1, "algebra": {"h": [[0.6, 0], [0, 0.4]]}, "checks": ["bimodule-axioms"],
+             "source": {"jumps": [
+                 {"matrix": [[0, 0], [1e-200, 0]], "omega": float(np.log(1.5))},
+                 {"matrix": [[0, 1e-200], [0, 0]], "omega": -float(np.log(1.5))}]}})
+@given(sc=edge_scenarios())
+def test_edge_scenarios_exit_named(tmp_path_factory, sc):
+    """Every such scenario ends in exit 0, 1 or 2 with a finite report."""
+    work = tmp_path_factory.mktemp("edge")
+    path, report = work / "scenario.json", work / "report.json"
+    path.write_text(json.dumps(sc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["run", str(path), "--json", str(report)])
+    assert code in (0, 1, 2), err.getvalue()
+    text = report.read_text() if report.exists() else ""
+    assert "NaN" not in text and "Infinity" not in text

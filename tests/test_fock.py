@@ -17,6 +17,7 @@ from qms.modular import WeightedAlgebra
 from qms.sampling import random_jump_system, random_weighted_algebra
 from qms.suites import Scenario, ScenarioData, run_suite
 
+from conftest import act_left, act_right
 from test_reconstruct import traced_peak
 
 
@@ -151,7 +152,7 @@ def tensor_pairing(b, xs, ys):
     (xi_1 (x) xi_2 | eta_1 (x) eta_2) = (xi_2 | (xi_1|eta_1) eta_2)."""
     p = np.eye(b.n)
     for x, y in zip(xs, ys):
-        p = pairing(b, x, b.coords(b.act_left(p, b.from_coords(y))))
+        p = pairing(b, x, b.coords(act_left(b, p, b.from_coords(y))))
     return p
 
 
@@ -294,10 +295,10 @@ class TestRelTensor:
             x, y = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                     for _ in range(2))
             got = b_creation(f, eta) @ inject(f, 0, b.W.coords(x))
-            want = inject(f, 1, b.coords(b.act_left(x, b.from_coords(eta))))
+            want = inject(f, 1, b.coords(act_left(b, x, b.from_coords(eta))))
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             got = f.creation(xi) @ inject(f, 0, b.W.coords(y))
-            want = inject(f, 1, b.coords(b.act_right(y, b.from_coords(xi))))
+            want = inject(f, 1, b.coords(act_right(b, y, b.from_coords(xi))))
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_associativity(self, bim3):
@@ -319,8 +320,8 @@ class TestRelTensor:
         for _ in range(10):
             xi, eta = rand_vec(rng, f.dims[1]), rand_vec(rng, f.dims[1])
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            xi_x = b.coords(b.act_right(x, b.from_coords(xi)))
-            x_eta = b.coords(b.act_left(x, b.from_coords(eta)))
+            xi_x = b.coords(act_right(b, x, b.from_coords(xi)))
+            x_eta = b.coords(act_left(b, x, b.from_coords(eta)))
             lhs = a(xi_x) @ (a(eta) @ omega)
             rhs = a(xi) @ (a(x_eta) @ omega)
             assert np.linalg.norm(lhs - rhs) < 1e-9 * max(

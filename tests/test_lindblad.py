@@ -30,7 +30,8 @@ from qms.reconstruct import build_gram_space, gram_axioms_check, uniqueness_isom
 from qms.sampling import (random_jump_system, random_matrix, random_unitary,
                           random_weighted_algebra)
 
-from conftest import E12, E21, SX, SZ, depolarizing_generator
+from conftest import (E12, E21, SX, SZ, commutator_map, depolarizing_generator,
+                      sandwich, zero_map)
 
 
 def algebra_with_spectrum(spectrum, rng):
@@ -118,6 +119,22 @@ class TestJumpSystem:
         with pytest.raises(InvalidJumpSystem):
             bad.check_valid()
 
+    def test_check_valid_fails_non_finite(self, qubit_system, monkeypatch):
+        """A NaN residual is no pass."""
+        res = dict(qubit_system.validate(), orthogonal=np.nan)
+        monkeypatch.setattr(qubit_system, "validate", lambda: res)
+        with pytest.raises(InvalidJumpSystem) as err:
+            qubit_system.check_valid()
+        assert set(err.value.failed) == {"orthogonal"}
+
+    @pytest.mark.parametrize("omega", [800.0, -800.0, 3000.0, 1e308, -1e308])
+    def test_modular_eigenvector_finite_for_any_weight(self, w_qubit, omega):
+        """The weight tanh((omega_ab + omega) / 2) stays finite: a wrong
+        weight of any size reads about 1, the norm of the misplaced entry."""
+        res = JumpSystem(W=w_qubit, jumps=[(E21, omega), (E12, -omega)],
+                         pairing=[1, 0]).validate()
+        assert abs(res["modular-eigenvector"] - 1.0) < 1e-12
+
     @pytest.mark.parametrize("seed", range(88, 93))
     def test_modular_eigenvector_at_high_condition(self, seed):
         """lam ~ exp(-4.5 k) at n = 4 (condition number 7e5): the residual
@@ -161,18 +178,16 @@ class TestBuildGenerator:
         loose = [(random_matrix(n, rng), 0.3), (random_matrix(n, rng), -1.1)]
         for system in (random_jump_system(w, rng, m_max=2 * n),
                        JumpSystem(W=w, jumps=loose, pairing=[0, 1])):
-            want = Superoperator.zero(n)
+            want = np.zeros((n * n, n * n), dtype=np.complex128)
             eye = np.eye(n)
             for v, om in system.jumps:
                 vs = v.conj().T
-                want = want + np.exp(-om / 2.0) * (
-                    Superoperator.left_right(vs @ v, eye)
-                    - Superoperator.left_right(vs, v))
-                want = want + np.exp(om / 2.0) * (
-                    Superoperator.left_right(eye, v @ vs)
-                    - Superoperator.left_right(v, vs))
+                want += np.exp(-om / 2.0) * (
+                    sandwich(vs @ v, eye).matrix - sandwich(vs, v).matrix)
+                want += np.exp(om / 2.0) * (
+                    sandwich(eye, v @ vs).matrix - sandwich(v, vs).matrix)
             got = build_generator(system, validate=False)
-            assert frob(got.matrix - want.matrix) <= 1e-14 * frob(want.matrix)
+            assert frob(got.matrix - want) <= 1e-14 * frob(want)
 
     def test_reference_system_unital(self, qubit_system):
         l = build_generator(qubit_system)
@@ -218,7 +233,7 @@ class TestSemigroup:
         w = random_weighted_algebra(n, rng)
         l = build_generator(random_jump_system(w, rng, m_max=2 * n))
         ts = (0.0, 1e-3, 0.05, 0.5, 1.0, 2.0, 200.0 / np.linalg.norm(l.matrix, 1))
-        for gen, t in [(l, t) for t in ts] + [(Superoperator.zero(n), 1.0)]:
+        for gen, t in [(l, t) for t in ts] + [(zero_map(n), 1.0)]:
             want = scipy.linalg.expm(-t * gen.matrix)
             assert frob(semigroup(gen, t).matrix - want) <= 1e-13 * frob(want)
 
@@ -231,13 +246,14 @@ class TestSemigroup:
 
 def all_pass(rep):
     """Every certificate of a ``GeneratorReport`` holds."""
-    return (rep.gns_symmetric and rep.markov_unital and rep.cp_semigroup
+    return (rep.gns_symmetric and rep.markov_unital
+            and rep.residuals["min_choi_eig"] >= -DEFAULT_TOL.choi
             and rep.modular_commuting)
 
 
 class TestCertify:
     def test_zero_generator(self, w_qubit):
-        rep = certify(Superoperator.zero(2), w_qubit)
+        rep = certify(zero_map(2), w_qubit)
         assert all_pass(rep)
         assert rep.residuals["unital"] == 0.0
 
@@ -247,16 +263,13 @@ class TestCertify:
 
     def test_commutator_generator_not_symmetric(self, w_qubit):
         # L(x) = i [d, x] with d Hermitian, [d, h] != 0
-        d = SX
-        l = 1j * (Superoperator.left_right(d, np.eye(2))
-                  - Superoperator.left_right(np.eye(2), d))
-        rep = certify(l, w_qubit)
+        rep = certify(commutator_map(SX), w_qubit)
         assert not rep.gns_symmetric
 
 
 class TestExtractAlicki:
     def test_zero_generator(self, w_qubit):
-        system = extract_alicki(Superoperator.zero(2), w_qubit)
+        system = extract_alicki(zero_map(2), w_qubit)
         assert system.m == 0
 
     def test_depolarizing_tracial(self, w_tracial):
@@ -311,10 +324,8 @@ class TestExtractAlicki:
         assert set(err.value.failed) == {"roundtrip"}
 
     def test_rejects_non_symmetric(self, w_qubit):
-        l = 1j * (Superoperator.left_right(SX, np.eye(2))
-                  - Superoperator.left_right(np.eye(2), SX))
         with pytest.raises(NotGNSSymmetric):
-            extract_alicki(l, w_qubit)
+            extract_alicki(commutator_map(SX), w_qubit)
 
 
 class TestDirichletForm:

@@ -12,9 +12,10 @@ from qms.numkernel import (
     mat_power,
     matrix_units,
     null_quotient,
-    unvec,
     vec,
 )
+
+from conftest import identity_map, unvec
 
 
 def reconstruct(eig):
@@ -142,7 +143,7 @@ class TestSuperoperatorApply:
 
 class TestChoi:
     def test_identity_superoperator(self):
-        c = choi(Superoperator.identity(2))
+        c = choi(identity_map(2))
         ev = np.sort(np.linalg.eigvalsh(c))
         np.testing.assert_allclose(ev, [0, 0, 0, 2], atol=1e-14)
         # 2 * maximally entangled projector

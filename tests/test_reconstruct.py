@@ -19,7 +19,7 @@ from qms.config import DEFAULT_TOL
 from qms.errors import GramNotPSD, RankUndecided, SizeLimitExceeded
 from qms.lindblad import (DirichletForm, JumpSystem, build_generator,
                           dirichlet_form, extract_alicki)
-from qms.modular import TomitaData, WeightedAlgebra
+from qms.modular import WeightedAlgebra
 from qms.numkernel import (HermEig, Superoperator, herm_eig, mat_power,
                            matrix_units, null_quotient)
 from qms.reconstruct import (
@@ -34,7 +34,9 @@ from qms.reconstruct import (
 from qms.sampling import (random_jump_system, random_matrix, random_unitary,
                           random_weighted_algebra)
 
-from conftest import depolarizing_generator, matrix_unit
+from conftest import act_left as bim_left, act_right as bim_right
+from conftest import (conj_j, depolarizing_generator, identity_map, inner, matrix_unit,
+                      sandwich, state, zero_map)
 from test_cli import base_scenario, mat_json, write_scenario
 from test_sampled_checks import (GRAM_SYSTEMS, conj_matrix, form_of, jump_system,
                                  op_left, op_right, random_disk_point,
@@ -60,7 +62,7 @@ def random_system(n, seed):
 
 def random_form(n, seed, zero=False):
     system = random_system(n, seed)
-    l = Superoperator.zero(n) if zero else build_generator(system)
+    l = zero_map(n) if zero else build_generator(system)
     return dirichlet_form(l, system.W)
 
 
@@ -208,15 +210,15 @@ class TestGramEntry:
             a, b, c, d = (rng.standard_normal((2, 2))
                           + 1j * rng.standard_normal((2, 2)) for _ in range(4))
             lhs = gram_entry(form3, a, b, c, d)
-            rhs = bim.inner(bim.act_right(b, bim.delta(a)),
-                            bim.act_right(d, bim.delta(c)))
+            rhs = bim.inner(bim_right(bim, b, bim.delta(a)),
+                            bim_right(bim, d, bim.delta(c)))
             assert abs(lhs - rhs) < 1e-9 * max(abs(rhs), 1.0)
 
     def test_depolarizing_diagonal(self, w_tracial):
         form = dirichlet_form(depolarizing_generator(w_tracial), w_tracial)
         sz = np.diag([1.0, -1.0]).astype(complex)
         eye = np.eye(2, dtype=complex)
-        want = (w_tracial.inner(sz, sz)
+        want = (inner(w_tracial, sz, sz)
                 - abs(np.trace(sz @ w_tracial.h)) ** 2)
         got = gram_entry(form, sz, eye, sz, eye)
         assert abs(got - want) < 1e-12
@@ -224,7 +226,7 @@ class TestGramEntry:
 
 class TestGramSpace:
     def test_zero_form_rank_zero(self, w_qubit):
-        form = dirichlet_form(Superoperator.zero(2), w_qubit)
+        form = dirichlet_form(zero_map(2), w_qubit)
         assert build_gram_space(form, w_qubit).rank == 0
 
     def test_depolarizing_rank_golden(self, w_tracial):
@@ -263,10 +265,9 @@ class TestGramSpace:
         rng = np.random.default_rng(76)
         for n in (2, 3):
             g = build_gram_space(random_form(n, 75))
-            td = TomitaData(g.W)
             a, b = (np.array([random_matrix(n, rng) for _ in range(6)])
                     for _ in range(2))
-            ja, jb = td.conj_J(a), td.conj_J(b)
+            ja, jb = conj_j(g.W, a), conj_j(g.W, b)
             got = g.embed_pair(a, b).conj() @ conj_matrix(g).T
             want = g.embed_pair(jb @ ja, np.eye(n)) - g.embed_pair(jb, ja)
             assert_rel_close(got, want, 1e-10)
@@ -280,7 +281,7 @@ class TestGramSpace:
         assert well_definedness_residual(gram3) < 1e-9
 
     def test_well_definedness_rank_zero(self, w_qubit):
-        form = dirichlet_form(Superoperator.zero(2), w_qubit)
+        form = dirichlet_form(zero_map(2), w_qubit)
         assert well_definedness_residual(build_gram_space(form, w_qubit)) == 0.0
 
     def test_axioms(self, gram3):
@@ -879,7 +880,7 @@ class TestRankUndecided:
 class TestUniqueness:
     def test_zero_generator(self, w_qubit):
         from qms.lindblad import JumpSystem
-        form = dirichlet_form(Superoperator.zero(2), w_qubit)
+        form = dirichlet_form(zero_map(2), w_qubit)
         g = build_gram_space(form, w_qubit)
         bim = FinBimodule(JumpSystem(W=w_qubit, jumps=[], pairing=[]))
         u = uniqueness_isometry(g, bim)
@@ -959,7 +960,7 @@ def dense_span(bim):
     """The spanning family R(E_q) delta(E_p) over the matrix-unit pairs in
     standard coordinates: column p n^2 + q holds its coordinates."""
     units = matrix_units(bim.n)
-    pairs = bim.act_right(units[None], bim.delta(units)[:, None])
+    pairs = bim_right(bim, units[None], bim.delta(units)[:, None])
     return bim.coords(pairs).reshape(bim.n ** 4, -1).T
 
 
@@ -978,7 +979,7 @@ def embedded_pair(sb, x, y):
 
 class TestStinespring:
     def test_identity_map_zero_boundary(self, w_qubit):
-        sb = stinespring_route(Superoperator.identity(2), w_qubit)
+        sb = stinespring_route(identity_map(2), w_qubit)
         rng = np.random.default_rng(56)
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.linalg.norm(sb.boundary(x)) < 1e-7
@@ -1011,7 +1012,7 @@ class TestStinespring:
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             lhs = np.vdot(sb.boundary(x), sb.boundary(y))
-            rhs = w.state(boundary_pairing(p, x, y))
+            rhs = state(w, boundary_pairing(p, x, y))
             assert abs(lhs - rhs) < 1e-10 * max(abs(rhs), 1.0)
 
     def test_rate_slope(self, qubit_system3, form3):
@@ -1049,7 +1050,7 @@ class TestStinespring:
             p_t, w = stinespring_case(n, 76)
             sb = stinespring_route(p_t, w)
             units = matrix_units(n)
-            want = np.array([[0.5 * w.state(y.conj().T @ p_t.apply(x.conj().T @ c) @ d)
+            want = np.array([[0.5 * state(w, y.conj().T @ p_t.apply(x.conj().T @ c) @ d)
                               for c in units for d in units]
                              for x in units for y in units])
             emb = np.array([embedded_pair(sb, x, y) for x in units for y in units])
@@ -1100,7 +1101,7 @@ class TestStinespring:
     def test_rejects_nonunital(self, w_qubit):
         from qms.errors import NotUCP
         with pytest.raises(NotUCP):
-            stinespring_route(Superoperator.zero(2), w_qubit)
+            stinespring_route(zero_map(2), w_qubit)
 
     def test_rejects_non_cp(self, w_tracial):
         """The transpose is unital and positive, but not CP."""
@@ -1115,7 +1116,7 @@ class TestStinespring:
         from qms.errors import NotGNSSymmetric
         u = np.diag([1.0, np.exp(1j)])
         with pytest.raises(NotGNSSymmetric):
-            stinespring_route(Superoperator.left_right(u.conj().T, u), w_tracial)
+            stinespring_route(sandwich(u.conj().T, u), w_tracial)
 
 
 class TestRepVector:
@@ -1141,7 +1142,7 @@ class TestRepVector:
         xi = self.spec_vector(qubit_system3)
         rng = np.random.default_rng(59)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        comm = b.act_left(a, xi) - b.act_right(a, xi)
+        comm = bim_left(b, a, xi) - bim_right(b, a, xi)
         da = b.delta(a)
         mu = b.inner(comm, da) / b.inner(comm, comm).real
         assert abs(abs(mu) - 1.0) < 1e-9

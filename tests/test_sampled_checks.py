@@ -27,7 +27,7 @@ from qms.sampling import (DISK, SQUARE, matrices, random_jump_system,
                           random_matrix, random_unitary, random_weighted_algebra)
 from qms.suites import Scenario, ScenarioData, run_suite
 
-from conftest import E12, E21, SX
+from conftest import E12, E21, SX, act_left, act_right, conj_j, inner, state
 
 
 # --- references: the per-sample loops ------------------------------------------
@@ -48,13 +48,12 @@ def ref_axioms_check(self, n_vectors=200, seed=11):
     mg = TomitaData(self.W).modular_group
     for _ in range(n_vectors):
         a, b = random_matrix(n, rng), random_matrix(n, rng)
-        xi = self.act_right(b, self.delta(a))
+        xi = act_right(self, b, self.delta(a))
         eta_r, eta_a = random_matrix(n, rng), random_matrix(n, rng)
-        eta = self.act_right(eta_r, self.delta(eta_a))
+        eta = act_right(self, eta_r, self.delta(eta_a))
         z = random_disk_point(rng)
         norm_xi = self.norm(xi)
         nrm_xi = max(norm_xi, 1e-300)
-        nrm_eta = max(self.norm(eta), 1e-300)
 
         c = random_matrix(n, rng)
         opn_l = float(np.linalg.norm(c, 2))
@@ -62,13 +61,13 @@ def ref_axioms_check(self, n_vectors=200, seed=11):
             self.W.h_isqrt @ c @ self.W.h_sqrt, 2))
         res["a"] = max(
             res["a"],
-            (self.norm(self.act_left(c, xi)) - opn_l * norm_xi) / nrm_xi,
-            (self.norm(self.act_right(c, xi)) - opn_r * norm_xi) / nrm_xi,
+            (self.norm(act_left(self, c, xi)) - opn_l * norm_xi) / nrm_xi,
+            (self.norm(act_right(self, c, xi)) - opn_r * norm_xi) / nrm_xi,
         )
 
-        lhs = self.conj(self.act_left(c, xi))
+        lhs = self.conj(act_left(self, c, xi))
         conj_xi = self.conj(xi)
-        rhs = self.act_right(TomitaData(self.W).conj_J(c), conj_xi)
+        rhs = act_right(self, conj_j(self.W, c), conj_xi)
         res["b"] = max(res["b"], self.norm(lhs - rhs) / (opn_l * nrm_xi))
 
         def gap(lhs, rhs):
@@ -82,11 +81,13 @@ def ref_axioms_check(self, n_vectors=200, seed=11):
         u_eta, u_xi = self.mod_group(z, eta), self.mod_group(-np.conj(z), xi)
         lhs_ip = self.inner(xi, u_eta)
         rhs_ip = self.inner(u_xi, eta)
+        norm_eta = self.norm(eta)
         res["d"] = max(res["d"], abs(lhs_ip - rhs_ip) / max(
-            nrm_xi * self.norm(u_eta), self.norm(u_xi) * nrm_eta, nrm_xi * nrm_eta))
+            norm_xi * self.norm(u_eta), self.norm(u_xi) * norm_eta, norm_xi * norm_eta,
+            1e-300))
 
         lhs = self.mod_group(z, xi)
-        rhs = self.act_right(mg(z, b), self.delta(mg(z, a)))
+        rhs = act_right(self, mg(z, b), self.delta(mg(z, a)))
         res["e"] = max(res["e"], gap(lhs, rhs))
 
         lhs = self.mod_group(z, conj_xi)
@@ -107,11 +108,11 @@ def ref_derivation_check(b, form=None, n_samples=100, seed=13):
         dx, dy = b.delta(x), b.delta(y)
         scale = max(b.norm(dx) * np.linalg.norm(y), 1e-300)
         lhs = b.delta(x @ y)
-        rhs = b.act_left(x, dy) + b.act_right(y, dx)
+        rhs = act_left(b, x, dy) + act_right(b, y, dx)
         res["product_rule"] = max(res["product_rule"], b.norm(lhs - rhs) / scale)
 
         lhs = b.conj(dx)
-        rhs = b.delta(TomitaData(b.W).conj_J(x))
+        rhs = b.delta(conj_j(b.W, x))
         res["conj_intertwine"] = max(
             res["conj_intertwine"], b.norm(lhs - rhs) / max(b.norm(rhs), 1e-300)
         )
@@ -215,7 +216,7 @@ def ref_gram_axioms_check(g, n_samples=200, seed=29):
         opn_r = float(np.linalg.norm(g.W.h_isqrt @ a @ g.W.h_sqrt, 2))
         res["a"] = max(res["a"], (norm_l - opn_l) / opn_l,
                        (np.linalg.norm(ra, 2) - opn_r) / opn_r)
-        rja = op_right(g, td.conj_J(a))
+        rja = op_right(g, conj_j(g.W, a))
         res["b"] = max(res["b"], np.linalg.norm(jq @ la.conj() - rja @ jq)
                        / max(norm_l, 1e-300))
         uzz = g.op_group(z + z2)
@@ -265,8 +266,8 @@ def ref_stinespring_rate(l, w, form, ts=(1e-1, 1e-2, 1e-3)):
         p_t = semigroup(l, t)
         worst = 0.0
         for a in units:
-            direct = (w.inner(a - p_t.apply(a), a) / t).real
-            via_pairing = (w.state(boundary_pairing(p_t, a, a)) / t).real
+            direct = (inner(w, a - p_t.apply(a), a) / t).real
+            via_pairing = (state(w, boundary_pairing(p_t, a, a)) / t).real
             route_gap = max(route_gap, abs(direct - via_pairing))
             worst = max(worst, abs(direct - form(a, a).real))
         devs.append(worst)
@@ -545,7 +546,7 @@ def test_stacked_conj_raises_like_the_loop():
     b = FinBimodule(JumpSystem(W=w, jumps=[(SX, 0.0), (SX, 0.0)], pairing=[0, 1]),
                     validate=False)
     rng = np.random.default_rng(41)
-    inside = b.act_right(random_matrix(2, rng), b.delta(random_matrix(2, rng)))
+    inside = act_right(b, random_matrix(2, rng), b.delta(random_matrix(2, rng)))
     outside = [rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
                for _ in range(2)]
     b.conj(inside)
@@ -556,6 +557,58 @@ def test_stacked_conj_raises_like_the_loop():
         b.conj(stack)
     assert stacked.value.residual == pytest.approx(single.value.residual, rel=1e-12)
     assert stacked.value.residual > DEFAULT_TOL.span
+
+
+# --- a NaN residual is no pass -------------------------------------------------
+
+@pytest.mark.parametrize("residuals", [
+    (0.0, np.nan), (np.nan, 0.0), (0.0, np.array([1.0, np.nan])),
+    (np.array([np.nan, 2.0]), 1.0), (1.0, 2.0, np.nan)])
+def test_worst_propagates_nan(residuals):
+    """Python's max keeps the first of two floats that do not compare."""
+    assert np.isnan(sampling.worst(*residuals))
+
+
+def test_worst_is_the_largest_entry():
+    assert sampling.worst(0.0, np.array([1.0, 3.0]), 2.0) == 3.0
+
+
+def test_tiny_jumps_axiom_d_is_finite():
+    """The reference pair over diag(0.6, 0.4) scaled by 1e-200: the product
+    |xi| |eta| underflows to 0, so (d) floors its scale as a product and
+    reads 0, not 0/0."""
+    w = WeightedAlgebra(np.diag([0.6, 0.4]).astype(complex))
+    omega = float(np.log(1.5))
+    b = FinBimodule(JumpSystem(W=w, jumps=[(1e-200 * E21, omega), (1e-200 * E12, -omega)],
+                               pairing=[1, 0]))
+    with np.errstate(invalid="raise", divide="raise"):
+        res = b.axioms_check(n_vectors=20)
+    assert np.isfinite(res["d"]) and res["d"] <= DEFAULT_TOL.axiom
+
+
+@pytest.mark.parametrize("module, suite, check", [
+    (bimodule, "bimodule-axioms", "axiom (a)"),
+    (reconstruct, "gram-axioms", "gram axiom (a)"),
+])
+def test_nan_in_one_sample_fails_its_check(monkeypatch, module, suite, check):
+    """A NaN planted in the first sample's operator norm makes its (a)
+    residual NaN: the suite reports NaN and fails the check."""
+    norms = module.spectral_norm
+    calls = []
+
+    def planted(x):
+        out = np.array(norms(x))
+        if not calls:
+            out.flat[0] = np.nan
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(module, "spectral_norm", planted)
+    system = jump_system(2, 3, 4)
+    scenario = Scenario(ScenarioData(W=system.W, system=system), DEFAULT_TOL)
+    with np.errstate(invalid="ignore"):
+        records = {r["name"]: r for r in run_suite(suite, scenario, seed=0)}
+    assert np.isnan(records[check]["residual"]) and not records[check]["pass"]
 
 
 # --- draws ---------------------------------------------------------------------
