@@ -38,9 +38,9 @@ the n columns of a vector's coordinates.
 Stacked samples: an array (..., m, n, n) is a stack of vectors.  Every structure map acts on each vector of a stack at once
 (``delta`` takes a matrix or a stack (..., n, n),
 ``mod_group`` a scalar z or an array of them), so each map has one
-implementation.  The sampled checks draw all their samples first
-(``sampling.draw_samples``), rotate each drawn matrix once, then evaluate
-every residual on the stacks.
+implementation.  The sampled checks draw all their samples first, each
+drawn quantity in one generator call (``sampling.draw_samples``), rotate
+each drawn matrix once, then evaluate every residual on the stacks.
 """
 
 from functools import cached_property
@@ -183,8 +183,8 @@ class FinBimodule:
         weight shows up here and in (f), U_z conj = conj U_conj(z); (a)-(d)
         stay exact.
 
-        Each sample draws a, b, the right factor and the delta argument of
-        eta, z, c, z2.
+        The samples of a, b, the right factor and the delta argument of eta,
+        z, c and z2 are drawn in this order, each quantity in one call.
         """
         rng = np.random.default_rng(seed)
         res = {k: 0.0 for k in "abcdef"}
@@ -274,7 +274,8 @@ class Derivation:
         """Residuals: product rule, conj/delta and U_z/delta intertwining,
         energy identity against the Dirichlet form (if given).
 
-        Each sample draws x, y, then the real and imaginary part of z.
+        The samples of x, y and z are drawn in this order, each quantity in
+        one call (z's real and imaginary parts interleaved).
         """
         b, n = self.B, self.B.n
         # the maps of ``conj`` as in ``axioms_check``, and twelve stacks of

@@ -21,11 +21,17 @@ coordinates) or ``fock_spec`` (a scalar free model: matrix ``A``, optional
 satisfy |omega| <= log ``cond_max``: a jump v with h v h^{-1} = e^{-omega} v
 has e^{-omega} = lam_a / lam_b for two eigenvalues of h, and the admitted
 densities have lam_max / lam_min <= ``cond_max``.  A ``generator`` must have
-a finite Frobenius norm: the certificates are relative to it.
+a finite Frobenius norm: the certificates are relative to it.  So must each
+jump, with a finite square: the generator and the form are sums of products
+of two jumps.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 parse error, 3 internal
 error.  JSON reports (--json) are byte-identical for the same scenario and
-seed; wall-clock timing appears only in the text report.
+seed; wall-clock timing appears only in the text report.  stderr holds the
+one line of an error and the ``UserWarning``s of the checks (a density
+rescaled to trace 1, |Im z| beyond its range).  numpy's floating-point
+warnings are kept off it: what they warn of ends in a NaN residual, which
+fails its check, or in a named error.
 """
 
 import argparse
@@ -195,6 +201,9 @@ def parse_scenario(payload, tol_flags=None):
                 if v.shape != (w.n, w.n):
                     raise ScenarioParseError(
                         f"jump shape {v.shape} != algebra dim {w.n}")
+                if not np.isfinite(np.linalg.norm(v) ** 2):
+                    raise ScenarioParseError("a jump's squared Frobenius norm "
+                                             "overflows: the generator sums its products")
                 omega = parse_real(entry.get("omega", 0.0), "omega")
                 if abs(omega) > math.log(tol.cond_max):
                     raise ScenarioParseError(
@@ -292,6 +301,7 @@ def emit_artifacts(scenario, out_dir):
     return written
 
 
+@np.errstate(all="ignore")
 def cmd_run(args):
     try:
         with open(args.scenario) as fh:

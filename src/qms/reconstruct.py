@@ -426,9 +426,9 @@ def gram_axioms_check(g: GramSpace, n_samples=200, seed=29):
     (c), (d) and (f) can fail only through rounding or entries of T between
     sectors; each also reports that relative off-sector magnitude.
 
-    Each sample draws a, z, z2; all are drawn first, then evaluated in blocks
-    of samples (``sampling.sample_blocks``) as stacks of T-level matrices,
-    each block's a rotated once to the eigenbasis.
+    The samples of a, z and z2 are drawn first, each quantity in one call,
+    then evaluated in blocks of samples (``sampling.sample_blocks``) as stacks
+    of T-level matrices, each block's a rotated once to the eigenbasis.
     """
     rng = np.random.default_rng(seed)
     w = g.W

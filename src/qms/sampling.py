@@ -7,15 +7,12 @@ with opposite weights, and Hermitian traceless diagonal jumps carry
 omega = 0.  This produces every valid configuration the four conditions
 allow, up to unitary gauge inside degenerate weight blocks.
 
-The sampled checks draw by spec: a ``Draw`` names a generator method, the
-values one sample takes of it and their map to the sample's value.
-``draw_samples`` takes each run of draws of one kind in one generator call
-per sample, bit for bit as scalar calls such as ``random_matrix`` would.
+The sampled checks draw each quantity they sample (``matrices``, ``DISK``,
+``SQUARE``) for all samples in one generator call, bit for bit as a run of
+scalar calls such as ``random_matrix`` would, one sample after the other.
 """
 
 import math
-from collections import namedtuple
-from itertools import groupby, product
 
 import numpy as np
 
@@ -24,7 +21,7 @@ from .lindblad import JumpSystem
 from .modular import WeightedAlgebra
 
 __all__ = ["random_unitary", "random_density", "random_weighted_algebra",
-           "random_jump_system", "random_matrix", "Draw", "matrices", "DISK",
+           "random_jump_system", "random_matrix", "matrices", "DISK",
            "SQUARE", "draw_samples", "sample_blocks", "check_stage_bytes", "worst"]
 
 # The sampled checks evaluate their samples in blocks whose stacks take at
@@ -64,49 +61,32 @@ def random_matrix(n, rng, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
-# kind = (name, *args) of the generator method; make maps (..., size) to (...)
-Draw = namedtuple("Draw", "kind size make")
-
-
 def matrices(n, scale=1.0):
-    """The draw of ``random_matrix(n, rng, scale)``."""
-    return Draw(("standard_normal",), 2 * n * n, lambda x: scale * (
-        x[..., :n * n] + 1j * x[..., n * n:]).reshape(x.shape[:-1] + (n, n)))
+    """The draw of ``count`` matrices ``random_matrix(n, rng, scale)``."""
+    def draw(rng, count):
+        x = rng.standard_normal((count, 2, n, n))
+        return scale * (x[:, 0] + 1j * x[:, 1])
+    return draw
 
 
-# a point of the closed unit disk, uniform in area
-DISK = Draw(("uniform", 0.0, 1.0), 2,
-            lambda u: np.sqrt(u[..., 0]) * np.exp(2j * np.pi * u[..., 1]))
-# uniform(-1, 1) + 1j uniform(-1, 1): the square [-1, 1]^2 of the plane
-SQUARE = Draw(("uniform", -1.0, 1.0), 2, lambda u: u[..., 0] + 1j * u[..., 1])
+def DISK(rng, count):
+    """``count`` points of the closed unit disk, uniform in area."""
+    u = rng.uniform(size=(count, 2))
+    return np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+
+
+def SQUARE(rng, count):
+    """``count`` points uniform(-1, 1) + 1j uniform(-1, 1) of the square [-1, 1]^2."""
+    u = rng.uniform(-1.0, 1.0, size=(count, 2))
+    return u[:, 0] + 1j * u[:, 1]
 
 
 def draw_samples(rng, count, *draws):
-    """``count`` samples, each one value of every ``Draw`` in ``draws`` in
-    order, as one array per draw with a leading sample axis.
-
-    Consecutive draws of one kind form a run, which a sample takes from the
-    generator in one call; if a sample is a single run, one call takes all
-    samples.  The generator fills an array one value at a time, as repeated
-    scalar calls would, so the values are bit-identical to those of a loop
-    that draws each sample's values before the next sample's.
-    """
-    def call(kind, size):
-        return getattr(rng, kind[0])(*kind[1:], size=size)
-
-    runs = [list(run) for _, run in groupby(draws, key=lambda d: d.kind)]
-    sizes = [sum(d.size for d in run) for run in runs]
-    if len(runs) == 1:
-        values = [call(runs[0][0].kind, (count, sizes[0]))]
-    else:
-        values = [np.empty((count, size)) for size in sizes]
-        for i, (run, v) in product(range(count), zip(runs, values)):
-            v[i] = call(run[0].kind, v.shape[1])
-    out = []
-    for run, v in zip(runs, values):
-        ends = np.cumsum([d.size for d in run])
-        out.extend(d.make(v[:, end - d.size:end]) for d, end in zip(run, ends))
-    return out
+    """``count`` samples of each draw ``(rng, count) -> array`` in ``draws``,
+    in order: one array per draw with a leading sample axis, each in one
+    generator call.  The generator fills an array one value at a time, so a
+    draw's values are those of ``count`` scalar calls in a row."""
+    return [d(rng, count) for d in draws]
 
 
 def sample_blocks(count, sample_bytes):

@@ -483,23 +483,48 @@ def test_weight_at_log_cond_max_is_admitted(tmp_path, capsys):
     assert "alicki/modular-eigenvector" in capsys.readouterr().out
 
 
+def run_without_runtime_warnings(argv):
+    """The exit code of ``main(argv)``, asserting that numpy raised no
+    floating-point (Runtime) warning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code
+
+
 def test_generator_without_finite_norm_is_parse_error(tmp_path, capsys):
     scenario = base_scenario(checks=["certify-generator"])
     scenario["source"] = {"generator": (1e200 * np.eye(4)).tolist()}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["run", write_scenario(tmp_path, scenario)]) == 2
+    assert run_without_runtime_warnings(["run", write_scenario(tmp_path, scenario)]) == 2
     assert "Frobenius norm overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1e160, 2e154])
+def test_jump_without_finite_squared_norm_is_parse_error(tmp_path, capsys, scale):
+    """The reference pair scaled by 1e160 (its norm overflows) or 2e154 (its
+    norm is finite, its square is not): refused before any suite runs, with
+    one line on stderr and no report."""
+    scenario = base_scenario(checks=["alicki-validate", "bimodule-axioms"])
+    for jump in scenario["source"]["jumps"]:
+        jump["matrix"] = (scale * np.array(jump["matrix"])).tolist()
+    report = tmp_path / "report.json"
+    argv = ["run", write_scenario(tmp_path, scenario), "--json", str(report)]
+    assert run_without_runtime_warnings(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["parse error: a jump's squared Frobenius norm overflows: "
+                                "the generator sums its products"]
+    assert not report.exists()
+
+
 def test_growing_semigroup_is_named_check_failure(tmp_path, capsys):
-    """L = -1000 I: e^{-tL} overflows, so L generates no Markov semigroup."""
+    """L = -1000 I: e^{-tL} overflows, so L generates no Markov semigroup;
+    stderr holds the named error alone."""
     scenario = base_scenario(checks=["certify-generator"])
     scenario["source"] = {"generator": (-1000.0 * np.eye(4)).tolist()}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["run", write_scenario(tmp_path, scenario)]) == 1
-    assert "check failure: NotContractive" in capsys.readouterr().err
+    assert run_without_runtime_warnings(["run", write_scenario(tmp_path, scenario)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("check failure: NotContractive")
 
 
 _OMEGAS = ("zero", "match", "flip", 1e3, -1e3, 1e308, -1e308)
@@ -551,10 +576,8 @@ def test_edge_scenarios_exit_named(tmp_path_factory, sc):
     path, report = work / "scenario.json", work / "report.json"
     path.write_text(json.dumps(sc))
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["run", str(path), "--json", str(report)])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_without_runtime_warnings(["run", str(path), "--json", str(report)])
     assert code in (0, 1, 2), err.getvalue()
     text = report.read_text() if report.exists() else ""
     assert "NaN" not in text and "Infinity" not in text

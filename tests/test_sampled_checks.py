@@ -1,10 +1,13 @@
 """The batched sampled checks against per-sample reference loops.
 
-Each reference below evaluates its check one sample at a time, drawing the
-sample's values and calling the single-vector forms of the structure maps;
-it also returns the inputs it drew.  The batched check must see
-bit-identical inputs (recorded by a spy on ``draw_samples``) and report
-every residual within rounding of the loop's.
+Each reference below draws the samples of each quantity it samples in its
+own run of scalar calls (``random_matrix``, ``random_disk_point``,
+``random_square_point``), one quantity after the other, then evaluates its
+check one sample at a time through the single-vector forms of the structure
+maps; it also returns the inputs it drew, per sample.  The batched check,
+which draws each quantity in one generator call, must see bit-identical
+inputs (recorded by a spy on ``draw_samples``) and report every residual
+within rounding of the loop's.
 """
 
 from functools import partial
@@ -38,24 +41,33 @@ def random_disk_point(rng):
     return r * np.exp(2j * np.pi * rng.uniform())
 
 
+def random_square_point(rng):
+    """A point of the square [-1, 1]^2 of the plane, by scalar calls."""
+    return rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+
+
+def scalar_runs(rng, count, *refs):
+    """The samples of each quantity in its own run of ``count`` scalar calls
+    ``ref(rng)``, one quantity after the other, as one tuple per sample."""
+    return list(zip(*[[ref(rng) for _ in range(count)] for ref in refs]))
+
+
 def ref_axioms_check(self, n_vectors=200, seed=11):
     rng = np.random.default_rng(seed)
     res = {k: 0.0 for k in "abcdef"}
-    drawn = []
     if self.m == 0:
-        return res, drawn
+        return res, []
     n = self.n
     mg = TomitaData(self.W).modular_group
-    for _ in range(n_vectors):
-        a, b = random_matrix(n, rng), random_matrix(n, rng)
+    mat = partial(random_matrix, n)
+    drawn = scalar_runs(rng, n_vectors, mat, mat, mat, mat, random_disk_point, mat,
+                        random_disk_point)
+    for a, b, eta_r, eta_a, z, c, z2 in drawn:
         xi = act_right(self, b, self.delta(a))
-        eta_r, eta_a = random_matrix(n, rng), random_matrix(n, rng)
         eta = act_right(self, eta_r, self.delta(eta_a))
-        z = random_disk_point(rng)
         norm_xi = self.norm(xi)
         nrm_xi = max(norm_xi, 1e-300)
 
-        c = random_matrix(n, rng)
         opn_l = float(np.linalg.norm(c, 2))
         opn_r = float(np.linalg.norm(
             self.W.h_isqrt @ c @ self.W.h_sqrt, 2))
@@ -73,7 +85,6 @@ def ref_axioms_check(self, n_vectors=200, seed=11):
         def gap(lhs, rhs):
             return self.norm(lhs - rhs) / max(self.norm(lhs), self.norm(rhs), nrm_xi)
 
-        z2 = random_disk_point(rng)
         lhs = self.mod_group(z, self.mod_group(z2, xi))
         rhs = self.mod_group(z + z2, xi)
         res["c"] = max(res["c"], gap(lhs, rhs))
@@ -93,7 +104,6 @@ def ref_axioms_check(self, n_vectors=200, seed=11):
         lhs = self.mod_group(z, conj_xi)
         rhs = self.conj(self.mod_group(np.conj(z), xi))
         res["f"] = max(res["f"], gap(lhs, rhs))
-        drawn.append((a, b, eta_r, eta_a, z, c, z2))
     return res, drawn
 
 
@@ -102,9 +112,9 @@ def ref_derivation_check(b, form=None, n_samples=100, seed=13):
     n = b.n
     res = {"product_rule": 0.0, "conj_intertwine": 0.0,
            "mod_intertwine": 0.0, "energy_identity": 0.0}
-    drawn = []
-    for _ in range(n_samples):
-        x, y = random_matrix(n, rng), random_matrix(n, rng)
+    mat = partial(random_matrix, n)
+    drawn = scalar_runs(rng, n_samples, mat, mat, random_square_point)
+    for x, y, z in drawn:
         dx, dy = b.delta(x), b.delta(y)
         scale = max(b.norm(dx) * np.linalg.norm(y), 1e-300)
         lhs = b.delta(x @ y)
@@ -117,7 +127,6 @@ def ref_derivation_check(b, form=None, n_samples=100, seed=13):
             res["conj_intertwine"], b.norm(lhs - rhs) / max(b.norm(rhs), 1e-300)
         )
 
-        z = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
         lhs = b.mod_group(z, dx)
         rhs = b.delta(TomitaData(b.W).modular_group(z, x))
         res["mod_intertwine"] = max(
@@ -131,7 +140,6 @@ def ref_derivation_check(b, form=None, n_samples=100, seed=13):
                 res["energy_identity"],
                 abs(lhs_ip - rhs_ip) / max(abs(rhs_ip), 1.0),
             )
-        drawn.append((x, y, z))
     return res, drawn
 
 
@@ -147,9 +155,8 @@ def ref_carre_positivity(w, form, bim, seed):
     rng = np.random.default_rng(seed)
     worst_neg = 0.0
     worst_cons = 0.0
-    drawn = []
-    for _ in range(100):
-        a = random_matrix(w.n, rng)
+    drawn = scalar_runs(rng, 100, partial(random_matrix, w.n))
+    for (a,) in drawn:
         g = ref_carre_du_champ(form, a, a)
         ev = np.linalg.eigvals(g)
         worst_neg = max(worst_neg, max(-ev.real.min(), 0.0))
@@ -159,7 +166,6 @@ def ref_carre_positivity(w, form, bim, seed):
             np.zeros((w.n, w.n))) @ w.h_isqrt
         worst_cons = max(worst_cons, np.linalg.norm(g - direct)
                          / max(np.linalg.norm(direct), 1e-300))
-        drawn.append((a,))
     return {"carre/psd": worst_neg, "carre/consistency": worst_cons}, drawn
 
 
@@ -200,15 +206,14 @@ def ref_gram_axioms_check(g, n_samples=200, seed=29):
     n = g.W.n
     td = TomitaData(g.W)
     res = {k: 0.0 for k in "abcdef"}
-    drawn = []
     if g.rank == 0:
-        return res, drawn
+        return res, []
     jq = conj_matrix(g)
-    for _ in range(n_samples):
-        a = random_matrix(n, rng)
+    drawn = scalar_runs(rng, n_samples, partial(random_matrix, n), random_disk_point,
+                        random_disk_point)
+    for a, z, z2 in drawn:
         la = op_left(g, a)
         ra = op_right(g, a)
-        z, z2 = random_disk_point(rng), random_disk_point(rng)
         uz = g.op_group(z)
         norm_l = np.linalg.norm(la, 2)
 
@@ -233,7 +238,6 @@ def ref_gram_axioms_check(g, n_samples=200, seed=29):
         res["f"] = max(res["f"], np.linalg.norm(
             uzj - jq @ g.op_group(np.conj(z)).conj())
             / max(np.linalg.norm(uzj), 1e-300))
-        drawn.append((a, z, z2))
     for k in "cdf":
         res[k] = max(res[k], g.off_sector)
     return res, drawn
@@ -613,60 +617,86 @@ def test_nan_in_one_sample_fails_its_check(monkeypatch, module, suite, check):
 
 # --- draws ---------------------------------------------------------------------
 
+_default_rng = np.random.default_rng
+
+
 class CountingRng:
     """A generator that counts the method calls made on it."""
 
     def __init__(self, seed):
-        self.rng, self.calls = np.random.default_rng(seed), 0
+        self.rng, self.calls = _default_rng(seed), 0
 
     def __getattr__(self, name):
         self.calls += 1
         return getattr(self.rng, name)
 
 
-def ref_draw_loop(seed, count, refs, shapes):
-    """The per-sample loop: each sample calls every ``refs[k](rng)`` in order.
-    Returns one stack per draw (of the given value shapes) and the generator."""
+def ref_draw_runs(seed, count, refs, shapes):
+    """Each draw's ``count`` values in its own run of scalar calls
+    ``refs[k](rng)``, one draw after the other, as stacks of the given value
+    shapes; and the generator."""
     rng = np.random.default_rng(seed)
-    samples = [[f(rng) for f in refs] for _ in range(count)]
-    return [np.array([s[k] for s in samples], dtype=complex).reshape((count,) + shape)
-            for k, shape in enumerate(shapes)], rng
+    return [np.array([f(rng) for _ in range(count)], dtype=complex).reshape(
+        (count,) + shape) for f, shape in zip(refs, shapes)], rng
 
 
 @pytest.mark.parametrize("count", [0, 1, 9])
 def test_draw_samples_matches_loop_for_mixed_kinds(count):
     """Draws of three kinds, a scale != 1 and Derivation's z: bit for bit the
-    loop's values, one generator call per run and sample, and the generator
-    left where the loop leaves it."""
+    scalar runs' values, one generator call per draw, and the generator left
+    where the runs leave it."""
     draws = (matrices(2), matrices(3, scale=0.5), DISK, SQUARE, SQUARE,
              matrices(2), DISK)
     refs = (partial(random_matrix, 2), partial(random_matrix, 3, scale=0.5),
-            random_disk_point, *[lambda r: r.uniform(-1, 1) + 1j * r.uniform(-1, 1)] * 2,
+            random_disk_point, random_square_point, random_square_point,
             partial(random_matrix, 2), random_disk_point)
     shapes = ((2, 2), (3, 3), (), (), (), (2, 2), ())
     rng = CountingRng(5)
     got = sampling.draw_samples(rng, count, *draws)
-    want, ref = ref_draw_loop(5, count, refs, shapes)
+    want, ref = ref_draw_runs(5, count, refs, shapes)
     for stack, stack_want in zip(got, want, strict=True):
         assert stack.dtype == stack_want.dtype and stack.shape == stack_want.shape
         assert np.array_equal(stack, stack_want)
-    # runs: normal, uniform(0, 1), uniform(-1, 1), normal, uniform(0, 1)
-    assert rng.calls == 5 * count
+    assert rng.calls == len(draws)
     assert rng.rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("count", [0, 7])
 def test_draw_samples_single_run_is_one_call(count):
-    """Samples of one kind take one generator call for all of them."""
+    """All samples of one draw take one generator call."""
     rng = CountingRng(6)
-    got = sampling.draw_samples(rng, count, matrices(2), matrices(3, scale=2.0))
-    want, ref = ref_draw_loop(6, count, (partial(random_matrix, 2),
-                                         partial(random_matrix, 3, scale=2.0)),
-                              ((2, 2), (3, 3)))
-    for stack, stack_want in zip(got, want, strict=True):
-        assert stack.shape == stack_want.shape and np.array_equal(stack, stack_want)
+    (got,) = sampling.draw_samples(rng, count, matrices(3, scale=2.0))
+    (want,), ref = ref_draw_runs(6, count, (partial(random_matrix, 3, scale=2.0),),
+                                 ((3, 3),))
+    assert got.shape == want.shape and np.array_equal(got, want)
     assert rng.calls == 1
     assert rng.rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("count", [5, 40])
+def test_sampled_checks_call_the_generator_once_per_quantity(count, monkeypatch):
+    """Each sampled check calls its generator once per quantity it draws,
+    whatever its sample count (carre-positivity draws a fixed 100)."""
+    system = jump_system(2, 3, 4)
+    sc = Scenario(ScenarioData(W=system.W, system=system), DEFAULT_TOL)
+    b, form, g = sc.bimodule, sc.form, sc.gram
+    checks = {
+        "axioms_check": (7, lambda: b.axioms_check(n_vectors=count)),
+        "Derivation.check": (3, lambda: Derivation(b).check(form, n_samples=count)),
+        "gram_axioms_check": (3, lambda: gram_axioms_check(g, n_samples=count)),
+        "carre du champ": (1, lambda: run_suite("carre-positivity", sc, 0)),
+    }
+    rngs = []
+
+    def counting(seed):
+        rngs.append(CountingRng(seed))
+        return rngs[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    for name, (calls, check) in checks.items():
+        rngs.clear()
+        check()
+        assert [r.calls for r in rngs] == [calls], name
 
 
 # --- property test --------------------------------------------------------------

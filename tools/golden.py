@@ -28,11 +28,15 @@ with OPENBLAS/OMP/MKL_NUM_THREADS=1.  The cases:
   jumps were built on by rounding, which turns the computed eigenvectors of
   the two close eigenvalues by about eps / g: the generator comes in another
   eigenbasis than the one the extraction computes;
-* two cases that fail a check (exit 1), so that a FAIL report is compared
-  too: ``bimodule-axioms`` on the qubit jump pair {(E21, log 2), (E12,
-  -log 2)} over diag(2/3, 1/3) with the first weight off by 0.1 (axiom (e)
-  fails), and ``certify-generator`` on the non-symmetric generator
-  1 + 0.3 E_{0,1} of M_2 (certify/gns_symmetric fails).
+* four cases that fail, so that a FAIL report, a named error and its stderr
+  are compared too: ``bimodule-axioms`` on the qubit jump pair {(E21,
+  log 2), (E12, -log 2)} over diag(2/3, 1/3) with the first weight off by
+  0.1 (axiom (e) fails), and ``certify-generator`` on the non-symmetric
+  generator 1 + 0.3 E_{0,1} of M_2 (certify/gns_symmetric fails), exit 1;
+  ``alicki-validate`` and ``bimodule-axioms`` on that pair scaled by 1e160
+  (a jump's squared norm overflows: parse error, exit 2), and
+  ``certify-generator`` on L = -1000 I (P_t overflows: NotContractive,
+  exit 1).
 
 Per case the tool compares the exit code, stderr and report bytes (for a
 three-route job, its result).  Where the bytes differ it prints, for each
@@ -94,6 +98,16 @@ FAILING_CASES = {
         "algebra": {"dim": 2, "h": [[2 / 3, 0], [0, 1 / 3]]},
         "source": {"generator": [[1.0 if i == j else 0.3 if (i, j) == (0, 1)
                                   else 0.0 for j in range(4)] for i in range(4)]},
+        "checks": ["certify-generator"]},
+    "fail-overflowing-jump-norm-parse": {
+        "algebra": {"dim": 2, "h": [[2 / 3, 0], [0, 1 / 3]]},
+        "source": {"jumps": [{"matrix": [[0, 0], [1e160, 0]], "omega": _LOG2},
+                             {"matrix": [[0, 1e160], [0, 0]], "omega": -_LOG2}]},
+        "checks": ["alicki-validate", "bimodule-axioms"]},
+    "fail-growing-generator-certify": {
+        "algebra": {"dim": 2, "h": [[2 / 3, 0], [0, 1 / 3]]},
+        "source": {"generator": [[-1000.0 if i == j else 0.0 for j in range(4)]
+                                 for i in range(4)]},
         "checks": ["certify-generator"]},
 }
 
