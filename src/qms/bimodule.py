@@ -69,13 +69,13 @@ class FinBimodule:
         self.tol = tol
         self.m = system.m
         self.n = self.W.n
-        jumps, self.omegas = system._stack()
+        self.omegas = system.weights
         lam = self.W.eig.eigenvalues
         self._lam, self._sqrt_lam = lam, np.sqrt(lam)
         self._lam_parts = np.repeat(lam, 2)
         # (U_z xi)'_jab = e^{i z freq_jab} xi'_jab
         self._freq = self.omegas[:, None, None] + self.W.bohr
-        self._jumps = self.W.to_eig(jumps)
+        self._jumps = self.W.to_eig(system.stack)
         self.pairing = list(system.pairing)
 
     # --- inner product and coordinates ----------------------------------------
@@ -270,9 +270,9 @@ class Derivation:
     def __init__(self, bimodule: FinBimodule):
         self.B = bimodule
 
-    def check(self, form: DirichletForm = None, n_samples=100, seed=13):
+    def check(self, form: DirichletForm, n_samples=100, seed=13):
         """Residuals: product rule, conj/delta and U_z/delta intertwining,
-        energy identity against the Dirichlet form (if given).
+        energy identity against the Dirichlet form.
 
         The samples of x, y and z are drawn in this order, each quantity in
         one call (z's real and imaginary parts interleaved).
@@ -302,11 +302,9 @@ class Derivation:
         res["mod_intertwine"] = worst(
             0.0, b.norm(b.mod_group(z, dx) - rhs) / np.maximum(b.norm(rhs), 1e-300))
 
-        if form is not None:
-            rhs_ip = form(x, y)
-            res["energy_identity"] = worst(
-                0.0, np.abs(b.inner(dx, dy) - rhs_ip)
-                / np.maximum(np.abs(rhs_ip), 1.0))
+        rhs_ip = form(x, y)
+        res["energy_identity"] = worst(
+            0.0, np.abs(b.inner(dx, dy) - rhs_ip) / np.maximum(np.abs(rhs_ip), 1.0))
         return res
 
 

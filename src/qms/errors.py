@@ -68,10 +68,6 @@ class NotConditionallyCP(QMSError):
     """Kossakowski matrix of the generator is not PSD."""
 
 
-class NotUCP(QMSError):
-    """Map is not unital completely positive."""
-
-
 class NotContractive(QMSError):
     """P_t = e^{-tL} overflows: L generates no Markov (contractive) semigroup."""
 

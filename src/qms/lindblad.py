@@ -61,18 +61,16 @@ class JumpSystem:
 
     def __post_init__(self):
         self.jumps = [(as_cmatrix(v), float(w)) for v, w in self.jumps]
+        # the jumps as one (m, n, n) stack, and their weights
+        n = self.W.n
+        self.stack = np.array([v for v, _ in self.jumps]).reshape(self.m, n, n)
+        self.weights = np.array([w for _, w in self.jumps], dtype=np.float64)
         if self.pairing is None:
             self.pairing = self._find_pairing()
 
     @property
     def m(self):
         return len(self.jumps)
-
-    def _stack(self):
-        """The jumps as one (m, n, n) stack, and their weights."""
-        n = self.W.n
-        v = np.array([v for v, _ in self.jumps]).reshape(self.m, n, n)
-        return v, np.array([w for _, w in self.jumps], dtype=np.float64)
 
     def _find_pairing(self):
         """Match each jump with the one carrying its adjoint (best effort).
@@ -87,7 +85,7 @@ class JumpSystem:
         """
         if not self.jumps:
             return []
-        v, omega = self._stack()
+        v, omega = self.stack, self.weights
         norm2 = np.sum(np.abs(v) ** 2, axis=(1, 2))
         cross = np.einsum("jab,kba->jk", v, v).real
         dist = np.sqrt(np.maximum(np.add.outer(norm2, norm2) - 2.0 * cross, 0.0))
@@ -103,7 +101,7 @@ class JumpSystem:
                              "modular-eigenvector"), 0.0)
         if not self.jumps:
             return res
-        v, omega = self._stack()
+        v, omega = self.stack, self.weights
         norm = np.linalg.norm(v, axis=(1, 2))
         scale = np.maximum(norm, 1e-300)
         res["traceless"] = float(np.max(
@@ -141,7 +139,7 @@ def build_generator(system: JumpSystem, validate=True) -> Superoperator:
     if validate:
         system.check_valid()
     n = system.W.n
-    v, omega = system._stack()
+    v, omega = system.stack, system.weights
     vc, down, up = v.conj(), np.exp(-omega / 2.0), np.exp(omega / 2.0)
     eye = np.eye(n, dtype=np.complex128)
     # x -> sum_j a_j x b_j has the matrix sum_j kron(b_j.T, a_j)

@@ -51,11 +51,12 @@ and rank rule; no n^4 x n^4 matrix is formed on either side.
 Stinespring route: the same space from a single unital CP GNS-symmetric map
 Phi with <x(x)y, c(x)d> = (1/2) phi(y* Phi(x* c) d) and boundary
 del(x) = x(x)1 - 1(x)x; feeding Phi = P_t and scaling by 1/t recovers the
-form at first order in t.  No Gram matrix is quotiented: with the Kraus
-form Phi(x) = sum_r V_r* x V_r from the eigendecomposition of the Choi
-matrix, x(x)y -> 2^{-1/2} (x V_r y)_r is an isometry onto C^R (x) L2(M, phi),
-the carrier of the jump bimodule, so the rank is n^2 R and
-del(x) = 2^{-1/2} ([x, V_r])_r.
+form at first order in t.  Nothing is dilated or quotiented: the M-valued
+pairing (del x | del y) = (1/2)((I-Phi)(x)* y + x* (I-Phi)(y) - (I-Phi)(x* y))
+is read off Phi alone (``boundary_pairing``), and ``stinespring_route`` gives
+phi((del a | del a)) over the matrix units a.  This is the inner product of
+the Kraus dilation x(x)y -> 2^{-1/2} (x V_r y)_r, Phi(x) = sum_r V_r* x V_r,
+without its Kraus operators.
 """
 
 from dataclasses import dataclass
@@ -64,19 +65,16 @@ from functools import cached_property, partial
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import (GramNotPSD, NotGNSSymmetric, NotPSD, NotUCP,
-                     RankUndecided)
+from .errors import GramNotPSD, NotPSD, RankUndecided
 from .lindblad import DirichletForm, semigroup
 from .modular import WeightedAlgebra, bohr_classes
-from .numkernel import (HermEig, Superoperator, as_cmatrix, as_cstack, choi,
-                        cluster, frob, herm_eig, matrix_units, quotient,
-                        spectral_norm)
+from .numkernel import (HermEig, Superoperator, as_cstack, cluster, herm_eig,
+                        matrix_units, quotient, spectral_norm)
 from .sampling import (_BLOCK_BYTES, _SMALL_BYTES, DISK, check_stage_bytes,
                        draw_samples, matrices, sample_blocks, worst)
 
 __all__ = [
     "GramSpace",
-    "StinespringBimodule",
     "gram_entry",
     "build_gram_space",
     "gram_axioms_check",
@@ -607,26 +605,6 @@ def uniqueness_isometry(g: GramSpace, bimodule, tol=DEFAULT_TOL):
 
 # --- Stinespring route --------------------------------------------------------
 
-@dataclass
-class StinespringBimodule:
-    """C^R (x) L2(M, phi) with x (x) y -> 2^{-1/2} (x V_r y)_r, for the Kraus
-    operators V_r of Phi(x) = sum_r V_r* x V_r (``kraus``, shape (R, n, n))."""
-
-    phi: Superoperator
-    W: WeightedAlgebra
-    kraus: np.ndarray
-
-    @property
-    def rank(self):
-        return self.kraus.shape[0] * self.W.n ** 2
-
-    def boundary(self, x):
-        """del(x) = [x (x) 1] - [1 (x) x] = 2^{-1/2} ([x, V_r])_r, in the
-        coordinates of ``WeightedAlgebra.coords`` stacked over r."""
-        x = as_cmatrix(x)
-        return self.W.coords(x @ self.kraus - self.kraus @ x).ravel() / np.sqrt(2.0)
-
-
 def boundary_pairing(phi: Superoperator, x, y):
     """(del x | del y) in the Stinespring bimodule of Phi, from the M-valued
     identity (1/2)((I-Phi)(x)*y + x*(I-Phi)(y) - (I-Phi)(x*y)); it needs no
@@ -641,28 +619,13 @@ def boundary_pairing(phi: Superoperator, x, y):
     return 0.5 * (np.swapaxes(ix, -1, -2).conj() @ y + x_adj @ iy - ixy)
 
 
-def stinespring_route(phi: Superoperator, w: WeightedAlgebra,
-                      tol=DEFAULT_TOL) -> StinespringBimodule:
-    """The Stinespring bimodule of a unital CP GNS-symmetric map, in the
-    Kraus form read off the eigendecomposition of its Choi matrix."""
-    n = w.n
-    eye = np.eye(n, dtype=np.complex128)
-    if w.norm(phi.apply(eye) - eye) > 1e-8:
-        raise NotUCP("map is not unital")
-    ch = choi(phi)
-    ch_eig = herm_eig(0.5 * (ch + ch.conj().T), tol)
-    if ch_eig.eigenvalues[0] < -tol.choi * max(ch_eig.eigenvalues[-1], 1.0):
-        raise NotUCP(f"Choi matrix eigenvalue {ch_eig.eigenvalues[0]:.3e} < 0")
-    m = w.op_matrix(phi)
-    if frob(m - m.conj().T) > 1e-8 * max(frob(m), 1e-300):
-        raise NotGNSSymmetric("map is not self-adjoint for <.,.>_h")
-
-    # choi(Phi) = sum_r w_r w_r* with w_r[(i, k)] = conj(V_r[i, k]), so the
-    # eigenvectors of the Choi matrix give the Kraus operators
-    mu, u = ch_eig.eigenvalues, ch_eig.eigenvectors
-    keep = mu > tol.decomp * mu[-1]
-    kraus = (np.sqrt(mu[keep]) * u[:, keep].conj()).T.reshape(-1, n, n)
-    return StinespringBimodule(phi=phi, W=w, kraus=kraus)
+def stinespring_route(phi: Superoperator, w: WeightedAlgebra):
+    """phi((del a | del a)) = tr((del a | del a) h) in the Stinespring
+    bimodule of Phi, for each of the n^2 matrix units a (row-major), read
+    off Phi alone through ``boundary_pairing``."""
+    units = matrix_units(w.n)
+    return np.trace(boundary_pairing(phi, units, units) @ w.h,
+                    axis1=-2, axis2=-1).real
 
 
 def stinespring_rate(l: Superoperator, w: WeightedAlgebra,
@@ -671,10 +634,9 @@ def stinespring_rate(l: Superoperator, w: WeightedAlgebra,
     log-log slope in t.
 
     E_t(a) = (1/t) <a - P_t a, a>_h; both routes to E_t (direct, and
-    phi((del a | del a))/t through the Stinespring bimodule of P_t) are
-    evaluated and must agree.  The pairing is read off P_t alone, so the
-    Stinespring quotient is never built here.  Each t takes the n^2 units as
-    one stack; E(a, a) is evaluated once for all t.
+    phi((del a | del a))/t through the Stinespring bimodule of P_t,
+    ``stinespring_route``) are evaluated and must agree.  Each t takes the
+    n^2 units as one stack; E(a, a) is evaluated once for all t.
 
     The slope is fitted over the t whose deviation is not below its
     rounding floor 64 n^2 eps lam_max / t: <P_t a, a>_h is off by a few
@@ -693,8 +655,7 @@ def stinespring_rate(l: Superoperator, w: WeightedAlgebra,
         # <a - P_t a, a>_h = tr((a - P_t a)* a h) and phi(x) = tr(x h)
         diff = np.swapaxes(units - p_t.apply(units), -1, -2).conj()
         direct = np.trace(diff @ units @ w.h, axis1=-2, axis2=-1).real / t
-        via_pairing = np.trace(boundary_pairing(p_t, units, units) @ w.h,
-                               axis1=-2, axis2=-1).real / t
+        via_pairing = stinespring_route(p_t, w) / t
         route_gap = worst(route_gap, np.abs(direct - via_pairing))
         devs.append(float(np.max(np.abs(direct - energy))))
     lt = np.log(np.asarray(ts))

@@ -19,7 +19,7 @@ from .modular import WeightedAlgebra
 from .numkernel import Superoperator, matrix_units
 from .reconstruct import (build_gram_space, gram_axioms_check,
                           stinespring_rate, uniqueness_isometry)
-from .sampling import draw_samples, matrices, random_matrix, sample_blocks, worst
+from .sampling import draw_samples, matrices, sample_blocks, worst
 
 __all__ = ["ScenarioData", "Scenario", "SUITES", "run_suite", "suite_names"]
 
@@ -184,11 +184,9 @@ def suite_fock_commutant(sc, seed):
     xis, etas = f.fixed_vectors()
     worst = float(np.max(f.commutant_check(xis[:3], etas[:3]), initial=0.0))
     rng = np.random.default_rng(seed)
-    d = f.dims[1]
-    xs = [random_matrix(sc.W.n, rng) for _ in range(5)]
-    xis = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
-           for _ in range(5)]
-    lam = f.lambda_identities(xs, xis)
+    (xs,) = draw_samples(rng, 5, matrices(sc.W.n))
+    v = rng.standard_normal((5, 2, f.dims[1]))
+    lam = f.lambda_identities(xs, v[:, 0] + 1j * v[:, 1])
     return [
         _check("fock/commutant", worst, tol.axiom),
         _check("fock/lambda_pi_left", lam["pi_left"], tol.check),

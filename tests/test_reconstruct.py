@@ -1,8 +1,9 @@
-"""Gram reconstruction, uniqueness isometry, Stinespring route in Kraus
-form, the representing vector."""
+"""Gram reconstruction, uniqueness isometry, the Stinespring route against
+its Kraus dilation, the representing vector."""
 
 import re
 import tracemalloc
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -16,12 +17,13 @@ import qms.sampling
 from qms.bimodule import FinBimodule
 from qms.cli import main
 from qms.config import DEFAULT_TOL
-from qms.errors import GramNotPSD, RankUndecided, SizeLimitExceeded
+from qms.errors import (GramNotPSD, NotGNSSymmetric, QMSError, RankUndecided,
+                        SizeLimitExceeded)
 from qms.lindblad import (DirichletForm, JumpSystem, build_generator,
                           dirichlet_form, extract_alicki)
 from qms.modular import WeightedAlgebra
-from qms.numkernel import (HermEig, Superoperator, herm_eig, mat_power,
-                           matrix_units, null_quotient)
+from qms.numkernel import (HermEig, Superoperator, as_cmatrix, choi, frob,
+                           herm_eig, mat_power, matrix_units, null_quotient)
 from qms.reconstruct import (
     boundary_pairing,
     build_gram_space,
@@ -971,15 +973,67 @@ def stinespring_case(n, seed, t=0.3):
     return semigroup(build_generator(system), t), system.W
 
 
+class NotUCP(QMSError):
+    """The map handed to ``kraus_dilation`` is not unital CP."""
+
+
+@dataclass
+class KrausDilation:
+    """The Stinespring bimodule C^R (x) L2(M, phi) of Phi in Kraus form,
+    x (x) y -> 2^{-1/2} (x V_r y)_r, for the Kraus operators V_r of
+    Phi(x) = sum_r V_r* x V_r (``kraus``, shape (R, n, n)): the reference
+    for the pairing that ``boundary_pairing`` reads off Phi alone."""
+
+    phi: Superoperator
+    W: WeightedAlgebra
+    kraus: np.ndarray
+
+    @property
+    def rank(self):
+        return self.kraus.shape[0] * self.W.n ** 2
+
+    def boundary(self, x):
+        """del(x) = [x (x) 1] - [1 (x) x] = 2^{-1/2} ([x, V_r])_r, in the
+        coordinates of ``WeightedAlgebra.coords`` stacked over r."""
+        x = as_cmatrix(x)
+        return self.W.coords(x @ self.kraus - self.kraus @ x).ravel() / np.sqrt(2.0)
+
+
+def kraus_dilation(phi: Superoperator, w: WeightedAlgebra, tol=DEFAULT_TOL):
+    """The Stinespring bimodule of a unital CP GNS-symmetric map, in the
+    Kraus form read off the eigendecomposition of its Choi matrix."""
+    n = w.n
+    eye = np.eye(n, dtype=np.complex128)
+    if w.norm(phi.apply(eye) - eye) > 1e-8:
+        raise NotUCP("map is not unital")
+    ch = choi(phi)
+    # looked up on the module, where test_one_choi_eigendecomposition spies
+    ch_eig = qms.numkernel.herm_eig(0.5 * (ch + ch.conj().T), tol)
+    if ch_eig.eigenvalues[0] < -tol.choi * max(ch_eig.eigenvalues[-1], 1.0):
+        raise NotUCP(f"Choi matrix eigenvalue {ch_eig.eigenvalues[0]:.3e} < 0")
+    m = w.op_matrix(phi)
+    if frob(m - m.conj().T) > 1e-8 * max(frob(m), 1e-300):
+        raise NotGNSSymmetric("map is not self-adjoint for <.,.>_h")
+    # choi(Phi) = sum_r w_r w_r* with w_r[(i, k)] = conj(V_r[i, k]), so the
+    # eigenvectors of the Choi matrix give the Kraus operators
+    mu, u = ch_eig.eigenvalues, ch_eig.eigenvectors
+    keep = mu > tol.decomp * mu[-1]
+    kraus = (np.sqrt(mu[keep]) * u[:, keep].conj()).T.reshape(-1, n, n)
+    return KrausDilation(phi=phi, W=w, kraus=kraus)
+
+
 def embedded_pair(sb, x, y):
     """The image 2^{-1/2} (x V_r y)_r of x (x) y, in the coordinates of
-    ``StinespringBimodule.boundary``."""
+    ``KrausDilation.boundary``."""
     return sb.W.coords(x @ sb.kraus @ y).ravel() / np.sqrt(2.0)
 
 
 class TestStinespring:
+    """``boundary_pairing`` and ``stinespring_route`` against the Kraus
+    dilation (``kraus_dilation``), and the rate."""
+
     def test_identity_map_zero_boundary(self, w_qubit):
-        sb = stinespring_route(identity_map(2), w_qubit)
+        sb = kraus_dilation(identity_map(2), w_qubit)
         rng = np.random.default_rng(56)
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.linalg.norm(sb.boundary(x)) < 1e-7
@@ -991,7 +1045,7 @@ class TestStinespring:
         from qms.lindblad import semigroup
         l = build_generator(qubit_system3)
         p = semigroup(l, 0.2)
-        v = stinespring_route(p, qubit_system3.W).kraus
+        v = kraus_dilation(p, qubit_system3.W).kraus
         rng = np.random.default_rng(57)
         for _ in range(10):
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -1006,7 +1060,7 @@ class TestStinespring:
         from qms.lindblad import semigroup
         w = qubit_system3.W
         p = semigroup(build_generator(qubit_system3), 0.3)
-        sb = stinespring_route(p, w)
+        sb = kraus_dilation(p, w)
         rng = np.random.default_rng(58)
         for _ in range(10):
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -1015,6 +1069,15 @@ class TestStinespring:
             rhs = state(w, boundary_pairing(p, x, y))
             assert abs(lhs - rhs) < 1e-10 * max(abs(rhs), 1.0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_route_is_dilation_boundary_norm(self, n):
+        """phi((del a | del a)) over the matrix units is |del a|^2 in the
+        Kraus dilation, unit by unit in row-major order."""
+        p_t, w = stinespring_case(n, 81)
+        sb = kraus_dilation(p_t, w)
+        want = [np.vdot(sb.boundary(a), sb.boundary(a)).real for a in matrix_units(n)]
+        assert_rel_close(stinespring_route(p_t, w), np.array(want), 1e-12)
+
     def test_rate_slope(self, qubit_system3, form3):
         l = build_generator(qubit_system3)
         r = stinespring_rate(l, qubit_system3.W, form3)
@@ -1022,15 +1085,14 @@ class TestStinespring:
         assert r["route_gap"] <= 1e-9
 
     def test_rate_builds_no_quotient(self, qubit_system3, form3, monkeypatch):
-        """The rate reads the pairing off P_t: the same result without the
-        Stinespring route or any null-space quotient."""
+        """The rate reads the pairing off P_t: the same result without any
+        null-space quotient."""
         l = build_generator(qubit_system3)
         want = stinespring_rate(l, qubit_system3.W, form3)
 
         def refuse(*args, **kwargs):
             raise AssertionError("quotient built")
 
-        monkeypatch.setattr(qms.reconstruct, "stinespring_route", refuse)
         monkeypatch.setattr(qms.reconstruct, "quotient", refuse)
         monkeypatch.setattr(qms.numkernel, "null_quotient", refuse)
         assert stinespring_rate(l, qubit_system3.W, form3) == want
@@ -1048,7 +1110,7 @@ class TestStinespring:
         of the embedded pairs, over all unit pairs, at n = 2 and 3."""
         for n in (2, 3):
             p_t, w = stinespring_case(n, 76)
-            sb = stinespring_route(p_t, w)
+            sb = kraus_dilation(p_t, w)
             units = matrix_units(n)
             want = np.array([[0.5 * state(w, y.conj().T @ p_t.apply(x.conj().T @ c) @ d)
                               for c in units for d in units]
@@ -1060,7 +1122,7 @@ class TestStinespring:
     def test_kraus_form(self, n):
         """sum_r V_r* V_r = 1 and sum_r V_r* x V_r = Phi(x)."""
         p_t, w = stinespring_case(n, 77)
-        v = stinespring_route(p_t, w).kraus
+        v = kraus_dilation(p_t, w).kraus
         v_adj = np.swapaxes(v, -1, -2).conj()
         assert_rel_close(np.sum(v_adj @ v, axis=0), np.eye(n), 1e-13)
         rng = np.random.default_rng(78)
@@ -1072,15 +1134,14 @@ class TestStinespring:
     def test_rank_matches_dense_quotient(self, n):
         """n^2 R is the rank of the dense Gram over unit pairs, which is
         (1/2) kron(I, choi(Phi), h^T)."""
-        from qms.numkernel import choi
         p_t, w = stinespring_case(n, 79)
         gram = 0.5 * np.kron(np.kron(np.eye(n), choi(p_t)), w.h.T)
-        sb = stinespring_route(p_t, w)
+        sb = kraus_dilation(p_t, w)
         assert sb.rank == null_quotient(gram).rank
         assert sb.rank == n * n * sb.kraus.shape[0]
 
     def test_one_choi_eigendecomposition(self, monkeypatch):
-        """The route takes one eigendecomposition, of the n^2 x n^2 Choi
+        """The dilation takes one eigendecomposition, of the n^2 x n^2 Choi
         matrix, and builds no quotient."""
         p_t, w = stinespring_case(3, 80)
         sides = []
@@ -1092,31 +1153,28 @@ class TestStinespring:
         def refuse(*args, **kwargs):
             raise AssertionError("quotient built")
 
-        monkeypatch.setattr(qms.reconstruct, "herm_eig", spy)
-        monkeypatch.setattr(qms.reconstruct, "quotient", refuse)
+        monkeypatch.setattr(qms.numkernel, "herm_eig", spy)
+        monkeypatch.setattr(qms.numkernel, "quotient", refuse)
         monkeypatch.setattr(qms.numkernel, "null_quotient", refuse)
-        stinespring_route(p_t, w)
+        kraus_dilation(p_t, w)
         assert sides == [(9, 9)]
 
     def test_rejects_nonunital(self, w_qubit):
-        from qms.errors import NotUCP
         with pytest.raises(NotUCP):
-            stinespring_route(zero_map(2), w_qubit)
+            kraus_dilation(zero_map(2), w_qubit)
 
     def test_rejects_non_cp(self, w_tracial):
         """The transpose is unital and positive, but not CP."""
-        from qms.errors import NotUCP
         transpose = Superoperator.from_matrix(
             np.eye(4)[[0, 2, 1, 3]].astype(complex))
         with pytest.raises(NotUCP, match="Choi"):
-            stinespring_route(transpose, w_tracial)
+            kraus_dilation(transpose, w_tracial)
 
     def test_rejects_asymmetric(self, w_tracial):
         """x -> U* x U is UCP, and GNS-symmetric only if U^2 is a phase."""
-        from qms.errors import NotGNSSymmetric
         u = np.diag([1.0, np.exp(1j)])
         with pytest.raises(NotGNSSymmetric):
-            stinespring_route(sandwich(u.conj().T, u), w_tracial)
+            kraus_dilation(sandwich(u.conj().T, u), w_tracial)
 
 
 class TestRepVector:

@@ -676,7 +676,8 @@ def test_draw_samples_single_run_is_one_call(count):
 @pytest.mark.parametrize("count", [5, 40])
 def test_sampled_checks_call_the_generator_once_per_quantity(count, monkeypatch):
     """Each sampled check calls its generator once per quantity it draws,
-    whatever its sample count (carre-positivity draws a fixed 100)."""
+    whatever its sample count (carre-positivity draws a fixed 100 matrices,
+    fock-commutant 5 matrices and 5 vectors)."""
     system = jump_system(2, 3, 4)
     sc = Scenario(ScenarioData(W=system.W, system=system), DEFAULT_TOL)
     b, form, g = sc.bimodule, sc.form, sc.gram
@@ -685,6 +686,7 @@ def test_sampled_checks_call_the_generator_once_per_quantity(count, monkeypatch)
         "Derivation.check": (3, lambda: Derivation(b).check(form, n_samples=count)),
         "gram_axioms_check": (3, lambda: gram_axioms_check(g, n_samples=count)),
         "carre du champ": (1, lambda: run_suite("carre-positivity", sc, 0)),
+        "fock-commutant": (2, lambda: run_suite("fock-commutant", sc, 0)),
     }
     rngs = []
 

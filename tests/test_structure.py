@@ -1,5 +1,6 @@
 """Source-level rules of the package layout."""
 
+import ast
 import glob
 import inspect
 import json
@@ -9,6 +10,7 @@ import sys
 
 import numpy as np
 
+import qms.errors
 from qms.cli import main
 from qms.lindblad import JumpSystem, build_generator
 from qms.modular import WeightedAlgebra
@@ -35,15 +37,33 @@ def test_only_modular_reads_the_density_eigenvectors():
     assert readers == []
 
 
+def test_every_error_is_raised():
+    """Every exception class of ``qms.errors`` but the base ``QMSError`` is
+    named in a ``raise`` statement of the package: none is left behind with
+    nothing raising it."""
+    raised = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    errors = {name for name, obj in vars(qms.errors).items()
+              if inspect.isclass(obj) and issubclass(obj, qms.errors.QMSError)
+              and obj is not qms.errors.QMSError}
+    assert errors - raised == set()
+
+
 # Public names that no ``qms run`` reaches, each with the reason it stays
 UNREACHED = {
     "modular.TomitaData.modular_group": "Tracer.summary reads its span",
     "fock.TruncatedFock.creation": "Tracer.summary reads its span",
     "numkernel.null_quotient": "Tracer.summary reads its span",
     "reconstruct.GramSpace.op_group": "Tracer.summary reads its span",
-    "reconstruct.stinespring_route": "Tracer.summary reads its span",
-    "reconstruct.StinespringBimodule.boundary":
-        "moves with the Stinespring bimodule suite (ROADMAP item 1)",
     "lindblad.extract_alicki": "a public entry point; Scenario calls "
         "_extract_certified with its cached certificate instead",
 }
